@@ -1,0 +1,125 @@
+(* Golden pins for the seeded covering solvers (n <= 64). Each instance
+   runs on a ledger carrying a recording trace with the invariant monitor
+   attached, and pins the solution's edge ids, the round total, and the
+   digests of Rounds.to_json and of the Export.jsonl event stream. The
+   covering loops may be restructured freely, but these values must not
+   move: a change here is a change of behaviour.
+
+   To regenerate after an intended behaviour change, set the expected
+   string of a case to "" and run dune exec test/test_golden.exe; the
+   failing case prints the value it received. *)
+
+open Kecss_graph
+open Kecss_congest
+open Kecss_core
+open Kecss_obs
+open Common
+
+let digest s = Digest.to_hex (Digest.string s)
+let ids s = String.concat "," (List.map string_of_int (Bitset.elements s))
+
+let weighted ~n ~k ~seed =
+  let rng = Rng.create ~seed in
+  Weights.uniform rng ~lo:1 ~hi:(4 * n) (Gen.random_k_connected rng n k ~extra:n)
+
+(* run [solve] on a traced, monitored ledger and render what it pins *)
+let traced solve () =
+  let tr = Trace.create () in
+  let mon = Monitor.create () in
+  Monitor.attach mon tr;
+  let ledger = Rounds.create ~trace:tr () in
+  let sol = solve ledger in
+  check_is "no monitor violations" (Monitor.ok mon);
+  Printf.sprintf "ids=%s rounds=%d ledger=%s trace=%s" (ids sol)
+    (Rounds.total ledger)
+    (digest (Rounds.to_json ledger))
+    (digest (Export.jsonl tr))
+
+let ecss2 ?tap_config g ledger =
+  (Ecss2.solve_with ?tap_config ledger (Rng.create ~seed:1) g).Ecss2.solution
+
+let kecss ?augk_config ~k g ledger =
+  (Kecss.solve_with ?augk_config ledger (Rng.create ~seed:1) g ~k).Kecss.solution
+
+let mds strategy g () =
+  let r = Mds.solve ~strategy ~seed:3 g in
+  Printf.sprintf "ids=%s iterations=%d" (ids r.Mds.set) r.Mds.iterations
+
+let cases =
+  let g2 = weighted ~n:48 ~k:2 ~seed:11 in
+  let zeros =
+    Weights.zero_some (Rng.create ~seed:12) ~fraction:0.15
+      (weighted ~n:40 ~k:2 ~seed:12)
+  in
+  let g3 = weighted ~n:32 ~k:3 ~seed:13 in
+  let u3 =
+    let rng = Rng.create ~seed:14 in
+    Gen.random_k_connected rng 40 3 ~extra:40
+  in
+  let w3 = weighted ~n:40 ~k:3 ~seed:15 in
+  (* wide weights and many chords: at p = 1 the MST filter has cycles to cut *)
+  let dense =
+    let rng = Rng.create ~seed:17 in
+    Weights.uniform rng ~lo:1 ~hi:4096 (Gen.random_k_connected rng 64 2 ~extra:128)
+  in
+  let gm = Gen.random_connected (Rng.create ~seed:16) 64 0.08 in
+  [
+    ( "ecss2",
+      "ids=0,1,2,3,5,6,7,9,10,11,13,14,16,18,22,23,24,25,26,29,30,31,32,33,34,35,37,38,39,40,41,42,43,44,47,51,52,57,59,60,63,64,65,67,68,69,71,73,74,76,78,80,81,82,83,84,85,86,88,89,90,94 rounds=502 ledger=46afe5f57be681f81d5f1f17d5ce1513 trace=593052455d5cc4689ebc8fae4571ad4a",
+      traced (ecss2 g2) );
+    ( "ecss2 zero weights, vote divisor 2",
+      "ids=1,3,5,8,10,11,13,15,18,19,20,21,22,23,25,26,28,29,30,31,32,33,37,38,39,40,41,42,44,46,48,49,50,52,53,54,55,57,59,60,61,62,64,66,67,68,69,71,72,74,75,76,77 rounds=468 ledger=ed28f3bdf416964b593841c820e04588 trace=a47f0ac43c84b1d1dc0ef9398a1b1abb",
+      traced
+        (ecss2
+           ~tap_config:{ (Tap.default_config (Graph.n zeros)) with vote_divisor = 2 }
+           zeros) );
+    ( "kecss k=3",
+      "ids=0,2,3,4,5,7,9,10,14,16,17,18,21,22,23,24,25,26,27,29,32,35,36,39,40,41,42,43,44,45,49,50,52,53,54,58,60,61,62,63,64,69,70,73,74,79,81,82,83,84,88,89,93,94 rounds=37222 ledger=813e4289b69ebdbc91ae050e0fc0ba9f trace=b17d25594a447211ac43dbbae3ca62d2",
+      traced (kecss ~k:3 g3) );
+    ( "kecss k=2 with p pinned to 1, without the MST filter",
+      "ids=0,2,3,4,5,6,7,8,10,12,14,15,19,20,22,25,28,30,31,32,33,34,36,38,39,41,42,43,45,46,47,48,50,52,54,55,57,58,60,62,63,64,67,68,71,72,73,75,77,79,80,81,84,85,86,88,89,90,92,93,104,107,108,109,116,119,120,122,126,135,136,137,142,143,144,145,146,149,150,152,155,156,157,159,162,164,165,169,170,171,172,173,174,176,177,178,179,180,183,184,185,189,191 rounds=1895 ledger=40552abbf98d9871503649056613fe0d trace=125a3f69923168c7b5cc7dc615b24869",
+      traced
+        (kecss ~k:2
+           ~augk_config:
+             { (Augk.default_config (Graph.n dense)) with
+               use_mst_filter = false;
+               max_iterations = 0;
+             }
+           dense) );
+    ( "kecss k=2 with p pinned to 1",
+      "ids=0,2,3,4,5,6,7,8,10,12,14,15,19,20,22,25,28,30,31,32,33,34,36,38,39,41,42,43,45,46,47,48,50,52,54,55,57,58,60,62,63,64,67,68,71,72,73,75,77,79,80,81,84,85,86,88,89,90,92,93,104,107,108,109,116,119,120,122,126,135,136,137,142,143,144,145,146,149,150,152,156,157,159,162,164,165,169,170,171,172,173,174,176,177,178,180,183,184,185,189,191 rounds=1893 ledger=83ef109df3f0abd15982d32bea92483b trace=3f600596f13d130508ed089acb339bb0",
+      traced
+        (kecss ~k:2
+           ~augk_config:{ (Augk.default_config (Graph.n dense)) with max_iterations = 0 }
+           dense) );
+    ( "kecss k=3 with p pinned to 1",
+      "ids=0,2,3,4,5,7,8,9,10,11,13,14,16,17,18,19,21,22,23,24,25,26,27,29,32,35,36,37,38,39,40,41,42,43,44,45,49,50,52,53,54,55,58,60,62,63,64,65,69,70,73,74,77,79,81,83,84,87,88,93,94 rounds=1969 ledger=ee118d554afe956e47103c3659603bb3 trace=51c872fec7027eb745c3b933e94e7c3c",
+      traced
+        (kecss ~k:3
+           ~augk_config:{ (Augk.default_config (Graph.n g3)) with max_iterations = 0 }
+           g3) );
+    ( "ecss3 unweighted",
+      "ids=0,1,2,3,4,5,6,8,10,12,13,15,17,21,23,24,25,27,29,30,32,33,34,35,37,38,45,46,48,49,51,52,53,54,55,56,58,59,60,61,65,66,67,68,70,75,80,82,84,85,86,87,88,93,95,98,99,102,103,104,106,107,108,109,110,111,112,113 rounds=2735 ledger=8fdb5fa9d7e57a4dfa1f203d5158627a trace=97df363bd90458c7c7186d61e0c7ea93",
+      traced (fun l -> (Ecss3.solve_with l (Rng.create ~seed:1) u3).Ecss3.solution)
+    );
+    ( "ecss3 weighted",
+      "ids=0,3,4,5,6,7,9,11,12,14,15,19,24,25,27,28,29,30,31,33,37,38,40,41,43,44,47,48,51,52,53,55,56,57,58,59,60,62,64,65,69,72,73,74,77,80,81,82,84,86,88,89,90,91,94,95,96,97,100,101,102,103,105,107,111,113,117,119 rounds=475 ledger=1c68f6bffb01bcec5e43fb02df141682 trace=cfec618fb09ac97d740025741730fe18",
+      traced (fun l ->
+          (Ecss3.solve_weighted_with l (Rng.create ~seed:1) w3).Ecss3.solution) );
+    ( "mds voting",
+      "ids=1,10,11,16,17,18,20,25,29,32,33,40,41,44,45,57,63 iterations=3",
+      mds (Cover.Voting { divisor = 8 }) gm );
+    ( "mds guessing",
+      "ids=0,1,24,27,29,31,38,39,41,42,43,44,58 iterations=96",
+      mds (Cover.Guessing { m_phase = 1 }) gm );
+  ]
+
+let () =
+  Alcotest.run "golden"
+    [
+      ( "golden",
+        List.map
+          (fun (name, expected, run) ->
+            case name (fun () -> Alcotest.(check string) name expected (run ())))
+          cases );
+    ]
