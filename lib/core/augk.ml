@@ -3,25 +3,11 @@ open Kecss_connectivity
 open Kecss_congest
 open Kecss_obs
 
-type config = {
-  m_phase : int;
-  max_iterations : int;
-  real_mst_every_iteration : bool;
-  use_mst_filter : bool;
-}
-
-let log2_ceil n =
-  let rec go acc v = if v >= n then acc else go (acc + 1) (2 * v) in
-  go 0 1
+type config = { m_phase : int; max_iterations : int; use_mst_filter : bool }
 
 let default_config n =
-  let l = max 1 (log2_ceil (n + 1)) in
-  {
-    m_phase = 1;
-    max_iterations = (20 * l * l * l) + 500;
-    real_mst_every_iteration = false;
-    use_mst_filter = true;
-  }
+  let l = max 1 (Cover.log2_ceil (n + 1)) in
+  { m_phase = 1; max_iterations = (20 * l * l * l) + 500; use_mst_filter = true }
 
 type result = {
   augmentation : Bitset.t;
@@ -64,17 +50,41 @@ let charge_iteration ledger ~bfs_forest ~added =
     (Prim.broadcast_list ~record:false ledger bfs_forest ~items:(fun _ ->
          [| 0 |] :: List.map (fun e -> [| e |]) added))
 
+let repair tr ~algo ~fail ~weight g ~h ~a ~k =
+  let h_and_a () =
+    let u = Bitset.copy h in
+    Bitset.union_into u a;
+    u
+  in
+  let repaired = ref 0 in
+  while not (Edge_connectivity.is_k_edge_connected ~mask:(h_and_a ()) g k) do
+    incr repaired;
+    if !repaired > Graph.m g then failwith fail;
+    let _, side, _ = Edge_connectivity.global_min_cut ~mask:(h_and_a ()) g in
+    (* the lightest crossing edge; ascending ids break weight ties *)
+    let best = ref (-1) in
+    for e = 0 to Graph.m g - 1 do
+      if
+        (not (Bitset.mem h e || Bitset.mem a e))
+        && Bitset.mem side (Graph.edge_u g e) <> Bitset.mem side (Graph.edge_v g e)
+        && (!best < 0 || weight e < weight !best)
+      then best := e
+    done;
+    if !best < 0 then failwith fail;
+    Bitset.add a !best;
+    Events.repair tr ~algo ~edge:!best
+  done;
+  !repaired
+
 let augment ?config ledger rng ~bfs_forest g ~h ~k =
   Rounds.scoped ledger "augk" @@ fun () ->
   let tr = Rounds.trace ledger in
   let n = Graph.n g in
   let m = Graph.m g in
   let config = match config with Some c -> c | None -> default_config n in
-  let a = Graph.no_edges_mask g in
-  let in_h_or_a e = Bitset.mem h e || Bitset.mem a e in
   if Edge_connectivity.is_k_edge_connected ~mask:h g k then
     {
-      augmentation = a;
+      augmentation = Graph.no_edges_mask g;
       iterations = 0;
       phases = 0;
       cut_count = 0;
@@ -94,197 +104,84 @@ let augment ?config ledger rng ~bfs_forest g ~h ~k =
       Array.of_list
         (Min_cut_enum.enumerate ~mask:h ~rng:(Rng.split rng) g ~size:(k - 1))
     in
-    let cut_covered = Array.make (Array.length cuts) false in
-    (* cover lists in both directions *)
-    let ce = Array.make m 0 in
-    let covers_of_edge = Array.make m [] in
-    let coverers_of_cut = Array.make (Array.length cuts) [] in
-    Array.iteri
-      (fun ci cut ->
-        Graph.iter_edges
-          (fun e ->
-            if
-              (not (Bitset.mem h e.Graph.id))
-              && Min_cut_enum.covers g cut e.Graph.id
-            then begin
-              ce.(e.Graph.id) <- ce.(e.Graph.id) + 1;
-              covers_of_edge.(e.Graph.id) <- ci :: covers_of_edge.(e.Graph.id);
-              coverers_of_cut.(ci) <- e.Graph.id :: coverers_of_cut.(ci)
-            end)
-          g)
-      cuts;
-    let uncovered = ref (Array.length cuts) in
-    (* candidates bucketed by level; touched on every ce decrement so the
-       per-iteration max-level/candidate queries are O(changed), not O(m) *)
-    let index =
-      Level_index.create ~universe:m ~level:(fun e ->
-          Cost.level ~covered:ce.(e) ~weight:(Graph.weight g e))
+    let covered_by e f =
+      if not (Bitset.mem h e) then
+        Array.iteri (fun ci cut -> if Min_cut_enum.covers g cut e then f ci) cuts
     in
-    Graph.iter_edges
-      (fun e ->
-        if not (Bitset.mem h e.Graph.id) then Level_index.add index e.Graph.id)
-      g;
-    let add_to_a e =
-      Bitset.add a e;
-      Level_index.retire index e;
-      List.iter
-        (fun ci ->
-          if not cut_covered.(ci) then begin
-            cut_covered.(ci) <- true;
-            decr uncovered;
-            List.iter
-              (fun e' ->
-                ce.(e') <- ce.(e') - 1;
-                Level_index.touch index e')
-              coverers_of_cut.(ci)
-          end)
-        covers_of_edge.(e)
+    let problem =
+      { Cover.elements = Array.length cuts; candidates = m; weight = Graph.weight g; covered_by }
     in
-    (* measured round cost of the distributed MST filter, calibrated once *)
+    (* Line 4: the filter keeps the active candidates the MST under the
+       filter weights picks *)
+    let filter st active = Hashtbl.mem (filter_mst g ~a:(Cover.chosen st) ~active) in
+    (* the measured round cost of the distributed MST filter: one real
+       message-level MST on the first iteration's filter weights, charged
+       to every iteration (same protocol and topology; only weights
+       change, which does not affect the phase structure) *)
     let mst_rounds = ref None in
-    let charge_mst_filter ~active =
-      let run_real () =
-        let weights e =
-          if Bitset.mem a e.Graph.id then 0
-          else if Bitset.mem active e.Graph.id then 1
-          else 2
-        in
-        let probe = Rounds.create () in
-        ignore (Mst.run probe (Rng.split rng) (Graph.map_weights weights g));
-        Rounds.total probe
-      in
-      match !mst_rounds with
-      | Some r when not config.real_mst_every_iteration ->
-        Rounds.charge ledger ~category:"mst_filter" r
-      | _ ->
-        let r = run_real () in
-        mst_rounds := Some r;
-        Rounds.charge ledger ~category:"mst_filter" r
-    in
-    let iterations = ref 0 in
-    let phases = ref 0 in
     let active_weight = ref 0 in
-    (* edges that have ever been active: active_weight counts each distinct
-       edge once, matching its documented meaning — re-activations across
-       iterations used to be double-counted *)
+    (* active_weight counts each distinct edge once, however often it
+       activates *)
     let ever_active = Bitset.create (max 1 m) in
-    let current_level = ref Cost.useless in
-    let p_exp = ref 0 (* p = 2^-p_exp *) in
-    let phase_iter = ref 0 in
-    let phase_len = max 1 (config.m_phase * log2_ceil (n + 1)) in
+    let charge st = function
+      | Cover.Committed { active; added } ->
+        Bitset.iter
+          (fun e ->
+            if not (Bitset.mem ever_active e) then begin
+              Bitset.add ever_active e;
+              active_weight := !active_weight + Graph.weight g e
+            end)
+          active;
+        if !mst_rounds = None then begin
+          let a = Cover.chosen st in
+          let weights e =
+            if Bitset.mem a e.Graph.id then 0
+            else if Bitset.mem active e.Graph.id then 1
+            else 2
+          in
+          let probe = Rounds.create () in
+          ignore (Mst.run probe (Rng.split rng) (Graph.map_weights weights g));
+          mst_rounds := Some (Rounds.total probe)
+        end;
+        Rounds.charge ledger ~category:"mst_filter" (Option.get !mst_rounds);
+        charge_iteration ledger ~bfs_forest ~added
+      | Cover.Start | Cover.Agreed _ -> ()
+    in
     Trace.instant tr "cut census"
       ~args:[ ("cuts", Trace.Int (Array.length cuts)); ("k", Trace.Int k) ];
-    Events.instance_size tr ~algo:"augk" ~n;
-    while !uncovered > 0 do
-      incr iterations;
-      Events.iteration_begin tr ~algo:"augk" ~index:!iterations;
-      (* Line 1–2: levels and candidates *)
-      let max_level = Level_index.max_level index in
-      if max_level = Cost.useless then begin
-        (* no remaining edge covers an uncovered cut: the enumeration must
-           have produced a cut that is not a real cut of G (impossible for
-           exact enumeration) — fall through to the repair net *)
-        uncovered := 0;
-        Events.iteration_end tr ~algo:"augk" ~added:0 ~remaining:0
-      end
-      else begin
-        if max_level <> !current_level then begin
-          current_level := max_level;
-          p_exp := log2_ceil (m + 1);
-          phase_iter := 0;
-          incr phases;
-          Events.probability_doubling tr ~algo:"augk" ~p_exp:!p_exp
-            ~phase:!phases ~reset:true
-        end;
-        if !iterations > config.max_iterations then p_exp := 0;
-        let p = Float.pow 2.0 (float_of_int (- !p_exp)) in
-        (* Line 3: activation — the index yields the max-level candidates
-           in ascending id order, so the bernoulli draws happen in the
-           same order as the full scan they replace *)
-        let active = Bitset.create (max 1 m) in
-        let active_count = ref 0 in
-        Level_index.iter_at index max_level (fun e ->
-            if !p_exp = 0 || Rng.bernoulli rng p then begin
-              Bitset.add active e;
-              incr active_count;
-              if not (Bitset.mem ever_active e) then begin
-                Bitset.add ever_active e;
-                active_weight := !active_weight + Graph.weight g e
-              end
-            end);
-        Events.candidate_census tr ~algo:"augk" ~level:max_level
-          ~candidates:!active_count;
-        (* Line 4: the MST filter *)
-        let added = ref [] in
-        if !active_count > 0 then begin
-          if config.use_mst_filter then begin
-            let chosen = filter_mst g ~a ~active in
-            Bitset.iter
-              (fun e -> if Hashtbl.mem chosen e then added := e :: !added)
-              active
-          end
-          else
-            (* ablation: skip Line 4 and keep every active candidate *)
-            Bitset.iter (fun e -> added := e :: !added) active;
-          (* audit the rounding evidence before add_to_a mutates ce *)
-          if Trace.enabled tr then
-            List.iter
-              (fun e ->
-                Events.rho_audit tr ~algo:"augk" ~edge:e ~covered:ce.(e)
-                  ~weight:(Graph.weight g e) ~level:max_level)
-              !added;
-          List.iter add_to_a (List.sort compare !added)
-        end;
-        charge_mst_filter ~active;
-        charge_iteration ledger ~bfs_forest ~added:!added;
-        (* probability schedule *)
-        incr phase_iter;
-        if !phase_iter >= phase_len && !p_exp > 0 then begin
-          decr p_exp;
-          phase_iter := 0;
-          incr phases;
-          Events.probability_doubling tr ~algo:"augk" ~p_exp:!p_exp
-            ~phase:!phases ~reset:false
-        end;
-        Events.iteration_end tr ~algo:"augk" ~added:(List.length !added)
-          ~remaining:!uncovered
-      end
-    done;
-    (* exact termination check with greedy repair (Lemma-4.5 failures) *)
-    let repaired = ref 0 in
-    let union () =
-      let u = Bitset.copy h in
-      Bitset.union_into u a;
-      u
+    (* a cut no edge outside H crosses means G is not k-edge-connected:
+       skip the loop and let the repair net below report it *)
+    let crossed cut =
+      let rec from e =
+        e < m
+        && (((not (Bitset.mem h e)) && Min_cut_enum.covers g cut e) || from (e + 1))
+      in
+      from 0
     in
-    while not (Edge_connectivity.is_k_edge_connected ~mask:(union ()) g k) do
-      incr repaired;
-      if !repaired > Graph.m g then
-        failwith "Augk.augment: graph is not k-edge-connected";
-      let _, side, _ = Edge_connectivity.global_min_cut ~mask:(union ()) g in
-      let best = ref None in
-      Graph.iter_edges
-        (fun e ->
-          if
-            (not (in_h_or_a e.Graph.id))
-            && Bitset.mem side e.Graph.u <> Bitset.mem side e.Graph.v
-          then
-            match !best with
-            | Some (w, id) when (w, id) <= (e.Graph.w, e.Graph.id) -> ()
-            | _ -> best := Some (e.Graph.w, e.Graph.id))
-        g;
-      match !best with
-      | Some (_, e) ->
-        add_to_a e;
-        Events.repair tr ~algo:"augk" ~edge:e
-      | None -> failwith "Augk.augment: graph is not k-edge-connected"
-    done;
+    let a, iterations, phases =
+      if not (Array.for_all crossed cuts) then (Graph.no_edges_mask g, 0, 0)
+      else begin
+        let r =
+          Cover.solve ~trace:tr ~algo:"augk" ~size:n
+            ~max_iterations:config.max_iterations
+            ?filter:(if config.use_mst_filter then Some filter else None)
+            ~charge rng problem
+            (Cover.Guessing { m_phase = config.m_phase })
+        in
+        (r.Cover.chosen, r.Cover.iterations, r.Cover.phases)
+      end
+    in
+    (* exact termination check with greedy repair (Lemma-4.5 failures) *)
+    let repaired =
+      repair tr ~algo:"augk" ~fail:"Augk.augment: graph is not k-edge-connected"
+        ~weight:(Graph.weight g) g ~h ~a ~k
+    in
     {
       augmentation = a;
-      iterations = !iterations;
-      phases = !phases;
+      iterations;
+      phases;
       cut_count = Array.length cuts;
-      repaired = !repaired;
+      repaired;
       active_weight = !active_weight;
     }
   end

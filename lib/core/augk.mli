@@ -19,14 +19,17 @@
     connectivity re-check with greedy repair backs the termination
     condition, so the output is unconditionally k-edge-connected.
 
+    The iteration loop is {!Cover.solve} with {!Cover.Guessing}: the
+    elements are the cuts, the MST filter is its [?filter], and the round
+    accounting below is its [?charge] callback.
+
     Round accounting: one full message-level distributed MST is executed on
     the filter weights of the first iteration and its measured cost is
     charged to every subsequent iteration (same protocol, same topology —
-    only weights change, which does not affect the phase structure);
-    set [real_mst_every_iteration] to re-execute it each time. Newly added
-    edges are pipeline-broadcast over the BFS tree every iteration (the
-    "all vertices know A" invariant), and the maximum-ρ̃ agreement costs
-    O(D) waves. *)
+    only weights change, which does not affect the phase structure). Newly
+    added edges are pipeline-broadcast over the BFS tree every iteration
+    (the "all vertices know A" invariant), and the maximum-ρ̃ agreement
+    costs O(D) waves. *)
 
 open Kecss_graph
 open Kecss_congest
@@ -34,7 +37,6 @@ open Kecss_congest
 type config = {
   m_phase : int;  (** the constant M: phase length is [m_phase·⌈log₂ n⌉] *)
   max_iterations : int;  (** safety bound; after it p is pinned to 1 *)
-  real_mst_every_iteration : bool;
   use_mst_filter : bool;
       (** [false] disables the Line-4 MST filter (every active candidate is
           kept) — the A-mstfilter ablation. A then need not stay a forest
@@ -64,3 +66,19 @@ val augment :
   result
 (** [augment ledger rng ~bfs_forest g ~h ~k] requires [h] spanning and
     (k−1)-edge-connected, and [g] k-edge-connected. *)
+
+val repair :
+  Kecss_obs.Trace.t ->
+  algo:string ->
+  fail:string ->
+  weight:(int -> int) ->
+  Graph.t ->
+  h:Bitset.t ->
+  a:Bitset.t ->
+  k:int ->
+  int
+(** The exact safety net behind Aug_k and 3-ECSS: while [h ∪ a] is not
+    k-edge-connected, add to [a] the lightest edge (by [weight], then id)
+    crossing a global minimum cut, emitting a ["repair"] event under
+    [algo]. Returns the number of edges added (0 w.h.p.); raises
+    [Failure fail] when no edge crosses the cut. *)

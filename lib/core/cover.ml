@@ -1,15 +1,24 @@
 open Kecss_graph
+open Kecss_obs
 
 type problem = {
   elements : int;
   candidates : int;
   weight : int -> int;
-  covered_by : int -> int list;
+  covered_by : int -> (int -> unit) -> unit;
 }
 
 type strategy =
   | Voting of { divisor : int }
   | Guessing of { m_phase : int }
+
+type iteration = {
+  index : int;
+  level : Cost.level;
+  candidates : int;
+  added : int;
+  uncovered_left : int;
+}
 
 type result = {
   chosen : Bitset.t;
@@ -17,39 +26,106 @@ type result = {
   weight : int;
   cost_sum : float;
   forced : int;
+  phases : int;
+  log : iteration list;
 }
 
 let log2_ceil n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (2 * v) in
   go 0 1
 
-(* shared mutable coverage state *)
+(* ----- the §4 probability schedule ----- *)
+
+type schedule = {
+  trace : Trace.t;
+  algo : string;
+  start_exp : int; (* p at a new level *)
+  phase_len : int;
+  mutable level : Cost.level;
+  mutable p_exp : int; (* p = 2^-p_exp *)
+  mutable phase_iter : int;
+  mutable phases : int;
+}
+
+let schedule ~trace ~algo ~candidates ~phase_len =
+  {
+    trace;
+    algo;
+    start_exp = log2_ceil (candidates + 1);
+    phase_len = max 1 phase_len;
+    level = Cost.useless;
+    p_exp = 0;
+    phase_iter = 0;
+    phases = 0;
+  }
+
+let next_phase s ~reset =
+  s.phase_iter <- 0;
+  s.phases <- s.phases + 1;
+  Events.probability_doubling s.trace ~algo:s.algo ~p_exp:s.p_exp
+    ~phase:s.phases ~reset
+
+let enter s level =
+  if level <> s.level then begin
+    s.level <- level;
+    s.p_exp <- s.start_exp;
+    next_phase s ~reset:true
+  end
+
+let activate s rng =
+  s.p_exp = 0 || Rng.bernoulli rng (Float.pow 2.0 (float_of_int (-s.p_exp)))
+
+let certain s = s.p_exp = 0
+
+let advance s =
+  s.phase_iter <- s.phase_iter + 1;
+  if s.phase_iter >= s.phase_len && s.p_exp > 0 then begin
+    s.p_exp <- s.p_exp - 1;
+    next_phase s ~reset:false
+  end
+
+let phases s = s.phases
+
+(* ----- coverage state ----- *)
+
 type state = {
   p : problem;
   covered : bool array;
   mutable uncovered : int;
-  ce : int array;                 (* per candidate: uncovered covered *)
-  coverers : int list array;      (* per element: candidates covering it *)
-  index : Level_index.t;          (* candidates bucketed by Cost.level *)
+  ce : int array; (* per candidate: uncovered elements it covers *)
+  cov_off : int array; (* CSR element -> covering candidates, offsets *)
+  cov : int array;
+  index : Level_index.t; (* live candidates bucketed by Cost.level *)
   chosen : Bitset.t;
-  mutable cost_sum : float;
 }
 
+let covered st el = st.covered.(el)
+let chosen st = st.chosen
+
+(* the element -> candidate map is a counting sort over two passes of
+   [covered_by]: count, then fill *)
 let init p =
   if p.elements < 0 || p.candidates < 0 then invalid_arg "Cover: negative sizes";
-  let coverers = Array.make p.elements [] in
-  let ce = Array.make p.candidates 0 in
+  let ce = Array.make (max 1 p.candidates) 0 in
+  let cov_off = Array.make (p.elements + 1) 0 in
   for c = 0 to p.candidates - 1 do
-    List.iter
-      (fun el ->
+    p.covered_by c (fun el ->
         if el < 0 || el >= p.elements then invalid_arg "Cover: element out of range";
-        coverers.(el) <- c :: coverers.(el);
-        ce.(c) <- ce.(c) + 1)
-      (p.covered_by c)
+        ce.(c) <- ce.(c) + 1;
+        cov_off.(el + 1) <- cov_off.(el + 1) + 1)
   done;
-  Array.iteri
-    (fun el cs -> if cs = [] then invalid_arg (Printf.sprintf "Cover: element %d uncoverable" el))
-    coverers;
+  for el = 0 to p.elements - 1 do
+    if cov_off.(el + 1) = 0 then
+      invalid_arg (Printf.sprintf "Cover: element %d uncoverable" el);
+    cov_off.(el + 1) <- cov_off.(el + 1) + cov_off.(el)
+  done;
+  let cov = Array.make (max 1 cov_off.(p.elements)) 0 in
+  let fill = Array.copy cov_off in
+  for c = 0 to p.candidates - 1 do
+    p.covered_by c (fun el ->
+        cov.(fill.(el)) <- c;
+        fill.(el) <- fill.(el) + 1)
+  done;
   let index =
     Level_index.create ~universe:p.candidates ~level:(fun c ->
         Cost.level ~covered:ce.(c) ~weight:(p.weight c))
@@ -62,32 +138,27 @@ let init p =
     covered = Array.make p.elements false;
     uncovered = p.elements;
     ce;
-    coverers;
+    cov_off;
+    cov;
     index;
     chosen = Bitset.create (max 1 p.candidates);
-    cost_sum = 0.0;
   }
 
 let commit st c =
   if not (Bitset.mem st.chosen c) then begin
     Bitset.add st.chosen c;
     Level_index.retire st.index c;
-    List.iter
-      (fun el ->
+    st.p.covered_by c (fun el ->
         if not st.covered.(el) then begin
           st.covered.(el) <- true;
           st.uncovered <- st.uncovered - 1;
-          List.iter
-            (fun c' ->
-              st.ce.(c') <- st.ce.(c') - 1;
-              Level_index.touch st.index c')
-            st.coverers.(el)
+          for i = st.cov_off.(el) to st.cov_off.(el + 1) - 1 do
+            let c' = st.cov.(i) in
+            st.ce.(c') <- st.ce.(c') - 1;
+            Level_index.touch st.index c'
+          done
         end)
-      (st.p.covered_by c)
   end
-
-let max_level st = Level_index.max_level st.index
-let candidates_at st level = Level_index.candidates_at st.index level
 
 (* warm start: commit the caller's pre-chosen candidates before the
    engine runs, so coverage flips propagate once through the index and
@@ -104,128 +175,164 @@ let warm_start st = function
         commit st c)
       warm
 
-let solve ?(trace = Kecss_obs.Trace.noop) ?max_iterations ?initial rng p
+type stage =
+  | Start
+  | Agreed of Cost.level
+  | Committed of { active : Bitset.t; added : int list }
+
+let rank_bound = 1 lsl 60
+
+let solve ?(trace = Trace.noop) ?(algo = "cover") ?size ?max_iterations
+    ?initial ?(filter = fun _ _ _ -> true) ?(charge = fun _ _ -> ()) rng p
     strategy =
-  (* the framework is purely local, so the phase scope is the whole solve:
-     one span on the caller's trace, closed with the outcome *)
-  Kecss_obs.Trace.span trace "cover" @@ fun () ->
   let st = init p in
   warm_start st initial;
-  let n = max 2 (max p.elements p.candidates) in
-  let l = log2_ceil (n + 1) in
+  let size =
+    match size with Some n -> n | None -> max 2 (max p.elements p.candidates)
+  in
+  let l = log2_ceil (size + 1) in
   let max_iterations =
     match max_iterations with Some m -> m | None -> (40 * l * l * l) + 300
   in
-  let iterations = ref 0 and forced = ref 0 in
-  (* guessing-schedule state *)
-  let current_level = ref Cost.useless in
-  let p_exp = ref 0 and phase_iter = ref 0 in
-  let rank_bound = 1 lsl 60 in
-  (* Voting scratch, allocated once: per-element best (rank, candidate,
-     size), validated against the iteration stamp — no per-iteration array
-     or tuple allocation, and no O(elements) clear between iterations *)
-  let best_r = Array.make (max 1 p.elements) max_int in
-  let best_c = Array.make (max 1 p.elements) max_int in
-  let best_size = Array.make (max 1 p.elements) 0 in
-  let best_stamp = Array.make (max 1 p.elements) 0 in
-  while st.uncovered > 0 do
-    incr iterations;
-    let level = max_level st in
-    assert (Cost.is_candidate_level level);
-    let cands = candidates_at st level in
-    if !iterations > max_iterations then begin
-      (* unconditional termination: one greedy step *)
+  let m_phase = match strategy with Guessing { m_phase } -> m_phase | Voting _ -> 1 in
+  let sched =
+    schedule ~trace ~algo ~candidates:p.candidates ~phase_len:(m_phase * l)
+  in
+  (* the candidates activated (guessing) or voted in (voting) this iteration *)
+  let active = Bitset.create (max 1 p.candidates) in
+  (* voting scratch, allocated once: per candidate its rank and vote count,
+     per element the candidate it votes for, valid when [stamp] holds the
+     current iteration — no per-iteration clearing *)
+  let rank = Array.make (max 1 p.candidates) 0 in
+  let votes = Array.make (max 1 p.candidates) 0 in
+  let vote_for = Array.make (max 1 p.elements) 0 in
+  let stamp = Array.make (max 1 p.elements) 0 in
+  let cost_sum = ref 0.0 and forced = ref 0 and log = ref [] in
+  (* §3 lines 3–5: ranks drawn in ascending id order, each uncovered
+     element votes for its minimum-rank coverer (candidates are visited
+     in ascending id, so a rank tie keeps the smaller id), and a
+     candidate with at least |Ce|/divisor votes joins *)
+  let vote ~divisor it cands =
+    List.iter (fun c -> rank.(c) <- Rng.int rng rank_bound + 1) cands;
+    List.iter
+      (fun c ->
+        p.covered_by c (fun el ->
+            if
+              (not st.covered.(el))
+              && (stamp.(el) <> it || rank.(c) < rank.(vote_for.(el)))
+            then begin
+              stamp.(el) <- it;
+              vote_for.(el) <- c
+            end))
+      cands;
+    let voters = ref 0 in
+    for el = 0 to p.elements - 1 do
+      if stamp.(el) = it then begin
+        votes.(vote_for.(el)) <- votes.(vote_for.(el)) + 1;
+        incr voters
+      end
+    done;
+    let added =
+      List.fold_left
+        (fun added c ->
+          let v = votes.(c) in
+          votes.(c) <- 0;
+          if divisor * v >= st.ce.(c) then begin
+            Events.vote_audit trace ~edge:c ~votes:v ~ce:st.ce.(c) ~divisor;
+            Bitset.add active c;
+            c :: added
+          end
+          else added)
+        [] cands
+    in
+    Events.votes_collected trace ~voters:!voters ~added:(List.length added);
+    (* §3.3 charging, before coverage flips: an element whose chosen
+       candidate joins pays w/|Ce| of that candidate *)
+    for el = 0 to p.elements - 1 do
+      if stamp.(el) = it && Bitset.mem active vote_for.(el) then begin
+        let c = vote_for.(el) in
+        cost_sum :=
+          !cost_sum +. (float_of_int (p.weight c) /. float_of_int st.ce.(c))
+      end
+    done;
+    added
+  in
+  (* §4: each max-level candidate activates with the scheduled p, drawn
+     in ascending id order; [filter] picks the survivors *)
+  let guess it level =
+    enter sched level;
+    if it > max_iterations then begin
+      (* unconditional termination: p pinned to 1 *)
       incr forced;
-      commit st (List.hd cands)
-    end
+      sched.p_exp <- 0
+    end;
+    let n_active = ref 0 in
+    Level_index.iter_at st.index level (fun c ->
+        if activate sched rng then begin
+          Bitset.add active c;
+          incr n_active
+        end);
+    Events.candidate_census trace ~algo ~level ~candidates:!n_active;
+    if !n_active = 0 then (0, [])
     else begin
+      let keep = filter st active in
+      (!n_active, Bitset.fold (fun c acc -> if keep c then c :: acc else acc) active [])
+    end
+  in
+  charge st Start;
+  Events.instance_size trace ~algo ~n:size;
+  let it = ref 0 in
+  while st.uncovered > 0 do
+    incr it;
+    Events.iteration_begin trace ~algo ~index:!it;
+    let level = Level_index.max_level st.index in
+    assert (Cost.is_candidate_level level);
+    let census, added =
       match strategy with
       | Voting { divisor } ->
-        let stamp = !iterations in
-        let ranked =
-          List.map (fun c -> (c, Rng.int rng rank_bound + 1, st.ce.(c))) cands
-        in
-        List.iter
-          (fun (c, r, size) ->
-            List.iter
-              (fun el ->
-                if not st.covered.(el) then
-                  let fresh = best_stamp.(el) <> stamp in
-                  if
-                    fresh
-                    || r < best_r.(el)
-                    || (r = best_r.(el) && c < best_c.(el))
-                  then begin
-                    best_stamp.(el) <- stamp;
-                    best_r.(el) <- r;
-                    best_c.(el) <- c;
-                    best_size.(el) <- size
-                  end)
-              (p.covered_by c))
-          ranked;
-        let votes = Hashtbl.create 16 in
-        for el = 0 to p.elements - 1 do
-          if best_stamp.(el) = stamp && not st.covered.(el) then begin
-            let c = best_c.(el) in
-            Hashtbl.replace votes c
-              (1 + Option.value ~default:0 (Hashtbl.find_opt votes c))
-          end
-        done;
-        let added =
-          List.filter_map
-            (fun (c, _, size) ->
-              let v = Option.value ~default:0 (Hashtbl.find_opt votes c) in
-              if divisor * v >= size then Some c else None)
-            ranked
-        in
-        (* §3.3 cost charging before coverage flips *)
-        let added_set = Hashtbl.create 8 in
-        List.iter (fun c -> Hashtbl.replace added_set c ()) added;
-        for el = 0 to p.elements - 1 do
-          if
-            best_stamp.(el) = stamp
-            && (not st.covered.(el))
-            && Hashtbl.mem added_set best_c.(el)
-          then
-            st.cost_sum <-
-              st.cost_sum
-              +. float_of_int (p.weight best_c.(el))
-                 /. float_of_int best_size.(el)
-        done;
-        List.iter (commit st) added
-      | Guessing { m_phase } ->
-        if level <> !current_level then begin
-          current_level := level;
-          p_exp := log2_ceil (p.candidates + 1);
-          phase_iter := 0
+        let cands = Level_index.candidates_at st.index level in
+        let census = List.length cands in
+        if Trace.enabled trace then begin
+          Events.level_histogram trace ~algo (Level_index.histogram st.index);
+          Events.candidate_census trace ~algo ~level ~candidates:census
         end;
-        let prob = Float.pow 2.0 (float_of_int (- !p_exp)) in
-        List.iter
-          (fun c -> if !p_exp = 0 || Rng.bernoulli rng prob then commit st c)
-          cands;
-        incr phase_iter;
-        if !phase_iter >= max 1 (m_phase * l) && !p_exp > 0 then begin
-          decr p_exp;
-          phase_iter := 0
+        charge st (Agreed level);
+        if !it > max_iterations then begin
+          (* unconditional termination: one greedy step *)
+          incr forced;
+          (census, [ List.hd cands ])
         end
-    end
+        else (census, vote ~divisor !it cands)
+      | Guessing _ ->
+        charge st (Agreed level);
+        guess !it level
+    in
+    (* audit the rounding evidence while |Ce| is still pre-commit *)
+    if Trace.enabled trace then
+      List.iter
+        (fun c ->
+          Events.rho_audit trace ~algo ~edge:c ~covered:st.ce.(c)
+            ~weight:(p.weight c) ~level)
+        added;
+    List.iter (commit st) added;
+    charge st (Committed { active; added });
+    Bitset.clear active;
+    (match strategy with Guessing _ -> advance sched | Voting _ -> ());
+    let n_added = List.length added in
+    Events.iteration_end trace ~algo ~added:n_added ~remaining:st.uncovered;
+    log :=
+      { index = !it; level; candidates = census; added = n_added;
+        uncovered_left = st.uncovered }
+      :: !log
   done;
-  let weight =
-    Bitset.fold (fun c acc -> acc + p.weight c) st.chosen 0
-  in
-  Kecss_obs.Trace.instant trace "cover outcome"
-    ~args:
-      [
-        ("iterations", Kecss_obs.Trace.Int !iterations);
-        ("weight", Kecss_obs.Trace.Int weight);
-        ("forced", Kecss_obs.Trace.Int !forced);
-      ];
   {
     chosen = st.chosen;
-    iterations = !iterations;
-    weight;
-    cost_sum = st.cost_sum;
+    iterations = !it;
+    weight = Bitset.fold (fun c acc -> acc + p.weight c) st.chosen 0;
+    cost_sum = !cost_sum;
     forced = !forced;
+    phases = sched.phases;
+    log = List.rev !log;
   }
 
 let greedy ?initial p =
@@ -235,7 +342,7 @@ let greedy ?initial p =
     (* the exact maximizer of ce/w is always in the top rounded bucket:
        a level-l candidate has ce/w ≥ 2^(l-1), strictly above every
        ratio in lower buckets — so only that bucket need be scanned *)
-    let level = max_level st in
+    let level = Level_index.max_level st.index in
     assert (Cost.is_candidate_level level);
     let best = ref (-1) and best_key = ref (0, 0) in
     (* maximize ce/w: compare fractions by cross-multiplication *)
@@ -259,10 +366,6 @@ let greedy ?initial p =
   st.chosen
 
 let is_cover p chosen =
-  let covered = Array.make (max 1 p.elements) false in
-  Bitset.iter (fun c -> List.iter (fun el -> covered.(el) <- true) (p.covered_by c)) chosen;
-  let ok = ref true in
-  for el = 0 to p.elements - 1 do
-    if not covered.(el) then ok := false
-  done;
-  !ok
+  let covered = Array.make p.elements false in
+  Bitset.iter (fun c -> p.covered_by c (fun el -> covered.(el) <- true)) chosen;
+  Array.for_all Fun.id covered

@@ -1,67 +1,127 @@
 (** The abstract covering framework of §2.1, with both of the paper's
-    symmetry-breaking mechanisms.
+    symmetry-breaking mechanisms: the one iteration loop behind the
+    covering algorithms.
 
     All three k-ECSS algorithms are instances of one scheme: maintain the
-    set of still-uncovered elements (cuts), repeatedly declare the
+    set of still-uncovered elements (cuts), repeatedly agree on the
     candidates of maximum rounded cost-effectiveness, break symmetry
     randomly, and add the survivors. §3 breaks symmetry by {e voting}
     (guaranteed O(log N) ratio); §4–5 by {e probability guessing}
-    (expected O(log N) ratio). The paper argues (§1.2) the approach applies
-    to covering problems at large — this module is that claim in code, and
+    (expected O(log N) ratio). {!solve} is that loop. {!Tap} and {!Augk}
+    are each a problem, a strategy and a charge callback on top of it;
     {!Mds} instantiates it for minimum dominating set exactly as in Jia
-    et al. [17].
+    et al. [17]. 3-ECSS ({!Ecss3}) never enumerates its elements — the
+    cut pairs exist only in the cycle-space labels — so it keeps its own
+    label-driven loop but runs it on the shared {!type-schedule}.
 
-    The framework is combinatorial (no round accounting): each concrete
-    distributed instantiation charges its own communication, as the main
-    algorithms do. *)
+    The loop is local computation. A distributed instantiation charges
+    its communication to its round ledger through the [?charge] callback
+    of {!solve}, at the {!stage}s of an iteration where the paper's
+    algorithm communicates. *)
 
 open Kecss_graph
+open Kecss_obs
 
 type problem = {
-  elements : int;               (** elements are [0 .. elements-1] *)
-  candidates : int;             (** candidates are [0 .. candidates-1] *)
-  weight : int -> int;          (** non-negative candidate weights *)
-  covered_by : int -> int list; (** the elements a candidate covers *)
+  elements : int;  (** elements are [0 .. elements-1] *)
+  candidates : int;  (** candidates are [0 .. candidates-1] *)
+  weight : int -> int;  (** non-negative candidate weights *)
+  covered_by : int -> (int -> unit) -> unit;
+      (** [covered_by c f] calls [f] on each element candidate [c]
+          covers. It is called twice per candidate to build the
+          element → candidate map and once per committed candidate, and
+          must visit the same elements every time. *)
 }
 
 type strategy =
   | Voting of { divisor : int }
       (** §3: elements vote for their minimum-rank candidate; a candidate
-          survives with ≥ |Ce|/divisor votes. The paper's divisor is 8. *)
+          survives with ≥ |Ce|/divisor votes. The paper's divisor is 8.
+          Past the iteration bound each iteration adds one candidate
+          greedily. *)
   | Guessing of { m_phase : int }
       (** §4: candidates activate with probability p, doubling every
-          [m_phase·⌈log₂ n⌉] iterations per level. *)
+          [m_phase·⌈log₂(size+1)⌉] iterations per level (see
+          {!type-schedule}). Past the iteration bound p is pinned to 1. *)
+
+type iteration = {
+  index : int;
+  level : Cost.level;  (** the maximum ρ̃ this iteration *)
+  candidates : int;
+      (** candidates at that level (voting) or activated (guessing) *)
+  added : int;
+  uncovered_left : int;  (** after the iteration *)
+}
 
 type result = {
-  chosen : Bitset.t;     (** over candidate indices *)
+  chosen : Bitset.t;  (** over candidate indices *)
   iterations : int;
   weight : int;
   cost_sum : float;
       (** the §3.3 charging sum; for {!Voting} the Lemma 3.5 invariant
           [weight ≤ divisor · cost_sum] holds whenever no fallback greedy
           step fired. *)
-  forced : int;          (** fallback greedy additions (0 w.h.p.) *)
+  forced : int;  (** iterations past the bound (0 w.h.p.) *)
+  phases : int;  (** (level, p) phases traversed; 0 for {!Voting} *)
+  log : iteration list;  (** one entry per iteration, in order *)
 }
 
+val log2_ceil : int -> int
+(** [⌈log₂ n⌉] ([0] for [n ≤ 1]) — the log of every iteration bound and
+    phase length. *)
+
+type state
+(** A running {!solve}'s coverage state, as its callbacks see it. *)
+
+val covered : state -> int -> bool
+(** Is the element covered? *)
+
+val chosen : state -> Bitset.t
+(** The candidates committed so far (read-only). *)
+
+type stage =
+  | Start  (** after the warm start, before the first iteration *)
+  | Agreed of Cost.level
+      (** an iteration's maximum level is known, before selection *)
+  | Committed of { active : Bitset.t; added : int list }
+      (** after an iteration's commits: the [added] candidates in
+          descending id order, and the [active] ones — activated
+          (guessing) or voted in (voting) *)
+
 val solve :
-  ?trace:Kecss_obs.Trace.t ->
+  ?trace:Trace.t ->
+  ?algo:string ->
+  ?size:int ->
   ?max_iterations:int ->
   ?initial:Bitset.t ->
+  ?filter:(state -> Bitset.t -> int -> bool) ->
+  ?charge:(state -> stage -> unit) ->
   Rng.t ->
   problem ->
   strategy ->
   result
-(** Covers every element; raises [Invalid_argument] if some element has no
-    covering candidate. [?initial] warm-starts the engine: the given
-    candidates are committed (chosen, retired, their elements covered)
-    before iteration 0, so a caller re-covering after a small change —
-    the [kecss serve] re-augmentation path — pays only for the uncovered
-    remainder; warm-started candidates count toward [weight] but not
-    [iterations] or [cost_sum]. Raises [Invalid_argument] if an initial
-    candidate is out of range. [?trace] opens a ["cover"] phase span on
-    the caller's trace for the whole solve and closes it with a
-    ["cover outcome"] instant (iterations, weight, forced greedy steps);
-    the default is no tracing. *)
+(** Covers every element; raises [Invalid_argument] if some element has
+    no covering candidate. Rank draws (voting) and activation draws
+    (guessing) are taken in ascending candidate order.
+
+    - [?initial] warm-starts the engine: the given candidates are
+      committed (chosen, retired, their elements covered) before
+      iteration 0, so a caller re-covering after a small change pays
+      only for the uncovered remainder; warm-started candidates count
+      toward [weight] but not [iterations] or [cost_sum]. Raises
+      [Invalid_argument] if an initial candidate is out of range.
+    - [?size] (default: the larger of [elements] and [candidates], at
+      least 2) is the instance size n: the phase length is
+      [m_phase·⌈log₂(n+1)⌉] and the default [?max_iterations] is
+      40·⌈log₂(n+1)⌉³ + 300.
+    - [?filter st active] (guessing only, called when some candidate
+      activated) selects which active candidates join; all by default.
+    - [?charge st stage] is called at every {!stage}.
+    - [?trace] receives the {!Kecss_obs.Events} of the run under the name
+      [?algo] (default ["cover"]): the instance size, one iteration span
+      per iteration with its candidate census, the level histogram and
+      vote audits (voting), the probability doublings (guessing), and a
+      rho audit of every committed candidate. *)
 
 val greedy : ?initial:Bitset.t -> problem -> Bitset.t
 (** The classical sequential greedy (one best candidate per step) — the
@@ -70,3 +130,30 @@ val greedy : ?initial:Bitset.t -> problem -> Bitset.t
     result includes the warm-started candidates. *)
 
 val is_cover : problem -> Bitset.t -> bool
+
+(** {1 The §4 probability schedule}
+
+    Shared by {!solve}'s {!Guessing} and the label-driven 3-ECSS loop. *)
+
+type schedule
+
+val schedule :
+  trace:Trace.t -> algo:string -> candidates:int -> phase_len:int -> schedule
+(** p = 2^-⌈log₂(candidates+1)⌉ at each new level, doubling every
+    [max 1 phase_len] iterations at that level until it reaches 1. Each
+    reset and doubling is a ["probability doubling"] event on [trace]. *)
+
+val enter : schedule -> Cost.level -> unit
+(** Start an iteration at the given level; a new level resets p. *)
+
+val activate : schedule -> Rng.t -> bool
+(** One activation: [true] with probability p (no draw once p = 1). *)
+
+val certain : schedule -> bool
+(** Is p = 1? *)
+
+val advance : schedule -> unit
+(** End an iteration: p doubles when the phase is over. *)
+
+val phases : schedule -> int
+(** (level, p) phases entered so far. *)

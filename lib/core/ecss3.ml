@@ -1,17 +1,12 @@
 open Kecss_graph
-open Kecss_connectivity
 open Kecss_congest
 open Kecss_obs
 module Labels = Kecss_cycle_space.Labels
 
 type config = { m_phase : int; max_iterations : int; bits : int }
 
-let log2_ceil n =
-  let rec go acc v = if v >= n then acc else go (acc + 1) (2 * v) in
-  go 0 1
-
 let default_config n =
-  let l = max 1 (log2_ceil (n + 1)) in
+  let l = max 1 (Cover.log2_ceil (n + 1)) in
   { m_phase = 1; max_iterations = (20 * l * l * l) + 500; bits = Labels.default_bits }
 
 type result = {
@@ -36,7 +31,7 @@ let charge_level_agreement ledger forest =
 
 (* the common §5 augmentation loop, shared by the unweighted (BFS-tree)
    algorithm of Theorem 1.3 and the weighted (MST) variant of §5.4 *)
-let augment_core ?config ledger rng g ~tree ~h ~edge_weight =
+let augment_core ?config ledger rng g ~tree ~h ~weight =
   let tr = Rounds.trace ledger in
   let n = Graph.n g in
   let m = Graph.m g in
@@ -52,7 +47,6 @@ let augment_core ?config ledger rng g ~tree ~h ~edge_weight =
   (* static per-candidate data, computed once: the ids outside H in
      ascending order, their weights, and the §5.3 exchange path lengths
      (tree depths never change) — iterations then scan only candidates *)
-  let edges = Graph.edges g in
   let cand =
     let acc = ref [] in
     Graph.iter_edges
@@ -60,7 +54,7 @@ let augment_core ?config ledger rng g ~tree ~h ~edge_weight =
       g;
     Array.of_list (List.rev !acc)
   in
-  let cand_w = Array.map (fun id -> edge_weight edges.(id)) cand in
+  let cand_w = Array.map weight cand in
   let exch_len = Array.make (max 1 m) 0 in
   Graph.iter_edges
     (fun e ->
@@ -70,12 +64,11 @@ let augment_core ?config ledger rng g ~tree ~h ~edge_weight =
     g;
   let cand_level = Array.make (max 1 m) Cost.useless in
   let iterations = ref 0 in
-  let phases = ref 0 in
-  let current_level = ref Cost.useless in
   let level_cap = ref max_int in
-  let p_exp = ref 0 in
-  let phase_iter = ref 0 in
-  let phase_len = max 1 (config.m_phase * log2_ceil (n + 1)) in
+  let sched =
+    Cover.schedule ~trace:tr ~algo:"ecss3" ~candidates:m
+      ~phase_len:(config.m_phase * Cover.log2_ceil (n + 1))
+  in
   Events.instance_size tr ~algo:"ecss3" ~n;
   let finished = ref false in
   while not !finished do
@@ -120,15 +113,7 @@ let augment_core ?config ledger rng g ~tree ~h ~edge_weight =
         Events.iteration_end tr ~algo:"ecss3" ~added:0 ~remaining:0
       end
       else begin
-        if level <> !current_level then begin
-          current_level := level;
-          p_exp := log2_ceil (m + 1);
-          phase_iter := 0;
-          incr phases;
-          Events.probability_doubling tr ~algo:"ecss3" ~p_exp:!p_exp
-            ~phase:!phases ~reset:true
-        end;
-        let p = Float.pow 2.0 (float_of_int (- !p_exp)) in
+        Cover.enter sched level;
         (* Line 3: all active candidates join A directly *)
         let added = ref [] in
         Array.iteri
@@ -136,7 +121,7 @@ let augment_core ?config ledger rng g ~tree ~h ~edge_weight =
             if
               cand_level.(id) >= level
               && (not (Bitset.mem a id))
-              && (!p_exp = 0 || Rng.bernoulli rng p)
+              && Cover.activate sched rng
             then begin
               Bitset.add a id;
               added := id :: !added;
@@ -152,15 +137,8 @@ let augment_core ?config ledger rng g ~tree ~h ~edge_weight =
           (Prim.broadcast_list ledger forest ~items:(fun _ ->
                [| 0 |] :: List.map (fun e -> [| e |]) !added));
         (* probability schedule; at p = 1 the level must drop (Claim 5.12) *)
-        if !p_exp = 0 then level_cap := level - 1;
-        incr phase_iter;
-        if !phase_iter >= phase_len && !p_exp > 0 then begin
-          decr p_exp;
-          phase_iter := 0;
-          incr phases;
-          Events.probability_doubling tr ~algo:"ecss3" ~p_exp:!p_exp
-            ~phase:!phases ~reset:false
-        end;
+        if Cover.certain sched then level_cap := level - 1;
+        Cover.advance sched;
         Events.iteration_end tr ~algo:"ecss3" ~added:(List.length !added)
           ~remaining:(-1)
       end
@@ -168,36 +146,18 @@ let augment_core ?config ledger rng g ~tree ~h ~edge_weight =
   done;
   (* exact verification with greedy repair (one-sided errors make this a
      no-op w.h.p.; it guards the truncated runs) *)
-  let repaired = ref 0 in
-  while not (Edge_connectivity.is_k_edge_connected ~mask:(h_and_a ()) g 3) do
-    incr repaired;
-    if !repaired > m then failwith "Ecss3: graph is not 3-edge-connected";
-    let _, side, _ = Edge_connectivity.global_min_cut ~mask:(h_and_a ()) g in
-    let best = ref None in
-    Graph.iter_edges
-      (fun e ->
-        if
-          (not (Bitset.mem h e.Graph.id || Bitset.mem a e.Graph.id))
-          && Bitset.mem side e.Graph.u <> Bitset.mem side e.Graph.v
-        then
-          match !best with
-          | Some (w, id) when (w, id) <= (edge_weight e, e.Graph.id) -> ()
-          | _ -> best := Some (edge_weight e, e.Graph.id))
-      g;
-    match !best with
-    | Some (_, e) ->
-      Bitset.add a e;
-      Events.repair tr ~algo:"ecss3" ~edge:e
-    | None -> failwith "Ecss3: graph is not 3-edge-connected"
-  done;
+  let repaired =
+    Augk.repair tr ~algo:"ecss3" ~fail:"Ecss3: graph is not 3-edge-connected"
+      ~weight g ~h ~a ~k:3
+  in
   let solution = h_and_a () in
   {
     solution;
     h;
     augmentation = a;
     iterations = !iterations;
-    phases = !phases;
-    repaired = !repaired;
+    phases = Cover.phases sched;
+    repaired;
     edge_count = Bitset.cardinal solution;
   }
 
@@ -206,7 +166,7 @@ let solve_with ?config ledger rng g =
   let start = Ecss2_unweighted.solve_with ledger g in
   augment_core ?config ledger rng g ~tree:start.Ecss2_unweighted.tree
     ~h:start.Ecss2_unweighted.h
-    ~edge_weight:(fun _ -> 1)
+    ~weight:(fun _ -> 1)
 
 let solve ?config ?(seed = 1) g =
   solve_with ?config (Rounds.create ()) (Rng.create ~seed) g
@@ -218,7 +178,7 @@ let solve_weighted_with ?config ?tap_config ledger rng g =
   let start = Ecss2.solve_with ?tap_config ledger (Rng.split rng) g in
   let tree = Segments.tree start.Ecss2.segments in
   augment_core ?config ledger rng g ~tree ~h:start.Ecss2.solution
-    ~edge_weight:(fun e -> e.Graph.w)
+    ~weight:(Graph.weight g)
 
 let solve_weighted ?config ?(seed = 1) g =
   solve_weighted_with ?config (Rounds.create ()) (Rng.create ~seed) g

@@ -10,7 +10,7 @@ let problem g =
     Cover.elements = Graph.n g;
     candidates = Graph.n g;
     weight = (fun _ -> 1);
-    covered_by = closed_neighborhood g;
+    covered_by = (fun v f -> List.iter f (closed_neighborhood g v));
   }
 
 let solve ?(strategy = Cover.Voting { divisor = 8 }) ?(seed = 1) g =

@@ -25,7 +25,13 @@
     for the global maximum — O(D + √n) rounds per iteration (Lemma 3.3).
 
     Zero-weight edges are all added to A before the first iteration, as in
-    the paper. *)
+    the paper.
+
+    The iteration loop is {!Cover.solve} with {!Cover.Voting}: the
+    elements are the tree edges, a non-tree edge covers its fundamental
+    path, and the communication above is the [?charge] callback — the
+    global maximum once the level is agreed, the §3.1 pattern after the
+    commits. *)
 
 open Kecss_graph
 open Kecss_congest
@@ -44,7 +50,7 @@ val default_config : int -> config
 (** [default_config n]: divisor 8, iteration bound Θ(log² n) with generous
     constants. *)
 
-type iteration_info = {
+type iteration_info = Cover.iteration = {
   index : int;
   level : Cost.level;        (** the maximum ρ̃ this iteration *)
   candidates : int;

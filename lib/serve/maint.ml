@@ -289,17 +289,13 @@ let repair t =
               candidates = Graph.m t.g;
               weight = (fun e -> Graph.weight t.g e);
               covered_by =
-                (fun e ->
-                  if t.lev.(e) < 0 || Bitset.mem base e then []
-                  else begin
+                (fun e f ->
+                  if t.lev.(e) >= 0 && not (Bitset.mem base e) then begin
                     let u, v = Graph.endpoints t.g e in
-                    let acc = ref [] in
                     Array.iteri
                       (fun idx side ->
-                        if Bitset.mem side u <> Bitset.mem side v then
-                          acc := idx :: !acc)
-                      cut_arr;
-                    !acc
+                        if Bitset.mem side u <> Bitset.mem side v then f idx)
+                      cut_arr
                   end);
             }
           in

@@ -21,7 +21,7 @@ let random_problem rng ~elements ~candidates ~max_w =
     Cover.elements;
     candidates;
     weight = (fun c -> weights.(c));
-    covered_by = (fun c -> covered_by.(c));
+    covered_by = (fun c f -> List.iter f covered_by.(c));
   }
 
 let strategies =
@@ -97,7 +97,7 @@ let framework_tests =
             Cover.elements = 2;
             candidates = 1;
             weight = (fun _ -> 1);
-            covered_by = (fun _ -> [ 0 ]);
+            covered_by = (fun _ f -> f 0);
           }
         in
         (match Cover.solve (Rng.create ~seed:1) p (Cover.Voting { divisor = 8 }) with
@@ -111,9 +111,9 @@ let framework_tests =
             candidates = 3;
             weight = (fun c -> if c = 2 then 0 else 5);
             covered_by =
-              (fun c ->
-                if c = 2 then List.init 10 Fun.id
-                else List.init 5 (fun i -> (5 * c) + i));
+              (fun c f ->
+                if c = 2 then List.iter f (List.init 10 Fun.id)
+                else List.iter f (List.init 5 (fun i -> (5 * c) + i)));
           }
         in
         let r = Cover.solve (Rng.create ~seed:1) p (Cover.Voting { divisor = 8 }) in
