@@ -119,19 +119,11 @@ let augment ?config ledger rng ~bfs_forest g ~h ~k =
        to every iteration (same protocol and topology; only weights
        change, which does not affect the phase structure) *)
     let mst_rounds = ref None in
-    let active_weight = ref 0 in
-    (* active_weight counts each distinct edge once, however often it
-       activates *)
+    (* §4.2's A': every edge ever active, however often it activates *)
     let ever_active = Bitset.create (max 1 m) in
     let charge st = function
       | Cover.Committed { active; added } ->
-        Bitset.iter
-          (fun e ->
-            if not (Bitset.mem ever_active e) then begin
-              Bitset.add ever_active e;
-              active_weight := !active_weight + Graph.weight g e
-            end)
-          active;
+        Bitset.union_into ever_active active;
         if !mst_rounds = None then begin
           let a = Cover.chosen st in
           let weights e =
@@ -149,27 +141,19 @@ let augment ?config ledger rng ~bfs_forest g ~h ~k =
     in
     Trace.instant tr "cut census"
       ~args:[ ("cuts", Trace.Int (Array.length cuts)); ("k", Trace.Int k) ];
-    (* a cut no edge outside H crosses means G is not k-edge-connected:
-       skip the loop and let the repair net below report it *)
-    let crossed cut =
-      let rec from e =
-        e < m
-        && (((not (Bitset.mem h e)) && Min_cut_enum.covers g cut e) || from (e + 1))
-      in
-      from 0
-    in
     let a, iterations, phases =
-      if not (Array.for_all crossed cuts) then (Graph.no_edges_mask g, 0, 0)
-      else begin
-        let r =
-          Cover.solve ~trace:tr ~algo:"augk" ~size:n
-            ~max_iterations:config.max_iterations
-            ?filter:(if config.use_mst_filter then Some filter else None)
-            ~charge rng problem
-            (Cover.Guessing { m_phase = config.m_phase })
-        in
-        (r.Cover.chosen, r.Cover.iterations, r.Cover.phases)
-      end
+      match
+        Cover.solve ~trace:tr ~algo:"augk" ~size:n
+          ~max_iterations:config.max_iterations
+          ?filter:(if config.use_mst_filter then Some filter else None)
+          ~charge rng problem
+          (Cover.Guessing { m_phase = config.m_phase })
+      with
+      | r -> (r.Cover.chosen, r.Cover.iterations, r.Cover.phases)
+      | exception Invalid_argument _ ->
+        (* a cut no edge outside H crosses: G is not k-edge-connected,
+           which the repair net below reports *)
+        (Graph.no_edges_mask g, 0, 0)
     in
     (* exact termination check with greedy repair (Lemma-4.5 failures) *)
     let repaired =
@@ -182,6 +166,6 @@ let augment ?config ledger rng ~bfs_forest g ~h ~k =
       phases;
       cut_count = Array.length cuts;
       repaired;
-      active_weight = !active_weight;
+      active_weight = Graph.mask_weight g ever_active;
     }
   end

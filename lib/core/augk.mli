@@ -67,18 +67,9 @@ val augment :
 (** [augment ledger rng ~bfs_forest g ~h ~k] requires [h] spanning and
     (k−1)-edge-connected, and [g] k-edge-connected. *)
 
-val repair :
-  Kecss_obs.Trace.t ->
-  algo:string ->
-  fail:string ->
-  weight:(int -> int) ->
-  Graph.t ->
-  h:Bitset.t ->
-  a:Bitset.t ->
-  k:int ->
-  int
-(** The exact safety net behind Aug_k and 3-ECSS: while [h ∪ a] is not
-    k-edge-connected, add to [a] the lightest edge (by [weight], then id)
-    crossing a global minimum cut, emitting a ["repair"] event under
-    [algo]. Returns the number of edges added (0 w.h.p.); raises
-    [Failure fail] when no edge crosses the cut. *)
+val repair : Kecss_obs.Trace.t -> algo:string -> fail:string ->
+  weight:(int -> int) -> Graph.t -> h:Bitset.t -> a:Bitset.t -> k:int -> int
+(** The exact safety net of Aug_k and 3-ECSS: while [h ∪ a] is not
+    k-edge-connected, adds to [a] the lightest edge (by [weight], then
+    id) crossing a global minimum cut, with a ["repair"] event. Returns
+    the edges added (0 w.h.p.); raises [Failure fail] if none crosses. *)

@@ -249,11 +249,9 @@ let solve ?(trace = Trace.noop) ?(algo = "cover") ?size ?max_iterations
     (* §3.3 charging, before coverage flips: an element whose chosen
        candidate joins pays w/|Ce| of that candidate *)
     for el = 0 to p.elements - 1 do
-      if stamp.(el) = it && Bitset.mem active vote_for.(el) then begin
-        let c = vote_for.(el) in
-        cost_sum :=
-          !cost_sum +. (float_of_int (p.weight c) /. float_of_int st.ce.(c))
-      end
+      let c = vote_for.(el) in
+      if stamp.(el) = it && Bitset.mem active c then
+        cost_sum := !cost_sum +. (float_of_int (p.weight c) /. float_of_int st.ce.(c))
     done;
     added
   in
@@ -266,18 +264,12 @@ let solve ?(trace = Trace.noop) ?(algo = "cover") ?size ?max_iterations
       incr forced;
       sched.p_exp <- 0
     end;
-    let n_active = ref 0 in
     Level_index.iter_at st.index level (fun c ->
-        if activate sched rng then begin
-          Bitset.add active c;
-          incr n_active
-        end);
-    Events.candidate_census trace ~algo ~level ~candidates:!n_active;
-    if !n_active = 0 then (0, [])
-    else begin
-      let keep = filter st active in
-      (!n_active, Bitset.fold (fun c acc -> if keep c then c :: acc else acc) active [])
-    end
+        if activate sched rng then Bitset.add active c);
+    let n_active = Bitset.cardinal active in
+    Events.candidate_census trace ~algo ~level ~candidates:n_active;
+    let keep = if n_active = 0 then Fun.const false else filter st active in
+    (n_active, Bitset.fold (fun c acc -> if keep c then c :: acc else acc) active [])
   in
   charge st Start;
   Events.instance_size trace ~algo ~n:size;

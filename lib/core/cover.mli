@@ -1,23 +1,18 @@
 (** The abstract covering framework of §2.1, with both of the paper's
-    symmetry-breaking mechanisms: the one iteration loop behind the
-    covering algorithms.
+    symmetry-breaking mechanisms.
 
     All three k-ECSS algorithms are instances of one scheme: maintain the
     set of still-uncovered elements (cuts), repeatedly agree on the
     candidates of maximum rounded cost-effectiveness, break symmetry
     randomly, and add the survivors. §3 breaks symmetry by {e voting}
     (guaranteed O(log N) ratio); §4–5 by {e probability guessing}
-    (expected O(log N) ratio). {!solve} is that loop. {!Tap} and {!Augk}
-    are each a problem, a strategy and a charge callback on top of it;
-    {!Mds} instantiates it for minimum dominating set exactly as in Jia
-    et al. [17]. 3-ECSS ({!Ecss3}) never enumerates its elements — the
-    cut pairs exist only in the cycle-space labels — so it keeps its own
-    label-driven loop but runs it on the shared {!type-schedule}.
-
-    The loop is local computation. A distributed instantiation charges
-    its communication to its round ledger through the [?charge] callback
-    of {!solve}, at the {!stage}s of an iteration where the paper's
-    algorithm communicates. *)
+    (expected O(log N) ratio). {!solve} is that loop: {!Tap} and {!Augk}
+    are a problem, a strategy and a charge callback on it, and {!Mds}
+    instantiates it for minimum dominating set as in Jia et al. [17].
+    3-ECSS never enumerates its elements (the cut pairs live only in the
+    cycle-space labels), so it runs its own loop on the shared
+    {!type-schedule}. The loop computes locally; each distributed
+    instantiation charges its communication through [?charge]. *)
 
 open Kecss_graph
 open Kecss_obs
@@ -27,10 +22,9 @@ type problem = {
   candidates : int;  (** candidates are [0 .. candidates-1] *)
   weight : int -> int;  (** non-negative candidate weights *)
   covered_by : int -> (int -> unit) -> unit;
-      (** [covered_by c f] calls [f] on each element candidate [c]
-          covers. It is called twice per candidate to build the
-          element → candidate map and once per committed candidate, and
-          must visit the same elements every time. *)
+      (** [covered_by c f] calls [f] on each element [c] covers, the same
+          ones on every call (twice per candidate at start, once per
+          commit). *)
 }
 
 type strategy =
@@ -67,8 +61,7 @@ type result = {
 }
 
 val log2_ceil : int -> int
-(** [⌈log₂ n⌉] ([0] for [n ≤ 1]) — the log of every iteration bound and
-    phase length. *)
+(** [⌈log₂ n⌉] ([0] for [n ≤ 1]). *)
 
 type state
 (** A running {!solve}'s coverage state, as its callbacks see it. *)
@@ -100,28 +93,23 @@ val solve :
   problem ->
   strategy ->
   result
-(** Covers every element; raises [Invalid_argument] if some element has
-    no covering candidate. Rank draws (voting) and activation draws
-    (guessing) are taken in ascending candidate order.
-
+(** Covers every element; raises [Invalid_argument], before any
+    callback, if some element has no covering candidate. Rank draws
+    (voting) and activation draws (guessing) go in ascending candidate
+    order.
     - [?initial] warm-starts the engine: the given candidates are
-      committed (chosen, retired, their elements covered) before
-      iteration 0, so a caller re-covering after a small change pays
-      only for the uncovered remainder; warm-started candidates count
-      toward [weight] but not [iterations] or [cost_sum]. Raises
-      [Invalid_argument] if an initial candidate is out of range.
-    - [?size] (default: the larger of [elements] and [candidates], at
-      least 2) is the instance size n: the phase length is
-      [m_phase·⌈log₂(n+1)⌉] and the default [?max_iterations] is
-      40·⌈log₂(n+1)⌉³ + 300.
-    - [?filter st active] (guessing only, called when some candidate
-      activated) selects which active candidates join; all by default.
+      committed before iteration 0, so a caller re-covering after a small
+      change pays only for the uncovered remainder; they count toward
+      [weight] but not [iterations] or [cost_sum]. Raises
+      [Invalid_argument] if one is out of range.
+    - [?size] (default: [max 2 (max elements candidates)]) is the n of
+      the phase length [m_phase·⌈log₂(n+1)⌉] and of the default
+      [?max_iterations], 40·⌈log₂(n+1)⌉³ + 300.
+    - [?filter st active] picks the active candidates that join
+      (guessing, when any activated); all by default.
     - [?charge st stage] is called at every {!stage}.
-    - [?trace] receives the {!Kecss_obs.Events} of the run under the name
-      [?algo] (default ["cover"]): the instance size, one iteration span
-      per iteration with its candidate census, the level histogram and
-      vote audits (voting), the probability doublings (guessing), and a
-      rho audit of every committed candidate. *)
+    - [?trace] receives the run's {!Kecss_obs.Events} under the name
+      [?algo] (default ["cover"]). *)
 
 val greedy : ?initial:Bitset.t -> problem -> Bitset.t
 (** The classical sequential greedy (one best candidate per step) — the
@@ -131,29 +119,26 @@ val greedy : ?initial:Bitset.t -> problem -> Bitset.t
 
 val is_cover : problem -> Bitset.t -> bool
 
-(** {1 The §4 probability schedule}
-
-    Shared by {!solve}'s {!Guessing} and the label-driven 3-ECSS loop. *)
+(** {1 The §4 probability schedule}, shared by {!Guessing} and 3-ECSS *)
 
 type schedule
 
 val schedule :
   trace:Trace.t -> algo:string -> candidates:int -> phase_len:int -> schedule
 (** p = 2^-⌈log₂(candidates+1)⌉ at each new level, doubling every
-    [max 1 phase_len] iterations at that level until it reaches 1. Each
-    reset and doubling is a ["probability doubling"] event on [trace]. *)
+    [max 1 phase_len] iterations at that level until it reaches 1; each
+    step is a ["probability doubling"] event on [trace]. *)
 
 val enter : schedule -> Cost.level -> unit
-(** Start an iteration at the given level; a new level resets p. *)
+(** Starts an iteration at a level; a new level resets p. *)
 
 val activate : schedule -> Rng.t -> bool
-(** One activation: [true] with probability p (no draw once p = 1). *)
+(** [true] with probability p (no draw once p = 1). *)
 
 val certain : schedule -> bool
-(** Is p = 1? *)
+(** p = 1. *)
 
 val advance : schedule -> unit
-(** End an iteration: p doubles when the phase is over. *)
+(** Ends an iteration: p doubles when the phase is over. *)
 
 val phases : schedule -> int
-(** (level, p) phases entered so far. *)

@@ -48,20 +48,13 @@ let augment_core ?config ledger rng g ~tree ~h ~weight =
      ascending order, their weights, and the §5.3 exchange path lengths
      (tree depths never change) — iterations then scan only candidates *)
   let cand =
-    let acc = ref [] in
-    Graph.iter_edges
-      (fun e -> if not (Bitset.mem h e.Graph.id) then acc := e.Graph.id :: !acc)
-      g;
-    Array.of_list (List.rev !acc)
+    Array.of_list (List.filter (fun e -> not (Bitset.mem h e)) (List.init m Fun.id))
   in
   let cand_w = Array.map weight cand in
-  let exch_len = Array.make (max 1 m) 0 in
-  Graph.iter_edges
-    (fun e ->
-      let u, v = Graph.endpoints g e.Graph.id in
-      exch_len.(e.Graph.id) <-
-        1 + min (Rooted_tree.depth tree u) (Rooted_tree.depth tree v))
-    g;
+  let depth = Rooted_tree.depth tree in
+  let exch_len =
+    Array.init m (fun e -> 1 + min (depth (Graph.edge_u g e)) (depth (Graph.edge_v g e)))
+  in
   let cand_level = Array.make (max 1 m) Cost.useless in
   let iterations = ref 0 in
   let level_cap = ref max_int in
