@@ -24,9 +24,8 @@ let leader_election g =
           List.iter (fun (_, msg) -> st.best <- max st.best msg.(0)) inbox;
           let changed = st.best > before || round = 0 in
           if changed then
-            ( Array.to_list (Graph.adj g v)
-              |> List.map (fun (_, id) ->
-                     { Network.edge = id; payload = [| st.best |] }),
+            ( List.init (Graph.degree g v) (fun i ->
+                  { Network.edge = Graph.adj_eid_at g v i; payload = [| st.best |] }),
               `Idle )
           else ([], `Idle));
     }
@@ -46,8 +45,8 @@ let bipartite ledger g =
   in
   let inboxes =
     Prim.exchange ledger g (fun v ->
-        Array.to_list (Graph.adj g v)
-        |> List.map (fun (_, id) -> { Network.edge = id; payload = colors.(v) }))
+        List.init (Graph.degree g v) (fun i ->
+            { Network.edge = Graph.adj_eid_at g v i; payload = colors.(v) }))
   in
   let ok = ref true in
   Array.iteri

@@ -140,14 +140,15 @@ let augmentation g ~h ~k =
   end
 
 let kruskal_mst g =
-  let edges = Array.copy (Graph.edges g) in
-  Array.sort (fun a b -> compare (a.Graph.w, a.Graph.id) (b.Graph.w, b.Graph.id)) edges;
+  let ids = Array.init (Graph.m g) Fun.id in
+  Array.sort (fun a b -> compare (Graph.weight g a, a) (Graph.weight g b, b)) ids;
   let uf = Union_find.create (Graph.n g) in
   let mask = Graph.no_edges_mask g in
   Array.iter
     (fun e ->
-      if Union_find.union uf e.Graph.u e.Graph.v then Bitset.add mask e.Graph.id)
-    edges;
+      if Union_find.union uf (Graph.edge_u g e) (Graph.edge_v g e) then
+        Bitset.add mask e)
+    ids;
   mask
 
 let kecss g ~k =

@@ -127,7 +127,7 @@ let sort_range a len =
   go 0 len
 
 let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
-    ?(flight = Flight.noop) ?hook ?(lazy_poll = false) ?max_rounds ?pool g p =
+    ?(flight = Flight.noop) ?hook ?max_rounds ?pool g p =
   let n = Graph.n g in
   let max_rounds =
     match max_rounds with Some r -> r | None -> (16 * n) + 10_000
@@ -168,14 +168,12 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
   let inbox_ids : int list array = if cobs then Array.make n [] else [||] in
   let parent_ids : int list array = if cobs then Array.make n [] else [||] in
   (* Worklist: the vertices a pass must consider, in ascending order.
-     Under [lazy_poll] a pass's candidates are exactly the vertices that
-     are active or hold a delivered message, and both ways of entering
-     that set are tracked — [`Active] steppers survive via the
-     set_active pass, message destinations via the delivery passes — so
-     instead of scanning all [n] vertices every pass (the old engine's
-     per-pass O(n) floor, fatal at n=10^6) the engine touches only the
-     frontier.  Without [lazy_poll] every vertex steps every pass and
-     the worklist stays the identity. *)
+     A pass's candidates are exactly the vertices that are active or hold
+     a delivered message, and both ways of entering that set are tracked
+     — [`Active] steppers survive via the set_active pass, message
+     destinations via the delivery passes — so instead of scanning all
+     [n] vertices every pass (a per-pass O(n) floor, fatal at n=10^6) the
+     engine touches only the frontier. *)
   let work = Array.init n Fun.id in
   let wl = ref n in
   let surv = Array.make n 0 in
@@ -193,7 +191,7 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
   let dense = ref false in
   let dense_cap = max 1 (n / 4) in
   let enqueue_deliv v =
-    if lazy_poll && (not !dense) && not queued.(v) then begin
+    if (not !dense) && not queued.(v) then begin
       queued.(v) <- true;
       deliv.(!dl) <- v;
       incr dl;
@@ -222,7 +220,7 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
     for i = 0 to !wl - 1 do
       let v = work.(i) in
       queued.(v) <- false;
-      if (not lazy_poll) || active.(v) || inboxes.(v) <> [] then begin
+      if active.(v) || inboxes.(v) <> [] then begin
         let live =
           match hook with Some h -> h.alive ~round:!round v | None -> true
         in
@@ -276,7 +274,7 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
         if fobs && active.(v) <> b then
           Flight.on_active flight ~vertex:v ~active:b;
         set_active v b;
-        if b && lazy_poll then begin
+        if b then begin
           (* survivors enter the next worklist first, already ascending *)
           queued.(v) <- true;
           surv.(!sl) <- v;
@@ -386,13 +384,12 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
        nearly every vertex every pass — tracking has already been
        abandoned; the worklist reverts to the identity by blit and the
        next plan pass filters, exactly the old full-scan engine. *)
-    if lazy_poll then begin
-      if !dense then begin
-        dense := false;
-        Array.blit identity 0 work 0 n;
-        wl := n
-      end
-      else begin
+    if !dense then begin
+      dense := false;
+      Array.blit identity 0 work 0 n;
+      wl := n
+    end
+    else begin
       sort_range deliv !dl;
       let i = ref (!sl - 1) and j = ref (!dl - 1) in
       let k = ref (!sl + !dl - 1) in
@@ -421,7 +418,6 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
         decr k
       done;
       wl := !sl + !dl
-      end
     end;
     incr round;
     (* In the synchronous model a vertex receives, at the end of round r,

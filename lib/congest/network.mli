@@ -2,7 +2,8 @@
 
     A {e program} gives each vertex local state and a step function.  In
     every round the engine delivers the messages sent in the previous round,
-    calls each vertex's step exactly once, and collects its sends.  A vertex
+    calls the step of each vertex that is active or has mail exactly once,
+    and collects its sends.  A vertex
     may send one message per incident edge per round, of at most
     {!val-cap_words} machine words — the model's O(log n)-bit budget (an
     identifier, a weight and a couple of flags all fit in O(log n) bits for
@@ -70,7 +71,7 @@ type hook = {
       (** [alive ~round v]: may vertex [v] still participate? A dead
           vertex is crash-stopped: its step is skipped, it sends nothing,
           counts as idle, and its delivered messages are lost. Called for
-          every vertex in every pass. *)
+          every vertex the pass would step, in ascending order. *)
   fate : round:int -> src:int -> edge:int -> fate;
       (** Rules on each message the instant it is sent. The send has
           already passed the size and duplicate checks and is counted in
@@ -89,9 +90,13 @@ type 's program = {
       locally (own adjacency) — vertices know their incident edges. *)
   step :
     round:int -> int -> 's -> int array inbox -> send list * [ `Active | `Idle ];
-  (** [step ~round v state inbox] is called every round (round numbering
-      starts at 0, when inboxes are empty). It returns messages to send and
-      whether the vertex still wants rounds. State is updated by mutation. *)
+  (** [step ~round v state inbox] returns messages to send and whether
+      the vertex still wants rounds; state is updated by mutation. Every
+      vertex steps in round 0 (inboxes empty); after that a vertex steps
+      only in rounds where it is active (its last step returned
+      [`Active]) or has mail. An idle vertex with an empty inbox is not
+      stepped, so a program must not rely on idle steps to send or to
+      change state. *)
 }
 
 val run :
@@ -107,7 +112,6 @@ val run_counted :
   ?causal:Causal.t ->
   ?flight:Flight.t ->
   ?hook:hook ->
-  ?lazy_poll:bool ->
   ?max_rounds:int ->
   ?pool:Kecss_par.Pool.t ->
   Graph.t ->
@@ -132,16 +136,10 @@ val run_counted :
     contents are byte-identical at every pool size; both default to noop
     collectors costing one tag test per pass.
 
-    [?lazy_poll] (default [false]) is a promise by the caller that
-    stepping a vertex which reported [`Idle] and has an empty inbox is a
-    no-op returning [([], `Idle)] — true of every primitive in {!Prim}.
-    Under that promise the engine maintains a worklist — the vertices
-    that are active or hold a delivered message, kept in ascending
-    order — and every per-pass phase walks the worklist instead of all
-    [n] vertices, making an engine pass O(active + deliveries) instead
-    of O(n).  Rounds, message totals, inbox contents and final states
-    are unaffected.  Programs that send or mutate state in an idle step
-    (e.g. purely round-driven flooding) must keep the default.
+    The engine keeps a worklist — the vertices that are active or hold
+    a delivered message, in ascending order — and every per-pass phase
+    walks the worklist instead of all [n] vertices, so an engine pass
+    costs O(active + deliveries), not O(n).
 
     When [?hook] is given, every vertex step is gated by [hook.alive] and
     every sent message by [hook.fate]; postponed messages stay in flight

@@ -16,7 +16,7 @@ let engine ledger ~category g program =
           ~metrics:(Rounds.metrics ledger)
           ~causal
           ~flight:(Rounds.flight ledger)
-          ?hook:(Rounds.hook ledger) ~lazy_poll:true g program)
+          ?hook:(Rounds.hook ledger) g program)
   in
   Rounds.charge ledger ~category rounds;
   Rounds.charge_messages ledger ~category messages;

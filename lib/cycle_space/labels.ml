@@ -74,11 +74,13 @@ let compute_distributed ?(bits = default_bits) ledger rng tree ~h_mask =
     (non_tree_edges tree ~h_mask);
   let is_h id = Bitset.mem h_mask id in
   let sends v =
-    Array.to_list (Graph.adj g v)
-    |> List.filter_map (fun (nb, id) ->
+    List.rev
+      (Graph.fold_adj g v
+         (fun acc nb id ->
            if is_h id && (not (Rooted_tree.is_tree_edge tree id)) && v < nb then
-             Some { Network.edge = id; payload = [| label.(id) |] }
-           else None)
+             { Network.edge = id; payload = [| label.(id) |] } :: acc
+           else acc)
+         [])
   in
   ignore (Prim.exchange ledger g sends);
   (* leaves-to-root wave: φ({v, p(v)}) = XOR of the labels of all H edges
@@ -87,12 +89,12 @@ let compute_distributed ?(bits = default_bits) ledger rng tree ~h_mask =
   let values =
     Prim.wave_up ledger forest ~value:(fun v kids ->
         let local =
-          Array.fold_left
-            (fun acc (_, id) ->
+          Graph.fold_adj g v
+            (fun acc _ id ->
               if is_h id && (not (Rooted_tree.is_tree_edge tree id)) then
                 acc lxor label.(id)
               else acc)
-            0 (Graph.adj g v)
+            0
         in
         [| List.fold_left (fun acc k -> acc lxor k.(0)) local kids |])
   in

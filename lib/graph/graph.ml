@@ -1,9 +1,6 @@
 (* Flat CSR representation.  Edge endpoints/weights live in three int
    arrays indexed by edge id; adjacency is a packed neighbor/edge-id pair
-   of arrays with per-vertex offsets.  The boxed [edge] record and the
-   [(nb, id) array array] adjacency survive only as lazily built
-   compatibility caches, so legacy callers keep working while hot paths
-   use the allocation-free accessors. *)
+   of arrays with per-vertex offsets. *)
 
 type edge = { id : int; u : int; v : int; w : int }
 
@@ -16,8 +13,6 @@ type t = {
   adj_off : int array;  (* n+1 offsets into adj_nbr/adj_eid *)
   adj_nbr : int array;  (* 2m packed neighbors, per-vertex in edge-id order *)
   adj_eid : int array;  (* 2m packed edge ids, aligned with adj_nbr *)
-  mutable edges_cache : edge array option;
-  mutable adj_cache : (int * int) array array option;
 }
 
 (* Counting-sort CSR build; per-vertex entries end up in ascending edge-id
@@ -73,8 +68,7 @@ let of_arrays_named ~who ~n eu ev ew =
     end
   done;
   let adj_off, adj_nbr, adj_eid = build_csr n m eu ev in
-  { n; m; eu; ev; ew; adj_off; adj_nbr; adj_eid;
-    edges_cache = None; adj_cache = None }
+  { n; m; eu; ev; ew; adj_off; adj_nbr; adj_eid }
 
 let of_arrays ~n eu ev ew = of_arrays_named ~who:"Graph.of_arrays" ~n eu ev ew
 
@@ -93,17 +87,6 @@ let make ~n spec =
 let n g = g.n
 let m g = g.m
 
-let edges g =
-  match g.edges_cache with
-  | Some a -> a
-  | None ->
-    let a =
-      Array.init g.m (fun id ->
-          { id; u = g.eu.(id); v = g.ev.(id); w = g.ew.(id) })
-    in
-    g.edges_cache <- Some a;
-    a
-
 let edge g id = { id; u = g.eu.(id); v = g.ev.(id); w = g.ew.(id) }
 let endpoints g id = (g.eu.(id), g.ev.(id))
 let edge_u g id = g.eu.(id)
@@ -117,22 +100,6 @@ let other_end g id x =
   else invalid_arg "Graph.other_end: not an endpoint"
 
 let degree g v = g.adj_off.(v + 1) - g.adj_off.(v)
-
-let adj g v =
-  let cache =
-    match g.adj_cache with
-    | Some c -> c
-    | None ->
-      let c =
-        Array.init g.n (fun v ->
-            let lo = g.adj_off.(v) and hi = g.adj_off.(v + 1) in
-            Array.init (hi - lo) (fun i ->
-                (g.adj_nbr.(lo + i), g.adj_eid.(lo + i))))
-      in
-      g.adj_cache <- Some c;
-      c
-  in
-  cache.(v)
 
 let iter_adj g v f =
   for i = g.adj_off.(v) to g.adj_off.(v + 1) - 1 do
@@ -186,7 +153,7 @@ let map_weights f g =
     Array.init g.m (fun id ->
         f { id; u = g.eu.(id); v = g.ev.(id); w = g.ew.(id) })
   in
-  { g with ew; edges_cache = None }
+  { g with ew }
 
 let unit_weights g = map_weights (fun _ -> 1) g
 

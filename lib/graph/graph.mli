@@ -9,14 +9,13 @@
 
     The representation is flat CSR: endpoints and weights live in three
     int arrays indexed by edge id, and adjacency is a packed
-    neighbor/edge-id array pair with per-vertex offsets.  The {!edges}
-    and {!adj} accessors below materialize boxed compatibility views
-    lazily (cached on first use); hot paths should prefer the
+    neighbor/edge-id array pair with per-vertex offsets, read through the
     allocation-free {!iter_adj}/{!fold_adj}/{!adj_nbr_at}/{!adj_eid_at}
-    and {!edge_u}/{!edge_v}/{!weight} accessors. *)
+    and {!edge_u}/{!edge_v}/{!weight} accessors. {!edge},
+    {!iter_edges} and {!fold_edges} build [edge] records on the fly. *)
 
 type edge = private {
-  id : int;  (** position in {!edges}; stable across subgraph masks *)
+  id : int;  (** the edge identifier; stable across subgraph masks *)
   u : int;   (** smaller endpoint *)
   v : int;   (** larger endpoint *)
   w : int;   (** weight, [>= 0] *)
@@ -42,9 +41,6 @@ val n : t -> int
 val m : t -> int
 (** Number of edges. *)
 
-val edges : t -> edge array
-(** All edges, indexed by id. The array must not be mutated. *)
-
 val edge : t -> int -> edge
 (** [edge g id] is the edge with identifier [id]. *)
 
@@ -65,16 +61,11 @@ val other_end : t -> int -> int -> int
 (** [other_end g id x] is the endpoint of edge [id] that is not [x].
     Raises [Invalid_argument] if [x] is not an endpoint. *)
 
-val adj : t -> int -> (int * int) array
-(** [adj g v] lists [(neighbor, edge_id)] pairs incident to [v]. The array
-    must not be mutated. *)
-
 val degree : t -> int -> int
 
 val iter_adj : t -> int -> (int -> int -> unit) -> unit
 (** [iter_adj g v f] calls [f neighbor edge_id] for each incident edge of
-    [v], in ascending edge-id order (the same order as {!adj}).  No
-    allocation. *)
+    [v], in ascending edge-id order.  No allocation. *)
 
 val fold_adj : t -> int -> ('a -> int -> int -> 'a) -> 'a -> 'a
 (** [fold_adj g v f init] folds [f acc neighbor edge_id] over the

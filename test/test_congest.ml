@@ -123,8 +123,8 @@ let prim_tests =
         let l = ledger () in
         let inboxes =
           Prim.exchange l g (fun v ->
-              Array.to_list (Graph.adj g v)
-              |> List.map (fun (_, id) -> { Network.edge = id; payload = [| v |] }))
+              List.init (Graph.degree g v) (fun i ->
+                  { Network.edge = Graph.adj_eid_at g v i; payload = [| v |] }))
         in
         check_int "one round" 1 (Rounds.total l);
         Array.iteri
@@ -290,7 +290,7 @@ let forest_tests =
 (* ---------- distributed MST ---------- *)
 
 let kruskal_weight g =
-  let edges = Array.copy (Graph.edges g) in
+  let edges = Array.init (Graph.m g) (Graph.edge g) in
   Array.sort (fun a b -> compare (a.Graph.w, a.Graph.id) (b.Graph.w, b.Graph.id)) edges;
   let uf = Union_find.create (Graph.n g) in
   Array.fold_left

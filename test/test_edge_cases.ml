@@ -119,8 +119,8 @@ let accounting_tests =
         let l = Rounds.create () in
         ignore
           (Prim.exchange l g (fun v ->
-               Array.to_list (Graph.adj g v)
-               |> List.map (fun (_, id) -> { Network.edge = id; payload = [| v |] })));
+               List.init (Graph.degree g v) (fun i ->
+                   { Network.edge = Graph.adj_eid_at g v i; payload = [| v |] })));
         (* every vertex sends on both incident edges: 2m messages *)
         check_int "messages" (2 * Graph.m g) (Rounds.total_messages l));
     case "bfs message count is at most 2m" (fun () ->

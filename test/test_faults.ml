@@ -59,8 +59,8 @@ let flood_program g ~rounds =
       (fun ~round _v received inbox ->
         received := !received + List.length inbox;
         if round < rounds then
-          ( Array.to_list (Graph.adj g _v)
-            |> List.map (fun (_, id) -> { Network.edge = id; payload = [| _v |] }),
+          ( List.init (Graph.degree g _v) (fun i ->
+                { Network.edge = Graph.adj_eid_at g _v i; payload = [| _v |] }),
             `Idle )
         else ([], `Idle));
   }

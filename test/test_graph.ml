@@ -647,9 +647,16 @@ let csr_tests =
          (arb_connected ()) (fun params ->
            let g = graph_of_params params in
            let ok = ref true in
-           (* iter_adj/adj_*_at/fold_adj reproduce the adj compat view *)
+           (* iter_adj/adj_*_at/fold_adj reproduce the adjacency of the
+              edge list, in ascending edge-id order *)
+           let adj = Array.make (Graph.n g) [] in
+           Graph.iter_edges
+             (fun e ->
+               adj.(e.Graph.u) <- (e.Graph.v, e.Graph.id) :: adj.(e.Graph.u);
+               adj.(e.Graph.v) <- (e.Graph.u, e.Graph.id) :: adj.(e.Graph.v))
+             g;
            for v = 0 to Graph.n g - 1 do
-             let compat = Array.to_list (Graph.adj g v) in
+             let compat = List.rev adj.(v) in
              let via_iter = ref [] in
              Graph.iter_adj g v (fun nb eid -> via_iter := (nb, eid) :: !via_iter);
              if List.rev !via_iter <> compat then ok := false;
@@ -664,13 +671,13 @@ let csr_tests =
              if List.rev via_fold <> compat then ok := false
            done;
            (* edge_u/edge_v reproduce the edge records *)
-           Array.iter
+           Graph.iter_edges
              (fun e ->
                if
                  Graph.edge_u g e.Graph.id <> e.Graph.u
                  || Graph.edge_v g e.Graph.id <> e.Graph.v
                then ok := false)
-             (Graph.edges g);
+             g;
            !ok));
   ]
 

@@ -228,9 +228,8 @@ let test_engine_identical () =
         (fun ~round v received inbox ->
           received := !received + List.length inbox;
           if round < 3 then
-            ( Array.to_list (Graph.adj g v)
-              |> List.map (fun (_, id) ->
-                     { Network.edge = id; payload = [| v land 63 |] }),
+            ( List.init (Graph.degree g v) (fun i ->
+                  { Network.edge = Graph.adj_eid_at g v i; payload = [| v land 63 |] }),
               `Active )
           else ([], `Idle));
     }

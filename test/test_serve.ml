@@ -164,7 +164,7 @@ let test_degraded_then_recovered () =
   let t = Maint.create g ~k:2 in
   (* vertex 0's two cycle edges: ids of edges incident to 0 *)
   let incident =
-    Array.to_list (Graph.adj g 0) |> List.map snd |> List.sort compare
+    List.init (Graph.degree g 0) (Graph.adj_eid_at g 0) |> List.sort compare
   in
   List.iter
     (fun e ->
