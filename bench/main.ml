@@ -95,12 +95,16 @@ let name_contains sub name =
 
 (* the iteration hot path of the cover engines: large fixtures (graph, BFS
    forest, MST, segment decomposition, the (k-1)-connected start H) are
-   built eagerly at test-construction time, so the timed closure contains
-   exactly the augmentation loop the incremental candidate index
-   accelerates.  Only fixtures for tests surviving [?filter] are built. *)
-let hot_tests ?filter () =
-  let keep name =
-    match filter with None -> true | Some sub -> name_contains sub name
+   built outside the timed closure, so it contains exactly the augmentation
+   loop.  Each row is a (name, build) pair: [build ()] makes the fixture
+   right before the row runs and returns it with a release function the
+   runner calls right after.  A pool kept alive across rows would make
+   every minor GC of the later rows wait on its idle domains. *)
+let hot_tests () =
+  let plain test = (test, ignore) in
+  let with_pool ~jobs f =
+    let pool = Kecss_par.Pool.create ~jobs in
+    (f pool, fun () -> Kecss_par.Pool.shutdown pool)
   in
   let tap_hot n =
     let g = W.weighted_random ~n ~k:2 in
@@ -110,9 +114,10 @@ let hot_tests ?filter () =
     let bfs_forest = Forest.of_rooted_tree bfs in
     let mst = Mst.run ledger (Rng.split rng) g in
     let segs = Segments.build ledger ~bfs_forest mst in
-    stage (fun () ->
-        ignore
-          (Tap.augment (Rounds.create ()) (Rng.create ~seed:2) ~bfs_forest segs))
+    plain
+      (stage (fun () ->
+           ignore
+             (Tap.augment (Rounds.create ()) (Rng.create ~seed:2) ~bfs_forest segs)))
   in
   let augk_hot n ~k =
     let g = W.weighted_random ~n ~k in
@@ -124,10 +129,11 @@ let hot_tests ?filter () =
     let h = Bitset.copy mst.Mst.mask in
     let r2 = Augk.augment ledger (Rng.split rng) ~bfs_forest g ~h ~k:2 in
     Bitset.union_into h r2.Augk.augmentation;
-    stage (fun () ->
-        ignore
-          (Augk.augment (Rounds.create ()) (Rng.create ~seed:2) ~bfs_forest g ~h
-             ~k))
+    plain
+      (stage (fun () ->
+           ignore
+             (Augk.augment (Rounds.create ()) (Rng.create ~seed:2) ~bfs_forest g
+                ~h ~k)))
   in
   (* the parallel layer's hot paths at pinned pool sizes: the j1/j4 pair
      of each row measures the multicore speedup directly (results are
@@ -136,26 +142,25 @@ let hot_tests ?filter () =
   let mincut_par ~jobs =
     let g = W.weighted_random ~n:96 ~k:3 in
     let lam = Kecss_connectivity.Edge_connectivity.lambda ~upper:3 g in
-    let pool = Kecss_par.Pool.create ~jobs in
-    stage (fun () ->
-        ignore
-          (Kecss_connectivity.Min_cut_enum.enumerate ~trials:20_000 ~pool
-             ~rng:(Rng.create ~seed:3) g ~size:lam))
+    with_pool ~jobs (fun pool ->
+        stage (fun () ->
+            ignore
+              (Kecss_connectivity.Min_cut_enum.enumerate ~trials:20_000 ~pool
+                 ~rng:(Rng.create ~seed:3) g ~size:lam)))
   in
   let resilience_par ~jobs =
     let g = W.weighted_random ~n:64 ~k:3 in
     let h = Graph.all_edges_mask g in
-    let pool = Kecss_par.Pool.create ~jobs in
-    stage (fun () ->
-        ignore
-          (Kecss_faults.Resilience.attack ~trials:64 ~rng:(Rng.create ~seed:7)
-             ~pool g ~h ~k:3))
+    with_pool ~jobs (fun pool ->
+        stage (fun () ->
+            ignore
+              (Kecss_faults.Resilience.attack ~trials:64 ~rng:(Rng.create ~seed:7)
+                 ~pool g ~h ~k:3)))
   in
   let net_round_par ~jobs =
     (* a round-driven program whose step does real local work on a graph
        large enough that every pass shards the full vertex set *)
     let g = W.weighted_random ~n:2048 ~k:2 in
-    let pool = Kecss_par.Pool.create ~jobs in
     let rounds = 24 in
     let program : int Network.program =
       {
@@ -170,27 +175,33 @@ let hot_tests ?filter () =
             ([], if round + 1 < rounds then `Active else `Idle));
       }
     in
-    stage (fun () -> ignore (Network.run_counted ~pool g program))
+    with_pool ~jobs (fun pool ->
+        stage (fun () -> ignore (Network.run_counted ~pool g program)))
   in
   (* the flat-core rows: the generator building through Graph.of_arrays,
      the binary decode path, and the unweighted 2-ECSS solve end to end *)
   let gen_hot n =
-    stage (fun () ->
-        ignore (Gen.random_k_connected (Rng.create ~seed:42) n 2 ~extra:n))
+    plain
+      (stage (fun () ->
+           ignore (Gen.random_k_connected (Rng.create ~seed:42) n 2 ~extra:n)))
   in
   let ecss2u_hot n =
     let g = Graph.unit_weights (W.weighted_random ~n ~k:2) in
-    stage (fun () -> ignore (Ecss2_unweighted.solve g))
+    plain (stage (fun () -> ignore (Ecss2_unweighted.solve g)))
   in
   let bin_decode_hot n =
     let s =
       Io.to_binary_string
         (Gen.random_k_connected (Rng.create ~seed:42) n 2 ~extra:n)
     in
-    stage (fun () -> ignore (Io.of_binary_string s))
+    plain (stage (fun () -> ignore (Io.of_binary_string s)))
   in
-  List.filter_map
-    (fun (name, mk) -> if keep name then Some (Test.make ~name (mk ())) else None)
+  List.map
+    (fun (name, build) ->
+      ( name,
+        fun () ->
+          let staged, release = build () in
+          (Test.make ~name staged, release) ))
     [
       ("hot/gen-n4096", fun () -> gen_hot 4096);
       ("hot/ecss2u-n4096", fun () -> ecss2u_hot 4096);
@@ -248,20 +259,21 @@ let run_micro ?filter () =
   print_endline "################ W-micro — Bechamel wall-clock benchmarks";
   print_endline "# one Test.make per experiment table + the hot kernels";
   print_newline ();
-  let all_tests = per_table_tests @ kernel_tests @ hot_tests ?filter () in
+  let eager =
+    List.map (fun t -> (Test.name t, fun () -> (t, ignore)))
+      (per_table_tests @ kernel_tests)
+  in
   let selected =
     match filter with
-    | None -> all_tests
-    | Some sub -> List.filter (fun t -> name_contains sub (Test.name t)) all_tests
+    | None -> eager @ hot_tests ()
+    | Some sub ->
+      List.filter (fun (name, _) -> name_contains sub name) (eager @ hot_tests ())
   in
   if selected = [] then begin
     Printf.printf "no microbenchmark matches the filter\n";
     []
   end
   else begin
-  let tests =
-    Test.make_grouped ~name:"kecss" ~fmt:"%s/%s" selected
-  in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
@@ -270,10 +282,21 @@ let run_micro ?filter () =
     Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.8) ~stabilize:false
       ~compaction:false ()
   in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols (Instance.monotonic_clock) raw in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  let rows = List.sort compare rows in
+  (* one row at a time, each fixture alive only while its row runs *)
+  let rows =
+    List.concat_map
+      (fun (_, build) ->
+        let test, release = build () in
+        let raw =
+          Benchmark.all cfg instances
+            (Test.make_grouped ~name:"kecss" ~fmt:"%s/%s" [ test ])
+        in
+        release ();
+        let results = Analyze.all ols Instance.monotonic_clock raw in
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [])
+      selected
+    |> List.sort compare
+  in
   Printf.printf "%-44s %16s %10s\n" "benchmark" "time/run" "r^2";
   Printf.printf "%s\n" (String.make 72 '-');
   let timed =
@@ -975,15 +998,18 @@ let pool_snapshot () =
     Kecss_par.Pool.lifetime_ns pool )
 
 (* Wall-clock profile section for bench-metrics.json / the history entry:
-   always carries the default pool's utilization snapshot, plus per-span
-   timings when --profile is on. Recorded verbatim, never compared. *)
+   always carries the machine's core count and the default pool's
+   utilization snapshot, plus per-span timings when --profile is on.
+   Recorded verbatim, never compared. *)
 let profile_json ~jobs ~pool_stats:(pairs, lifetime_ns) prof =
   let module Obs = Kecss_obs in
   let pool_json = Obs.Export.pool_to_json ~jobs ~lifetime_ns pairs in
   let spans =
     if Obs.Prof.enabled prof then [ ("spans", Obs.Prof.to_json prof) ] else []
   in
-  Obs.Json.Obj (("pool", pool_json) :: spans)
+  Obs.Json.Obj
+    (("nproc", Obs.Json.Int (Domain.recommended_domain_count ()))
+    :: ("pool", pool_json) :: spans)
 
 let write_metrics_json ?serve ?sparsify ?scale ~jobs ~profile runs path =
   let module Obs = Kecss_obs in
