@@ -76,5 +76,5 @@ val augment :
   Segments.t ->
   result
 (** Runs the algorithm. The graph must be 2-edge-connected (every tree
-    edge coverable); raises [Failure] otherwise after exhausting
-    candidates. *)
+    edge coverable); raises [Failure] otherwise, before any round is
+    charged. *)
