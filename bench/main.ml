@@ -93,6 +93,16 @@ let name_contains sub name =
   let rec go i = i + ls <= ln && (String.sub name i ls = sub || go (i + 1)) in
   go 0
 
+(* the N of a hot/*-jN row, which runs on an N-domain pool *)
+let pool_jobs name =
+  match String.rindex_opt name '-' with
+  | Some i
+    when name_contains "hot/" name
+         && i + 2 < String.length name
+         && name.[i + 1] = 'j' ->
+    int_of_string_opt (String.sub name (i + 2) (String.length name - i - 2))
+  | _ -> None
+
 (* the iteration hot path of the cover engines: large fixtures (graph, BFS
    forest, MST, segment decomposition, the (k-1)-connected start H) are
    built outside the timed closure, so it contains exactly the augmentation
@@ -299,6 +309,7 @@ let run_micro ?filter () =
   in
   Printf.printf "%-44s %16s %10s\n" "benchmark" "time/run" "r^2";
   Printf.printf "%s\n" (String.make 72 '-');
+  let nproc = Domain.recommended_domain_count () in
   let timed =
     List.map
       (fun (name, ols_result) ->
@@ -310,7 +321,16 @@ let run_micro ?filter () =
         let r2 =
           match Analyze.OLS.r_square ols_result with Some r -> r | None -> nan
         in
-        Printf.printf "%-44s %16s %10.4f\n" name (History.pretty_ns time_ns) r2;
+        (* a hot/*-jN row on fewer than N cores times pool overhead, not
+           a speedup *)
+        let note =
+          match pool_jobs name with
+          | Some jobs when nproc < jobs ->
+            Printf.sprintf "  (pool overhead: nproc=%d < jobs=%d)" nproc jobs
+          | _ -> ""
+        in
+        Printf.printf "%-44s %16s %10.4f%s\n" name (History.pretty_ns time_ns) r2
+          note;
         (name, time_ns))
       rows
   in
@@ -1195,8 +1215,7 @@ let () =
     (* route the experiments' ledgers through the profiler too, so the
        span table covers the reproduction tables, not just the
        representative solves *)
-    E.set_ledger_factory (fun () ->
-        Rounds.create ~metrics:(Kecss_obs.Metrics.create ()) ~prof ());
+    E.set_probe (Kecss_obs.Probe.create ~prof ()) ~hook:(fun _ -> None);
   if not o.micro_only then begin
     let targets =
       match o.exps with

@@ -187,10 +187,6 @@ let profile_arg =
     & opt ~vopt:(Some "") (some string) None
     & info [ "profile" ] ~docv:"FILE" ~doc)
 
-let make_prof = function
-  | None -> Kecss_obs.Prof.noop
-  | Some _ -> Kecss_obs.Prof.create ()
-
 let pool_stat_pairs pool =
   Array.map
     (fun (s : Kecss_par.Pool.stat) ->
@@ -257,14 +253,6 @@ let parse_faults = function
     | Ok plan -> Ok (Some plan)
     | Error msg -> Error ("bad fault plan: " ^ msg))
 
-(* the injector shared by every engine run of the command; stats go to
-   stderr at the end so a degraded result is explainable *)
-let make_injector trace = function
-  | None -> None
-  | Some plan -> Some (Kecss_faults.Net.injector ~trace plan)
-
-let injector_hook = Option.map Kecss_faults.Net.hook
-
 let report_faults = function
   | None -> ()
   | Some inj ->
@@ -326,12 +314,6 @@ let flight_dump_arg =
     & opt string "kecss-flight.json"
     & info [ "flight-dump" ] ~docv:"FILE" ~doc)
 
-let make_causal on =
-  if on then Kecss_obs.Causal.create () else Kecss_obs.Causal.noop
-
-let make_flight ~armed =
-  if armed then Kecss_obs.Flight.create () else Kecss_obs.Flight.noop
-
 (* the auto-dump: called from the stall and strict-violation paths; a dump
    failure must not mask the error that triggered it, so it only warns *)
 let dump_flight ?stall ~reason ~path flight =
@@ -365,43 +347,85 @@ let report_causal ?top ?phase ppf causal ledger =
       report
   end
 
-(* [--trace]/[--trace-jsonl] imply metric collection: the counter tracks
-   come from the metrics hooks inside the engine. [--monitor] needs a
-   recording trace to subscribe to, but not metrics. *)
-let make_sinks trace_path jsonl_path metrics_on monitor_mode =
-  let want_trace = trace_path <> None || jsonl_path <> None in
-  let trace =
-    if want_trace || monitor_mode <> None then Kecss_obs.Trace.create ()
-    else Kecss_obs.Trace.noop
-  in
-  let metrics =
-    if metrics_on || want_trace then Kecss_obs.Metrics.create ~trace ()
-    else Kecss_obs.Metrics.noop
-  in
-  let monitor =
-    match monitor_mode with
-    | None -> None
-    | Some _ ->
-      let mon = Kecss_obs.Monitor.create () in
-      Kecss_obs.Monitor.attach mon trace;
-      Some mon
-  in
-  (trace, metrics, monitor)
+(* ------------------------------------------------------------------ *)
+(* the run options `solve` and `experiment` share                      *)
+(* ------------------------------------------------------------------ *)
 
-(* print the monitor report; in strict mode violations become a CLI error *)
-let monitor_verdict monitor_mode monitor =
-  match (monitor_mode, monitor) with
-  | Some mode, Some mon ->
-    Format.eprintf "%a@." Kecss_obs.Monitor.pp_report mon;
-    if mode = `Strict && not (Kecss_obs.Monitor.ok mon) then
-      Error
-        (Printf.sprintf "monitor: %d invariant violation(s) in strict mode"
-           (List.length (Kecss_obs.Monitor.violations mon)))
-    else Ok ()
-  | _ -> Ok ()
+type run = {
+  plan : Kecss_faults.Plan.t option;
+  sparsify_mode : Sparsify.mode option;
+  probe : Kecss_obs.Probe.t;
+  monitor : ([ `Warn | `Strict ] * Kecss_obs.Monitor.t) option;
+  trace_path : string option;
+  jsonl_path : string option;
+  metrics_on : bool;
+  profile : string option;
+}
 
-let flush_sinks trace_path jsonl_path metrics_on trace metrics ledger =
-  (match trace_path with
+(* The nine flags `solve` and `experiment` share, as one term: it applies
+   [--jobs], parses the plan and the sparsify mode, and builds the run's
+   one probe. [--trace]/[--trace-jsonl] imply metric collection: the
+   counter tracks come from the metrics hooks inside the engine.
+   [--monitor] needs a recording trace to subscribe to, but not metrics.
+   With [~flight], the flight recorder is armed exactly when a post
+   mortem could be needed: a fault campaign (stalls) or the monitor
+   (strict violations). *)
+let run_term ~flight =
+  let setup jobs faults sparsify trace_path jsonl_path metrics_on
+      monitor_mode profile causal_on =
+    match apply_jobs jobs with
+    | Error msg -> Error msg
+    | Ok () ->
+    match parse_faults faults with
+    | Error msg -> Error msg
+    | Ok plan ->
+    match parse_sparsify sparsify with
+    | Error msg -> Error msg
+    | Ok sparsify_mode ->
+      let open Kecss_obs in
+      let want_trace = trace_path <> None || jsonl_path <> None in
+      let trace =
+        if want_trace || monitor_mode <> None then Trace.create ()
+        else Trace.noop
+      in
+      let monitor =
+        Option.map
+          (fun mode ->
+            let mon = Monitor.create () in
+            Monitor.attach mon trace;
+            (mode, mon))
+          monitor_mode
+      in
+      let armed = flight && (plan <> None || monitor_mode <> None) in
+      let probe =
+        Probe.create ~trace
+          ~metrics:
+            (if metrics_on || want_trace then Metrics.create ~trace ()
+             else Metrics.noop)
+          ~prof:(if profile <> None then Prof.create () else Prof.noop)
+          ~causal:(if causal_on then Causal.create () else Causal.noop)
+          ~flight:(if armed then Flight.create () else Flight.noop)
+          ()
+      in
+      Ok
+        {
+          plan;
+          sparsify_mode;
+          probe;
+          monitor;
+          trace_path;
+          jsonl_path;
+          metrics_on;
+          profile;
+        }
+  in
+  Term.(
+    const setup $ jobs_arg $ faults_arg $ sparsify_arg $ trace_arg
+    $ trace_jsonl_arg $ metrics_arg $ monitor_arg $ profile_arg $ causal_arg)
+
+let export run ledger =
+  let trace = Kecss_obs.Probe.trace run.probe in
+  (match run.trace_path with
   | Some path ->
     Kecss_obs.Export.chrome_to_file trace path;
     Format.eprintf "trace: %d events over %.0f simulated rounds -> %s@."
@@ -409,7 +433,7 @@ let flush_sinks trace_path jsonl_path metrics_on trace metrics ledger =
       (Kecss_obs.Trace.now trace)
       path
   | None -> ());
-  (match jsonl_path with
+  (match run.jsonl_path with
   | Some path ->
     let oc = open_out path in
     Fun.protect
@@ -419,12 +443,43 @@ let flush_sinks trace_path jsonl_path metrics_on trace metrics ledger =
       (Kecss_obs.Trace.event_count trace)
       path
   | None -> ());
-  if metrics_on then begin
-    Format.eprintf "%a@." Kecss_obs.Export.metrics_table metrics;
-    match ledger with
-    | Some l -> Format.eprintf "%a@." Kecss_congest.Rounds.pp l
-    | None -> ()
+  if run.metrics_on then begin
+    Format.eprintf "%a@." Kecss_obs.Export.metrics_table
+      (Kecss_obs.Probe.metrics run.probe);
+    Option.iter (Format.eprintf "%a@." Kecss_congest.Rounds.pp) ledger
   end
+
+(* print the monitor report; in strict mode violations become a CLI error
+   (and dump the flight recorder to [flight_dump], if given) *)
+let monitor_verdict run ~flight_dump =
+  match run.monitor with
+  | None -> Ok ()
+  | Some (mode, mon) ->
+    Format.eprintf "%a@." Kecss_obs.Monitor.pp_report mon;
+    if mode = `Strict && not (Kecss_obs.Monitor.ok mon) then begin
+      Option.iter
+        (fun path ->
+          dump_flight ~reason:"monitor strict violations" ~path
+            (Kecss_obs.Probe.flight run.probe))
+        flight_dump;
+      Error
+        (Printf.sprintf "monitor: %d invariant violation(s) in strict mode"
+           (List.length (Kecss_obs.Monitor.violations mon)))
+    end
+    else Ok ()
+
+(* The finish step of `solve` and `experiment`: the exports, then the
+   command's own [report] (the trace-write handler brackets only the
+   exports, so a Sys_error raised by the report is not blamed on the
+   trace file), the profile and the monitor verdict. *)
+let finish run ledger ~flight_dump ~report =
+  match export run ledger with
+  | exception Sys_error msg -> Error ("cannot write trace: " ^ msg)
+  | () -> (
+    report ();
+    match report_profile run.profile (Kecss_obs.Probe.prof run.probe) with
+    | Error _ as e -> e
+    | Ok () -> monitor_verdict run ~flight_dump)
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
@@ -588,43 +643,35 @@ let run_algo ledger ~algo ~k ~seed g =
     | None -> failwith "graph is not k-edge-connected")
   | a -> failwith ("unknown algorithm: " ^ a)
 
-let solve path algo k seed jobs par_threshold quiet faults sparsify trace_path
-    trace_jsonl metrics_on monitor_mode profile causal_on flight_path =
-  match apply_jobs jobs with
+let solve path algo k seed par_threshold quiet flight_path run =
+  match run with
   | Error msg -> `Error (false, msg)
-  | Ok () ->
+  | Ok run ->
   match apply_par_threshold par_threshold with
   | Error msg -> `Error (false, msg)
   | Ok () ->
-  match parse_faults faults with
-  | Error msg -> `Error (false, msg)
-  | Ok plan ->
-  match parse_sparsify sparsify with
-  | Error msg -> `Error (false, msg)
-  | Ok sparsify_mode ->
   match read_graph path with
   | exception Sys_error msg -> `Error (false, "cannot read graph: " ^ msg)
   | g ->
-  let trace, metrics, monitor =
-    make_sinks trace_path trace_jsonl metrics_on monitor_mode
+  (* the injector shared by every engine run of the command; stats go to
+     stderr at the end so a degraded result is explainable *)
+  let injector =
+    Option.map
+      (Kecss_faults.Net.injector ~trace:(Kecss_obs.Probe.trace run.probe))
+      run.plan
   in
-  let prof = make_prof profile in
-  let injector = make_injector trace plan in
-  let causal = make_causal causal_on in
-  (* the flight recorder is armed exactly when a post-mortem could be
-     needed: a fault campaign (stalls) or the monitor (strict violations) *)
-  let flight = make_flight ~armed:(plan <> None || monitor_mode <> None) in
   let ledger =
-    Kecss_congest.Rounds.create ~trace ~metrics ~prof ~causal ~flight
-      ?hook:(injector_hook injector) ()
+    Kecss_congest.Rounds.of_probe run.probe
+      ~hook:(Option.map Kecss_faults.Net.hook injector)
   in
-  (* even when faults kill the run, flush telemetry and the monitor report:
-     the point of a fault campaign is to inspect exactly these artifacts *)
-  let flush_on_fault () =
-    (try flush_sinks trace_path trace_jsonl metrics_on trace metrics (Some ledger)
-     with Sys_error _ -> ());
-    ignore (report_profile profile prof);
-    ignore (monitor_verdict monitor_mode monitor)
+  (* even when faults kill the run, dump the flight recorder and flush
+     telemetry and the monitor report: the point of a fault campaign is to
+     inspect exactly these artifacts *)
+  let abort ~stall ~reason msg =
+    dump_flight ?stall ~reason ~path:flight_path
+      (Kecss_obs.Probe.flight run.probe);
+    ignore (finish run (Some ledger) ~flight_dump:None ~report:ignore);
+    `Error (false, msg)
   in
   let sp =
     Option.map
@@ -634,48 +681,41 @@ let solve path algo k seed jobs par_threshold quiet faults sparsify trace_path
         in
         if not quiet then report_sparsify Format.err_formatter sp;
         sp)
-      sparsify_mode
+      run.sparsify_mode
   in
   let target = match sp with Some sp -> sp.Sparsify.sub | None -> g in
   match run_algo ledger ~algo ~k ~seed target with
   | exception Failure msg -> `Error (false, msg)
   | exception Kecss_congest.Network.Did_not_quiesce { rounds; active; in_flight }
     ->
-    let msg =
-      stalled_error
-        ~report:(fun () -> report_faults injector)
-        ~rounds ~active ~in_flight
-    in
-    dump_flight
+    abort
       ~stall:
-        {
-          Kecss_obs.Flight.st_rounds = rounds;
-          st_active = active;
-          st_in_flight = in_flight;
-        }
-      ~reason:"stalled" ~path:flight_path flight;
-    flush_on_fault ();
-    `Error (false, msg)
+        (Some
+           {
+             Kecss_obs.Flight.st_rounds = rounds;
+             st_active = active;
+             st_in_flight = in_flight;
+           })
+      ~reason:"stalled"
+      (stalled_error
+         ~report:(fun () -> report_faults injector)
+         ~rounds ~active ~in_flight)
   | exception e when Option.is_some injector ->
     (* faults can starve downstream deterministic phases of structure they
        assume (a parent edge, a fragment invariant); under a fault plan
        any failure is the campaign's doing, so report it structurally *)
     report_faults injector;
-    dump_flight ~reason:"solver failed under the fault plan" ~path:flight_path
-      flight;
-    flush_on_fault ();
-    `Error (false, "solver failed under the fault plan: " ^ Printexc.to_string e)
+    abort ~stall:None ~reason:"solver failed under the fault plan"
+      ("solver failed under the fault plan: " ^ Printexc.to_string e)
   | k, sol, rounds ->
   (* lift a sparsified solution back to original edge ids: verification
      and the printed subgraph are always against the input graph *)
   let sol = match sp with Some sp -> Sparsify.lift sp sol | None -> sol in
-  match flush_sinks trace_path trace_jsonl metrics_on trace metrics (Some ledger) with
-  | exception Sys_error msg -> `Error (false, "cannot write trace: " ^ msg)
-  | () ->
-    (* cap the verifier's connectivity probe at k: certifying λ ≥ k is all
-       `ok` needs, and for k ≤ 2 it keeps verification O(n + m) — the
-       difference between seconds and hours at n = 10^6 *)
-    let report = Verify.check_kecss ~cap:k g sol ~k in
+  (* cap the verifier's connectivity probe at k: certifying λ ≥ k is all
+     `ok` needs, and for k ≤ 2 it keeps verification O(n + m) — the
+     difference between seconds and hours at n = 10^6 *)
+  let report = Verify.check_kecss ~cap:k g sol ~k in
+  let print_results () =
     if not quiet then begin
       Format.eprintf "%a@." Verify.pp_report report;
       (match rounds with
@@ -683,18 +723,17 @@ let solve path algo k seed jobs par_threshold quiet faults sparsify trace_path
       | None -> ());
       report_faults injector
     end;
-    report_causal Format.err_formatter causal ledger;
-    print_solution g sol;
-    match report_profile profile prof with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
-    match monitor_verdict monitor_mode monitor with
-    | Error msg ->
-      dump_flight ~reason:"monitor strict violations" ~path:flight_path flight;
-      `Error (false, msg)
-    | Ok () ->
-      if report.Verify.ok then `Ok ()
-      else `Error (false, "solution failed verification")
+    report_causal Format.err_formatter (Kecss_obs.Probe.causal run.probe) ledger;
+    print_solution g sol
+  in
+  match
+    finish run (Some ledger) ~flight_dump:(Some flight_path)
+      ~report:print_results
+  with
+  | Error msg -> `Error (false, msg)
+  | Ok () ->
+    if report.Verify.ok then `Ok ()
+    else `Error (false, "solution failed verification")
 
 let solve_cmd =
   let algo =
@@ -710,10 +749,8 @@ let solve_cmd =
     (Cmd.info "solve" ~doc:"Compute an approximate minimum k-ECSS.")
     Term.(
       ret
-        (const solve $ graph_arg $ algo $ k_arg $ seed_arg $ jobs_arg
-       $ par_threshold_arg $ quiet $ faults_arg $ sparsify_arg $ trace_arg
-       $ trace_jsonl_arg $ metrics_arg $ monitor_arg $ profile_arg
-       $ causal_arg $ flight_dump_arg))
+        (const solve $ graph_arg $ algo $ k_arg $ seed_arg $ par_threshold_arg
+       $ quiet $ flight_dump_arg $ run_term ~flight:true))
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)
@@ -973,51 +1010,43 @@ let audit_cmd =
 (* experiment                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let experiment ids list_only jobs faults sparsify trace_path trace_jsonl
-    metrics_on monitor_mode profile causal_on =
+let experiment ids list_only run =
   let module E = Kecss_experiments.Experiments in
   if list_only then begin
     List.iter (fun e -> Printf.printf "%-14s %s\n" e.E.id e.E.title) E.all;
     `Ok ()
   end
   else begin
-    match apply_jobs jobs with
+    match run with
     | Error msg -> `Error (false, msg)
-    | Ok () ->
-    match parse_faults faults with
-    | Error msg -> `Error (false, msg)
-    | Ok plan ->
-    match parse_sparsify sparsify with
-    | Error msg -> `Error (false, msg)
-    | Ok sparsify_mode ->
-    Option.iter (fun m -> E.set_sparsify_modes [ m ]) sparsify_mode;
-    let trace, metrics, monitor =
-      make_sinks trace_path trace_jsonl metrics_on monitor_mode
-    in
-    let prof = make_prof profile in
-    (* Experiment cells run in parallel even with sinks installed: the
-       suite brackets its fan-outs in sharded-sink regions (see
-       [Experiments.set_shared_sinks]), so the exported stream is
-       byte-identical at every --jobs. A fault injector, whose rng and
-       activation state are inherently sequential, is created per ledger
-       instead of shared: each cell sees the plan on its own engine-round
+    | Ok run ->
+    Option.iter (fun m -> E.set_sparsify_modes [ m ]) run.sparsify_mode;
+    (* Every experiment ledger records into its own fork of the run's
+       probe, joined back in canonical cell order (see
+       [Experiments.set_probe]), so the exported stream is byte-identical
+       at every --jobs. A fault injector, whose rng and activation state
+       are inherently sequential, is made per ledger too and emits into
+       that ledger's fork: each cell sees the plan on its own engine-round
        clock (crash=v17@r40 means round 40 of that cell), which is both
        race-free and independent of scheduling. Stats are aggregated for
        the final report. *)
     let injectors = ref [] in
     let injectors_mu = Mutex.create () in
-    let fresh_injector () =
-      match plan with
-      | None -> None
-      | Some p ->
-        let inj = Kecss_faults.Net.injector ~trace p in
-        Mutex.lock injectors_mu;
-        injectors := inj :: !injectors;
-        Mutex.unlock injectors_mu;
-        Some inj
+    let hook p =
+      Option.map
+        (fun plan ->
+          let inj =
+            Kecss_faults.Net.injector ~trace:(Kecss_obs.Probe.trace p) plan
+          in
+          Mutex.lock injectors_mu;
+          injectors := inj :: !injectors;
+          Mutex.unlock injectors_mu;
+          Kecss_faults.Net.hook inj)
+        run.plan
     in
+    E.set_probe run.probe ~hook;
     let report_fault_totals () =
-      match plan with
+      match run.plan with
       | None -> ()
       | Some _ ->
         let open Kecss_faults.Net in
@@ -1042,51 +1071,20 @@ let experiment ids list_only jobs faults sparsify trace_path trace_jsonl
         Format.eprintf "faults: %a over %d engine rounds in %d cells@."
           pp_stats total passes (List.length injs)
     in
-    (* like the injectors: one causal recorder per cell ledger, collected
-       under a mutex. The aggregate below uses only sums and maxima, so
-       the report is independent of cell completion order. *)
-    let causals = ref [] in
-    let causals_mu = Mutex.create () in
-    let fresh_causal () =
-      if not causal_on then Kecss_obs.Causal.noop
-      else begin
-        let c = Kecss_obs.Causal.create () in
-        Mutex.lock causals_mu;
-        causals := c :: !causals;
-        Mutex.unlock causals_mu;
-        c
-      end
-    in
+    (* the forks' causal recorders are joined into the run's, so one
+       analysis covers every cell *)
     let report_causal_totals () =
-      if causal_on then begin
-        let reports = List.map Kecss_obs.Causal.analyze !causals in
-        let sum f = List.fold_left (fun a r -> a + f r) 0 reports in
-        let maxi f = List.fold_left (fun a r -> max a (f r)) 0 reports in
+      let causal = Kecss_obs.Probe.causal run.probe in
+      if Kecss_obs.Causal.enabled causal then begin
+        let r = Kecss_obs.Causal.analyze causal in
         Format.eprintf
-          "causal: %d cell(s), %d engine rounds traced, %d messages, %d \
-           runs; critical rounds %d, longest dependency chain %d@."
-          (List.length reports)
-          (sum (fun r -> r.Kecss_obs.Causal.rp_rounds))
-          (sum (fun r -> r.Kecss_obs.Causal.rp_messages))
-          (sum (fun r -> r.Kecss_obs.Causal.rp_runs))
-          (sum (fun r -> r.Kecss_obs.Causal.rp_critical_rounds))
-          (maxi (fun r -> r.Kecss_obs.Causal.rp_critical))
+          "causal: %d engine rounds traced, %d messages, %d runs; critical \
+           rounds %d, longest dependency chain %d@."
+          r.Kecss_obs.Causal.rp_rounds r.Kecss_obs.Causal.rp_messages
+          r.Kecss_obs.Causal.rp_runs r.Kecss_obs.Causal.rp_critical_rounds
+          r.Kecss_obs.Causal.rp_critical
       end
     in
-    let shared = trace_path <> None || trace_jsonl <> None || metrics_on in
-    if shared || monitor_mode <> None || plan <> None
-       || Kecss_obs.Prof.enabled prof || causal_on
-    then begin
-      if Kecss_obs.Trace.enabled trace || Kecss_obs.Metrics.enabled metrics
-      then E.set_shared_sinks ~trace ~metrics;
-      E.set_ledger_factory (fun () ->
-          (* with the monitor alone the snapshot tables keep their own
-             per-experiment metrics, as the default factory gives them *)
-          let metrics = if shared then metrics else Kecss_obs.Metrics.create () in
-          Kecss_congest.Rounds.create ~trace ~metrics ~prof
-            ~causal:(fresh_causal ())
-            ?hook:(injector_hook (fresh_injector ())) ())
-    end;
     match
       let targets =
         match ids with
@@ -1108,21 +1106,14 @@ let experiment ids list_only jobs faults sparsify trace_path trace_jsonl
         ( false,
           stalled_error ~report:report_fault_totals ~rounds ~active ~in_flight
         )
-    | () ->
-      report_fault_totals ();
-      report_causal_totals ();
-      (* the trace-write handler brackets only the flush, mirroring `solve`:
-         a Sys_error raised by the experiments themselves must not be
-         reported as a trace-file problem *)
-      match flush_sinks trace_path trace_jsonl metrics_on trace metrics None with
-      | exception Sys_error msg -> `Error (false, "cannot write trace: " ^ msg)
-      | () ->
-        match report_profile profile prof with
-        | Error msg -> `Error (false, msg)
-        | Ok () ->
-        match monitor_verdict monitor_mode monitor with
-        | Error msg -> `Error (false, msg)
-        | Ok () -> `Ok ()
+    | () -> (
+      let report () =
+        report_fault_totals ();
+        report_causal_totals ()
+      in
+      match finish run None ~flight_dump:None ~report with
+      | Error msg -> `Error (false, msg)
+      | Ok () -> `Ok ())
   end
 
 let experiment_cmd =
@@ -1139,19 +1130,15 @@ let experiment_cmd =
            `S Manpage.s_description;
            `P
              "Workload cells fan out over the domain pool at every \
-              telemetry setting; shared --trace/--metrics sinks are \
-              recorded through per-cell shards and merged in canonical \
-              order, so exported streams are byte-identical at every \
-              --jobs. Under --faults each cell gets its own injector on \
-              its own engine-round clock (a scheduled crash=v17@r40 fires \
-              at round 40 of every cell), with injection stats aggregated \
-              in the final report.";
+              telemetry setting; each cell's ledgers record into private \
+              forks of the run's probe, joined back in canonical order, \
+              so exported streams are byte-identical at every --jobs. \
+              Under --faults each ledger gets its own injector on its own \
+              engine-round clock (a scheduled crash=v17@r40 fires at \
+              round 40 of every cell), with injection stats aggregated in \
+              the final report.";
          ])
-    Term.(
-      ret
-        (const experiment $ ids $ list_only $ jobs_arg $ faults_arg
-       $ sparsify_arg $ trace_arg $ trace_jsonl_arg $ metrics_arg
-       $ monitor_arg $ profile_arg $ causal_arg))
+    Term.(ret (const experiment $ ids $ list_only $ run_term ~flight:false))
 
 (* ------------------------------------------------------------------ *)
 (* resilience                                                          *)

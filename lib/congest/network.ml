@@ -1,5 +1,5 @@
 open Kecss_graph
-open Kecss_obs
+module Probe = Kecss_obs.Probe
 module Pool = Kecss_par.Pool
 
 exception Message_too_large of { vertex : int; words : int }
@@ -126,8 +126,7 @@ let sort_range a len =
   in
   go 0 len
 
-let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
-    ?(flight = Flight.noop) ?hook ?max_rounds ?pool g p =
+let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
   let n = Graph.n g in
   let max_rounds =
     match max_rounds with Some r -> r | None -> (16 * n) + 10_000
@@ -159,12 +158,11 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
   (* deliveries whose injected delay has not yet elapsed:
      (due pass, destination, edge, payload) *)
   let delayed = ref [] in
-  let observe = Metrics.enabled metrics in
+  let obs = Probe.enabled probe in
   (* causal ids and parent sets mirror [inboxes] exactly; both are read
      and written only in the sequential passes below, so the recorded
      stream is independent of the pool size *)
-  let cobs = Causal.enabled causal in
-  let fobs = Flight.enabled flight in
+  let cobs = Probe.causal_ids probe in
   let inbox_ids : int list array = if cobs then Array.make n [] else [||] in
   let parent_ids : int list array = if cobs then Array.make n [] else [||] in
   (* Worklist: the vertices a pass must consider, in ascending order.
@@ -205,12 +203,10 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
   in
   let pool_now = lazy (match pool with Some t -> t | None -> Pool.default ()) in
   let threshold = par_threshold () in
-  if cobs then Causal.run_begin causal;
-  if fobs then Flight.ensure flight n;
-  if observe then Metrics.run_begin metrics;
+  if obs then Probe.run_begin probe ~n;
   while (!in_flight > 0 || !active_count > 0) && !round < max_rounds do
     (match hook with Some h -> h.round_begin ~round:!round | None -> ());
-    if fobs then Flight.round_begin flight;
+    if obs then Probe.round_begin probe;
     (* plan pass: sequential, ascending over the worklist, so all hook
        calls ([alive], like everything else hook-related) happen on the
        engine domain in the same order the old full scan produced *)
@@ -235,7 +231,7 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
           (* crash-stop: the vertex neither steps nor sends, no longer
              wants rounds, and its delivered messages are lost *)
           statuses.(v) <- 0;
-          if fobs then Flight.on_crash flight ~vertex:v
+          if obs then Probe.on_crash probe ~vertex:v
         end
       end
       else statuses.(v) <- -1
@@ -271,8 +267,8 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
       let v = work.(i) in
       if statuses.(v) >= 0 then begin
         let b = statuses.(v) = 2 in
-        if fobs && active.(v) <> b then
-          Flight.on_active flight ~vertex:v ~active:b;
+        if obs && active.(v) <> b then
+          Probe.on_active probe ~vertex:v ~active:b;
         set_active v b;
         if b then begin
           (* survivors enter the next worklist first, already ascending *)
@@ -310,7 +306,7 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
           (* every message [v] sends this round was enabled by the same
              inbox, so its parent set is interned once *)
           let group =
-            if cobs then Causal.group causal ~parents:parent_ids.(v) else 0
+            if cobs then Probe.group probe ~parents:parent_ids.(v) else 0
           in
           List.iter
             (fun { edge; payload } ->
@@ -324,18 +320,16 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
               (* the sender spent its message budget whatever the network
                  then does with the copy: sends are counted before the
                  hook rules *)
-              if observe then Metrics.on_send metrics ~edge;
               incr messages;
               let word = if words > 0 then payload.(0) else -1 in
-              if fobs then Flight.on_send flight ~vertex:v ~edge ~word;
               let id =
-                if cobs then Causal.on_send causal ~src:v ~dst ~edge ~group
+                if obs then Probe.on_send probe ~src:v ~dst ~edge ~word ~group
                 else -1
               in
               let deliver () =
                 inboxes.(dst) <- (edge, payload) :: inboxes.(dst);
                 if cobs then inbox_ids.(dst) <- id :: inbox_ids.(dst);
-                if fobs then Flight.on_recv flight ~vertex:dst ~edge ~word;
+                if obs then Probe.on_recv probe ~vertex:dst ~edge ~word;
                 incr in_flight;
                 enqueue_deliv dst
               in
@@ -366,8 +360,8 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
         (fun (_, dst, edge, payload, id) ->
           inboxes.(dst) <- (edge, payload) :: inboxes.(dst);
           if cobs then inbox_ids.(dst) <- id :: inbox_ids.(dst);
-          if fobs then
-            Flight.on_recv flight ~vertex:dst ~edge
+          if obs then
+            Probe.on_recv probe ~vertex:dst ~edge
               ~word:(if Array.length payload > 0 then payload.(0) else -1);
           incr in_flight;
           enqueue_deliv dst)
@@ -429,18 +423,17 @@ let run_counted ?(metrics = Metrics.noop) ?(causal = Causal.noop)
       incr counted;
       (* an uncounted tail pass sends nothing, so summing the per-round
          message series over counted rounds yields the total count *)
-      if observe then
-        Metrics.on_round metrics ~messages:!in_flight ~active:!active_count;
-      if cobs then Causal.on_round causal
+      if obs then
+        Probe.on_round probe ~messages:!in_flight ~active:!active_count
     end
   done;
   if !in_flight > 0 || !active_count > 0 then begin
-    if observe then Metrics.run_end metrics ~quiesced:false ~rounds:!counted;
+    if obs then Probe.run_end probe ~quiesced:false ~rounds:!counted;
     raise
       (Did_not_quiesce
          { rounds = !round; active = !active_count; in_flight = !in_flight })
   end;
-  if observe then Metrics.run_end metrics ~quiesced:true ~rounds:!counted;
+  if obs then Probe.run_end probe ~quiesced:true ~rounds:!counted;
   (states, !counted, !messages)
 
 let run ?max_rounds ?pool g p =

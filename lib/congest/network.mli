@@ -13,10 +13,14 @@
     vertex's step returned [`Idle].  The returned round count matches the
     standard synchronous accounting (a vertex receives at the end of round
     [r] the messages sent during round [r]): an engine pass counts as a
-    round iff something was sent in it or some vertex is still waiting. *)
+    round iff something was sent in it or some vertex is still waiting.
+
+    A run is observed through one {!Kecss_obs.Probe} — trace, metrics,
+    causal and flight recorders behind a single value — and perturbed
+    only through the separate fault {!hook}. *)
 
 open Kecss_graph
-open Kecss_obs
+module Probe = Kecss_obs.Probe
 
 exception Message_too_large of { vertex : int; words : int }
 exception Duplicate_send of { vertex : int; edge : int }
@@ -108,9 +112,7 @@ val run :
 (** [run g p] is [run_counted g p] without the message count. *)
 
 val run_counted :
-  ?metrics:Metrics.t ->
-  ?causal:Causal.t ->
-  ?flight:Flight.t ->
+  ?probe:Probe.t ->
   ?hook:hook ->
   ?max_rounds:int ->
   ?pool:Kecss_par.Pool.t ->
@@ -121,20 +123,17 @@ val run_counted :
     states, the number of rounds used, and the total number of messages
     sent.
 
-    When [?metrics] is a recording collector, the engine records one
-    sample per counted round (messages sent, vertices active), cumulative
-    per-edge congestion, and the run's quiescence round. With the default
-    [Metrics.noop] the instrumentation reduces to one boolean test.
-
-    When [?causal] is recording, every sent message is assigned an id and
-    the parent set of deliveries that enabled it ({!Kecss_obs.Causal}),
-    and every counted round is attributed to the recorder's current
-    phase; when [?flight] is recording, sends, deliveries, active/idle
-    flips and crash-stops land in its per-vertex rings
-    ({!Kecss_obs.Flight}). Both are written exclusively from the
-    sequential plan/delivery passes on the engine domain, so their
-    contents are byte-identical at every pool size; both default to noop
-    collectors costing one tag test per pass.
+    [?probe] (default {!Kecss_obs.Probe.noop}) observes the run. With a
+    recording probe the engine records, through {!Kecss_obs.Probe}'s
+    engine hooks: one metrics sample per counted round (messages sent,
+    vertices active), cumulative per-edge congestion and the run's
+    quiescence round; a causal id and parent set for every sent message
+    (the deliveries that enabled it) and the phase of every counted
+    round; and sends, deliveries, active/idle flips and crash-stops in
+    the flight recorder's per-vertex rings. Every hook runs from the
+    sequential plan/delivery passes on the engine domain, so what is
+    recorded is byte-identical at every pool size. With the noop probe
+    each event site costs one boolean test.
 
     The engine keeps a worklist — the vertices that are active or hold
     a delivered message, in ascending order — and every per-pass phase
@@ -156,7 +155,7 @@ val run_counted :
     touches exclusively its vertex's state and status cell plus its
     slice's shard — while hook calls, delivery, metrics and the active
     count stay sequential in vertex order, so rounds, message totals,
-    traces and final states are byte-identical at every pool size.
+    telemetry and final states are byte-identical at every pool size.
     @raise Message_too_large on an oversized payload
     @raise Duplicate_send if a vertex sends twice on one edge in a round
     @raise Did_not_quiesce after [max_rounds] (default [16 * n + 10_000]). *)

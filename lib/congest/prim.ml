@@ -1,22 +1,15 @@
 open Kecss_graph
 
-(* One engine run on behalf of a primitive: the ledger's sinks are
-   threaded into the engine, the run executes under a causal phase named
-   like the category it will be charged to (so causal round attribution
-   and the ledger breakdown share one naming scheme), and the counted
-   rounds/messages land on the ledger. *)
+(* One engine run on behalf of a primitive: the ledger's probe and fault
+   hook are threaded into the engine, the run executes as a probe phase
+   named like the category it will be charged to (so causal round
+   attribution and the ledger breakdown share one naming scheme), and
+   the counted rounds/messages land on the ledger. *)
 let engine ledger ~category g program =
-  let causal = Rounds.causal ledger in
-  Kecss_obs.Causal.phase_begin causal category;
+  let probe = Rounds.probe ledger in
   let states, rounds, messages =
-    Fun.protect
-      ~finally:(fun () -> Kecss_obs.Causal.phase_end causal)
-      (fun () ->
-        Network.run_counted
-          ~metrics:(Rounds.metrics ledger)
-          ~causal
-          ~flight:(Rounds.flight ledger)
-          ?hook:(Rounds.hook ledger) g program)
+    Kecss_obs.Probe.phase probe (Run category) (fun () ->
+        Network.run_counted ~probe ?hook:(Rounds.hook ledger) g program)
   in
   Rounds.charge ledger ~category rounds;
   Rounds.charge_messages ledger ~category messages;

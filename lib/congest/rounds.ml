@@ -6,37 +6,28 @@ type t = {
   mutable prefix : string list; (* innermost first *)
   categories : (string, int) Hashtbl.t;
   message_categories : (string, int) Hashtbl.t;
-  trace : Trace.t;
-  metrics : Metrics.t;
-  prof : Prof.t;
-  causal : Causal.t;
-  flight : Flight.t;
+  probe : Probe.t;
   hook : Network.hook option;
 }
 
-let create ?(trace = Trace.noop) ?(metrics = Metrics.noop) ?(prof = Prof.noop)
-    ?(causal = Causal.noop) ?(flight = Flight.noop) ?hook () =
+let of_probe probe ~hook =
   {
     total = 0;
     total_messages = 0;
     prefix = [];
     categories = Hashtbl.create 16;
     message_categories = Hashtbl.create 16;
-    trace;
-    metrics;
-    prof;
-    causal;
-    flight;
+    probe;
     hook;
   }
 
-let trace t = t.trace
-let metrics t = t.metrics
-let prof t = t.prof
-let causal t = t.causal
-let flight t = t.flight
+let create ?trace ?metrics ?prof ?causal ?flight ?hook () =
+  of_probe (Probe.create ?trace ?metrics ?prof ?causal ?flight ()) ~hook
+
+let probe t = t.probe
+let trace t = Probe.trace t.probe
+let metrics t = Probe.metrics t.probe
 let hook t = t.hook
-let subscribe t f = Trace.subscribe t.trace f
 
 let scoped_category t category =
   List.fold_left (fun acc p -> p ^ "/" ^ acc) category t.prefix
@@ -49,8 +40,9 @@ let charge t ~category r =
   Hashtbl.replace t.categories category (prev + r);
   (* a charged round advances the trace's logical clock: span durations
      are rounds, not wall time *)
-  Trace.advance t.trace (float_of_int r);
-  Trace.count t.trace "rounds" r
+  let trace = Probe.trace t.probe in
+  Trace.advance trace (float_of_int r);
+  Trace.count trace "rounds" r
 
 let charge_messages t ~category m =
   if m < 0 then invalid_arg "Rounds.charge_messages: negative";
@@ -60,30 +52,15 @@ let charge_messages t ~category m =
     Option.value ~default:0 (Hashtbl.find_opt t.message_categories category)
   in
   Hashtbl.replace t.message_categories category (prev + m);
-  Trace.count t.trace "messages" m
+  Trace.count (Probe.trace t.probe) "messages" m
 
 let total_messages t = t.total_messages
 
 let scoped t name f =
   t.prefix <- name :: t.prefix;
-  Trace.begin_span t.trace name;
-  (* the causal phase stack mirrors the category prefix, so engine rounds
-     are attributed under the same names the ledger charges them to *)
-  Causal.phase_begin t.causal name;
-  let f =
-    (* wall-clock profile each phase under its fully scoped path, so the
-       profile report and the round breakdown use one naming scheme *)
-    if Prof.enabled t.prof then (
-      let path = String.concat "/" (List.rev t.prefix) in
-      fun () -> Prof.span t.prof path f)
-    else f
-  in
   Fun.protect
-    ~finally:(fun () ->
-      Causal.phase_end t.causal;
-      Trace.end_span t.trace;
-      t.prefix <- List.tl t.prefix)
-    f
+    ~finally:(fun () -> t.prefix <- List.tl t.prefix)
+    (fun () -> Probe.phase t.probe (Probe.Ledger t.prefix) f)
 
 let total t = t.total
 

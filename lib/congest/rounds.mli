@@ -5,14 +5,14 @@
     report both total round counts and per-phase breakdowns (e.g. rounds
     spent building the MST vs. in TAP iterations).
 
-    A ledger optionally carries a {!Kecss_obs.Trace} and a
-    {!Kecss_obs.Metrics} collector. When present, {!scoped} opens a trace
-    span under the same name as the round category prefix (so the
-    pretty-printed breakdown and the exported timeline use one naming
-    scheme), every {!charge} advances the trace's logical clock by the
-    charged rounds, and the engine records per-round series into the
-    metrics collector. With the defaults ({!Kecss_obs.Trace.noop},
-    {!Kecss_obs.Metrics.noop}) all of this costs one tag test. *)
+    A ledger carries the run's {!Kecss_obs.Probe}. {!scoped} opens each
+    phase on it ({!Kecss_obs.Probe.phase}): a trace span under the same
+    name as the round category prefix (so the pretty-printed breakdown
+    and the exported timeline use one naming scheme), a causal phase and
+    a profiler span. Every {!charge} advances the trace's logical clock
+    by the charged rounds, and the primitives hand the probe to every
+    engine run they execute. With the noop probe all of this costs one
+    tag test. *)
 
 open Kecss_obs
 
@@ -27,40 +27,25 @@ val create :
   ?hook:Network.hook ->
   unit ->
   t
+(** A ledger on [Probe.create ?trace ?metrics ?prof ?causal ?flight ()]. *)
+
+val of_probe : Probe.t -> hook:Network.hook option -> t
+(** A ledger on an existing probe. *)
+
+val probe : t -> Probe.t
 
 val trace : t -> Trace.t
-(** The attached trace ([Trace.noop] unless one was passed at creation).
-    Algorithms use this to emit typed events without signature changes. *)
+(** The probe's trace ([Trace.noop] unless one is recording). Algorithms
+    use this to emit typed events without signature changes. *)
 
 val metrics : t -> Metrics.t
-(** The attached engine-metrics collector (or [Metrics.noop]). *)
-
-val prof : t -> Prof.t
-(** The attached wall-clock profiler (or [Prof.noop]). When recording,
-    every {!scoped} phase is also measured as a {!Kecss_obs.Prof.span}
-    under its fully scoped path (e.g. ["tap/iteration"]) — wall time and
-    GC deltas, kept entirely outside the logical round clock. *)
-
-val causal : t -> Causal.t
-(** The attached causal message recorder (or [Causal.noop]). {!scoped}
-    opens a causal phase under the same name as the category prefix and
-    the primitives add one per engine run, so the recorder's phase paths
-    coincide with the ledger's category names (e.g. ["mst/wave_up"]). *)
-
-val flight : t -> Flight.t
-(** The attached stall flight recorder (or [Flight.noop]), handed to
-    every engine run so a stalled solve can be dumped post mortem. *)
+(** The probe's engine-metrics collector (or [Metrics.noop]). *)
 
 val hook : t -> Network.hook option
 (** The attached engine interposition hook, if any. The primitives pass it
     to every {!Network.run_counted} they execute, so a fault plan wired
-    into the ledger at creation reaches each engine run of a solve. *)
-
-val subscribe : t -> (Trace.event -> unit) -> unit
-(** [subscribe t f] registers [f] on the attached trace
-    ({!Kecss_obs.Trace.subscribe}) — the hook online consumers such as
-    [Kecss_obs.Monitor] attach through without reaching into the ledger's
-    internals. No-op when the ledger carries no recording trace. *)
+    into the ledger at creation reaches each engine run of a solve. It is
+    not part of the probe: it changes what the network does. *)
 
 val charge : t -> category:string -> int -> unit
 (** [charge t ~category r] adds [r] rounds under [category] (prefixed by
@@ -70,8 +55,8 @@ val charge : t -> category:string -> int -> unit
 val scoped : t -> string -> (unit -> 'a) -> 'a
 (** [scoped t name f] runs [f] with [name/] prepended to every category
     charged inside, so reports show which algorithm phase consumed the
-    primitive rounds (e.g. ["mst/wave_up"]). Opens the trace span [name]
-    for the duration of [f]. Nests. *)
+    primitive rounds (e.g. ["mst/wave_up"]). Runs [f] as the probe phase
+    [name] ({!Kecss_obs.Probe.phase}). Nests. *)
 
 val total : t -> int
 (** Total rounds charged so far. *)
@@ -90,8 +75,7 @@ val messages_by_category : t -> (string * int) list
 (** Per-category message totals, sorted by category name. *)
 
 val reset : t -> unit
-(** Clears totals and categories. Does not touch the attached trace or
-    metrics collector. *)
+(** Clears totals and categories. Does not touch the probe. *)
 
 val to_json : t -> string
 (** Machine-readable dump: totals plus both category breakdowns, as one

@@ -25,55 +25,49 @@ let alg_seed = 1
 (* instrumentation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Experiments obtain ledgers through this factory so a caller (the CLI's
-   [experiment --trace]) can swap in ledgers wired to a shared trace. The
-   default collects engine metrics — cheap — so the rounds experiments can
-   print telemetry snapshots alongside their tables. *)
-let ledger_factory =
-  ref (fun () -> Rounds.create ~metrics:(Kecss_obs.Metrics.create ()) ())
+(* The run's probe and each ledger's fault hook, registered together by
+   the CLI (see [set_probe]). *)
+let probe = ref Kecss_obs.Probe.noop
+let hook = ref (fun (_ : Kecss_obs.Probe.t) -> None)
 
-let set_ledger_factory f = ledger_factory := f
-let ledger () = !ledger_factory ()
+let set_probe p ~hook:h =
+  probe := p;
+  hook := h
 
-(* When the CLI wires every ledger to one shared trace/metrics pair it
-   registers the pair here, and [par_cells] brackets its fan-out in a
-   sharded region so concurrent cells record without racing and the
-   merged stream keeps canonical cell order (see [Trace.shard_begin]).
-   The defaults are the noop sinks, on which sharding costs nothing. *)
-let shared_sinks = ref (Kecss_obs.Trace.noop, Kecss_obs.Metrics.noop)
-let set_shared_sinks ~trace ~metrics = shared_sinks := (trace, metrics)
+(* A ledger's own probe: a fork of the run's, always with an engine
+   metrics collector of its own, which the snapshot tables read. *)
+let ledger_probe () =
+  let open Kecss_obs in
+  let p = Probe.fork !probe in
+  if Metrics.enabled (Probe.metrics p) then p
+  else
+    Probe.create ~trace:(Probe.trace p) ~metrics:(Metrics.create ())
+      ~prof:(Probe.prof p) ~causal:(Probe.causal p) ()
 
 (* Independent experiment cells on the pool: [par_cells f xs] computes
-   [f x] for every workload cell and returns the results in list order,
-   so tables and snapshot rows are appended in the same canonical order
-   as the sequential elaboration. Cells must be self-contained — own rng
-   streams, own ledger via {!ledger} — and any sinks those ledgers share
-   must be the registered {!set_shared_sinks} pair, which the sharded
-   region below makes safe and deterministic at any [--jobs]. *)
+   [f ledger x] for every workload cell and returns the results in list
+   order, so tables and snapshot rows are appended in the same canonical
+   order as the sequential elaboration. Cells must be self-contained —
+   own rng streams, own ledgers from [ledger ()]. Each such ledger
+   records into its own fork of the run's probe; the forks are joined
+   back cell by cell, in creation order within a cell, so the run's
+   telemetry is that of a sequential run at any [--jobs]. *)
 let par_cells f xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  if n = 0 then []
-  else if Kecss_par.Pool.in_task () then
-    (* nested fan-out runs inline inside the enclosing cell's shard *)
-    List.map f xs
-  else begin
-    let trace, metrics = !shared_sinks in
-    let out = Array.make n None in
-    Kecss_obs.Trace.shard_begin trace n;
-    Kecss_obs.Metrics.shard_begin metrics n;
-    Fun.protect
-      ~finally:(fun () ->
-        Kecss_obs.Metrics.shard_merge metrics;
-        Kecss_obs.Trace.shard_merge trace)
-      (fun () ->
-        Kecss_par.Pool.parallel_for ~chunk:1 n (fun i ->
-            Kecss_obs.Trace.shard_run trace i (fun () ->
-                Kecss_obs.Metrics.shard_run metrics i (fun () ->
-                    out.(i) <- Some (f arr.(i))))));
-    Array.to_list
-      (Array.map (function Some x -> x | None -> assert false) out)
-  end
+  let cells = Array.of_list xs in
+  let n = Array.length cells in
+  let forks = Array.make n [] in
+  let ledger i () =
+    let p = ledger_probe () in
+    forks.(i) <- p :: forks.(i);
+    Rounds.of_probe p ~hook:(!hook p)
+  in
+  let out = Array.make n None in
+  Kecss_par.Pool.parallel_for ~chunk:1 n (fun i ->
+      out.(i) <- Some (f (ledger i) cells.(i)));
+  Array.iter
+    (fun ps -> List.iter (Kecss_obs.Probe.join !probe) (List.rev ps))
+    forks;
+  Array.to_list (Array.map Option.get out)
 
 let snapshot_columns =
   [
@@ -109,7 +103,7 @@ let t11_rounds () =
       ~columns:
         [ "family"; "n"; "m"; "D"; "rounds"; "iters"; "bound"; "rounds/bound" ]
   in
-  let cell (family, g) =
+  let cell ledger (family, g) =
     let n = Graph.n g in
     let d = Graph.diameter g in
     let ledger = ledger () in
@@ -204,7 +198,7 @@ let t12_rounds () =
     Table.create ~title:"k-ECSS rounds vs O(k (D log^3 n + n))  [Thm 1.2]"
       ~columns:[ "k"; "n"; "D"; "rounds"; "iters"; "bound"; "rounds/bound" ]
   in
-  let cell (k, n) =
+  let cell ledger (k, n) =
     let g = Workloads.weighted_random ~n ~k in
     let d = Graph.diameter g in
     let ledger = ledger () in
@@ -289,7 +283,7 @@ let t13_rounds () =
       ~columns:
         [ "n"; "m"; "D"; "rounds"; "iters"; "bound"; "rounds/bound" ]
   in
-  let cell n =
+  let cell ledger n =
     let g = Workloads.unweighted_low_d ~n in
     let d = Graph.diameter g in
     let ledger = ledger () in
@@ -325,7 +319,7 @@ let t13_rounds () =
     ([ I n; I d; I dedicated; I generic; F (fi generic /. fi dedicated) ]
       : Table.cell list)
   in
-  List.iter (Table.add_row h2h) (par_cells h2h_cell [ 32; 64 ]);
+  List.iter (Table.add_row h2h) (par_cells (fun _ -> h2h_cell) [ 32; 64 ]);
   Table.note h2h
     "the paper's point: on low-diameter graphs the cycle-space algorithm \
      avoids the Omega(n) of the generic path; the speedup should grow with n";
@@ -433,7 +427,7 @@ let l311_iters () =
           [ ("1", 1); ("n", n); ("n^2", n * n) ])
       [ 64; 128; 256; 512 ]
   in
-  List.iter (Table.add_row t) (par_cells cell cells);
+  List.iter (Table.add_row t) (par_cells (fun _ -> cell) cells);
   Table.note t "the normalized column should stay bounded as n grows";
   { tables = [ t ]; text = None }
 
@@ -567,7 +561,7 @@ let m_messages () =
       ~columns:
         [ "n"; "m"; "msgs(MST)"; "msgs/m log n"; "msgs(2-ECSS)"; "msgs/m log^3 n" ]
   in
-  let cell n =
+  let cell ledger n =
     let g = Workloads.weighted_random ~n ~k:2 in
     let m = Graph.m g in
     let l1 = ledger () in
@@ -826,7 +820,7 @@ let s_sparsify () =
     let g = Gen.random_connected rng n p in
     Graph.map_weights (fun _ -> 1 + Rng.int rng (2 * n)) g
   in
-  let cell (n, p, mode) =
+  let cell ledger (n, p, mode) =
     let g = weighted_dense n p in
     let ledger = ledger () in
     let t0 = Kecss_obs.Prof.now_ns () in

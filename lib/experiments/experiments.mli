@@ -4,26 +4,27 @@
     round/approximation behaviour, a lemma's structural bound, or a
     figure) as a printed table; EXPERIMENTS.md records the paper-vs-measured
     comparison. Experiments are deterministic: fixed workload seeds, fixed
-    algorithm seeds. *)
+    algorithm seeds — and telemetry never changes what they print: the
+    CLI registers its probe once ({!set_probe}) and every ledger records
+    into its own fork of it. *)
 
 type output = { tables : Table.t list; text : string option }
 
-val set_ledger_factory : (unit -> Kecss_congest.Rounds.t) -> unit
-(** Replace the ledger source used by the experiments. The default produces
-    metrics-collecting ledgers (so the rounds experiments can print
-    telemetry snapshots); the CLI's [experiment --trace] installs a factory
-    whose ledgers share one trace/metrics sink. *)
-
-val set_shared_sinks :
-  trace:Kecss_obs.Trace.t -> metrics:Kecss_obs.Metrics.t -> unit
-(** Register the trace/metrics pair the installed ledger factory shares
-    between ledgers (the CLI's [experiment --trace]/[--metrics] sinks).
-    The heavy experiments fan their workload cells out over
-    {!Kecss_par.Pool.default}; registered sinks are recorded through a
-    sharded region ({!Kecss_obs.Trace.shard_begin}) so the cells run in
-    parallel at any [--jobs] while the merged event stream, metrics
-    series and table rows keep canonical workload order — byte-identical
-    to a sequential run. Defaults to the noop sinks. *)
+val set_probe :
+  Kecss_obs.Probe.t ->
+  hook:(Kecss_obs.Probe.t -> Kecss_congest.Network.hook option) ->
+  unit
+(** Register the run's probe (the CLI's telemetry) together with the
+    maker of each ledger's fault hook; the default is
+    {!Kecss_obs.Probe.noop} and no hook. Every experiment ledger records
+    into its own {!Kecss_obs.Probe.fork} of the probe, with an engine
+    metrics collector of its own (so a telemetry snapshot row reads the
+    ledger it names), and gets its hook from [hook] applied to that
+    fork. The heavy experiments fan their workload cells out over
+    {!Kecss_par.Pool.default}; the forks are joined back in canonical
+    cell order ({!Kecss_obs.Probe.join}), so the run's event stream,
+    metrics totals and table rows are byte-identical to a sequential run
+    at any [--jobs]. *)
 
 val set_sparsify_modes : Kecss_sparsify.Sparsify.mode list -> unit
 (** Restrict the S-sparsify density sweep to the given modes (the CLI's

@@ -30,17 +30,6 @@ let pp_stats ppf s =
      cut, %d restored)@]"
     (total s) s.dropped s.delayed s.duplicated s.crashed s.cut s.restored
 
-let stats_to_json s =
-  Json.Obj
-    [
-      ("dropped", Json.Int s.dropped);
-      ("delayed", Json.Int s.delayed);
-      ("duplicated", Json.Int s.duplicated);
-      ("crashed", Json.Int s.crashed);
-      ("cut", Json.Int s.cut);
-      ("restored", Json.Int s.restored);
-    ]
-
 (* one scheduled entry; activation is per entry, not per id, so a
    cut -> ins -> cut sequence on the same edge fires each step once *)
 type sched = Crash of int | Cut of int | Restore of int
@@ -184,9 +173,9 @@ type 's outcome =
     }
   | Stalled of { rounds : int; active : int; in_flight : int; faults : stats }
 
-let run_counted ?metrics ?max_rounds ?trace ~plan g p =
-  let inj = injector ?trace plan in
-  match Network.run_counted ?metrics ~hook:(hook inj) ?max_rounds g p with
+let run_counted ?(probe = Probe.noop) ?max_rounds ~plan g p =
+  let inj = injector ~trace:(Probe.trace probe) plan in
+  match Network.run_counted ~probe ~hook:(hook inj) ?max_rounds g p with
   | states, rounds, messages ->
     Quiesced { states; rounds; messages; faults = stats inj }
   | exception Network.Did_not_quiesce { rounds; active; in_flight } ->

@@ -33,7 +33,6 @@ val total : stats -> int
 (** Total injections (crash/cut/restore count once at activation). *)
 
 val pp_stats : Format.formatter -> stats -> unit
-val stats_to_json : stats -> Json.t
 
 (** {1 Injectors} *)
 
@@ -73,14 +72,14 @@ type 's outcome =
           bare [Network.Did_not_quiesce]. *)
 
 val run_counted :
-  ?metrics:Metrics.t ->
+  ?probe:Probe.t ->
   ?max_rounds:int ->
-  ?trace:Trace.t ->
   plan:Plan.t ->
   Graph.t ->
   's Network.program ->
   's outcome
 (** [run_counted ~plan g p] executes [p] under a fresh injector for
-    [plan]. Engine contract violations by the {e program}
+    [plan], observed by [?probe]; injections are recorded in the probe's
+    trace. Engine contract violations by the {e program}
     ([Message_too_large], [Duplicate_send]) still raise — they are bugs,
     not faults. *)

@@ -184,6 +184,44 @@ let on_round t =
     buf_push r.r_phase r.cur;
     buf_push r.r_run (r.runs - 1)
 
+(* Appends the child's DAG after this one's: its message ids, groups,
+   counted rounds and runs shift past ours and its phase names are
+   re-interned, so the joined recorder analyzes like one that recorded
+   both runs in sequence. Group 0, the shared empty parent set, maps to
+   ours. *)
+let join parent child =
+  match (parent, child) with
+  | Recording p, Recording c ->
+    let id0 = p.m_round.len and round0 = p.r_phase.len and run0 = p.runs in
+    let group0 = p.g_depth.len - 1 in
+    let group g = if g = 0 then 0 else g + group0 in
+    let phase = Array.init c.phases (fun i -> intern p c.phase_names.(i)) in
+    for g = 1 to c.g_depth.len - 1 do
+      for j = c.g_off.a.(g) to c.g_off.a.(g + 1) - 1 do
+        buf_push p.g_par (c.g_par.a.(j) + id0)
+      done;
+      buf_push p.g_off p.g_par.len;
+      buf_push p.g_depth c.g_depth.a.(g);
+      let best = c.g_best.a.(g) in
+      buf_push p.g_best (if best < 0 then best else best + id0)
+    done;
+    for i = 0 to c.m_round.len - 1 do
+      buf_push p.m_round (c.m_round.a.(i) + round0);
+      buf_push p.m_src c.m_src.a.(i);
+      buf_push p.m_dst c.m_dst.a.(i);
+      buf_push p.m_edge c.m_edge.a.(i);
+      buf_push p.m_group (group c.m_group.a.(i));
+      buf_push p.m_depth c.m_depth.a.(i);
+      buf_push p.m_run (c.m_run.a.(i) + run0);
+      buf_push p.m_phase phase.(c.m_phase.a.(i))
+    done;
+    for i = 0 to c.r_phase.len - 1 do
+      buf_push p.r_phase phase.(c.r_phase.a.(i));
+      buf_push p.r_run (c.r_run.a.(i) + run0)
+    done;
+    p.runs <- p.runs + c.runs
+  | _ -> ()
+
 let messages t = match t with Noop -> 0 | Recording r -> r.m_round.len
 let rounds t = match t with Noop -> 0 | Recording r -> r.r_phase.len
 let runs t = match t with Noop -> 0 | Recording r -> r.runs

@@ -25,9 +25,9 @@ val enabled : t -> bool
 (** {1 Phase scope}
 
     Phases name the solver scope engine rounds are attributed to.
-    [Kecss_congest.Rounds.scoped] opens one per ledger scope and the
-    engine primitives one per primitive, so phase paths coincide with the
-    ledger's category names (e.g. ["mst/wave_up"]). *)
+    [Probe.phase] opens one per ledger scope and one per engine run of a
+    primitive, so phase paths coincide with the ledger's category names
+    (e.g. ["mst/wave_up"]). *)
 
 val phase_begin : t -> string -> unit
 (** Pushes [name] onto the phase stack; the current phase is the
@@ -39,9 +39,9 @@ val phase_end : t -> unit
 
 (** {1 Engine-facing recording}
 
-    Called by [Kecss_congest.Network.run_counted] from its sequential
-    passes only — ids, parents and round indices are independent of the
-    pool size by construction. *)
+    Called by [Kecss_congest.Network.run_counted], through [Probe], from
+    its sequential passes only — ids, parents and round indices are
+    independent of the pool size by construction. *)
 
 val run_begin : t -> unit
 (** Marks the start of one engine run. Chains never span runs. *)
@@ -59,6 +59,12 @@ val on_round : t -> unit
 (** Records one counted engine round under the current phase. Calls
     mirror the engine's round counting exactly, so {!rounds} equals the
     sum of the engine's per-run counted rounds. *)
+
+val join : t -> t -> unit
+(** [join parent child] appends [child]'s recorded runs to [parent], so
+    {!analyze} on [parent] reports both as if one recorder had seen them
+    in sequence: counts and critical rounds add up, the longest chain is
+    the longer of the two. No-op unless both record. *)
 
 val messages : t -> int
 val rounds : t -> int

@@ -101,11 +101,7 @@ let ms ns = ns /. 1e6
 let kwords w = w /. 1e3
 
 let prof_table ppf p =
-  (* a declared-but-never-hit span has nothing to report: skip it rather
-     than render a row of zeros that reads as measured data *)
-  match
-    List.filter (fun (s : Prof.stat) -> Prof.Hist.count s.hist > 0) (Prof.stats p)
-  with
+  match Prof.stats p with
   | [] -> ()
   | stats ->
     table ppf ~title:"wall-clock profile (ms; GC in kwords)"
@@ -129,20 +125,6 @@ let prof_table ppf p =
              I (s.gc.minor_collections + s.gc.major_collections);
            ])
          stats)
-
-let prof_jsonl p =
-  let buf = Buffer.create 1024 in
-  (match Prof.to_json p with
-  | Json.List objs ->
-    List.iter
-      (fun o ->
-        Json.to_buffer buf o;
-        Buffer.add_char buf '\n')
-      objs
-  | other ->
-    Json.to_buffer buf other;
-    Buffer.add_char buf '\n');
-  Buffer.contents buf
 
 let pool_table ppf ~jobs ~lifetime_ns stats =
   let rows =

@@ -43,11 +43,7 @@ val metrics_table : Format.formatter -> Metrics.t -> unit
 
 val prof_table : Format.formatter -> Prof.t -> unit
 (** Per-span profile as an aligned table (times in ms, GC in kwords).
-    Prints nothing when no spans were recorded; spans declared but never
-    hit (empty histograms) are skipped. *)
-
-val prof_jsonl : Prof.t -> string
-(** One JSON object per span, newline-delimited, in name order. *)
+    Prints nothing when no spans were recorded. *)
 
 val pool_table :
   Format.formatter ->

@@ -10,7 +10,6 @@ type recording = {
   mutable quiescence_rev : int list;
   mutable run_base : float; (* trace time at run_begin *)
   mutable run_round : int;
-  mutable shards : recording array; (* [||] outside a sharded region *)
 }
 
 type t = Noop | Recording of recording
@@ -30,26 +29,11 @@ let fresh trace =
     quiescence_rev = [];
     run_base = 0.0;
     run_round = 0;
-    shards = [||];
   }
 
 let create ?(trace = Trace.noop) () = Recording (fresh trace)
 
 let enabled = function Noop -> false | Recording _ -> true
-
-(* Per-domain shard routing, tagged with the owning collector so private
-   collectors used inside a task are never misrouted (same scheme as
-   [Trace.shard_run]). *)
-let shard_key : (recording * recording) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-(* the recording the calling domain should write into *)
-let target r =
-  if Array.length r.shards = 0 then r
-  else
-    match !(Domain.DLS.get shard_key) with
-    | Some (owner, s) when owner == r -> s
-    | _ -> r
 
 let grow a needed =
   if needed <= Array.length a then a
@@ -63,7 +47,6 @@ let run_begin t =
   match t with
   | Noop -> ()
   | Recording r ->
-    let r = target r in
     r.runs <- r.runs + 1;
     r.run_base <- Trace.now r.trace;
     r.run_round <- 0
@@ -72,7 +55,6 @@ let on_send t ~edge =
   match t with
   | Noop -> ()
   | Recording r ->
-    let r = target r in
     r.edge_counts <- grow r.edge_counts (edge + 1);
     r.edge_counts.(edge) <- r.edge_counts.(edge) + 1;
     if edge + 1 > r.edge_hi then r.edge_hi <- edge + 1
@@ -81,7 +63,6 @@ let on_round t ~messages ~active =
   match t with
   | Noop -> ()
   | Recording r ->
-    let r = target r in
     r.msgs <- grow r.msgs (r.len + 1);
     r.act <- grow r.act (r.len + 1);
     r.msgs.(r.len) <- messages;
@@ -99,64 +80,36 @@ let run_end t ~quiesced ~rounds =
   match t with
   | Noop -> ()
   | Recording r ->
-    let r = target r in
     if quiesced then r.quiescence_rev <- rounds :: r.quiescence_rev
 
-(* ---------- sharded regions ---------- *)
-
-let shard_begin t n =
+(* a child records on its own trace iff the parent records on one *)
+let fork t ~trace =
   match t with
-  | Noop -> ()
+  | Noop -> Noop
   | Recording r ->
-    if n < 0 then invalid_arg "Metrics.shard_begin: negative shard count";
-    if Array.length r.shards > 0 then
-      invalid_arg "Metrics.shard_begin: a sharded region is already open";
-    r.shards <- Array.init n (fun _ -> fresh r.trace)
+    Recording (fresh (if Trace.enabled r.trace then trace else Trace.noop))
 
-let shard_run t i f =
-  match t with
-  | Noop -> f ()
-  | Recording r ->
-    if Array.length r.shards = 0 then f ()
-    else begin
-      let cell = Domain.DLS.get shard_key in
-      match !cell with
-      | Some (owner, _) when owner == r ->
-        (* nested region on the same collector: inner tasks run inline in
-           index order, so the enclosing shard already records them in
-           canonical order *)
-        f ()
-      | saved ->
-        cell := Some (r, r.shards.(i));
-        Fun.protect ~finally:(fun () -> cell := saved) f
-    end
-
-let shard_merge t =
-  match t with
-  | Noop -> ()
-  | Recording r ->
-    let shards = r.shards in
-    r.shards <- [||];
-    Array.iter
-      (fun (s : recording) ->
-        r.msgs <- grow r.msgs (r.len + s.len);
-        r.act <- grow r.act (r.len + s.len);
-        Array.blit s.msgs 0 r.msgs r.len s.len;
-        Array.blit s.act 0 r.act r.len s.len;
-        r.len <- r.len + s.len;
-        r.total_messages <- r.total_messages + s.total_messages;
-        r.runs <- r.runs + s.runs;
-        if s.edge_hi > 0 then begin
-          r.edge_counts <- grow r.edge_counts s.edge_hi;
-          for e = 0 to s.edge_hi - 1 do
-            r.edge_counts.(e) <- r.edge_counts.(e) + s.edge_counts.(e)
-          done;
-          if s.edge_hi > r.edge_hi then r.edge_hi <- s.edge_hi
-        end;
-        (* both lists are newest-first; this shard is newer than
-           everything merged so far *)
-        r.quiescence_rev <- s.quiescence_rev @ r.quiescence_rev)
-      shards
+let join parent child =
+  match (parent, child) with
+  | Recording r, Recording c ->
+    r.msgs <- grow r.msgs (r.len + c.len);
+    r.act <- grow r.act (r.len + c.len);
+    Array.blit c.msgs 0 r.msgs r.len c.len;
+    Array.blit c.act 0 r.act r.len c.len;
+    r.len <- r.len + c.len;
+    r.total_messages <- r.total_messages + c.total_messages;
+    r.runs <- r.runs + c.runs;
+    if c.edge_hi > 0 then begin
+      r.edge_counts <- grow r.edge_counts c.edge_hi;
+      for e = 0 to c.edge_hi - 1 do
+        r.edge_counts.(e) <- r.edge_counts.(e) + c.edge_counts.(e)
+      done;
+      if c.edge_hi > r.edge_hi then r.edge_hi <- c.edge_hi
+    end;
+    (* both lists are newest-first; the child is newer than everything
+       joined so far *)
+    r.quiescence_rev <- c.quiescence_rev @ r.quiescence_rev
+  | _ -> ()
 
 let rounds_observed = function Noop -> 0 | Recording r -> r.len
 
@@ -258,13 +211,3 @@ let to_json t =
       ( "quiescence_rounds",
         Json.List (List.map (fun r -> Json.Int r) (quiescence_rounds t)) );
     ]
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "@[<v>rounds observed:     %8d (%d engine runs)@,\
-     messages:            %8d@,\
-     peak messages/round: %8d (mean %.1f)@,\
-     peak active:         %8d (mean %.1f)@,\
-     hottest edge:        %8d (%d messages)@]"
-    s.rounds s.runs s.messages s.peak_round_messages s.mean_round_messages
-    s.peak_active s.mean_active s.hottest_edge s.hottest_edge_messages

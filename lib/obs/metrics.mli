@@ -1,10 +1,10 @@
 (** Round-level CONGEST engine metrics.
 
-    A collector is handed to [Network.run_counted] (via the round ledger)
-    and records, for every {e counted} engine round: the number of
-    messages sent, and the number of vertices still active. Across the
-    whole execution it additionally tracks cumulative per-edge message
-    counts (congestion) and per-run quiescence rounds.
+    A collector rides in a run's [Probe], which the round ledger hands to
+    [Network.run_counted]. It records, for every {e counted} engine
+    round: the number of messages sent, and the number of vertices still
+    active. Across the whole execution it additionally tracks cumulative
+    per-edge message counts (congestion) and per-run quiescence rounds.
 
     The series index is the global counted-round index across every
     program run recorded into the collector, so the messages series of a
@@ -22,27 +22,29 @@ val noop : t
 val create : ?trace:Trace.t -> unit -> t
 val enabled : t -> bool
 
-(** {1 Recording hooks (called by the engine)} *)
+(** {1 Recording hooks (called by the engine through [Probe])} *)
 
 val run_begin : t -> unit
 val on_send : t -> edge:int -> unit
 val on_round : t -> messages:int -> active:int -> unit
 val run_end : t -> quiesced:bool -> rounds:int -> unit
 
-(** {1 Sharded recording for parallel sections}
+(** {1 Fork and join}
 
-    The collector analogue of {!Trace.shard_begin}: inside a region, each
-    pool task records runs/rounds/edge loads into a private per-index
-    shard, and {!shard_merge} folds the shards back in ascending index
-    order — series are concatenated, totals and per-edge loads summed,
-    quiescence lists appended — so the merged collector equals the one a
-    sequential run in index order would have produced, at any [--jobs].
-    If the collector carries a trace, each shard's round samples are
-    emitted through the trace's own sharding and rebase with it. *)
+    The collector side of [Probe.fork]/[Probe.join]: a parallel section
+    records into private children, and joining them in a fixed order
+    yields the collector a sequential run in that order would have
+    produced — series are concatenated, totals and per-edge loads
+    summed, quiescence lists appended. Round samples need no replay:
+    a child emits them into the child trace, which joins with the trace. *)
 
-val shard_begin : t -> int -> unit
-val shard_run : t -> int -> (unit -> 'a) -> 'a
-val shard_merge : t -> unit
+val fork : t -> trace:Trace.t -> t
+(** A fresh child, {!noop} for {!noop}. It samples into [trace] iff [t]
+    samples into a recording trace. *)
+
+val join : t -> t -> unit
+(** [join parent child] folds [child] into [parent]. No-op unless both
+    record. *)
 
 (** {1 Accessors} *)
 
@@ -87,5 +89,3 @@ val summary_to_json : summary -> Json.t
 
 val to_json : t -> Json.t
 (** Full dump: summary plus both per-round series and quiescence rounds. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -169,26 +169,6 @@ let record r name ~dns ~dminor ~(g0 : Gc.stat) ~(g1 : Gc.stat) =
   Hist.add s.r_hist dns;
   Mutex.unlock r.m
 
-let declare t name =
-  match t with
-  | Noop -> ()
-  | Recording r ->
-    Mutex.lock r.m;
-    if not (Hashtbl.mem r.tbl name) then
-      Hashtbl.add r.tbl name
-        {
-          r_calls = 0;
-          r_total = 0.0;
-          r_max = 0.0;
-          r_minor = 0.0;
-          r_promoted = 0.0;
-          r_major = 0.0;
-          r_minor_c = 0;
-          r_major_c = 0;
-          r_hist = Hist.create ();
-        };
-    Mutex.unlock r.m
-
 let span t name f =
   match t with
   | Noop -> f ()
@@ -237,11 +217,7 @@ let to_json t =
   Json.List
     (List.map
        (fun s ->
-         (* an empty histogram has no latencies to summarize: percentiles
-            are [null], not the bucket-0 latency floor *)
-         let pct p =
-           if Hist.count s.hist = 0 then Json.Null else Json.Float (p s.hist)
-         in
+         let pct p = Json.Float (p s.hist) in
          Json.Obj
            [
              ("span", Json.Str s.name);

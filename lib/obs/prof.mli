@@ -79,13 +79,6 @@ val span : t -> string -> (unit -> 'a) -> 'a
     into the aggregate for [name], exception-safe. [f ()] with no
     measurement overhead at all on {!noop}. *)
 
-val declare : t -> string -> unit
-(** [declare t name] registers [name] with zero calls if it has never
-    been measured, so fixed report layouts (e.g. a server's endpoint
-    table) list every span even before its first hit. An empty span
-    renders with [null] percentiles in {!to_json} and is skipped by
-    [Export.prof_table]. No-op on {!noop} or when [name] exists. *)
-
 val allocated_words : unit -> float
 (** Words allocated by the calling domain so far
     ([minor_words + major_words - promoted_words] of [Gc.quick_stat]).
@@ -99,7 +92,4 @@ val stats : t -> stat list
 
 val to_json : t -> Json.t
 (** The {!stats} as a JSON list (histograms as p50/p90/p99), for the
-    [--profile] artifact. A span with an empty histogram reports [null]
-    percentiles — there is no latency to summarize, and the previous
-    behaviour (the bucket-0 floor rendered as [0.0]) read as a measured
-    zero-nanosecond latency. *)
+    [--profile] artifact. *)

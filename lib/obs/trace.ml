@@ -13,17 +13,6 @@ type event = {
   args : (string * value) list;
 }
 
-(* A sharded region turns the trace into [n] private buffers, one per
-   canonical task index. Shard ops record logical-clock-relative state and
-   are replayed into the main buffer in ascending shard order at
-   [shard_merge], reproducing the exact sequential elaboration of the
-   tasks: same events, same timestamps, same cumulative counter values,
-   whatever the scheduling was. Counters are therefore recorded as deltas
-   (their cumulative value is only known at merge time). *)
-type op =
-  | O_event of event (* ts is shard-local, based at the region's open *)
-  | O_count of string * int * float (* name, delta, shard-local ts *)
-
 type recording = {
   mutable clock : float;
   mutable stack : string list; (* innermost first *)
@@ -32,17 +21,6 @@ type recording = {
   counters : (string, int) Hashtbl.t;
   mutable subscribers : (event -> unit) list; (* in subscription order *)
   mutable dispatching : bool; (* re-entrancy guard for subscribers *)
-  mutable shards : shard array; (* [||] outside a sharded region *)
-}
-
-and shard = {
-  owner : recording;
-  s_c0 : float; (* main clock when the region opened *)
-  mutable s_clock : float;
-  mutable s_advance : float; (* total [advance] seen by this shard *)
-  mutable s_stack : string list;
-  mutable s_ops_rev : op list;
-  s_counts : (string, int) Hashtbl.t; (* per-shard counter deltas *)
 }
 
 type t = Noop | Recording of recording
@@ -59,7 +37,6 @@ let create () =
       counters = Hashtbl.create 16;
       subscribers = [];
       dispatching = false;
-      shards = [||];
     }
 
 let subscribe t f =
@@ -69,34 +46,10 @@ let subscribe t f =
 
 let enabled = function Noop -> false | Recording _ -> true
 
-(* The shard the calling domain should record into, if any. Keyed per
-   domain (like the pool's in-task flag) and tagged with the owning
-   recording, so a private trace used inside a task is never misrouted
-   into another trace's shard. *)
-let shard_key : shard option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let current_shard r =
-  if Array.length r.shards = 0 then None
-  else
-    match !(Domain.DLS.get shard_key) with
-    | Some s when s.owner == r -> Some s
-    | _ -> None
-
-let now = function
-  | Noop -> 0.0
-  | Recording r -> (
-    match current_shard r with Some s -> s.s_clock | None -> r.clock)
+let now = function Noop -> 0.0 | Recording r -> r.clock
 
 let advance t dt =
-  match t with
-  | Noop -> ()
-  | Recording r -> (
-    match current_shard r with
-    | Some s ->
-      s.s_clock <- s.s_clock +. dt;
-      s.s_advance <- s.s_advance +. dt
-    | None -> r.clock <- r.clock +. dt)
+  match t with Noop -> () | Recording r -> r.clock <- r.clock +. dt
 
 let emit r kind name ts args =
   if r.dispatching then
@@ -114,37 +67,26 @@ let emit r kind name ts args =
       ~finally:(fun () -> r.dispatching <- false)
       (fun () -> List.iter (fun f -> f e) subs)
 
-let shard_op s o = s.s_ops_rev <- o :: s.s_ops_rev
+let push_span r name ts args =
+  r.stack <- name :: r.stack;
+  emit r Span_begin name ts args
+
+let pop_span r ts =
+  match r.stack with
+  | [] -> ()
+  | name :: rest ->
+    r.stack <- rest;
+    emit r Span_end name ts []
+
+let add_count r name n ts =
+  let total = n + Option.value ~default:0 (Hashtbl.find_opt r.counters name) in
+  Hashtbl.replace r.counters name total;
+  emit r Counter name ts [ (name, Int total) ]
 
 let begin_span t ?(args = []) name =
-  match t with
-  | Noop -> ()
-  | Recording r -> (
-    match current_shard r with
-    | Some s ->
-      s.s_stack <- name :: s.s_stack;
-      shard_op s (O_event { kind = Span_begin; name; ts = s.s_clock; args })
-    | None ->
-      r.stack <- name :: r.stack;
-      emit r Span_begin name r.clock args)
+  match t with Noop -> () | Recording r -> push_span r name r.clock args
 
-let end_span t =
-  match t with
-  | Noop -> ()
-  | Recording r -> (
-    match current_shard r with
-    | Some s -> (
-      match s.s_stack with
-      | [] -> ()
-      | name :: rest ->
-        s.s_stack <- rest;
-        shard_op s (O_event { kind = Span_end; name; ts = s.s_clock; args = [] }))
-    | None -> (
-      match r.stack with
-      | [] -> ()
-      | name :: rest ->
-        r.stack <- rest;
-        emit r Span_end name r.clock []))
+let end_span t = match t with Noop -> () | Recording r -> pop_span r r.clock
 
 let span t ?args name f =
   match t with
@@ -154,125 +96,47 @@ let span t ?args name f =
     Fun.protect ~finally:(fun () -> end_span t) f
 
 let instant t ?(args = []) name =
-  match t with
-  | Noop -> ()
-  | Recording r -> (
-    match current_shard r with
-    | Some s -> shard_op s (O_event { kind = Instant; name; ts = s.s_clock; args })
-    | None -> emit r Instant name r.clock args)
+  match t with Noop -> () | Recording r -> emit r Instant name r.clock args
 
 let count t name n =
-  match t with
-  | Noop -> ()
-  | Recording r -> (
-    match current_shard r with
-    | Some s ->
-      let d = n + Option.value ~default:0 (Hashtbl.find_opt s.s_counts name) in
-      Hashtbl.replace s.s_counts name d;
-      shard_op s (O_count (name, n, s.s_clock))
-    | None ->
-      let total =
-        n + Option.value ~default:0 (Hashtbl.find_opt r.counters name)
-      in
-      Hashtbl.replace r.counters name total;
-      emit r Counter name r.clock [ (name, Int total) ])
+  match t with Noop -> () | Recording r -> add_count r name n r.clock
 
 let sample t ?ts name v =
   match t with
   | Noop -> ()
-  | Recording r -> (
-    match current_shard r with
-    | Some s ->
-      let ts = Option.value ~default:s.s_clock ts in
-      shard_op s (O_event { kind = Counter; name; ts; args = [ (name, Float v) ] })
-    | None ->
-      let ts = Option.value ~default:r.clock ts in
-      emit r Counter name ts [ (name, Float v) ])
+  | Recording r ->
+    let ts = Option.value ~default:r.clock ts in
+    emit r Counter name ts [ (name, Float v) ]
 
 let counter_total t name =
   match t with
   | Noop -> 0
-  | Recording r -> (
-    let main = Option.value ~default:0 (Hashtbl.find_opt r.counters name) in
-    match current_shard r with
-    | Some s -> main + Option.value ~default:0 (Hashtbl.find_opt s.s_counts name)
-    | None -> main)
+  | Recording r -> Option.value ~default:0 (Hashtbl.find_opt r.counters name)
 
-let depth = function
-  | Noop -> 0
-  | Recording r -> (
-    match current_shard r with
-    | Some s -> List.length s.s_stack
-    | None -> List.length r.stack)
-
+let depth = function Noop -> 0 | Recording r -> List.length r.stack
 let events = function Noop -> [] | Recording r -> List.rev r.events_rev
 let event_count = function Noop -> 0 | Recording r -> r.n_events
 
-(* ---------- sharded regions ---------- *)
-
-let shard_begin t n =
-  match t with
-  | Noop -> ()
-  | Recording r ->
-    if n < 0 then invalid_arg "Trace.shard_begin: negative shard count";
-    if Array.length r.shards > 0 then
-      invalid_arg "Trace.shard_begin: a sharded region is already open";
-    r.shards <-
-      Array.init n (fun _ ->
-          {
-            owner = r;
-            s_c0 = r.clock;
-            s_clock = r.clock;
-            s_advance = 0.0;
-            s_stack = [];
-            s_ops_rev = [];
-            s_counts = Hashtbl.create 8;
-          })
-
-let shard_run t i f =
-  match t with
-  | Noop -> f ()
-  | Recording r ->
-    if Array.length r.shards = 0 then f ()
-    else begin
-      let cell = Domain.DLS.get shard_key in
-      match !cell with
-      | Some s when s.owner == r ->
-        (* nested region on the same trace: the inner tasks run inline in
-           index order inside this shard, so recording straight into it
-           already yields the sequential elaboration *)
-        f ()
-      | saved ->
-        cell := Some r.shards.(i);
-        Fun.protect ~finally:(fun () -> cell := saved) f
-    end
-
-let replay r offset = function
-  | O_event ({ kind = Span_begin; _ } as e) ->
-    r.stack <- e.name :: r.stack;
-    emit r e.kind e.name (e.ts +. offset) e.args
-  | O_event ({ kind = Span_end; _ } as e) ->
-    (match r.stack with [] -> () | _ :: rest -> r.stack <- rest);
-    emit r e.kind e.name (e.ts +. offset) e.args
-  | O_event e -> emit r e.kind e.name (e.ts +. offset) e.args
-  | O_count (name, delta, ts) ->
-    let total =
-      delta + Option.value ~default:0 (Hashtbl.find_opt r.counters name)
-    in
-    Hashtbl.replace r.counters name total;
-    emit r Counter name (ts +. offset) [ (name, Int total) ]
-
-let shard_merge t =
-  match t with
-  | Noop -> ()
-  | Recording r ->
-    let shards = r.shards in
-    r.shards <- [||];
-    Array.iter
-      (fun s ->
-        (* rebase this shard's local timeline onto the point the previous
-           shards advanced the main clock to *)
-        let offset = r.clock -. s.s_c0 in
-        List.iter (replay r offset) (List.rev s.s_ops_rev);
-        r.clock <- r.clock +. s.s_advance)
-      shards
+(* Replays the child's stream as if it had been recorded here: timestamps
+   shift by the clock at the join, and each [count] event — the only
+   counter events with an [Int] value — becomes the delta it added in the
+   child, folded into this trace's cumulative total. *)
+let join parent child =
+  match (parent, child) with
+  | Recording p, Recording c ->
+    let offset = p.clock in
+    let seen = Hashtbl.create 8 in
+    List.iter
+      (fun e ->
+        let ts = e.ts +. offset in
+        match (e.kind, e.args) with
+        | Span_begin, _ -> push_span p e.name ts e.args
+        | Span_end, _ -> pop_span p ts
+        | Counter, [ (name, Int total) ] ->
+          let prev = Option.value ~default:0 (Hashtbl.find_opt seen name) in
+          Hashtbl.replace seen name total;
+          add_count p name (total - prev) ts
+        | _ -> emit p e.kind e.name ts e.args)
+      (List.rev c.events_rev);
+    p.clock <- p.clock +. c.clock
+  | _ -> ()

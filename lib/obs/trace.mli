@@ -11,7 +11,12 @@
     is off — or recording, in which case events accumulate in memory until
     exported. Recording is purely passive: it never consumes randomness or
     influences control flow, so algorithm results are identical with
-    tracing on or off. *)
+    tracing on or off.
+
+    A trace is single-domain state. A parallel section gives each task a
+    fresh child trace and appends the children in a fixed order with
+    {!join}, which is how [Probe.fork]/[Probe.join] keep exported streams
+    independent of [--jobs]. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
@@ -42,9 +47,8 @@ val subscribe : t -> (event -> unit) -> unit
     {!Monitor}) attach through. Subscribers run synchronously in
     subscription order and must not emit into [t] themselves: a
     subscriber that does raises [Invalid_argument] instead of silently
-    corrupting the event stream. During a sharded region (see
-    {!shard_begin}) subscribers see nothing until {!shard_merge} replays
-    the merged stream on the merging domain. No-op on {!noop}. *)
+    corrupting the event stream. Events appended by {!join} are
+    dispatched at the join. No-op on {!noop}. *)
 
 val enabled : t -> bool
 
@@ -81,47 +85,17 @@ val depth : t -> int
 (** Number of currently open spans. *)
 
 val events : t -> event list
-(** All recorded events, in emission order. During an open sharded region
-    this reflects only events merged so far. *)
+(** All recorded events, in emission order. *)
 
 val event_count : t -> int
 
-(** {1 Sharded recording for parallel sections}
-
-    A sharded region lets concurrently running pool tasks record into one
-    shared trace without racing and without perturbing the event stream:
-    each task writes a private per-index buffer, and {!shard_merge}
-    replays the buffers in ascending index order, rebasing each shard's
-    logical timestamps onto the cumulative clock advance of the shards
-    before it. The merged stream — events, timestamps, cumulative counter
-    values — is byte-identical to running the tasks sequentially in index
-    order, so it is independent of [--jobs] and of scheduling.
-
-    Inside [shard_run t i f], {!now}, {!advance}, {!counter_total} and
-    {!depth} all operate on the shard: [now] starts at the clock value the
-    region opened with and [counter_total] is the pre-region total plus
-    this shard's own delta — both deterministic. Subscribers fire only at
-    merge, on the merging domain.
-
-    The begin/merge pair must be called outside any shard (normally on the
-    engine domain, around a pool fan-out). Nested regions on the same
-    trace are not supported; a [shard_run] that finds the calling domain
-    already inside a shard of the same trace records straight into that
-    shard, which is correct because nested pool combinators run inline in
-    index order. *)
-
-val shard_begin : t -> int -> unit
-(** [shard_begin t n] opens a sharded region with [n] shards (one per
-    canonical task index). Raises [Invalid_argument] if a region is
-    already open. No-op on {!noop}. *)
-
-val shard_run : t -> int -> (unit -> 'a) -> 'a
-(** [shard_run t i f] runs [f] with the calling domain's emissions into
-    [t] routed to shard [i]. Other traces used inside [f] are unaffected.
-    Outside a region this is just [f ()]. *)
-
-val shard_merge : t -> unit
-(** Close the region: replay all shards into the main buffer in ascending
-    index order (dispatching subscribers) and advance the main clock by
-    the sum of the shards' advances. No-op on {!noop} or when no region
-    is open. *)
+val join : t -> t -> unit
+(** [join parent child] appends [child]'s events to [parent] as if they
+    had been recorded there: timestamps are rebased onto [parent]'s
+    clock, counter values fold into [parent]'s cumulative totals,
+    [parent]'s subscribers fire for each appended event on the calling
+    domain, and [parent]'s clock advances by [child]'s. Joining the
+    children of a parallel section in a fixed order therefore yields
+    exactly the stream of running them sequentially in that order,
+    whatever the scheduling (see [Probe.fork]). [child] must not be used
+    afterwards. No-op unless both traces record. *)

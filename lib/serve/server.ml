@@ -155,8 +155,16 @@ let handle_verify t req =
   let report = Maint.verify ?cap t.maint in
   ok_fields ~req:"verify" ~id:None (report_fields report)
 
+(* Trials run on the sequential accept loop, so one request may not ask
+   for more than this: a larger count would stall every other client. *)
+let max_resilience_trials = 1024
+
 let handle_resilience t req =
   let trials = int_param req "trials" ~default:64 in
+  if trials < 0 || trials > max_resilience_trials then
+    invalid_arg
+      (Printf.sprintf "resilience: trials must be in [0, %d], got %d"
+         max_resilience_trials trials);
   let seed = int_param req "seed" ~default:t.default_seed in
   let g = Maint.graph t.maint in
   let rep =

@@ -12,7 +12,8 @@
       [k], [seed], [edges] (include universe edge ids).
     - [verify] — {!Maint.verify} of the resident solution ([cap]?).
     - [resilience] — seeded {!Kecss_faults.Resilience.attack} against
-      the resident solution ([trials], [seed]).
+      the resident solution ([trials], at most 1024 — the attack runs on
+      the sequential accept loop — and [seed]).
     - [audit] — verification report + size bound + lower bound / ratio +
       maintenance counters.
     - [stats] — deterministic counters; wall-clock latency histograms

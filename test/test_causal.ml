@@ -103,6 +103,22 @@ let recorded_solve () =
 
 let attribution_tests =
   [
+    case "joined recorders analyze like one recording both solves" (fun () ->
+        let solve causal seed g =
+          ignore
+            (Ecss2.solve_with (Rounds.create ~causal ()) (Rng.create ~seed) g)
+        in
+        let g = solve_fixture () and h = Gen.circulant 16 [ 1; 3 ] in
+        let one = Causal.create () in
+        solve one 1 g;
+        solve one 2 h;
+        let first = Causal.create () and second = Causal.create () in
+        solve first 1 g;
+        solve second 2 h;
+        Causal.join first second;
+        check_is "identical reports"
+          (Causal.analyze ~chains:1000 ~slack:1000 one
+          = Causal.analyze ~chains:1000 ~slack:1000 first));
     case "recorder totals equal the engine metrics" (fun () ->
         let causal, metrics, _ = recorded_solve () in
         let s = Obs.Metrics.summary metrics in
@@ -266,7 +282,8 @@ let stall_dump () =
   let inj = Kecss_faults.Net.injector plan in
   let flight = Flight.create ~window:8 ~capacity:16 () in
   match
-    Network.run_counted ~flight
+    Network.run_counted
+      ~probe:(Obs.Probe.create ~flight ())
       ~hook:(Kecss_faults.Net.hook inj)
       ~max_rounds:12 g (relay_program edges n)
   with
@@ -302,31 +319,6 @@ let flight_stall_tests =
         check_is "identical dumps" (String.equal a b));
   ]
 
-(* ---------- Prof: declared-but-empty spans ---------- *)
-
-let prof_tests =
-  [
-    case "declared span reports null percentiles in JSON" (fun () ->
-        let prof = Obs.Prof.create () in
-        Obs.Prof.declare prof "endpoint";
-        ignore (Obs.Prof.span prof "hit" (fun () -> 1));
-        let s = Obs.Json.to_string (Obs.Prof.to_json prof) in
-        check_is "empty histogram is null, not 0.0"
-          (contains s "\"p50_ns\":null");
-        check_is "declared span listed" (contains s "\"span\":\"endpoint\"");
-        check_is "measured span has real percentiles"
-          (not (contains s "\"span\":\"hit\"") = false);
-        check_int "exactly one null percentile triple" 1
-          (count_occurrences s "\"p50_ns\":null"));
-    case "prof_table skips empty spans" (fun () ->
-        let prof = Obs.Prof.create () in
-        Obs.Prof.declare prof "endpoint";
-        ignore (Obs.Prof.span prof "hit" (fun () -> 1));
-        let table = Format.asprintf "%a" Obs.Export.prof_table prof in
-        check_is "measured span shown" (contains table "hit");
-        check_is "empty span skipped" (not (contains table "endpoint")));
-  ]
-
 let () =
   Alcotest.run "causal"
     [
@@ -335,5 +327,4 @@ let () =
       ("causal-determinism", determinism_tests);
       ("flight-unit", flight_unit_tests);
       ("flight-stall", flight_stall_tests);
-      ("prof-empty", prof_tests);
     ]

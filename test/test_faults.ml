@@ -342,7 +342,8 @@ let net_tests =
         let g = Gen.circulant 8 [ 1; 2 ] in
         let run () =
           let trace = Kecss_obs.Trace.create () in
-          match Net.run_counted ~trace ~plan g (flood_program g ~rounds:3) with
+          let probe = Kecss_obs.Probe.create ~trace () in
+          match Net.run_counted ~probe ~plan g (flood_program g ~rounds:3) with
           | Net.Stalled _ -> Alcotest.fail "stalled"
           | Net.Quiesced { states; rounds; messages; faults } ->
             ((counts states, rounds, messages, faults), fault_events trace)
@@ -357,7 +358,8 @@ let net_tests =
         let run seed =
           let trace = Kecss_obs.Trace.create () in
           ignore
-            (Net.run_counted ~trace
+            (Net.run_counted
+               ~probe:(Kecss_obs.Probe.create ~trace ())
                ~plan:(Plan.with_seed seed (Plan.drop 0.3))
                g (flood_program g ~rounds:3));
           fault_events trace

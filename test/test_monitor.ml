@@ -254,12 +254,12 @@ let test_ecss3_runs_clean () =
           (Format.asprintf "%s: %a" name Monitor.pp_violation v))
     (three_ec_pool ())
 
-(* Rounds.subscribe is the ledger-level attachment point *)
+(* a consumer holding only the ledger attaches through its trace *)
 let test_rounds_subscribe () =
   let tr = Trace.create () in
   let ledger = Rounds.create ~trace:tr () in
   let count = ref 0 in
-  Rounds.subscribe ledger (fun _ -> incr count);
+  Trace.subscribe (Rounds.trace ledger) (fun _ -> incr count);
   ignore (Ecss2.solve_with ledger (Rng.create ~seed:3) (List.assoc "cycle12" (two_ec_pool ())));
   check_is "ledger subscription delivers events" (!count > 0);
   check_int "every event delivered" (Trace.event_count tr) !count

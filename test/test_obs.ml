@@ -81,69 +81,54 @@ let test_subscribe_reentrancy () =
   check_int "only first-level events recorded" 2 (Trace.event_count tr)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded recording                                                   *)
+(* Fork and join                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* the per-cell workload the shard tests replay: spans, clock advances,
-   counters and instants, all index-dependent *)
-let shard_cell tr i =
+(* the per-cell workload the fork/join tests replay: spans, clock
+   advances, counters and instants, all index-dependent *)
+let fork_cell tr i =
   Trace.span tr (Printf.sprintf "cell%d" i) (fun () ->
       Trace.advance tr (float_of_int (i + 1));
       Trace.count tr "msgs" (i + 2);
       Trace.instant tr ~args:[ ("i", Trace.Int i) ] "tick";
-      Trace.span tr "inner" (fun () -> Trace.advance tr 0.5))
+      Trace.span tr "inner" (fun () ->
+          Trace.advance tr 0.5;
+          Trace.count tr "msgs" 1))
 
-let test_trace_shard_merge () =
+let test_trace_fork_join () =
   (* reference: the same cells run inline, in index order *)
   let seq = Trace.create () in
   Trace.instant seq "prologue";
   Trace.advance seq 2.0;
+  Trace.count seq "msgs" 10;
   for i = 0 to 2 do
-    shard_cell seq i
+    fork_cell seq i
   done;
   Trace.instant seq "epilogue";
-  (* sharded: cells recorded out of order, merged at the boundary *)
+  (* forked: cells recorded into children out of order, joined in index
+     order; the parent's subscriber sees every joined event *)
   let sh = Trace.create () in
+  let seen = ref 0 in
+  Trace.subscribe sh (fun _ -> incr seen);
+  let parent = Probe.create ~trace:sh () in
   Trace.instant sh "prologue";
   Trace.advance sh 2.0;
-  Trace.shard_begin sh 3;
-  List.iter (fun i -> Trace.shard_run sh i (fun () -> shard_cell sh i)) [ 2; 0; 1 ];
-  Trace.shard_merge sh;
+  Trace.count sh "msgs" 10;
+  let kids = Array.init 3 (fun _ -> Probe.fork parent) in
+  List.iter (fun i -> fork_cell (Probe.trace kids.(i)) i) [ 2; 0; 1 ];
+  check_int "nothing reaches the parent before the join" 2
+    (Trace.event_count sh);
+  Array.iter (Probe.join parent) kids;
   Trace.instant sh "epilogue";
   Alcotest.(check string)
-    "merged stream byte-identical to sequential" (Export.jsonl seq)
+    "joined stream byte-identical to sequential" (Export.jsonl seq)
     (Export.jsonl sh);
-  check_int "counters merge cumulatively" (Trace.counter_total seq "msgs")
+  check_int "counters fold cumulatively" (Trace.counter_total seq "msgs")
     (Trace.counter_total sh "msgs");
-  check_is "clock advanced by the shard sum" (Trace.now sh = Trace.now seq)
+  check_is "clock advanced by the children's sum" (Trace.now sh = Trace.now seq);
+  check_int "subscriber fired for every event" (Trace.event_count sh) !seen
 
-let test_trace_shard_local_views () =
-  let tr = Trace.create () in
-  Trace.advance tr 4.0;
-  Trace.count tr "msgs" 10;
-  Trace.shard_begin tr 2;
-  Trace.shard_run tr 1 (fun () ->
-      check_is "shard clock starts at region open" (Trace.now tr = 4.0);
-      Trace.advance tr 3.0;
-      check_is "shard-local advance visible" (Trace.now tr = 7.0);
-      Trace.count tr "msgs" 5;
-      check_int "shard counter = main + local delta" 15
-        (Trace.counter_total tr "msgs"));
-  (* sibling shards never see each other *)
-  Trace.shard_run tr 0 (fun () ->
-      check_is "sibling unaffected by shard 1" (Trace.now tr = 4.0);
-      check_int "sibling counter unaffected" 10 (Trace.counter_total tr "msgs"));
-  check_is "main clock frozen until merge" (Trace.now tr = 4.0);
-  Trace.shard_merge tr;
-  check_is "merge sums shard advances" (Trace.now tr = 7.0);
-  check_int "merge folds counter deltas" 15 (Trace.counter_total tr "msgs");
-  (* a second region on the same trace must start clean *)
-  Trace.shard_begin tr 1;
-  Trace.shard_run tr 0 (fun () -> Trace.advance tr 1.0);
-  Trace.shard_merge tr;
-  check_is "second region rebases" (Trace.now tr = 8.0)
-
-let test_metrics_shard_merge () =
+let test_metrics_fork_join () =
   let record m i =
     Metrics.run_begin m;
     for r = 0 to i do
@@ -157,11 +142,9 @@ let test_metrics_shard_merge () =
     record seq i
   done;
   let sh = Metrics.create () in
-  Metrics.shard_begin sh 4;
-  List.iter
-    (fun i -> Metrics.shard_run sh i (fun () -> record sh i))
-    [ 3; 1; 0; 2 ];
-  Metrics.shard_merge sh;
+  let kids = Array.init 4 (fun _ -> Metrics.fork sh ~trace:Trace.noop) in
+  List.iter (fun i -> record kids.(i) i) [ 3; 1; 0; 2 ];
+  Array.iter (Metrics.join sh) kids;
   check_is "summary identical" (Metrics.summary seq = Metrics.summary sh);
   check_is "messages series identical"
     (Metrics.messages_series seq = Metrics.messages_series sh);
@@ -713,10 +696,8 @@ let () =
         ] );
       ( "shards",
         [
-          case "merged stream equals sequential run" test_trace_shard_merge;
-          case "shard-local clock and counter views"
-            test_trace_shard_local_views;
-          case "metrics shards merge in index order" test_metrics_shard_merge;
+          case "merged stream equals sequential run" test_trace_fork_join;
+          case "metrics shards merge in index order" test_metrics_fork_join;
         ] );
       ( "prof",
         [

@@ -237,7 +237,9 @@ let test_engine_identical () =
   let run pool =
     let metrics = Kecss_obs.Metrics.create () in
     let states, rounds, msgs =
-      Network.run_counted ~metrics ~pool g program
+      Network.run_counted
+        ~probe:(Kecss_obs.Probe.create ~metrics ())
+        ~pool g program
     in
     ( Array.to_list (Array.map (fun r -> !r) states),
       rounds,
@@ -250,37 +252,67 @@ let test_engine_identical () =
   Alcotest.(check int) "messages" m1 m4;
   Alcotest.(check bool) "metrics summary" true (sum1 = sum4)
 
-(* sharded sinks under real pool parallelism: cells record into one
-   shared trace/metrics pair from worker domains, and the merged exports
-   must be byte-identical to the jobs = 1 run *)
-let sharded_cells jobs =
+(* forked probes under real pool parallelism: cells record into private
+   children on worker domains, and the exports joined in index order must
+   be byte-identical to the jobs = 1 run *)
+let forked_cells jobs =
   let trace = Kecss_obs.Trace.create () in
   let metrics = Kecss_obs.Metrics.create ~trace () in
+  let probe = Kecss_obs.Probe.create ~trace ~metrics () in
+  let n = 6 in
+  let kids = Array.init n (fun _ -> Kecss_obs.Probe.fork probe) in
   with_pool jobs (fun pool ->
-      let n = 6 in
-      Kecss_obs.Trace.shard_begin trace n;
-      Kecss_obs.Metrics.shard_begin metrics n;
-      Fun.protect
-        ~finally:(fun () ->
-          Kecss_obs.Metrics.shard_merge metrics;
-          Kecss_obs.Trace.shard_merge trace)
-        (fun () ->
-          Pool.parallel_for ~pool ~chunk:1 n (fun i ->
-              Kecss_obs.Trace.shard_run trace i (fun () ->
-                  Kecss_obs.Metrics.shard_run metrics i (fun () ->
-                      let g = test_graph ~n:24 ~k:2 ~seed:(100 + i) in
-                      let ledger = Rounds.create ~trace ~metrics () in
-                      ignore
-                        (Ecss2.solve_with ledger (Rng.create ~seed:1) g))))));
+      Pool.parallel_for ~pool ~chunk:1 n (fun i ->
+          let g = test_graph ~n:24 ~k:2 ~seed:(100 + i) in
+          let ledger = Rounds.of_probe kids.(i) ~hook:None in
+          ignore (Ecss2.solve_with ledger (Rng.create ~seed:1) g)));
+  Array.iter (Kecss_obs.Probe.join probe) kids;
   ( Kecss_obs.Export.jsonl trace,
     Kecss_obs.Trace.counter_total trace "messages",
     Kecss_obs.Metrics.summary metrics )
 
-let test_sharded_sinks_identical () =
-  let j1, c1, s1 = sharded_cells 1 and j4, c4, s4 = sharded_cells 4 in
+let test_forked_probes_identical () =
+  let j1, c1, s1 = forked_cells 1 and j4, c4, s4 = forked_cells 4 in
   Alcotest.(check int) "merged message counter" c1 c4;
   Alcotest.(check bool) "merged metrics summary" true (s1 = s4);
   Alcotest.(check string) "merged event stream byte-identical" j1 j4
+
+(* The experiments' telemetry snapshot rows read each ledger's own
+   metrics collector, so registering a recording probe must not change
+   any rendered table, at any pool size. *)
+let experiment_tables probe jobs id =
+  let module E = Kecss_experiments.Experiments in
+  with_default_jobs jobs (fun () ->
+      E.set_probe probe ~hook:(fun _ -> None);
+      Fun.protect
+        ~finally:(fun () -> E.set_probe Kecss_obs.Probe.noop ~hook:(fun _ -> None))
+        (fun () ->
+          let e = Option.get (E.find id) in
+          String.concat "\n"
+            (List.map Kecss_experiments.Table.render (e.E.run ()).E.tables)))
+
+let test_experiment_snapshots () =
+  List.iter
+    (fun id ->
+      let plain = experiment_tables Kecss_obs.Probe.noop 1 id in
+      List.iter
+        (fun jobs ->
+          let trace = Kecss_obs.Trace.create () in
+          let metrics = Kecss_obs.Metrics.create ~trace () in
+          let probe = Kecss_obs.Probe.create ~trace ~metrics () in
+          Alcotest.(check string)
+            (Printf.sprintf "%s plain tables at jobs %d" id jobs)
+            plain
+            (experiment_tables Kecss_obs.Probe.noop jobs id);
+          Alcotest.(check string)
+            (Printf.sprintf "%s traced tables at jobs %d" id jobs)
+            plain
+            (experiment_tables probe jobs id);
+          Alcotest.(check bool)
+            "the run's collector holds the joined ledgers" true
+            (Kecss_obs.Metrics.runs metrics > 0))
+        [ 1; 4 ])
+    [ "T1.1-rounds"; "M-messages" ]
 
 (* ---------- utilization instrumentation ---------- *)
 
@@ -382,9 +414,11 @@ let () =
           case "engine run identical at jobs 1 and 4 on a sharding-size graph"
             test_engine_identical;
           case "sharded trace/metrics sinks identical at jobs 1 and 4"
-            test_sharded_sinks_identical;
+            test_forked_probes_identical;
           case "duplicate-send detection survives across runs"
             test_duplicate_detection_across_runs;
+          case "experiment snapshot tables identical with a recording probe"
+            test_experiment_snapshots;
         ] );
       ( "instrumentation",
         [ case "per-domain busy/task accounting" test_pool_stats ] );

@@ -279,6 +279,30 @@ let test_session_errors_then_continue () =
     [ false; false; false; false; false; true; true ]
     oks
 
+let test_resilience_trials_bounded () =
+  (* an attack runs on the sequential accept loop, so an oversized trial
+     count is refused up front instead of stalling every client *)
+  let srv = Server.create (serve_graph ()) ~k:2 in
+  let reqs =
+    [
+      {|{"req":"resilience","trials":1000000000}|};
+      {|{"req":"stats"}|};
+      {|{"req":"shutdown"}|};
+    ]
+  in
+  let t0 = Unix.gettimeofday () in
+  let resps =
+    decode_responses (run_session_string srv (frames_of_requests reqs))
+  in
+  Alcotest.(check bool) "refused at once" true (Unix.gettimeofday () -. t0 < 5.0);
+  Alcotest.(check (list bool))
+    "the error is a response; stats is still answered"
+    [ false; true; true ]
+    (List.map (fun r -> field_bool r "ok") resps);
+  Alcotest.(check bool) "the error names the parameter" true
+    (String.starts_with ~prefix:"resilience: trials"
+       (field_str (List.hd resps) "error"))
+
 let test_session_truncated_frame () =
   let srv = Server.create (serve_graph ()) ~k:2 in
   let input = frames_of_requests [ {|{"req":"verify"}|} ] ^ "12\n{\"req\":" in
@@ -406,6 +430,8 @@ let server_tests =
     case "session answers every request kind" test_session_basic;
     case "bad requests answer ok:false and the session continues"
       test_session_errors_then_continue;
+    case "oversized resilience trial count is refused"
+      test_resilience_trials_bounded;
     case "truncated trailing frame yields a protocol error"
       test_session_truncated_frame;
     case "garbage length prefix yields a protocol error"
