@@ -78,54 +78,6 @@ type 's program = {
     round:int -> int -> 's -> int array inbox -> send list * [ `Active | `Idle ];
 }
 
-(* In-place quicksort over a prefix of an int array (the newly delivered
-   segment of the next worklist).  Stdlib [Array.sort] has no range
-   variant and sorting a copy would allocate every pass. *)
-let sort_range a len =
-  let swap i j =
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  in
-  let rec go lo hi =
-    (* [lo, hi) *)
-    if hi - lo > 1 then
-      if hi - lo <= 16 then
-        for i = lo + 1 to hi - 1 do
-          let x = a.(i) in
-          let j = ref (i - 1) in
-          while !j >= lo && a.(!j) > x do
-            a.(!j + 1) <- a.(!j);
-            decr j
-          done;
-          a.(!j + 1) <- x
-        done
-      else begin
-        let mid = lo + ((hi - lo) / 2) in
-        if a.(mid) < a.(lo) then swap mid lo;
-        if a.(hi - 1) < a.(lo) then swap (hi - 1) lo;
-        if a.(hi - 1) < a.(mid) then swap (hi - 1) mid;
-        let pivot = a.(mid) in
-        let i = ref lo and j = ref (hi - 1) in
-        while !i <= !j do
-          while a.(!i) < pivot do
-            incr i
-          done;
-          while a.(!j) > pivot do
-            decr j
-          done;
-          if !i <= !j then begin
-            swap !i !j;
-            incr i;
-            decr j
-          end
-        done;
-        go lo (!j + 1);
-        go !i hi
-      end
-  in
-  go 0 len
-
 let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
   let n = Graph.n g in
   let max_rounds =
@@ -146,17 +98,16 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
   let scratch = stamp_scratch (max 1 (Graph.m g)) in
   let used_stamp = scratch.buf in
   let stamp = ref scratch.last in
-  (* per-vertex phase plan and step results: -1 the vertex is skipped
-     this pass, 0 it steps to (or is crash-stopped as) [`Idle], 1 it is
-     planned to step, 2 it stepped to [`Active] *)
-  let statuses = Array.make n (-1) in
+  (* per-vertex step results: 0 it steps to (or is crash-stopped as)
+     [`Idle], 1 it is planned to step, 2 it stepped to [`Active] *)
+  let statuses = Array.make n 0 in
   let sent : send list array = Array.make n [] in
   let in_flight = ref 0 in
   let round = ref 0 in
   let counted = ref 0 in
   let messages = ref 0 in
   (* deliveries whose injected delay has not yet elapsed:
-     (due pass, destination, edge, payload) *)
+     (due pass, destination, edge, payload, causal id) *)
   let delayed = ref [] in
   let obs = Probe.enabled probe in
   (* causal ids and parent sets mirror [inboxes] exactly; both are read
@@ -165,41 +116,63 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
   let cobs = Probe.causal_ids probe in
   let inbox_ids : int list array = if cobs then Array.make n [] else [||] in
   let parent_ids : int list array = if cobs then Array.make n [] else [||] in
-  (* Worklist: the vertices a pass must consider, in ascending order.
-     A pass's candidates are exactly the vertices that are active or hold
-     a delivered message, and both ways of entering that set are tracked
-     — [`Active] steppers survive via the set_active pass, message
-     destinations via the delivery passes — so instead of scanning all
-     [n] vertices every pass (a per-pass O(n) floor, fatal at n=10^6) the
-     engine touches only the frontier. *)
-  let work = Array.init n Fun.id in
-  let wl = ref n in
-  let surv = Array.make n 0 in
-  let sl = ref 0 in
-  let deliv = Array.make n 0 in
-  let dl = ref 0 in
-  let queued = Array.make n false in
-  (* pristine identity, blitted back over [work] after a dense pass *)
-  let identity = Array.init n Fun.id in
-  (* Once a pass has delivered to this many distinct vertices the next
-     worklist is within a constant of the identity, so tracking stops:
-     the rebuild becomes a blit and the next plan pass's
-     active-or-nonempty-inbox filter does the thinning — the delivered
-     set is discarded, never missed, because the identity covers it. *)
-  let dense = ref false in
-  let dense_cap = max 1 (n / 4) in
-  let enqueue_deliv v =
-    if (not !dense) && not queued.(v) then begin
-      queued.(v) <- true;
-      deliv.(!dl) <- v;
-      incr dl;
-      if !dl >= dense_cap then begin
-        dense := true;
-        (* the flags of everything tracked so far are cleared by the
-           next plan pass (the identity worklist spans all vertices) *)
-        dl := 0
-      end
-    end
+  (* The frontier: the vertices the next pass must step, i.e. those that
+     are active or hold delivered mail.  A vertex enters it by stepping
+     to [`Active] or by receiving a message.  Each pass reads it in
+     ascending order into [work] and clears it, so every phase of a pass
+     walks [work] and a pass costs O(n/63 + frontier), not O(n). *)
+  let frontier = Bitset.full n in
+  let work = Array.make n 0 in
+  let wl = ref 0 in
+  let push v =
+    work.(!wl) <- v;
+    incr wl
+  in
+  let first_word payload = if Array.length payload > 0 then payload.(0) else -1 in
+  (* the one delivery path: normal, replicated and delayed copies alike *)
+  let deliver dst edge payload id =
+    inboxes.(dst) <- (edge, payload) :: inboxes.(dst);
+    if cobs then inbox_ids.(dst) <- id :: inbox_ids.(dst);
+    if obs then
+      Probe.on_recv probe ~vertex:dst ~edge ~word:(first_word payload);
+    incr in_flight;
+    Bitset.add frontier dst
+  in
+  let rec send_all v group = function
+    | [] -> ()
+    | { edge; payload } :: rest ->
+      let words = Array.length payload in
+      if words > cap_words then
+        raise (Message_too_large { vertex = v; words });
+      if used_stamp.(edge) = !stamp then
+        raise (Duplicate_send { vertex = v; edge });
+      used_stamp.(edge) <- !stamp;
+      let dst = Graph.other_end g edge v in
+      (* the sender spent its message budget whatever the network then
+         does with the copy: sends are counted before the hook rules *)
+      incr messages;
+      let id =
+        if obs then
+          Probe.on_send probe ~src:v ~dst ~edge ~word:(first_word payload)
+            ~group
+        else -1
+      in
+      let fate =
+        match hook with
+        | Some h -> h.fate ~round:!round ~src:v ~edge
+        | None -> Deliver
+      in
+      (match fate with
+      | Drop -> ()
+      | Deliver -> deliver dst edge payload id
+      | Replicate copies ->
+        for _ = 1 to max 1 copies do
+          deliver dst edge payload id
+        done
+      | Postpone extra when extra <= 0 -> deliver dst edge payload id
+      | Postpone extra ->
+        delayed := (!round + 1 + extra, dst, edge, payload, id) :: !delayed);
+      send_all v group rest
   in
   let pool_now = lazy (match pool with Some t -> t | None -> Pool.default ()) in
   let threshold = par_threshold () in
@@ -207,43 +180,38 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
   while (!in_flight > 0 || !active_count > 0) && !round < max_rounds do
     (match hook with Some h -> h.round_begin ~round:!round | None -> ());
     if obs then Probe.round_begin probe;
-    (* plan pass: sequential, ascending over the worklist, so all hook
-       calls ([alive], like everything else hook-related) happen on the
-       engine domain in the same order the old full scan produced *)
+    wl := 0;
+    Bitset.iter push frontier;
+    Bitset.clear frontier;
+    let wl_now = !wl in
+    (* plan pass: sequential and ascending, so all hook calls ([alive],
+       like everything else hook-related) happen on the engine domain in
+       vertex order *)
     let eligible = ref 0 in
-    sl := 0;
-    dl := 0;
-    for i = 0 to !wl - 1 do
+    for i = 0 to wl_now - 1 do
       let v = work.(i) in
-      queued.(v) <- false;
-      if active.(v) || inboxes.(v) <> [] then begin
-        let live =
-          match hook with Some h -> h.alive ~round:!round v | None -> true
-        in
-        if live then begin
-          statuses.(v) <- 1;
-          incr eligible;
-          (* the messages delivered to [v] last pass are the parents of
-             everything it sends this pass *)
-          if cobs then parent_ids.(v) <- inbox_ids.(v)
-        end
-        else begin
-          (* crash-stop: the vertex neither steps nor sends, no longer
-             wants rounds, and its delivered messages are lost *)
-          statuses.(v) <- 0;
-          if obs then Probe.on_crash probe ~vertex:v
-        end
+      if match hook with Some h -> h.alive ~round:!round v | None -> true
+      then begin
+        statuses.(v) <- 1;
+        incr eligible;
+        (* the messages delivered to [v] last pass are the parents of
+           everything it sends this pass *)
+        if cobs then parent_ids.(v) <- inbox_ids.(v)
       end
-      else statuses.(v) <- -1
+      else begin
+        (* crash-stop: the vertex neither steps nor sends, no longer
+           wants rounds, and its delivered messages are lost *)
+        statuses.(v) <- 0;
+        if obs then Probe.on_crash probe ~vertex:v
+      end
     done;
     (* step pass: consume inboxes, collect sends.  Each domain owns a
-       static contiguous slice of the worklist and writes the sends of
-       its vertices into their own [sent] mailbox cells; a task touches
-       only vertex-owned cells ([states.(v)] by mutation, [statuses.(v)],
-       [sent.(v)]), so the split is invisible.  [set_active] — the
-       shared active count — is applied sequentially afterwards, in
-       vertex order. *)
-    let wl_now = !wl in
+       static contiguous slice of [work] and writes the sends of its
+       vertices into their own [sent] mailbox cells; a task touches only
+       vertex-owned cells ([states.(v)] by mutation, [statuses.(v)],
+       [sent.(v)]), so the split is invisible.  [set_active] — the shared
+       active count — is applied sequentially afterwards, in vertex
+       order. *)
     let nshards =
       if !eligible >= threshold && wl_now > 1 && not (Pool.in_task ()) then
         min (Pool.jobs (Lazy.force pool_now)) wl_now
@@ -263,155 +231,46 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
     else
       Pool.run_batch (Lazy.force pool_now) ~ntasks:nshards (fun d ->
           step_slice (d * wl_now / nshards) ((d + 1) * wl_now / nshards));
+    (* every inbox in [work] is consumed (crash-stopped vertices lose
+       their deliveries); vertices outside it hold nothing *)
     for i = 0 to wl_now - 1 do
       let v = work.(i) in
-      if statuses.(v) >= 0 then begin
-        let b = statuses.(v) = 2 in
-        if obs && active.(v) <> b then
-          Probe.on_active probe ~vertex:v ~active:b;
-        set_active v b;
-        if b then begin
-          (* survivors enter the next worklist first, already ascending *)
-          queued.(v) <- true;
-          surv.(!sl) <- v;
-          incr sl
-        end
-      end
+      let b = statuses.(v) = 2 in
+      if obs && active.(v) <> b then Probe.on_active probe ~vertex:v ~active:b;
+      set_active v b;
+      if b then Bitset.add frontier v;
+      inboxes.(v) <- [];
+      if cobs then inbox_ids.(v) <- []
     done;
-    (* all considered inboxes are consumed (skipped vertices had empty
-       ones, crash-stopped ones lose their deliveries); vertices outside
-       the worklist hold nothing by construction *)
-    for i = 0 to wl_now - 1 do
-      inboxes.(work.(i)) <- []
-    done;
-    if cobs then
-      for i = 0 to wl_now - 1 do
-        inbox_ids.(work.(i)) <- []
-      done;
     in_flight := 0;
-    (* delivery pass: sequential over the worklist — already ascending —
-       so the sender sequence is exactly that of the old full array
-       scan, whatever the pool size *)
+    (* delivery pass: sequential over [work] in ascending sender order,
+       whatever the pool size *)
     for i = 0 to wl_now - 1 do
       let v = work.(i) in
       match sent.(v) with
       | [] -> ()
       | sends ->
         sent.(v) <- [];
-        begin
-          incr stamp;
-          (* persisted eagerly so a run aborted by an engine exception
-             cannot leave stale cells above the next run's stamps *)
-          scratch.last <- !stamp;
-          (* every message [v] sends this round was enabled by the same
-             inbox, so its parent set is interned once *)
-          let group =
-            if cobs then Probe.group probe ~parents:parent_ids.(v) else 0
-          in
-          List.iter
-            (fun { edge; payload } ->
-              let words = Array.length payload in
-              if words > cap_words then
-                raise (Message_too_large { vertex = v; words });
-              if used_stamp.(edge) = !stamp then
-                raise (Duplicate_send { vertex = v; edge });
-              used_stamp.(edge) <- !stamp;
-              let dst = Graph.other_end g edge v in
-              (* the sender spent its message budget whatever the network
-                 then does with the copy: sends are counted before the
-                 hook rules *)
-              incr messages;
-              let word = if words > 0 then payload.(0) else -1 in
-              let id =
-                if obs then Probe.on_send probe ~src:v ~dst ~edge ~word ~group
-                else -1
-              in
-              let deliver () =
-                inboxes.(dst) <- (edge, payload) :: inboxes.(dst);
-                if cobs then inbox_ids.(dst) <- id :: inbox_ids.(dst);
-                if obs then Probe.on_recv probe ~vertex:dst ~edge ~word;
-                incr in_flight;
-                enqueue_deliv dst
-              in
-              let fate =
-                match hook with
-                | Some h -> h.fate ~round:!round ~src:v ~edge
-                | None -> Deliver
-              in
-              match fate with
-              | Drop -> ()
-              | Deliver -> deliver ()
-              | Replicate copies ->
-                for _ = 1 to max 1 copies do
-                  deliver ()
-                done
-              | Postpone extra when extra <= 0 -> deliver ()
-              | Postpone extra ->
-                delayed :=
-                  (!round + 1 + extra, dst, edge, payload, id) :: !delayed)
-            sends
-        end
+        incr stamp;
+        (* persisted eagerly so a run aborted by an engine exception
+           cannot leave stale cells above the next run's stamps *)
+        scratch.last <- !stamp;
+        (* every message [v] sends this round was enabled by the same
+           inbox, so its parent set is interned once *)
+        let group =
+          if cobs then Probe.group probe ~parents:parent_ids.(v) else 0
+        in
+        send_all v group sends
     done;
     if !delayed <> [] then begin
       let due, future =
         List.partition (fun (r, _, _, _, _) -> r <= !round + 1) !delayed
       in
-      List.iter
-        (fun (_, dst, edge, payload, id) ->
-          inboxes.(dst) <- (edge, payload) :: inboxes.(dst);
-          if cobs then inbox_ids.(dst) <- id :: inbox_ids.(dst);
-          if obs then
-            Probe.on_recv probe ~vertex:dst ~edge
-              ~word:(if Array.length payload > 0 then payload.(0) else -1);
-          incr in_flight;
-          enqueue_deliv dst)
-        due;
+      List.iter (fun (_, dst, edge, payload, id) -> deliver dst edge payload id) due;
       delayed := future;
       (* a postponed message is still in flight: it must keep the engine
          from declaring quiescence until it lands *)
       in_flight := !in_flight + List.length future
-    end;
-    (* rebuild the worklist: survivors are already ascending; sort the
-       delivered segment and merge.  The two are disjoint ([queued]
-       dedups at insertion), so the merge is a plain two-pointer pass.
-       When the pass was dense — pipeline-style programs deliver to
-       nearly every vertex every pass — tracking has already been
-       abandoned; the worklist reverts to the identity by blit and the
-       next plan pass filters, exactly the old full-scan engine. *)
-    if !dense then begin
-      dense := false;
-      Array.blit identity 0 work 0 n;
-      wl := n
-    end
-    else begin
-      sort_range deliv !dl;
-      let i = ref (!sl - 1) and j = ref (!dl - 1) in
-      let k = ref (!sl + !dl - 1) in
-      (* merge back to front so [work] can double as the target without
-         clobbering unread [surv]/[deliv] cells — both are separate
-         arrays, but back-to-front also keeps the loop branch-light *)
-      while !i >= 0 && !j >= 0 do
-        if surv.(!i) > deliv.(!j) then begin
-          work.(!k) <- surv.(!i);
-          decr i
-        end
-        else begin
-          work.(!k) <- deliv.(!j);
-          decr j
-        end;
-        decr k
-      done;
-      while !i >= 0 do
-        work.(!k) <- surv.(!i);
-        decr i;
-        decr k
-      done;
-      while !j >= 0 do
-        work.(!k) <- deliv.(!j);
-        decr j;
-        decr k
-      done;
-      wl := !sl + !dl
     end;
     incr round;
     (* In the synchronous model a vertex receives, at the end of round r,

@@ -135,10 +135,12 @@ val run_counted :
     recorded is byte-identical at every pool size. With the noop probe
     each event site costs one boolean test.
 
-    The engine keeps a worklist — the vertices that are active or hold
-    a delivered message, in ascending order — and every per-pass phase
-    walks the worklist instead of all [n] vertices, so an engine pass
-    costs O(active + deliveries), not O(n).
+    The engine keeps a frontier — a bitset of the vertices that are
+    active or hold a delivered message.  A vertex enters it by stepping
+    to [`Active] or by receiving a message; each pass reads it in
+    ascending order into a worklist and clears it, and every per-pass
+    phase walks that worklist instead of all [n] vertices, so an engine
+    pass costs O(n/63 + frontier), not O(n).
 
     When [?hook] is given, every vertex step is gated by [hook.alive] and
     every sent message by [hook.fate]; postponed messages stay in flight
@@ -148,14 +150,14 @@ val run_counted :
     On large rounds ({!par_threshold} or more vertices stepping) the
     step pass shards across [?pool] (default
     {!Kecss_par.Pool.default}): each domain owns a static contiguous
-    slice of the pass's worklist and collects the sends of its slice in
-    its own shard, and the sequential delivery pass then drains the
-    shards in slice order — a deterministic ascending-sender merge.
-    Only the step calls themselves run off the engine domain — each
-    touches exclusively its vertex's state and status cell plus its
-    slice's shard — while hook calls, delivery, metrics and the active
-    count stay sequential in vertex order, so rounds, message totals,
-    telemetry and final states are byte-identical at every pool size.
+    slice of the pass's worklist and stores each of its vertices' sends
+    in that vertex's own cell, and the sequential delivery pass then
+    walks the worklist in ascending sender order.  Only the step calls
+    themselves run off the engine domain — each touches exclusively its
+    vertex's state, status and send cells — while hook calls, delivery,
+    metrics and the active count stay sequential in vertex order, so
+    rounds, message totals, telemetry and final states are
+    byte-identical at every pool size.
     @raise Message_too_large on an oversized payload
     @raise Duplicate_send if a vertex sends twice on one edge in a round
     @raise Did_not_quiesce after [max_rounds] (default [16 * n + 10_000]). *)
