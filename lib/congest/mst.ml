@@ -253,7 +253,6 @@ let part2 ledger g ~bfs_forest (st : part1) =
 let run ?cap ledger rng g =
   Rounds.scoped ledger "mst" @@ fun () ->
   let n = Graph.n g in
-  if not (Graph.is_connected g) then invalid_arg "Mst.run: disconnected graph";
   let cap =
     match cap with
     | Some c -> max 2 c

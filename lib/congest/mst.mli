@@ -33,6 +33,7 @@ type result = {
 }
 
 val run : ?cap:int -> Rounds.t -> Rng.t -> Graph.t -> result
-(** Builds the MST of a connected graph. [cap] is the part-1 fragment size
-    cap (default ⌈√n⌉); rounds are charged to the ledger under
-    ["mst/..."] categories. *)
+(** Builds the MST of a connected graph (on a disconnected one,
+    {!Prim.bfs_tree} raises [Invalid_argument] before any round). [cap]
+    is the part-1 fragment size cap (default ⌈√n⌉); rounds are charged
+    to the ledger under ["mst/..."] categories. *)

@@ -20,6 +20,10 @@ let engine ledger ~category g program =
 type bfs_state = { mutable parent_edge : int; mutable joined : bool }
 
 let bfs_tree ledger g ~root =
+  (* unreached vertices would stay [`Active] until the pass limit, so a
+     disconnected graph is refused before any engine pass *)
+  if not (Graph.is_connected g) then
+    invalid_arg "Prim.bfs_tree: disconnected graph";
   Kecss_obs.Trace.span (Rounds.trace ledger) "bfs" @@ fun () ->
   let program : bfs_state Network.program =
     {

@@ -16,7 +16,8 @@ open Kecss_graph
 val bfs_tree : Rounds.t -> Graph.t -> root:int -> Rooted_tree.t
 (** Builds a BFS spanning tree by flooding; ecc(root) rounds. Ties between
     simultaneous joins break towards the smallest edge id, so the result is
-    deterministic. Requires a connected graph. *)
+    deterministic. Raises [Invalid_argument] on a disconnected graph,
+    before any engine pass and without charging a round. *)
 
 val exchange :
   Rounds.t -> Graph.t -> (int -> Network.send list) -> int array Network.inbox array

@@ -118,6 +118,16 @@ let prim_tests =
             check_is "rounds ~ ecc"
               (Rounds.total l >= ecc && Rounds.total l <= ecc + 1))
           (connected_pool ()));
+    case "bfs_tree refuses a disconnected graph before any round" (fun () ->
+        let g = Graph.make ~n:4 [ (0, 1, 1); (2, 3, 1) ] in
+        let l = ledger () in
+        (match Prim.bfs_tree l g ~root:0 with
+        | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            "named error" "Prim.bfs_tree: disconnected graph" msg
+        | _ -> Alcotest.fail "expected Invalid_argument");
+        check_int "no rounds charged" 0 (Rounds.total l);
+        check_int "no messages charged" 0 (Rounds.total_messages l));
     case "exchange delivers to both endpoints in one round" (fun () ->
         let g = Gen.cycle 5 in
         let l = ledger () in
