@@ -25,23 +25,51 @@ module Sparsify = Kecss_sparsify.Sparsify
 (* shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* both wire formats are accepted everywhere a graph is read: [Io.load]
-   sniffs the magic on files, and stdin is buffered whole and sniffed *)
-let read_graph = function
-  | "-" ->
-    let buf = Buffer.create 65536 in
-    let chunk = Bytes.create 65536 in
-    let rec slurp () =
-      let r = input stdin chunk 0 (Bytes.length chunk) in
-      if r > 0 then begin
-        Buffer.add_subbytes buf chunk 0 r;
-        slurp ()
-      end
-    in
-    (try slurp () with End_of_file -> ());
-    let s = Buffer.contents buf in
-    if Io.is_binary_magic s then Io.of_binary_string s else Io.of_string s
-  | path -> Io.load path
+(* The one loader of graph and solution files. Both wire formats are
+   accepted everywhere: [Io.load] sniffs the magic on files, and stdin is
+   buffered whole and sniffed. An unreadable file and a malformed one are
+   both a named error; [what] names the file's role in the first. *)
+let read_kecss ~what path =
+  let load = function
+    | "-" ->
+      let buf = Buffer.create 65536 in
+      let chunk = Bytes.create 65536 in
+      let rec slurp () =
+        let r = input stdin chunk 0 (Bytes.length chunk) in
+        if r > 0 then begin
+          Buffer.add_subbytes buf chunk 0 r;
+          slurp ()
+        end
+      in
+      (try slurp () with End_of_file -> ());
+      let s = Buffer.contents buf in
+      if Io.is_binary_magic s then Io.of_binary_string s else Io.of_string s
+    | path -> Io.load path
+  in
+  match load path with
+  | g -> Ok g
+  | exception Sys_error msg ->
+    Error (Printf.sprintf "cannot read %s: %s" what msg)
+  | exception Failure msg -> Error msg
+
+let read_graph = read_kecss ~what:"graph"
+
+(* a solution file's edges re-identified as edge ids of [g] *)
+let read_solution g path =
+  match read_kecss ~what:"solution" path with
+  | Error _ as e -> e
+  | Ok sol ->
+    let mask = Graph.no_edges_mask g in
+    let missing = ref 0 in
+    Graph.iter_edges
+      (fun e ->
+        match Graph.find_edge g e.Graph.u e.Graph.v with
+        | Some id -> Bitset.add mask id
+        | None -> incr missing)
+      sol;
+    if !missing > 0 then
+      Error (Printf.sprintf "%d solution edges are not in the graph" !missing)
+    else Ok mask
 
 let graph_arg =
   let doc = "Input graph file (kecss format; - for stdin)." in
@@ -261,14 +289,14 @@ let report_faults = function
       (Kecss_faults.Net.stats inj)
       (Kecss_faults.Net.rounds_seen inj)
 
-let stalled_error ~report ~rounds ~active ~in_flight =
+let stalled_error ~faulted ~report ~rounds ~active ~in_flight =
   Format.eprintf
     "stalled: no quiescence after %d engine rounds (%d vertices active, %d \
      messages in flight)@."
     rounds active in_flight;
   report ();
-  Printf.sprintf
-    "solver stalled under the fault plan (rounds=%d active=%d in_flight=%d)"
+  Printf.sprintf "solver stalled%s (rounds=%d active=%d in_flight=%d)"
+    (if faulted then " under the fault plan" else "")
     rounds active in_flight
 
 (* ------------------------------------------------------------------ *)
@@ -555,9 +583,8 @@ let convert path out format =
   | Error msg -> `Error (false, msg)
   | Ok to_binary -> (
     match read_graph path with
-    | exception Sys_error msg -> `Error (false, "cannot read graph: " ^ msg)
-    | exception Failure msg -> `Error (false, msg)
-    | g -> (
+    | Error msg -> `Error (false, msg)
+    | Ok g -> (
       let write () =
         match (out, to_binary) with
         | "-", true -> print_string (Io.to_binary_string g)
@@ -643,6 +670,13 @@ let run_algo ledger ~algo ~k ~seed g =
     | None -> failwith "graph is not k-edge-connected")
   | a -> failwith ("unknown algorithm: " ^ a)
 
+(* a solver's refusal (an unknown algorithm, a disconnected graph, k out
+   of range, too little connectivity) as a named error *)
+let run_algo_named ledger ~algo ~k ~seed g =
+  match run_algo ledger ~algo ~k ~seed g with
+  | r -> Ok r
+  | exception (Failure msg | Invalid_argument msg) -> Error msg
+
 let solve path algo k seed par_threshold quiet flight_path run =
   match run with
   | Error msg -> `Error (false, msg)
@@ -651,8 +685,8 @@ let solve path algo k seed par_threshold quiet flight_path run =
   | Error msg -> `Error (false, msg)
   | Ok () ->
   match read_graph path with
-  | exception Sys_error msg -> `Error (false, "cannot read graph: " ^ msg)
-  | g ->
+  | Error msg -> `Error (false, msg)
+  | Ok g ->
   (* the injector shared by every engine run of the command; stats go to
      stderr at the end so a degraded result is explainable *)
   let injector =
@@ -697,7 +731,7 @@ let solve path algo k seed par_threshold quiet flight_path run =
              st_in_flight = in_flight;
            })
       ~reason:"stalled"
-      (stalled_error
+      (stalled_error ~faulted:(Option.is_some injector)
          ~report:(fun () -> report_faults injector)
          ~rounds ~active ~in_flight)
   | exception e when Option.is_some injector ->
@@ -707,6 +741,9 @@ let solve path algo k seed par_threshold quiet flight_path run =
     report_faults injector;
     abort ~stall:None ~reason:"solver failed under the fault plan"
       ("solver failed under the fault plan: " ^ Printexc.to_string e)
+  (* without a fault plan, a solver's refusal (k out of range, a
+     disconnected graph) is a named error *)
+  | exception Invalid_argument msg -> `Error (false, msg)
   | k, sol, rounds ->
   (* lift a sparsified solution back to original edge ids: verification
      and the printed subgraph are always against the input graph *)
@@ -761,13 +798,13 @@ let explain path algo k seed jobs top phase json_out =
   | Error msg -> `Error (false, msg)
   | Ok () ->
   match read_graph path with
-  | exception Sys_error msg -> `Error (false, "cannot read graph: " ^ msg)
-  | g ->
+  | Error msg -> `Error (false, msg)
+  | Ok g ->
   let causal = Kecss_obs.Causal.create () in
   let ledger = Kecss_congest.Rounds.create ~causal () in
-  match run_algo ledger ~algo ~k ~seed g with
-  | exception Failure msg -> `Error (false, msg)
-  | k, _sol, _rounds -> (
+  match run_algo_named ledger ~algo ~k ~seed g with
+  | Error msg -> `Error (false, msg)
+  | Ok (k, _sol, _rounds) -> (
     let report = Kecss_obs.Causal.analyze causal in
     let total_rounds = Kecss_congest.Rounds.total ledger in
     let total_messages = Kecss_congest.Rounds.total_messages ledger in
@@ -849,24 +886,15 @@ let explain_cmd =
 (* ------------------------------------------------------------------ *)
 
 let verify path sol_path k =
-  let g = read_graph path in
-  let sol = read_graph sol_path in
-  (* re-identify the solution's edges inside g *)
-  let mask = Graph.no_edges_mask g in
-  let missing = ref 0 in
-  Graph.iter_edges
-    (fun e ->
-      match Graph.find_edge g e.Graph.u e.Graph.v with
-      | Some id -> Bitset.add mask id
-      | None -> incr missing)
-    sol;
-  if !missing > 0 then
-    `Error (false, Printf.sprintf "%d solution edges are not in the graph" !missing)
-  else begin
+  match read_graph path with
+  | Error msg -> `Error (false, msg)
+  | Ok g ->
+  match read_solution g sol_path with
+  | Error msg -> `Error (false, msg)
+  | Ok mask ->
     let report = Verify.check_kecss g mask ~k in
     Format.printf "%a@." Verify.pp_report report;
     if report.Verify.ok then `Ok () else `Error (false, "not a k-ECSS")
-  end
 
 let verify_cmd =
   let sol =
@@ -883,27 +911,22 @@ let verify_cmd =
 (* audit                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let mask_weight g mask =
-  let w = ref 0 in
-  Bitset.iter (fun e -> w := !w + Graph.weight g e) mask;
-  !w
-
 (* the sequential greedy baseline enumerates size-(k-1) cuts exhaustively,
    so it is only joined into the audit on small instances *)
 let greedy_audit_max_n = 24
 
 let audit path algo k seed json_out trace_path =
   match read_graph path with
-  | exception Sys_error msg -> `Error (false, "cannot read graph: " ^ msg)
-  | g ->
+  | Error msg -> `Error (false, msg)
+  | Ok g ->
   let trace = Kecss_obs.Trace.create () in
   let metrics = Kecss_obs.Metrics.create ~trace () in
   let monitor = Kecss_obs.Monitor.create () in
   Kecss_obs.Monitor.attach monitor trace;
   let ledger = Kecss_congest.Rounds.create ~trace ~metrics () in
-  match run_algo ledger ~algo ~k ~seed g with
-  | exception Failure msg -> `Error (false, msg)
-  | k, sol, _rounds ->
+  match run_algo_named ledger ~algo ~k ~seed g with
+  | Error msg -> `Error (false, msg)
+  | Ok (k, sol, _rounds) ->
     let report = Verify.check_kecss g sol ~k in
     let lower_bound =
       match Kecss_baselines.Lower_bound.best g ~k with
@@ -913,7 +936,7 @@ let audit path algo k seed json_out trace_path =
     let greedy_weight =
       if Graph.n g <= greedy_audit_max_n then
         match Kecss_baselines.Greedy.kecss g ~k with
-        | gsol -> mask_weight g gsol
+        | gsol -> Graph.mask_weight g gsol
         | exception _ -> -1
       else -1
     in
@@ -1104,7 +1127,8 @@ let experiment ids list_only run =
         { rounds; active; in_flight } ->
       `Error
         ( false,
-          stalled_error ~report:report_fault_totals ~rounds ~active ~in_flight
+          stalled_error ~faulted:(Option.is_some run.plan)
+            ~report:report_fault_totals ~rounds ~active ~in_flight
         )
     | () -> (
       let report () =
@@ -1149,32 +1173,15 @@ let resilience path algo sol_path k seed jobs trials json_out strict =
   | Error msg -> `Error (false, msg)
   | Ok () ->
   match read_graph path with
-  | exception Sys_error msg -> `Error (false, "cannot read graph: " ^ msg)
-  | g ->
+  | Error msg -> `Error (false, msg)
+  | Ok g ->
   let obtain =
     match sol_path with
-    | Some sp -> (
-      match read_graph sp with
-      | exception Sys_error msg -> Error ("cannot read solution: " ^ msg)
-      | sol ->
-        (* re-identify the solution's edges inside g, as `verify` does *)
-        let mask = Graph.no_edges_mask g in
-        let missing = ref 0 in
-        Graph.iter_edges
-          (fun e ->
-            match Graph.find_edge g e.Graph.u e.Graph.v with
-            | Some id -> Bitset.add mask id
-            | None -> incr missing)
-          sol;
-        if !missing > 0 then
-          Error
-            (Printf.sprintf "%d solution edges are not in the graph" !missing)
-        else Ok (k, mask))
-    | None -> (
-      let ledger = Kecss_congest.Rounds.create () in
-      match run_algo ledger ~algo ~k ~seed g with
-      | exception Failure msg -> Error msg
-      | k, sol, _rounds -> Ok (k, sol))
+    | Some sp -> Result.map (fun mask -> (k, mask)) (read_solution g sp)
+    | None ->
+      Result.map
+        (fun (k, sol, _rounds) -> (k, sol))
+        (run_algo_named (Kecss_congest.Rounds.create ()) ~algo ~k ~seed g)
   in
   match obtain with
   | Error msg -> `Error (false, msg)
@@ -1254,7 +1261,9 @@ let resilience_cmd =
 (* ------------------------------------------------------------------ *)
 
 let info_run path =
-  let g = read_graph path in
+  match read_graph path with
+  | Error msg -> `Error (false, msg)
+  | Ok g ->
   let n = Graph.n g in
   let ppf = Format.std_formatter in
   let connected = Graph.is_connected g in
@@ -1363,8 +1372,10 @@ let socket_arg =
 let serve_run graph_path k seed jobs stdio socket quiet =
   match apply_jobs jobs with
   | Error m -> `Error (false, m)
-  | Ok () -> (
-    let g = read_graph graph_path in
+  | Ok () ->
+  match read_graph graph_path with
+  | Error m -> `Error (false, m)
+  | Ok g -> (
     let srv = Server.create ~seed g ~k in
     let log s = if not quiet then Printf.eprintf "kecss serve: %s\n%!" s in
     let finish () =
