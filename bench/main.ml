@@ -949,11 +949,6 @@ type rep_run = {
          entries *)
 }
 
-let mask_weight g mask =
-  let w = ref 0 in
-  Bitset.iter (fun e -> w := !w + Graph.weight g e) mask;
-  !w
-
 (* The representative solves are forced to [jobs = 1]: Gc.quick_stat
    counts the calling domain's allocations only, so a fixed-seed solve
    allocates a stable number of words (reproducible to within a few
@@ -993,17 +988,17 @@ let representative_solves ?(prof = Kecss_obs.Prof.noop) () =
     run "ecss2-n64" (fun ledger ->
         let g = W.weighted_random ~n:64 ~k:2 in
         let r = Ecss2.solve_with ledger (Rng.create ~seed:1) g in
-        ( mask_weight g r.Ecss2.solution,
+        ( Graph.mask_weight g r.Ecss2.solution,
           Kecss_baselines.Lower_bound.best g ~k:2 ));
     run "kecss-n32-k3" (fun ledger ->
         let g = W.weighted_random ~n:32 ~k:3 in
         let r = Kecss.solve_with ledger (Rng.create ~seed:1) g ~k:3 in
-        ( mask_weight g r.Kecss.solution,
+        ( Graph.mask_weight g r.Kecss.solution,
           Kecss_baselines.Lower_bound.best g ~k:3 ));
     run "ecss3-n64" (fun ledger ->
         let g = W.unweighted_low_d ~n:64 in
         let r = Ecss3.solve_with ledger (Rng.create ~seed:1) g in
-        ( mask_weight g r.Ecss3.solution,
+        ( Graph.mask_weight g r.Ecss3.solution,
           Kecss_baselines.Lower_bound.best g ~k:3 ));
   ]
 

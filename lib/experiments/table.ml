@@ -1,4 +1,4 @@
-type cell = S of string | I of int | F of float
+type cell = Kecss_obs.Export.cell = S of string | I of int | F of float
 
 type t = {
   title : string;
@@ -17,41 +17,10 @@ let add_row t row =
 let note t s = t.notes_rev <- s :: t.notes_rev
 let rows t = List.rev t.rows_rev
 
-let cell_to_string = function
-  | S s -> s
-  | I i -> string_of_int i
-  | F f -> Printf.sprintf "%.3f" f
-
 let render t =
-  let rows = List.map (List.map cell_to_string) (rows t) in
-  let widths =
-    List.mapi
-      (fun i col ->
-        List.fold_left
-          (fun acc row -> max acc (String.length (List.nth row i)))
-          (String.length col) rows)
-      t.columns
-  in
-  let buf = Buffer.create 1024 in
-  let line ch =
-    List.iter (fun w -> Buffer.add_string buf (String.make (w + 2) ch)) widths;
-    Buffer.add_char buf '\n'
-  in
-  Buffer.add_string buf ("== " ^ t.title ^ " ==\n");
-  let emit row =
-    List.iteri
-      (fun i s ->
-        let w = List.nth widths i in
-        Buffer.add_string buf (Printf.sprintf " %*s " w s))
-      row;
-    Buffer.add_char buf '\n'
-  in
-  emit t.columns;
-  line '-';
-  List.iter emit rows;
-  List.iter
-    (fun n -> Buffer.add_string buf ("  note: " ^ n ^ "\n"))
-    (List.rev t.notes_rev);
-  Buffer.contents buf
+  let notes = List.rev_map (fun n -> "  note: " ^ n ^ "\n") t.notes_rev in
+  Format.asprintf "%a%s"
+    (fun ppf -> Kecss_obs.Export.table ppf ~title:t.title ~columns:t.columns)
+    (rows t) (String.concat "" notes)
 
 let print t = print_string (render t)

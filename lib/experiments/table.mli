@@ -1,6 +1,8 @@
-(** Minimal fixed-width table rendering for experiment output. *)
+(** Experiment tables: rows and notes, rendered by
+    {!Kecss_obs.Export.table} with the notes appended. *)
 
-type cell = S of string | I of int | F of float (* 3 decimals *)
+type cell = Kecss_obs.Export.cell = S of string | I of int | F of float
+(** The exporters' cell type; [F] prints with 3 decimals. *)
 
 type t
 
