@@ -128,7 +128,9 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
     work.(!wl) <- v;
     incr wl
   in
-  let first_word payload = if Array.length payload > 0 then payload.(0) else -1 in
+  let first_word payload =
+    if Array.length payload > 0 then payload.(0) else -1
+  in
   (* the one delivery path: normal, replicated and delayed copies alike *)
   let deliver dst edge payload id =
     inboxes.(dst) <- (edge, payload) :: inboxes.(dst);
@@ -266,7 +268,9 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
       let due, future =
         List.partition (fun (r, _, _, _, _) -> r <= !round + 1) !delayed
       in
-      List.iter (fun (_, dst, edge, payload, id) -> deliver dst edge payload id) due;
+      List.iter
+        (fun (_, dst, edge, payload, id) -> deliver dst edge payload id)
+        due;
       delayed := future;
       (* a postponed message is still in flight: it must keep the engine
          from declaring quiescence until it lands *)
