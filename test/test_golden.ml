@@ -5,6 +5,10 @@
    covering loops may be restructured freely, but these values must not
    move: a change here is a change of behaviour.
 
+   The sequential baselines and the tree sweeps are pinned the same way:
+   Greedy's picks, FT-MST's mask and swap array, and the unweighted
+   2-ECSS solution.
+
    To regenerate after an intended behaviour change, set the expected
    string of a case to "" and run dune exec test/test_golden.exe; the
    failing case prints the value it received. *)
@@ -40,6 +44,25 @@ let ecss2 ?tap_config g ledger =
 
 let kecss ?augk_config ~k g ledger =
   (Kecss.solve_with ?augk_config ledger (Rng.create ~seed:1) g ~k).Kecss.solution
+
+(* FT-MST pins its swap array beside the traced mask *)
+let ft_mst g () =
+  let swap = ref [||] in
+  let pinned =
+    traced
+      (fun l ->
+        let r = Ft_mst.build_with l (Rng.create ~seed:1) g in
+        swap := r.Ft_mst.swap;
+        r.Ft_mst.mask)
+      ()
+  in
+  Printf.sprintf "%s swap=%s" pinned
+    (String.concat "," (Array.to_list (Array.map string_of_int !swap)))
+
+let greedy solve () = "ids=" ^ ids (solve ())
+
+let greedy_tap g =
+  ids (Kecss_baselines.Greedy.tap g (Rooted_tree.bfs_tree g ~root:0))
 
 let mds strategy g () =
   let r = Mds.solve ~strategy ~seed:3 g in
@@ -106,6 +129,21 @@ let cases =
       "ids=0,3,4,5,6,7,9,11,12,14,15,19,24,25,27,28,29,30,31,33,37,38,40,41,43,44,47,48,51,52,53,55,56,57,58,59,60,62,64,65,69,72,73,74,77,80,81,82,84,86,88,89,90,91,94,95,96,97,100,101,102,103,105,107,111,113,117,119 rounds=475 ledger=1c68f6bffb01bcec5e43fb02df141682 trace=cfec618fb09ac97d740025741730fe18",
       traced (fun l ->
           (Ecss3.solve_weighted_with l (Rng.create ~seed:1) w3).Ecss3.solution) );
+    ( "greedy kecss k=2 zero weights",
+      "ids=1,3,5,8,10,12,13,15,18,19,20,21,22,23,26,28,29,30,31,32,33,37,38,39,40,41,42,44,46,48,49,50,52,54,55,56,57,59,60,61,62,63,64,65,67,68,69,72,74,76,77,78",
+      greedy (fun () -> Kecss_baselines.Greedy.kecss zeros ~k:2) );
+    ( "greedy kecss k=3",
+      "ids=0,2,3,4,5,7,8,9,10,14,16,18,19,21,22,23,24,25,26,27,29,32,35,36,39,41,42,43,44,45,48,49,50,52,54,55,56,58,60,61,62,63,64,69,70,73,74,79,81,83,84,88,92,93,94",
+      greedy (fun () -> Kecss_baselines.Greedy.kecss g3 ~k:3) );
+    ( "greedy tap, zero and unit weights",
+      "zeros=1,5,8,15,19,23,26,28,31,38,41,42,48,52,54,55,60,67,77 unit=1,8,17,18,20,24,33,37,43,50,54,99",
+      fun () -> Printf.sprintf "zeros=%s unit=%s" (greedy_tap zeros) (greedy_tap u3) );
+    ( "ft_mst",
+      "ids=0,1,2,3,4,5,6,7,8,9,10,11,12,14,15,17,18,22,23,24,25,26,29,30,31,32,33,34,35,37,38,39,40,41,42,43,45,46,47,49,51,52,54,55,56,57,59,60,64,67,68,69,70,71,72,73,74,75,76,77,81,82,83,84,85,86,87,88,89,90,92,94 rounds=360 ledger=5c1e9c79f98768b5506af2e0f5af1965 trace=36fda5e513f28fb8a0a6db9db109836f swap=-1,92,24,38,70,12,55,75,75,37,70,2,6,72,92,70,77,31,24,92,45,92,46,56,92,87,11,17,77,72,49,92,92,86,4,75,8,31,54,2,6,70,15,75,70,45,92,55",
+      ft_mst g2 );
+    ( "ecss2 unweighted",
+      "ids=0,1,2,4,5,6,8,10,12,13,15,21,23,24,25,27,29,30,32,33,34,35,37,38,45,46,48,49,51,53,54,55,58,59,60,66,67,68,70,75,82,84,87,88,93,95,98,102,103,104,107,109,110 rounds=16 ledger=08d394f5157148a41bf8e8ad7636ba70 trace=172252370280dce444ee2ba276d1c46d",
+      traced (fun l -> (Ecss2_unweighted.solve_with l u3).Ecss2_unweighted.h) );
     ( "mds voting",
       "ids=1,10,11,16,17,18,20,25,29,32,33,40,41,44,45,57,63 iterations=3",
       mds (Cover.Voting { divisor = 8 }) gm );
