@@ -3,20 +3,31 @@
     the classical O(log n) sequential approximation the distributed
     algorithms are compared against in the B-baselines experiment, and a
     quality yardstick (the distributed solutions should be within a small
-    factor of greedy). *)
+    factor of greedy).
+
+    Both are {!Kecss_core.Cover.greedy} on the distributed algorithms' own
+    covering problems: {!tap} on {!Kecss_core.Tap.problem}, and
+    {!augmentation} on {!Kecss_core.Augk.cut_problem} followed by
+    {!Kecss_core.Augk.repair}. Each step adds the exact maximiser of
+    |uncovered elements| / w(e), counting zero weight as infinite and
+    breaking ties toward the smaller edge id. *)
 
 open Kecss_graph
 
 val tap : Graph.t -> Rooted_tree.t -> Bitset.t
 (** Greedy weighted TAP: repeatedly add the non-tree edge maximizing
     |uncovered path edges| / w(e) (zero-weight edges first) until every
-    tree edge is covered. Returns the augmentation A. *)
+    tree edge is covered. Returns the augmentation A. Raises [Failure] if
+    the graph is not 2-edge-connected. *)
 
 val augmentation : Graph.t -> h:Bitset.t -> k:int -> Bitset.t
-(** Greedy Aug_k over the enumerated size-(k−1) cuts of H (exhaustive
-    enumeration — small instances only, n ≤ 24): repeatedly add the edge
-    maximizing uncovered-cuts/weight. Exact-coverage greedy, so its ratio
-    is the classical H_n bound. *)
+(** Greedy Aug_k over the minimum cuts of H
+    ({!Kecss_connectivity.Min_cut_enum.min_cuts}: exhaustive for n ≤ 16,
+    seeded Karger beyond — small instances only, n ≤ 24): repeatedly add
+    the edge maximizing uncovered-cuts/weight, then repair exactly.
+    Exact-coverage greedy, so its ratio is the classical H_n bound.
+    Raises [Invalid_argument] unless λ(H) = k−1, and [Failure] if G is
+    not k-edge-connected. *)
 
 val kecss : Graph.t -> k:int -> Bitset.t
 (** Greedy k-ECSS: MST, then {!augmentation} level by level. Small

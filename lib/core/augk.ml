@@ -76,6 +76,17 @@ let repair tr ~algo ~fail ~weight g ~h ~a ~k =
   done;
   !repaired
 
+let cut_problem g ~h cuts =
+  {
+    Cover.elements = Array.length cuts;
+    candidates = Graph.m g;
+    weight = Graph.weight g;
+    covered_by =
+      (fun e f ->
+        if not (Bitset.mem h e) then
+          Array.iteri (fun ci cut -> if Min_cut_enum.covers g cut e then f ci) cuts);
+  }
+
 let augment ?config ledger rng ~bfs_forest g ~h ~k =
   Rounds.scoped ledger "augk" @@ fun () ->
   let tr = Rounds.trace ledger in
@@ -104,13 +115,7 @@ let augment ?config ledger rng ~bfs_forest g ~h ~k =
       Array.of_list
         (Min_cut_enum.enumerate ~mask:h ~rng:(Rng.split rng) g ~size:(k - 1))
     in
-    let covered_by e f =
-      if not (Bitset.mem h e) then
-        Array.iteri (fun ci cut -> if Min_cut_enum.covers g cut e then f ci) cuts
-    in
-    let problem =
-      { Cover.elements = Array.length cuts; candidates = m; weight = Graph.weight g; covered_by }
-    in
+    let problem = cut_problem g ~h cuts in
     (* Line 4: the filter keeps the active candidates the MST under the
        filter weights picks *)
     let filter st active = Hashtbl.mem (filter_mst g ~a:(Cover.chosen st) ~active) in

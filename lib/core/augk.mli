@@ -55,6 +55,13 @@ type result = {
   active_weight : int; (** total weight of all edges ever active (§4.2's A') *)
 }
 
+val cut_problem :
+  Graph.t -> h:Bitset.t -> Kecss_connectivity.Min_cut_enum.cut array -> Cover.problem
+(** [cut_problem g ~h cuts] is the §4 covering problem: the elements are
+    [cuts] (element i is [cuts.(i)]), the candidates are all m edge ids of
+    [g] at their weights, and an edge outside [h] covers the cuts it
+    crosses (Definition 2.1; an edge of [h] covers nothing). *)
+
 val augment :
   ?config:config ->
   Rounds.t ->

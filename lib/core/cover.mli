@@ -112,10 +112,13 @@ val solve :
       [?algo] (default ["cover"]). *)
 
 val greedy : ?initial:Bitset.t -> problem -> Bitset.t
-(** The classical sequential greedy (one best candidate per step) — the
-    H_N-approximation yardstick, and (being deterministic) the serve
-    repair engine. [?initial] warm-starts exactly as in {!solve}; the
-    result includes the warm-started candidates. *)
+(** The classical sequential greedy: each step commits the exact
+    maximiser of |uncovered elements covered| / weight, a zero weight
+    counting as infinite and ties going to the smaller candidate id. It is
+    the H_N-approximation yardstick ([Kecss_baselines.Greedy] runs on it)
+    and, being deterministic, the serve repair engine. Raises
+    [Invalid_argument] as {!solve} does. [?initial] warm-starts exactly as
+    in {!solve}; the result includes the warm-started candidates. *)
 
 val is_cover : problem -> Bitset.t -> bool
 

@@ -59,38 +59,9 @@ let solve_with ledger g =
       improve p low_depth.(x) low_edge.(x)
     end
   done;
-  (* greedy cover, deepest tree edge first, skipping covered stretches *)
-  let covered = Array.make n false in
-  let jump = Array.init n Fun.id in
-  let root = Rooted_tree.root tree in
-  let rec find x =
-    if x = root || not covered.(x) then x
-    else begin
-      let r = find jump.(x) in
-      jump.(x) <- r;
-      r
-    end
-  in
-  let cover x =
-    if not covered.(x) then begin
-      covered.(x) <- true;
-      jump.(x) <- Rooted_tree.parent tree x
-    end
-  in
-  let cover_path e =
-    let u = Graph.edge_u g e and v = Graph.edge_v g e in
-    let l = Rooted_tree.lca tree u v in
-    let ld = Rooted_tree.depth tree l in
-    let rec walk x =
-      let x = find x in
-      if Rooted_tree.depth tree x > ld then begin
-        cover x;
-        walk (Rooted_tree.parent tree x)
-      end
-    in
-    walk u;
-    walk v
-  in
+  (* greedy cover, deepest tree edge first; the walker skips covered
+     stretches *)
+  let walker = Rooted_tree.walker tree in
   let aug = Graph.no_edges_mask g in
   let by_depth = Array.copy order in
   Array.sort
@@ -98,11 +69,11 @@ let solve_with ledger g =
     by_depth;
   Array.iter
     (fun x ->
-      if x <> root && not covered.(x) then begin
+      if x <> 0 && Rooted_tree.covered_by walker x < 0 then begin
         if low_edge.(x) < 0 || low_depth.(x) >= Rooted_tree.depth tree x then
           failwith "Ecss2_unweighted: graph is not 2-edge-connected";
         Bitset.add aug low_edge.(x);
-        cover_path low_edge.(x)
+        Rooted_tree.cover_path walker low_edge.(x)
       end)
     by_depth;
   let h = Rooted_tree.edges_mask tree in

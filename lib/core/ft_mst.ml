@@ -38,42 +38,14 @@ let build_with ledger rng g =
          List.map (fun (k, p) -> [| k; p.(0) |]) results.(bfs_root)));
   (* swap edges: sweep non-tree edges cheapest-first; the first edge to
      reach an uncovered tree edge is its swap (classic cycle property) *)
-  let swap = Array.make n (-1) in
-  let jump = Array.init n Fun.id in
-  let covered = Array.make n false in
-  let root = Rooted_tree.root tree in
-  let rec find x =
-    if x = root || not covered.(x) then x
-    else begin
-      let r = find jump.(x) in
-      jump.(x) <- r;
-      r
-    end
-  in
-  let non_tree =
-    Graph.fold_edges
-      (fun e acc ->
-        if Rooted_tree.is_tree_edge tree e.Graph.id then acc else e :: acc)
-      g []
-    |> List.sort (fun a b -> compare (a.Graph.w, a.Graph.id) (b.Graph.w, b.Graph.id))
-  in
-  List.iter
-    (fun e ->
-      let u, v = Graph.endpoints g e.Graph.id in
-      let l = Rooted_tree.lca tree u v in
-      let ld = Rooted_tree.depth tree l in
-      let rec walk x =
-        let x = find x in
-        if Rooted_tree.depth tree x > ld then begin
-          swap.(x) <- e.Graph.id;
-          covered.(x) <- true;
-          jump.(x) <- Rooted_tree.parent tree x;
-          walk (Rooted_tree.parent tree x)
-        end
-      in
-      walk u;
-      walk v)
-    non_tree;
+  let walker = Rooted_tree.walker tree in
+  Graph.fold_edges
+    (fun e acc ->
+      if Rooted_tree.is_tree_edge tree e.Graph.id then acc else e :: acc)
+    g []
+  |> List.sort (fun a b -> compare (a.Graph.w, a.Graph.id) (b.Graph.w, b.Graph.id))
+  |> List.iter (fun e -> Rooted_tree.cover_path walker e.Graph.id);
+  let swap = Array.init n (Rooted_tree.covered_by walker) in
   let mask = Bitset.copy mst.Mst.mask in
   Array.iter (fun e -> if e >= 0 then Bitset.add mask e) swap;
   { mask; tree; swap; rounds = Rounds.total ledger }

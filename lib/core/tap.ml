@@ -82,17 +82,14 @@ let charge_global_max ledger ~bfs_forest level =
 
 (* ----------------------------------------------------------------- *)
 
-let augment ?config ledger rng ~bfs_forest segments =
-  Rounds.scoped ledger "tap" @@ fun () ->
-  let tree = Segments.tree segments in
+(* the elements are the tree edges: the one above vertex x is element x,
+   less one past the root, which has none *)
+let element tree x = if x > Rooted_tree.root tree then x - 1 else x
+
+let problem tree =
   let g = Rooted_tree.graph tree in
   let n = Graph.n g and m = Graph.m g in
-  let config = match config with Some c -> c | None -> default_config n in
-  if config.vote_divisor < 1 then invalid_arg "Tap: vote_divisor must be >= 1";
-  (* the elements are the tree edges: the one above vertex x is element
-     x, less one past the root, which has none *)
   let root = Rooted_tree.root tree in
-  let element x = if x > root then x - 1 else x in
   (* flatten every fundamental path once into a CSR non-tree edge ->
      elements: one LCA per non-tree edge ever *)
   let non_tree e = not (Rooted_tree.is_tree_edge tree e) in
@@ -132,32 +129,40 @@ let augment ?config ledger rng ~bfs_forest segments =
   for e = 0 to m - 1 do
     if non_tree e then
       walk e (fun x ->
-          path.(fill.(e)) <- element x;
+          path.(fill.(e)) <- element tree x;
           fill.(e) <- fill.(e) + 1)
   done;
-  let problem =
-    {
-      Cover.elements = n - 1;
-      candidates = m;
-      weight = Graph.weight g;
-      covered_by =
-        (fun e f ->
-          for i = path_off.(e) to path_off.(e + 1) - 1 do
-            f path.(i)
-          done);
-    }
-  in
+  {
+    Cover.elements = n - 1;
+    candidates = m;
+    weight = Graph.weight g;
+    covered_by =
+      (fun e f ->
+        for i = path_off.(e) to path_off.(e + 1) - 1 do
+          f path.(i)
+        done);
+  }
+
+let augment ?config ledger rng ~bfs_forest segments =
+  Rounds.scoped ledger "tap" @@ fun () ->
+  let tree = Segments.tree segments in
+  let g = Rooted_tree.graph tree in
+  let n = Graph.n g and m = Graph.m g in
+  let config = match config with Some c -> c | None -> default_config n in
+  if config.vote_divisor < 1 then invalid_arg "Tap: vote_divisor must be >= 1";
+  let problem = problem tree in
   (* §3: all weight-0 edges join A up front; their paths are covered *)
   let free = Graph.no_edges_mask g in
   for e = 0 to m - 1 do
-    if non_tree e && Graph.weight g e = 0 then Bitset.add free e
+    if (not (Rooted_tree.is_tree_edge tree e)) && Graph.weight g e = 0 then
+      Bitset.add free e
   done;
   let exch = exchange_sends tree g in
   let charge st = function
     | Cover.Agreed level -> charge_global_max ledger ~bfs_forest level
     | Cover.Start | Cover.Committed _ ->
       charge_iteration ledger ~bfs_forest segments ~exch ~covered:(fun v ->
-          Cover.covered st (element v))
+          Cover.covered st (element tree v))
   in
   let r =
     Cover.solve ~trace:(Rounds.trace ledger) ~algo:"tap" ~size:n

@@ -68,6 +68,15 @@ type result = {
   forced : int;              (** fallback greedy additions (0 w.h.p.) *)
 }
 
+val problem : Rooted_tree.t -> Cover.problem
+(** The §3 covering problem of a spanning tree T of G: the elements are
+    T's n−1 edges (the one above vertex x is element x, or x−1 past the
+    root), the candidates are all m edge ids of G at their weights, and a
+    non-tree edge covers the tree edges of its fundamental path (a tree
+    edge covers nothing). The paths are flattened once, one LCA per
+    non-tree edge. Raises [Failure] if some tree edge lies on no
+    fundamental path, i.e. G is not 2-edge-connected. *)
+
 val augment :
   ?config:config ->
   Rounds.t ->

@@ -177,3 +177,37 @@ let cover_counts t es =
   done;
   sums.(t.root) <- 0;
   sums
+
+type walker = { tree : t; jump : int array; by : int array }
+
+let walker t =
+  let n = Graph.n t.graph in
+  { tree = t; jump = Array.init n Fun.id; by = Array.make n (-1) }
+
+(* the nearest vertex at or above [x] whose tree edge is uncovered (the
+   root has none, so it ends every search) *)
+let rec find w x =
+  if w.by.(x) < 0 then x
+  else begin
+    let r = find w w.jump.(x) in
+    w.jump.(x) <- r;
+    r
+  end
+
+(* top-level, so a call builds no closure *)
+let rec climb w e lca_depth x =
+  let x = find w x in
+  if w.tree.depth.(x) > lca_depth then begin
+    let p = w.tree.parent.(x) in
+    w.by.(x) <- e;
+    w.jump.(x) <- p;
+    climb w e lca_depth p
+  end
+
+let cover_path w e =
+  let u = Graph.edge_u w.tree.graph e and v = Graph.edge_v w.tree.graph e in
+  let d = w.tree.depth.(lca w.tree u v) in
+  climb w e d u;
+  climb w e d v
+
+let covered_by w x = w.by.(x)

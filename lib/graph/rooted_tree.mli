@@ -78,3 +78,24 @@ val cover_counts : t -> int list -> int array
 val ancestor_at_depth : t -> int -> int -> int
 (** [ancestor_at_depth t v d] is the ancestor of [v] at depth [d <= depth v].
     O(log n). *)
+
+(** {1 Path-covering walker} *)
+
+type walker
+(** One sweep that covers tree edges with the fundamental paths of
+    non-tree edges, in an order the caller picks: each tree edge is
+    covered once, by the first path to reach it. Path-compressed jump
+    pointers skip covered stretches, so a whole sweep touches every tree
+    edge O(1) amortised times. The walker owns the covered bits and the
+    jump pointers. *)
+
+val walker : t -> walker
+(** A fresh walker with every tree edge uncovered. *)
+
+val cover_path : walker -> int -> unit
+(** [cover_path w e] covers the still-uncovered tree edges on edge [e]'s
+    fundamental path, recording [e] as their cover. Allocates nothing. *)
+
+val covered_by : walker -> int -> int
+(** [covered_by w x] is the edge that covered the tree edge above vertex
+    [x], or [-1] while it is uncovered (always [-1] at the root). *)

@@ -2,6 +2,7 @@ open Kecss_graph
 open Kecss_core
 module Verify = Kecss_connectivity.Verify
 module Edge_connectivity = Kecss_connectivity.Edge_connectivity
+module Min_cut_enum = Kecss_connectivity.Min_cut_enum
 
 (* The resident solution is the canonical sparse certificate: the union
    of k successively edge-disjoint lex-minimum (weight, id) spanning
@@ -270,34 +271,22 @@ let repair t =
   let report = Verify.check_kecss t.g t.sol ~k:t.k in
   if not (report.Verify.spanning && report.Verify.connectivity >= 1) then false
   else begin
-    let base = Bitset.copy t.sol in
+    (* the candidates are the live edges outside the solution as it
+       stands now *)
+    let excluded = Graph.all_edges_mask t.g in
+    Bitset.diff_into excluded t.live;
+    Bitset.union_into excluded t.sol;
     let cuts = ref [] in
-    let n_cuts = ref 0 in
     let chosen = ref None in
     let rec go rounds_left =
       if rounds_left = 0 then false
       else begin
-        let lam, side, _ = Edge_connectivity.global_min_cut ~mask:t.sol t.g in
+        let lam, side, edge_ids = Edge_connectivity.global_min_cut ~mask:t.sol t.g in
         if lam >= t.k then true
         else begin
-          cuts := side :: !cuts;
-          incr n_cuts;
-          let cut_arr = Array.of_list (List.rev !cuts) in
+          cuts := { Min_cut_enum.side; edge_ids } :: !cuts;
           let problem =
-            {
-              Cover.elements = !n_cuts;
-              candidates = Graph.m t.g;
-              weight = (fun e -> Graph.weight t.g e);
-              covered_by =
-                (fun e f ->
-                  if t.lev.(e) >= 0 && not (Bitset.mem base e) then begin
-                    let u, v = Graph.endpoints t.g e in
-                    Array.iteri
-                      (fun idx side ->
-                        if Bitset.mem side u <> Bitset.mem side v then f idx)
-                      cut_arr
-                  end);
-            }
+            Augk.cut_problem t.g ~h:excluded (Array.of_list (List.rev !cuts))
           in
           match Cover.greedy ?initial:!chosen problem with
           | exception Invalid_argument _ ->
