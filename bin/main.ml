@@ -54,6 +54,29 @@ let read_kecss ~what path =
 
 let read_graph = read_kecss ~what:"graph"
 
+(* The one writer of output files: [contents] goes to [path], or to
+   stdout for "-". A failure is the named error "cannot write WHAT: ...". *)
+let write_file ~what path contents =
+  match
+    if path = "-" then print_string contents
+    else begin
+      let oc = open_out_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          output_string oc contents;
+          close_out oc)
+    end
+  with
+  | () -> Ok ()
+  | exception Sys_error msg -> Error (Printf.sprintf "cannot write %s: %s" what msg)
+
+(* a JSON document, one line *)
+let write_json ~what path doc =
+  write_file ~what path (Kecss_obs.Json.to_string doc ^ "\n")
+
+let ret_of_result = function Ok () -> `Ok () | Error msg -> `Error (false, msg)
+
 (* a solution file's edges re-identified as edge ids of [g] *)
 let read_solution g path =
   match read_kecss ~what:"solution" path with
@@ -245,18 +268,9 @@ let report_profile profile prof =
             ("pool", Kecss_obs.Export.pool_to_json ~jobs ~lifetime_ns stats);
           ]
       in
-      match
-        let oc = open_out file in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            output_string oc (Kecss_obs.Json.to_string doc);
-            output_char oc '\n')
-      with
-      | exception Sys_error msg -> Error ("cannot write profile: " ^ msg)
-      | () ->
-        Format.eprintf "profile -> %s@." file;
-        Ok ())
+      Result.map
+        (fun () -> Format.eprintf "profile -> %s@." file)
+        (write_json ~what:"profile" file doc))
 
 (* ------------------------------------------------------------------ *)
 (* fault-plan plumbing                                                 *)
@@ -346,18 +360,11 @@ let flight_dump_arg =
    failure must not mask the error that triggered it, so it only warns *)
 let dump_flight ?stall ~reason ~path flight =
   if Kecss_obs.Flight.enabled flight then begin
-    let doc = Kecss_obs.Flight.to_json ?stall ~reason flight in
     match
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Kecss_obs.Json.to_string doc);
-          output_char oc '\n')
+      write_json ~what:path path (Kecss_obs.Flight.to_json ?stall ~reason flight)
     with
-    | exception Sys_error msg ->
-      Format.eprintf "flight recorder: cannot write %s: %s@." path msg
-    | () ->
+    | Error msg -> Format.eprintf "flight recorder: %s@." msg
+    | Ok () ->
       Format.eprintf "flight recorder: %s after %d engine passes -> %s@."
         reason
         (Kecss_obs.Flight.passes flight)
@@ -453,29 +460,30 @@ let run_term ~flight =
 
 let export run ledger =
   let trace = Kecss_obs.Probe.trace run.probe in
-  (match run.trace_path with
-  | Some path ->
-    Kecss_obs.Export.chrome_to_file trace path;
-    Format.eprintf "trace: %d events over %.0f simulated rounds -> %s@."
-      (Kecss_obs.Trace.event_count trace)
-      (Kecss_obs.Trace.now trace)
-      path
-  | None -> ());
-  (match run.jsonl_path with
-  | Some path ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Kecss_obs.Export.jsonl trace));
-    Format.eprintf "trace events (jsonl): %d -> %s@."
-      (Kecss_obs.Trace.event_count trace)
-      path
-  | None -> ());
-  if run.metrics_on then begin
-    Format.eprintf "%a@." Kecss_obs.Export.metrics_table
-      (Kecss_obs.Probe.metrics run.probe);
-    Option.iter (Format.eprintf "%a@." Kecss_congest.Rounds.pp) ledger
-  end
+  let events = Kecss_obs.Trace.event_count trace in
+  let write render label = function
+    | None -> Ok ()
+    | Some path ->
+      Result.map
+        (fun () -> Format.eprintf "%s -> %s@." label path)
+        (write_file ~what:"trace" path (render trace))
+  in
+  Result.bind
+    (write Kecss_obs.Export.chrome
+       (Printf.sprintf "trace: %d events over %.0f simulated rounds" events
+          (Kecss_obs.Trace.now trace))
+       run.trace_path)
+  @@ fun () ->
+  Result.map
+    (fun () ->
+      if run.metrics_on then begin
+        Format.eprintf "%a@." Kecss_obs.Export.metrics_table
+          (Kecss_obs.Probe.metrics run.probe);
+        Option.iter (Format.eprintf "%a@." Kecss_congest.Rounds.pp) ledger
+      end)
+    (write Kecss_obs.Export.jsonl
+       (Printf.sprintf "trace events (jsonl): %d" events)
+       run.jsonl_path)
 
 (* print the monitor report; in strict mode violations become a CLI error
    (and dump the flight recorder to [flight_dump], if given) *)
@@ -497,13 +505,11 @@ let monitor_verdict run ~flight_dump =
     else Ok ()
 
 (* The finish step of `solve` and `experiment`: the exports, then the
-   command's own [report] (the trace-write handler brackets only the
-   exports, so a Sys_error raised by the report is not blamed on the
-   trace file), the profile and the monitor verdict. *)
+   command's own [report], the profile and the monitor verdict. *)
 let finish run ledger ~flight_dump ~report =
   match export run ledger with
-  | exception Sys_error msg -> Error ("cannot write trace: " ^ msg)
-  | () -> (
+  | Error _ as e -> e
+  | Ok () -> (
     report ();
     match report_profile run.profile (Kecss_obs.Probe.prof run.probe) with
     | Error _ as e -> e
@@ -515,37 +521,33 @@ let finish run ledger ~flight_dump ~report =
 
 let generate family n k extra seed wlo whi out =
   let rng = Rng.create ~seed in
-  let base =
-    match family with
-    | "cycle" -> Gen.cycle n
-    | "path" -> Gen.path n
-    | "complete" -> Gen.complete n
-    | "circulant" -> Gen.circulant n (List.init (max 1 (k / 2)) (fun i -> i + 1))
-    | "harary" -> Gen.harary k n
-    | "torus" ->
-      let side = max 3 (int_of_float (Float.round (sqrt (float_of_int n)))) in
-      Gen.torus side side
-    | "hypercube" ->
-      let rec log2 acc v = if v <= 1 then acc else log2 (acc + 1) (v / 2) in
-      Gen.hypercube (max 1 (log2 0 n))
-    | "random" -> Gen.random_k_connected rng n k ~extra
-    | "geometric" -> Gen.random_geometric rng n 0.3
-    | "tree" -> Gen.random_tree rng n
-    | "figure2" -> Gen.paper_figure2 ()
-    | f -> failwith ("unknown family: " ^ f)
-  in
-  let g =
+  let build () =
+    let base =
+      match family with
+      | "cycle" -> Gen.cycle n
+      | "path" -> Gen.path n
+      | "complete" -> Gen.complete n
+      | "circulant" -> Gen.circulant n (List.init (max 1 (k / 2)) (fun i -> i + 1))
+      | "harary" -> Gen.harary k n
+      | "torus" ->
+        let side = max 3 (int_of_float (Float.round (sqrt (float_of_int n)))) in
+        Gen.torus side side
+      | "hypercube" ->
+        let rec log2 acc v = if v <= 1 then acc else log2 (acc + 1) (v / 2) in
+        Gen.hypercube (max 1 (log2 0 n))
+      | "random" -> Gen.random_k_connected rng n k ~extra
+      | "geometric" -> Gen.random_geometric rng n 0.3
+      | "tree" -> Gen.random_tree rng n
+      | "figure2" -> Gen.paper_figure2 ()
+      | f -> failwith ("unknown family: " ^ f)
+    in
     if whi <= wlo && wlo = 1 then base
     else Weights.uniform rng ~lo:wlo ~hi:(max wlo whi) base
   in
-  let s = Io.to_string g in
-  (match out with
-  | "-" -> print_string s
-  | path ->
-    let oc = open_out path in
-    output_string oc s;
-    close_out oc);
-  `Ok ()
+  (* an unknown family and a size the family cannot take are named errors *)
+  match build () with
+  | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
+  | g -> ret_of_result (write_file ~what:"graph" out (Io.to_string g))
 
 let generate_cmd =
   let family =
@@ -584,21 +586,10 @@ let convert path out format =
   | Ok to_binary -> (
     match read_graph path with
     | Error msg -> `Error (false, msg)
-    | Ok g -> (
-      let write () =
-        match (out, to_binary) with
-        | "-", true -> print_string (Io.to_binary_string g)
-        | "-", false -> print_string (Io.to_string g)
-        | path, true -> Io.save_binary path g
-        | path, false ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> Io.to_channel oc g)
-      in
-      match write () with
-      | exception Sys_error msg -> `Error (false, "cannot write graph: " ^ msg)
-      | () -> `Ok ()))
+    | Ok g ->
+      ret_of_result
+        (write_file ~what:"graph" out
+           (if to_binary then Io.to_binary_string g else Io.to_string g)))
 
 let convert_cmd =
   let out =
@@ -633,9 +624,14 @@ let print_solution g mask =
       Printf.printf "e %d %d %d\n" u v (Graph.weight g e))
     mask
 
-(* one dispatch shared by `solve` and `audit`: returns the effective k, the
-   solution mask and the algorithm-reported round count (None for the
-   sequential baselines) *)
+(* The exhaustive search is exponential in m: at 24 edges a k = 2 search
+   takes 0.05 s, while 34 edges at k = 3 take half a minute. Beyond this
+   budget `exact` refuses before it searches. *)
+let exact_max_edges = 24
+
+(* one dispatch shared by `solve`, `explain`, `audit` and `resilience`:
+   returns the effective k, the solution mask and the algorithm-reported
+   round count (None for the sequential baselines) *)
 let run_algo ledger ~algo ~k ~seed g =
   match algo with
   | "2ecss" ->
@@ -664,6 +660,10 @@ let run_algo ledger ~algo ~k ~seed g =
     in
     (k, r.Kecss_baselines.Thurimella.solution, Some r.Kecss_baselines.Thurimella.rounds)
   | "greedy" -> (k, Kecss_baselines.Greedy.kecss g ~k, None)
+  | "exact" when Graph.m g > exact_max_edges ->
+    failwith
+      (Printf.sprintf "exact: %d edges exceed the exhaustive search budget of %d"
+         (Graph.m g) exact_max_edges)
   | "exact" -> (
     match Kecss_baselines.Exact.kecss g ~k with
     | Some s -> (k, s, None)
@@ -833,20 +833,7 @@ let explain path algo k seed jobs top phase json_out =
         Kecss_obs.Export.causal_to_json ?top ?phase ~extra ~total_rounds
           ~total_messages ~rounds_by_category ~messages_by_category report
       in
-      match
-        match file with
-        | "-" -> print_endline (Kecss_obs.Json.to_string doc)
-        | _ ->
-          let oc = open_out file in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              output_string oc (Kecss_obs.Json.to_string doc);
-              output_char oc '\n')
-      with
-      | exception Sys_error msg ->
-        `Error (false, "cannot write causal report: " ^ msg)
-      | () -> `Ok ()))
+      ret_of_result (write_json ~what:"causal report" file doc)))
 
 let explain_cmd =
   let algo =
@@ -976,21 +963,19 @@ let audit path algo k seed json_out trace_path =
         violations = Kecss_obs.Monitor.violations monitor;
       }
     in
-    match
-      (match trace_path with
-      | Some p -> Kecss_obs.Export.chrome_to_file trace p
-      | None -> ());
+    let written =
+      Result.bind
+        (match trace_path with
+        | Some p -> write_file ~what:"audit" p (Kecss_obs.Export.chrome trace)
+        | None -> Ok ())
+      @@ fun () ->
       match json_out with
-      | Some "-" -> print_endline (Kecss_obs.Json.to_string (Kecss_obs.Audit.to_json record))
-      | Some p ->
-        let oc = open_out p in
-        output_string oc (Kecss_obs.Json.to_string (Kecss_obs.Audit.to_json record));
-        output_char oc '\n';
-        close_out oc
-      | None -> Format.printf "%a@." Kecss_obs.Audit.pp record
-    with
-    | exception Sys_error msg -> `Error (false, "cannot write audit: " ^ msg)
-    | () ->
+      | Some p -> write_json ~what:"audit" p (Kecss_obs.Audit.to_json record)
+      | None -> Ok (Format.printf "%a@." Kecss_obs.Audit.pp record)
+    in
+    match written with
+    | Error msg -> `Error (false, msg)
+    | Ok () ->
       if not report.Verify.ok then
         `Error (false, "solution failed verification")
       else if record.Kecss_obs.Audit.violations <> [] then
@@ -1190,19 +1175,12 @@ let resilience path algo sol_path k seed jobs trials json_out strict =
     let rep = Kecss_faults.Resilience.attack ~trials ~rng g ~h ~k in
     match
       match json_out with
-      | Some "-" ->
-        print_endline
-          (Kecss_obs.Json.to_string (Kecss_faults.Resilience.to_json rep))
       | Some p ->
-        let oc = open_out p in
-        output_string oc
-          (Kecss_obs.Json.to_string (Kecss_faults.Resilience.to_json rep));
-        output_char oc '\n';
-        close_out oc
-      | None -> Format.printf "%a@." Kecss_faults.Resilience.pp rep
+        write_json ~what:"report" p (Kecss_faults.Resilience.to_json rep)
+      | None -> Ok (Format.printf "%a@." Kecss_faults.Resilience.pp rep)
     with
-    | exception Sys_error msg -> `Error (false, "cannot write report: " ^ msg)
-    | () ->
+    | Error msg -> `Error (false, msg)
+    | Ok () ->
       if strict && not (Kecss_faults.Resilience.ok rep) then
         `Error
           ( false,
@@ -1375,8 +1353,10 @@ let serve_run graph_path k seed jobs stdio socket quiet =
   | Ok () ->
   match read_graph graph_path with
   | Error m -> `Error (false, m)
-  | Ok g -> (
-    let srv = Server.create ~seed g ~k in
+  | Ok g ->
+  match Server.create ~seed g ~k with
+  | exception Invalid_argument m -> `Error (false, m)
+  | srv -> (
     let log s = if not quiet then Printf.eprintf "kecss serve: %s\n%!" s in
     let finish () =
       if not quiet then begin
@@ -1425,21 +1405,21 @@ let serve_cmd =
        $ socket_arg $ quiet))
 
 let client_run socket script =
-  match Server.address_of_string socket with
+  let open_script = function
+    | "-" -> Ok (stdin, fun () -> ())
+    | path -> (
+      match open_in path with
+      | ic -> Ok (ic, fun () -> close_in ic)
+      | exception Sys_error m -> Error ("cannot read script: " ^ m))
+  in
+  match Result.bind (Server.address_of_string socket) (fun addr ->
+      Result.map (fun s -> (addr, s)) (open_script script))
+  with
   | Error m -> `Error (false, m)
-  | Ok addr -> (
-    let input, closer =
-      match script with
-      | "-" -> (stdin, fun () -> ())
-      | path ->
-        let ic = open_in path in
-        (ic, fun () -> close_in ic)
-    in
-    let r =
-      Fun.protect ~finally:closer (fun () ->
-          Server.client ~input ~output:stdout addr)
-    in
-    match r with Ok () -> `Ok () | Error m -> `Error (false, m))
+  | Ok (addr, (input, closer)) ->
+    ret_of_result
+      (Fun.protect ~finally:closer (fun () ->
+           Server.client ~input ~output:stdout addr))
 
 let client_cmd =
   let script =

@@ -89,12 +89,6 @@ let chrome t =
              [ ("timeline_unit", Json.Str "1 simulated CONGEST round = 1us") ] );
        ])
 
-let chrome_to_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (chrome t))
-
 (* ----- profiling reports ----- *)
 
 let ms ns = ns /. 1e6

@@ -28,9 +28,6 @@ val jsonl : Trace.t -> string
 val chrome : Trace.t -> string
 (** A complete Chrome trace_event JSON document. *)
 
-val chrome_to_file : Trace.t -> string -> unit
-(** [chrome_to_file t path] writes {!chrome} output to [path]. *)
-
 val metrics_table : Format.formatter -> Metrics.t -> unit
 (** The metrics summary as a two-column table. *)
 
