@@ -9,6 +9,13 @@ let to_string g =
   to_buffer buf g;
   Buffer.contents buf
 
+(* Past n = 2m + 1 some vertex is isolated whatever the edges are, so a
+   header declaring more vertices than that describes no graph the
+   solvers take, and would make the loader allocate per-vertex arrays
+   the input cannot back. Compared without computing 2m + 1, which
+   could overflow. *)
+let vertices_exceed_edges n m = n - 1 - m > m
+
 (* exactly "c" or "c <text>" — a record kind, not any line whose first
    letter happens to be c *)
 let is_comment line =
@@ -35,7 +42,10 @@ let of_lines lines =
           | Some _ -> fail "duplicate header"
           | None -> (
             match int_of_string_opt n, int_of_string_opt m with
-            | Some n, Some m when n > 0 && m >= 0 -> header := Some (n, m)
+            | Some n, Some m when n > 0 && m >= 0 ->
+              if vertices_exceed_edges n m then
+                fail "vertex count %d exceeds 2m+1 = %d for m=%d" n ((2 * m) + 1) m;
+              header := Some (n, m)
             | _ -> fail "bad header numbers")
         end
         | [ "e"; u; v; w ] -> begin
@@ -140,6 +150,8 @@ let decode_binary r =
      || Int64.compare m64 (Int64.of_int (max_int / 24)) > 0
   then fail_at 24 "bad edge count %Ld" m64;
   let n = Int64.to_int n64 and m = Int64.to_int m64 in
+  if vertices_exceed_edges n m then
+    fail_at 16 "vertex count %d exceeds 2m+1 = %d for m=%d" n ((2 * m) + 1) m;
   let expect = 32 + (24 * m) in
   if r.len < expect then
     fail_at 32 "truncated edge data: %d bytes, need %d for m=%d" r.len expect m;

@@ -494,6 +494,18 @@ let io_tests =
                                    else contains (i + 1)
                                  in
                                  contains 0));
+    case "a vertex count past 2m+1 is refused at the header" (fun () ->
+        (* n = 2^40 used to reach per-vertex allocation and run out of
+           memory; the edge lines after the header are never read *)
+        (match Io.of_string "p kecss 1099511627776 1\ne 0 1 1\n" with
+        | exception Failure m ->
+          Alcotest.(check string) "named"
+            "Io.of_string: line 1: vertex count 1099511627776 exceeds 2m+1 = \
+             3 for m=1"
+            m
+        | _ -> Alcotest.fail "a 2^40-vertex header must not load");
+        (* the bound itself still loads: one edge and one isolated vertex *)
+        check_int "n = 2m+1" 3 (Graph.n (Io.of_string "p kecss 3 1\ne 0 1 1\n")));
     qcheck
       (QCheck.Test.make ~name:"io roundtrip on random graphs" ~count:50
          (arb_connected ()) (fun params ->
@@ -594,6 +606,13 @@ let binary_io_tests =
         (* first endpoint word out of range: the offset is the edge's *)
         expect_failure (patch64 bin 32 99L)
           "Io.of_binary: offset 32: edge 0: endpoint 99 out of range [0, 5)");
+    case "a vertex count past 2m+1 is refused before allocation" (fun () ->
+        let bin = Io.to_binary_string (sample ()) in
+        expect_failure
+          (patch64 bin 16 (Int64.shift_left 1L 40))
+          "Io.of_binary: offset 16: vertex count 1099511627776 exceeds 2m+1 = \
+           11 for m=5";
+        check_int "n = 2m+1" 11 (Graph.n (Io.of_binary_string (patch64 bin 16 11L))));
     case "is_binary_magic" (fun () ->
         let g = sample () in
         check_is "binary" (Io.is_binary_magic (Io.to_binary_string g));
