@@ -155,16 +155,18 @@ let handle_verify t req =
   let report = Maint.verify ?cap t.maint in
   ok_fields ~req:"verify" ~id:None (report_fields report)
 
-(* Trials run on the sequential accept loop, so one request may not ask
-   for more than this: a larger count would stall every other client. *)
-let max_resilience_trials = 1024
+(* Requests run on the sequential accept loop, and every update is
+   verify-gated, so one request may not ask for more than this many
+   resilience trials, churn updates or batch items: a larger count would
+   stall every other client. *)
+let request_budget = 1024
 
 let handle_resilience t req =
   let trials = int_param req "trials" ~default:64 in
-  if trials < 0 || trials > max_resilience_trials then
+  if trials < 0 || trials > request_budget then
     invalid_arg
       (Printf.sprintf "resilience: trials must be in [0, %d], got %d"
-         max_resilience_trials trials);
+         request_budget trials);
   let seed = int_param req "seed" ~default:t.default_seed in
   let g = Maint.graph t.maint in
   let rep =
@@ -278,6 +280,10 @@ let apply_update t ~op ~edge =
 
 let handle_update t req =
   match Json.member "batch" req with
+  | Some (Json.List items) when List.length items > request_budget ->
+    error_response ~req:"update"
+      (Printf.sprintf "update: batch must hold at most %d items, got %d"
+         request_budget (List.length items))
   | Some (Json.List items) ->
     let results =
       List.map
@@ -320,6 +326,10 @@ let handle_update t req =
 let handle_churn t req =
   let spec = str_param req "plan" ~default:"" in
   let extra = int_param req "updates" ~default:0 in
+  if extra > request_budget then
+    invalid_arg
+      (Printf.sprintf "churn: updates must be at most %d, got %d" request_budget
+         extra);
   match if spec = "" then Ok Plan.empty else Plan.of_spec spec with
   | Error msg -> error_response ~req:"churn" ("bad plan: " ^ msg)
   | Ok plan ->

@@ -20,15 +20,19 @@
       only when ["timing": true] (so default transcripts are
       byte-identical across pool sizes).
     - [update] — single ([op] = delete | insert, [edge]) or ["batch"]
-      list; each gated application reports path taken and verification.
+      list of at most 1024 items; each gated application reports path
+      taken and verification.
     - [churn] — a {!Kecss_faults.Plan} spec reinterpreted as an update
       stream ([cut=eE\@rR] deletes, [ins=eE\@rR] inserts, cuts before
       inserts at equal rounds) plus [updates] extra seeded random
-      flips; responds with applied/skipped counts, path histogram and
-      the final verification report.
+      flips (at most 1024); responds with applied/skipped counts, path
+      histogram and the final verification report.
     - [shutdown] — acknowledge and stop the session and accept loop.
 
-    An ["id"] field, if present, is echoed in the response. Malformed
+    The three 1024 bounds are one budget: every step runs on the
+    sequential accept loop, verify-gated, so a larger count would stall
+    every other client; over it the request gets a named [ok:false]
+    error. An ["id"] field, if present, is echoed in the response. Malformed
     frames, unknown kinds and handler failures produce [ok:false] error
     responses — exceptions never escape the session loop. *)
 

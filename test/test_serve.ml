@@ -303,6 +303,41 @@ let test_resilience_trials_bounded () =
     (String.starts_with ~prefix:"resilience: trials"
        (field_str (List.hd resps) "error"))
 
+let test_update_budgets () =
+  (* every churn update and batch item is verify-gated on the sequential
+     accept loop: an oversized count is refused up front like trials *)
+  let srv = Server.create (serve_graph ()) ~k:2 in
+  let batch =
+    String.concat ","
+      (List.init 1025 (fun _ -> {|{"op":"delete","edge":0}|}))
+  in
+  let reqs =
+    [
+      {|{"req":"churn","plan":"seed=1","updates":1000000000}|};
+      Printf.sprintf {|{"req":"update","batch":[%s]}|} batch;
+      {|{"req":"stats"}|};
+      {|{"req":"shutdown"}|};
+    ]
+  in
+  let t0 = Unix.gettimeofday () in
+  let resps =
+    decode_responses (run_session_string srv (frames_of_requests reqs))
+  in
+  Alcotest.(check bool) "refused at once" true (Unix.gettimeofday () -. t0 < 5.0);
+  Alcotest.(check (list bool))
+    "the errors are responses; stats is still answered"
+    [ false; false; true; true ]
+    (List.map (fun r -> field_bool r "ok") resps);
+  Alcotest.(check (list string))
+    "the errors name the parameter"
+    [
+      "churn: updates must be at most 1024, got 1000000000";
+      "update: batch must hold at most 1024 items, got 1025";
+    ]
+    (List.map (fun r -> field_str r "error") [ List.nth resps 0; List.nth resps 1 ]);
+  Alcotest.(check int) "nothing was applied" 0
+    (Maint.stats (Server.maint srv)).Maint.deletes
+
 let test_session_truncated_frame () =
   let srv = Server.create (serve_graph ()) ~k:2 in
   let input = frames_of_requests [ {|{"req":"verify"}|} ] ^ "12\n{\"req\":" in
@@ -432,6 +467,7 @@ let server_tests =
       test_session_errors_then_continue;
     case "oversized resilience trial count is refused"
       test_resilience_trials_bounded;
+    case "oversized churn and batch requests are refused" test_update_budgets;
     case "truncated trailing frame yields a protocol error"
       test_session_truncated_frame;
     case "garbage length prefix yields a protocol error"
