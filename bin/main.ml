@@ -461,29 +461,33 @@ let run_term ~flight =
 let export run ledger =
   let trace = Kecss_obs.Probe.trace run.probe in
   let events = Kecss_obs.Trace.event_count trace in
-  let write render label = function
+  let write path render label =
+    match path with
     | None -> Ok ()
     | Some path ->
       Result.map
         (fun () -> Format.eprintf "%s -> %s@." label path)
         (write_file ~what:"trace" path (render trace))
   in
-  Result.bind
-    (write Kecss_obs.Export.chrome
-       (Printf.sprintf "trace: %d events over %.0f simulated rounds" events
-          (Kecss_obs.Trace.now trace))
-       run.trace_path)
-  @@ fun () ->
-  Result.map
-    (fun () ->
-      if run.metrics_on then begin
-        Format.eprintf "%a@." Kecss_obs.Export.metrics_table
-          (Kecss_obs.Probe.metrics run.probe);
-        Option.iter (Format.eprintf "%a@." Kecss_congest.Rounds.pp) ledger
-      end)
-    (write Kecss_obs.Export.jsonl
-       (Printf.sprintf "trace events (jsonl): %d" events)
-       run.jsonl_path)
+  match
+    write run.trace_path Kecss_obs.Export.chrome
+      (Printf.sprintf "trace: %d events over %.0f simulated rounds" events
+         (Kecss_obs.Trace.now trace))
+  with
+  | Error _ as e -> e
+  | Ok () ->
+  match
+    write run.jsonl_path Kecss_obs.Export.jsonl
+      (Printf.sprintf "trace events (jsonl): %d" events)
+  with
+  | Error _ as e -> e
+  | Ok () ->
+    if run.metrics_on then begin
+      Format.eprintf "%a@." Kecss_obs.Export.metrics_table
+        (Kecss_obs.Probe.metrics run.probe);
+      Option.iter (Format.eprintf "%a@." Kecss_congest.Rounds.pp) ledger
+    end;
+    Ok ()
 
 (* print the monitor report; in strict mode violations become a CLI error
    (and dump the flight recorder to [flight_dump], if given) *)
@@ -963,17 +967,18 @@ let audit path algo k seed json_out trace_path =
         violations = Kecss_obs.Monitor.violations monitor;
       }
     in
-    let written =
-      Result.bind
-        (match trace_path with
-        | Some p -> write_file ~what:"audit" p (Kecss_obs.Export.chrome trace)
-        | None -> Ok ())
-      @@ fun () ->
+    match
+      match trace_path with
+      | Some p -> write_file ~what:"audit" p (Kecss_obs.Export.chrome trace)
+      | None -> Ok ()
+    with
+    | Error msg -> `Error (false, msg)
+    | Ok () ->
+    match
       match json_out with
       | Some p -> write_json ~what:"audit" p (Kecss_obs.Audit.to_json record)
       | None -> Ok (Format.printf "%a@." Kecss_obs.Audit.pp record)
-    in
-    match written with
+    with
     | Error msg -> `Error (false, msg)
     | Ok () ->
       if not report.Verify.ok then
@@ -1405,21 +1410,16 @@ let serve_cmd =
        $ socket_arg $ quiet))
 
 let client_run socket script =
-  let open_script = function
-    | "-" -> Ok (stdin, fun () -> ())
-    | path -> (
-      match open_in path with
-      | ic -> Ok (ic, fun () -> close_in ic)
-      | exception Sys_error m -> Error ("cannot read script: " ^ m))
-  in
-  match Result.bind (Server.address_of_string socket) (fun addr ->
-      Result.map (fun s -> (addr, s)) (open_script script))
-  with
+  match Server.address_of_string socket with
   | Error m -> `Error (false, m)
-  | Ok (addr, (input, closer)) ->
-    ret_of_result
-      (Fun.protect ~finally:closer (fun () ->
-           Server.client ~input ~output:stdout addr))
+  | Ok addr -> (
+    match if script = "-" then stdin else open_in script with
+    | exception Sys_error m -> `Error (false, "cannot read script: " ^ m)
+    | input ->
+      ret_of_result
+        (Fun.protect
+           ~finally:(fun () -> if script <> "-" then close_in input)
+           (fun () -> Server.client ~input ~output:stdout addr)))
 
 let client_cmd =
   let script =
