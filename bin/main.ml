@@ -185,10 +185,10 @@ let report_sparsify ppf sp =
 
 let trace_arg =
   let doc =
-    "Write a Chrome trace_event telemetry trace to $(docv): algorithm \
-     phases as spans on a simulated-round timeline, plus messages/round \
-     and active-vertex counter tracks. Open in chrome://tracing or \
-     ui.perfetto.dev."
+    "Write a Chrome trace_event telemetry trace to $(docv) (- for \
+     stdout): algorithm phases as spans on a simulated-round timeline, \
+     plus messages/round and active-vertex counter tracks. Open in \
+     chrome://tracing or ui.perfetto.dev."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -217,8 +217,9 @@ let monitor_arg =
 let trace_jsonl_arg =
   let doc =
     "Also export the telemetry event stream as newline-delimited JSON, one \
-     event per line, to $(docv) — the byte-stable stream CI diffs across \
-     --jobs values. Implies trace collection like $(b,--trace)."
+     event per line, to $(docv) (- for stdout) — the byte-stable stream \
+     CI diffs across --jobs values. Implies trace collection like \
+     $(b,--trace)."
   in
   Arg.(value & opt (some string) None & info [ "trace-jsonl" ] ~docv:"FILE" ~doc)
 
@@ -228,8 +229,8 @@ let profile_arg =
      wall-clock spans (total/max and p50/p90/p99), Gc.quick_stat deltas \
      (minor/major words, collections) and the per-domain pool utilization \
      table, printed on stderr. With $(docv), also write the profile as a \
-     JSON document to $(docv). Wall-clock time is measured strictly \
-     outside the simulated round clock: results and telemetry stay \
+     JSON document to $(docv) (- for stdout). Wall-clock time is measured \
+     strictly outside the simulated round clock: results and telemetry stay \
      bit-identical with profiling on, but the profile numbers themselves \
      vary run to run."
   in
@@ -345,11 +346,11 @@ let phase_arg =
 
 let flight_dump_arg =
   let doc =
-    "Where to write the flight-recorder dump (kecss-flight/1 JSON). The \
-     recorder keeps a bounded per-vertex ring of the last rounds of sends, \
-     receives and activation flips whenever a fault plan or --monitor is \
-     active, and dumps automatically when the run stalls (no quiescence) \
-     or strict-mode invariant violations are found."
+    "Where to write the flight-recorder dump (kecss-flight/1 JSON; - for \
+     stdout). The recorder keeps a bounded per-vertex ring of the last \
+     rounds of sends, receives and activation flips whenever a fault plan \
+     or --monitor is active, and dumps automatically when the run stalls \
+     (no quiescence) or strict-mode invariant violations are found."
   in
   Arg.(
     value
@@ -568,7 +569,7 @@ let generate_cmd =
   let wlo = Arg.(value & opt int 1 & info [ "wmin" ] ~doc:"Min weight.") in
   let whi = Arg.(value & opt int 1 & info [ "wmax" ] ~doc:"Max weight.") in
   let out =
-    Arg.(value & opt string "-" & info [ "o"; "output" ] ~doc:"Output file.")
+    Arg.(value & opt string "-" & info [ "o"; "output" ] ~doc:"Output file (- for stdout).")
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a workload graph.")
