@@ -85,9 +85,9 @@ type walker
 (** One sweep that covers tree edges with the fundamental paths of
     non-tree edges, in an order the caller picks: each tree edge is
     covered once, by the first path to reach it. Path-compressed jump
-    pointers skip covered stretches, so a whole sweep touches every tree
-    edge O(1) amortised times. The walker owns the covered bits and the
-    jump pointers. *)
+    pointers skip covered stretches, so a whole sweep costs near-linear
+    time however the paths overlap. The walker owns the covered bits and
+    the jump pointers. *)
 
 val walker : t -> walker
 (** A fresh walker with every tree edge uncovered. *)
