@@ -235,9 +235,184 @@ let enumerate ?mask ?trials ?pool ~rng g ~size =
     List.rev !out
   end
 
+(* ----- the exact census from §5's cycle-space labels ----- *)
+
+let random_label rng bits =
+  (* uniform in [0, 2^bits), built from 30-bit draws *)
+  let rec go acc remaining =
+    if remaining <= 0 then acc
+    else
+      let take = min 30 remaining in
+      go ((acc lsl take) lor Rng.int rng (1 lsl take)) (remaining - take)
+  in
+  go 0 bits
+
+let label_sweep ~bits rng tree ~h_mask =
+  let g = Rooted_tree.graph tree in
+  let n = Graph.n g in
+  let label = Array.make (Graph.m g) (-1) in
+  let acc = Array.make n 0 in
+  Bitset.iter
+    (fun id ->
+      if not (Rooted_tree.is_tree_edge tree id) then begin
+        let l = random_label rng bits in
+        label.(id) <- l;
+        let u, v = Graph.endpoints g id in
+        acc.(u) <- acc.(u) lxor l;
+        acc.(v) <- acc.(v) lxor l
+      end)
+    h_mask;
+  (* φ(tree edge below x) is the XOR of acc over subtree(x): a non-tree
+     edge with both endpoints inside cancels, one with exactly one endpoint
+     inside — i.e. a covering edge — survives. *)
+  let order = Rooted_tree.preorder tree in
+  for i = n - 1 downto 0 do
+    let x = order.(i) in
+    if x <> Rooted_tree.root tree then begin
+      label.(Rooted_tree.parent_edge tree x) <- acc.(x);
+      let p = Rooted_tree.parent tree x in
+      acc.(p) <- acc.(p) lxor acc.(x)
+    end
+  done;
+  label
+
+(* H with a BFS tree rooted at vertex 0 and one label sweep over it *)
+type labelled = { h : Bitset.t; is_tree : bool array; label : int array }
+
+let label_h ?(bits = 60) ?mask ~rng g =
+  let h = match mask with Some s -> s | None -> Graph.all_edges_mask g in
+  if not (Graph.is_connected ~mask:h g) then
+    invalid_arg "Min_cut_enum.census: the subgraph is not connected";
+  let _, pe = Graph.bfs_tree ~mask:h g 0 in
+  let tree = Rooted_tree.of_parent_edges g ~root:0 pe in
+  let is_tree = Array.make (Graph.m g) false in
+  Array.iter (fun e -> if e >= 0 then is_tree.(e) <- true) pe;
+  { h; is_tree; label = label_sweep ~bits rng tree ~h_mask:h }
+
+(* Calls [f] on every set of [size] ∈ {2, 3} edges of H whose labels XOR
+   to zero, as an increasing id list: every cut of that size (its edges
+   XOR to zero under every circulation), and each other set with
+   probability 2^−bits. A non-empty cut contains a tree edge, so a triple
+   is found from its smallest tree edge t and the pair x < y beside it. *)
+let iter_collisions lab ~size f =
+  let classes = Hashtbl.create 64 in
+  Bitset.iter
+    (fun id ->
+      let l = lab.label.(id) in
+      Hashtbl.replace classes l
+        (id :: Option.value ~default:[] (Hashtbl.find_opt classes l)))
+    lab.h;
+  let class_of l = Option.value ~default:[] (Hashtbl.find_opt classes l) in
+  match size with
+  | 2 ->
+    (* classes hold decreasing ids *)
+    let rec pairs = function
+      | [] -> ()
+      | b :: rest -> List.iter (fun a -> f [ a; b ]) rest; pairs rest
+    in
+    Hashtbl.iter (fun _ ids -> pairs ids) classes
+  | 3 ->
+    let after t e = e > t || not lab.is_tree.(e) in
+    Bitset.iter
+      (fun t ->
+        if lab.is_tree.(t) then
+          Bitset.iter
+            (fun x ->
+              if after t x then
+                List.iter
+                  (fun y ->
+                    if y > x && after t y then
+                      f
+                        (if t < x then [ t; x; y ]
+                         else if t < y then [ x; t; y ]
+                         else [ x; y; t ]))
+                  (class_of (lab.label.(t) lxor lab.label.(x))))
+            lab.h)
+      lab.h
+  | _ -> invalid_arg "Min_cut_enum: label census needs size 2 or 3"
+
+(* Is [ids] exactly δ(S) in H for some S ∋ 0? Deleting [ids] splits the
+   connected H into components, and [ids] is a cut iff its edges join
+   distinct components and 2-colour them; S is vertex 0's colour class.
+   [scratch] holds H and is restored. *)
+let confirm g scratch ids =
+  List.iter (Bitset.remove scratch) ids;
+  let comp = Graph.components ~mask:scratch g in
+  List.iter (Bitset.add scratch) ids;
+  let ends =
+    List.map (fun e -> (comp.(Graph.edge_u g e), comp.(Graph.edge_v g e))) ids
+  in
+  if List.exists (fun (a, b) -> a = b) ends then None
+  else begin
+    (* at most |ids| + 1 components, numbered from vertex 0's; a path in
+       the component graph has at most |ids| edges *)
+    let colour = Array.make (List.length ids + 1) (-1) in
+    colour.(0) <- 0;
+    List.iter
+      (fun _ ->
+        List.iter
+          (fun (a, b) ->
+            if colour.(a) >= 0 && colour.(b) < 0 then
+              colour.(b) <- 1 - colour.(a)
+            else if colour.(b) >= 0 && colour.(a) < 0 then
+              colour.(a) <- 1 - colour.(b))
+          ends)
+      ids;
+    if List.exists (fun (a, b) -> colour.(a) = colour.(b)) ends then None
+    else begin
+      let side = Bitset.create (Graph.n g) in
+      Array.iteri (fun v c -> if colour.(c) = 0 then Bitset.add side v) comp;
+      Some side
+    end
+  end
+
+let census ?bits ?mask ~rng g ~size =
+  if size < 1 || size > 3 then
+    invalid_arg "Min_cut_enum.census: size must be 1, 2 or 3";
+  if size = 1 then begin
+    if not (Graph.is_connected ?mask g) then
+      invalid_arg "Min_cut_enum.census: the subgraph is not connected";
+    enumerate_bridges ?mask g
+  end
+  else begin
+    let lab = label_h ?bits ?mask ~rng g in
+    let scratch = Bitset.copy lab.h in
+    let out = ref [] in
+    iter_collisions lab ~size (fun ids ->
+        match confirm g scratch ids with
+        | Some side -> out := { edge_ids = ids; side } :: !out
+        | None -> ());
+    List.sort (fun a b -> compare a.edge_ids b.edge_ids) !out
+  end
+
+let collisions ?bits ?mask ~rng g ~size =
+  let lab = label_h ?bits ?mask ~rng g in
+  let out = ref [] in
+  iter_collisions lab ~size (fun ids -> out := ids :: !out);
+  List.sort compare !out
+
+let lambda_upto ?mask ~rng g ~upper =
+  if upper < 3 || upper > 4 then
+    invalid_arg "Min_cut_enum.lambda_upto: upper must be 3 or 4";
+  if Dfs.bridges ?mask g <> [] then 1
+  else begin
+    let lab = label_h ?mask ~rng g in
+    let scratch = Bitset.copy lab.h in
+    let has_cut size =
+      match
+        iter_collisions lab ~size (fun ids ->
+            if confirm g scratch ids <> None then raise_notrace Exit)
+      with
+      | () -> false
+      | exception Exit -> true
+    in
+    if has_cut 2 then 2 else if upper = 3 || not (has_cut 3) then upper else 3
+  end
+
 let min_cuts ?mask ~rng g =
   let lam = Edge_connectivity.lambda ?mask g in
   if lam = 0 then (0, [])
   else if lam = 1 then (1, enumerate_bridges ?mask g)
+  else if lam <= 3 then (lam, census ?mask ~rng g ~size:lam)
   else if Graph.n g <= 16 then (lam, enumerate_exhaustive ?mask g ~size:lam)
   else (lam, enumerate ?mask ~rng g ~size:lam)

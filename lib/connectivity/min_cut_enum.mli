@@ -5,11 +5,17 @@
     so these are exactly its minimum cuts, of which there are at most
     n(n−1)/2).  This module provides that local computation:
 
+    - {!census}: exact, for cuts of size 1–3 — bridges by DFS, and the
+      sets of 2 or 3 edges whose §5 cycle-space labels XOR to zero, each
+      confirmed by deletion: one O(m) label sweep, O(n·m) lookups more
+      for size 3, and one O(n + m) search per collision. {!min_cuts},
+      Aug_k (k ≤ 4) and [Verify] (caps 3–4) use it;
     - {!enumerate_exhaustive}: exact, by scanning all 2^(n-1) vertex sides —
-      for small n and for cross-validating the randomized enumerator;
+      for small n and for cross-validating the other enumerators;
     - {!enumerate}: seeded Karger contraction — finds every minimum cut with
       high probability, in the spirit of the paper's own citation of
-      Karger's bound on the number of minimum cuts (footnote 4). *)
+      Karger's bound on the number of minimum cuts (footnote 4). The only
+      path for cuts of size ≥ 4, and a test oracle for the census. *)
 
 open Kecss_graph
 
@@ -45,6 +51,43 @@ val enumerate :
     found cuts merged in canonical block order: the result is
     deterministic given [rng] and identical at every pool size. *)
 
+val label_sweep : bits:int -> Rng.t -> Rooted_tree.t -> h_mask:Bitset.t -> int array
+(** [label_sweep ~bits rng tree ~h_mask] is §5.1's sequential cycle-space
+    sampling (Pritchard–Thurimella): every non-tree edge of [h_mask], in
+    increasing id order, draws a uniform [bits]-bit label, and every tree
+    edge gets the XOR of the labels of the non-tree edges covering it — a
+    uniformly random circulation. Indexed by edge id, [-1] outside
+    [h_mask]; [tree ⊆ h_mask] is the caller's to ensure. The one sweep
+    behind {!census} and [Kecss_cycle_space.Labels.compute]. *)
+
+val census :
+  ?bits:int -> ?mask:Bitset.t -> rng:Rng.t -> Graph.t -> size:int -> cut list
+(** Every cut δ(S) of the connected (sub)graph H with exactly [size] ∈
+    {1, 2, 3} crossing edges — the same set as {!enumerate_exhaustive},
+    sorted by [edge_ids].
+
+    Size 1 is the DFS bridges. For sizes 2 and 3, H gets one BFS tree
+    and one {!label_sweep} of [bits] (default 60) from [rng]: a set of
+    edges is a cut iff its labels XOR to zero under every circulation
+    (Property 5.1), so every cut collides, as do other sets with
+    probability 2^−bits each. Each collision is confirmed by deleting its
+    edges and 2-colouring the components left, which also gives [side]:
+    nothing is missed and nothing false is kept, whatever [rng] draws.
+    Raises [Invalid_argument] unless H is connected and [1 ≤ size ≤ 3]. *)
+
+val collisions :
+  ?bits:int -> ?mask:Bitset.t -> rng:Rng.t -> Graph.t -> size:int -> int list list
+(** The zero-XOR sets {!census} confirms, before confirmation, for [size]
+    2 or 3: every cut and the false collisions, sorted. Same labels as
+    {!census} given the same [rng] state. *)
+
+val lambda_upto : ?mask:Bitset.t -> rng:Rng.t -> Graph.t -> upper:int -> int
+(** [min λ upper] for [upper] 3 or 4 on a connected (sub)graph with n ≥ 2,
+    from the bridges and then the {!census}'s confirmed collisions of
+    size 2 and 3, stopping at the first — exact, like the capped
+    max-flow [Edge_connectivity.lambda ~upper]. *)
+
 val min_cuts : ?mask:Bitset.t -> rng:Rng.t -> Graph.t -> int * cut list
-(** [(λ, cuts)]: the edge connectivity and (w.h.p.) all minimum cuts, using
-    {!enumerate_exhaustive} for n ≤ 16 and {!enumerate} otherwise. *)
+(** [(λ, cuts)]: the edge connectivity (max-flow) and all minimum cuts,
+    using the bridges at λ = 1, {!census} at λ ∈ {2, 3},
+    {!enumerate_exhaustive} for n ≤ 16 and {!enumerate} (w.h.p.) beyond. *)

@@ -1,4 +1,5 @@
 open Kecss_graph
+open Kecss_connectivity
 open Kecss_congest
 
 type t = {
@@ -10,68 +11,26 @@ type t = {
 
 let default_bits = 60
 
-let random_label rng bits =
-  (* uniform in [0, 2^bits), built from 30-bit draws *)
-  let rec go acc remaining =
-    if remaining <= 0 then acc
-    else
-      let take = min 30 remaining in
-      go ((acc lsl take) lor Rng.int rng (1 lsl take)) (remaining - take)
-  in
-  go 0 bits
-
 let check_args tree ~h_mask bits =
   if bits < 1 || bits > 62 then invalid_arg "Labels: bits must be in [1, 62]";
   let te = Rooted_tree.edges_mask tree in
   if not (Bitset.subset te h_mask) then
     invalid_arg "Labels: h_mask must contain all tree edges"
 
-let non_tree_edges tree ~h_mask =
-  Bitset.fold
-    (fun id acc -> if Rooted_tree.is_tree_edge tree id then acc else id :: acc)
-    h_mask []
-  |> List.rev
-
 let finish tree ~h_mask ~bits label = { tree; h_mask; bits; label }
 
 let compute ?(bits = default_bits) rng tree ~h_mask =
   check_args tree ~h_mask bits;
-  let g = Rooted_tree.graph tree in
-  let n = Graph.n g in
-  let label = Array.make (Graph.m g) (-1) in
-  let acc = Array.make n 0 in
-  List.iter
-    (fun id ->
-      let l = random_label rng bits in
-      label.(id) <- l;
-      let u, v = Graph.endpoints g id in
-      acc.(u) <- acc.(u) lxor l;
-      acc.(v) <- acc.(v) lxor l)
-    (non_tree_edges tree ~h_mask);
-  (* φ(tree edge below x) is the XOR of acc over subtree(x): a non-tree
-     edge with both endpoints inside cancels, one with exactly one endpoint
-     inside — i.e. a covering edge — survives. *)
-  let order = Rooted_tree.preorder tree in
-  for i = n - 1 downto 0 do
-    let x = order.(i) in
-    if x <> Rooted_tree.root tree then begin
-      label.(Rooted_tree.parent_edge tree x) <- acc.(x);
-      let p = Rooted_tree.parent tree x in
-      acc.(p) <- acc.(p) lxor acc.(x)
-    end
-  done;
-  finish tree ~h_mask ~bits label
+  finish tree ~h_mask ~bits (Min_cut_enum.label_sweep ~bits rng tree ~h_mask)
 
 let compute_distributed ?(bits = default_bits) ledger rng tree ~h_mask =
   Rounds.scoped ledger "labels" @@ fun () ->
   check_args tree ~h_mask bits;
   let g = Rooted_tree.graph tree in
-  let label = Array.make (Graph.m g) (-1) in
   (* the smaller endpoint of every non-tree H edge draws the label and
-     sends it across the edge — one round *)
-  List.iter
-    (fun id -> label.(id) <- random_label rng bits)
-    (non_tree_edges tree ~h_mask);
+     sends it across the edge — one round; the draws are the sequential
+     sweep's, whose tree labels the wave below recomputes *)
+  let label = Min_cut_enum.label_sweep ~bits rng tree ~h_mask in
   let is_h id = Bitset.mem h_mask id in
   let sends v =
     List.rev

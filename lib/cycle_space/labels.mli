@@ -27,7 +27,9 @@ val default_bits : int
 val compute : ?bits:int -> Rng.t -> Rooted_tree.t -> h_mask:Bitset.t -> t
 (** [compute rng tree ~h_mask] samples a random [bits]-bit circulation of
     the subgraph [h_mask] (which must contain all tree edges) and labels
-    every edge of [h_mask]. Sequential reference implementation. *)
+    every edge of [h_mask]. Sequential reference implementation: the
+    sweep {!Kecss_connectivity.Min_cut_enum.label_sweep}, which the exact
+    cut census shares. *)
 
 val compute_distributed :
   ?bits:int -> Rounds.t -> Rng.t -> Rooted_tree.t -> h_mask:Bitset.t -> t
