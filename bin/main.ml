@@ -903,8 +903,9 @@ let verify_cmd =
 (* audit                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* the sequential greedy baseline enumerates size-(k-1) cuts exhaustively,
-   so it is only joined into the audit on small instances *)
+(* the sequential greedy baseline computes λ by max-flow and, beyond
+   k = 4, enumerates cuts exhaustively or by Karger, so it is only joined
+   into the audit on small instances *)
 let greedy_audit_max_n = 24
 
 let audit path algo k seed json_out trace_path =
@@ -1231,10 +1232,11 @@ let resilience_cmd =
     (Cmd.info "resilience"
        ~doc:
          "Attack a k-ECSS solution with up to k-1 edge failures: cut-guided \
-          witness search (bridges, exhaustive enumeration or seeded Karger \
-          contraction) plus seeded random failure sampling, reporting the \
-          survival rate, worst residual connectivity and the failure margin \
-          lambda - (k-1). A Verify-passing solution must survive everything.")
+          witness search (bridges, the exact label census of 2- and 3-cuts, \
+          exhaustive enumeration or seeded Karger contraction) plus seeded \
+          random failure sampling, reporting the survival rate, worst \
+          residual connectivity and the failure margin lambda - (k-1). A \
+          Verify-passing solution must survive everything.")
     Term.(
       ret
         (const resilience $ graph_arg $ algo $ sol $ k_arg $ seed_arg

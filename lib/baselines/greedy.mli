@@ -22,8 +22,9 @@ val tap : Graph.t -> Rooted_tree.t -> Bitset.t
 
 val augmentation : Graph.t -> h:Bitset.t -> k:int -> Bitset.t
 (** Greedy Aug_k over the minimum cuts of H
-    ({!Kecss_connectivity.Min_cut_enum.min_cuts}: exhaustive for n ≤ 16,
-    seeded Karger beyond — small instances only, n ≤ 24): repeatedly add
+    ({!Kecss_connectivity.Min_cut_enum.min_cuts}: the exact label census
+    for k ≤ 4; beyond, exhaustive for n ≤ 16 and seeded Karger otherwise,
+    which keeps k ≥ 5 to small instances, n ≤ 24): repeatedly add
     the edge maximizing uncovered-cuts/weight, then repair exactly.
     Exact-coverage greedy, so its ratio is the classical H_n bound.
     Raises [Invalid_argument] unless λ(H) = k−1, and [Failure] if G is

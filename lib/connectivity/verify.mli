@@ -19,7 +19,13 @@ val check_kecss : ?cap:int -> Graph.t -> Bitset.t -> k:int -> report
     the report cannot distinguish "just barely k-connected" from "well
     above k". Pass [?cap] (clamped to at least [k]; e.g. [max_int]) to
     raise the early-exit ceiling and read the true λ — what the
-    resilience report does to expose the failure margin λ − (k−1). *)
+    resilience report does to expose the failure margin λ − (k−1).
+
+    min(λ, cap) comes from the bridges alone while the cap is at most 2,
+    from {!Min_cut_enum.lambda_upto} (bridges, then the exact label
+    census of 2- and 3-cuts) while it is 3 or 4, and from capped
+    max-flows ({!Edge_connectivity.lambda}) beyond. All three give the
+    same number. *)
 
 val check_augmentation :
   ?cap:int -> Graph.t -> h:Bitset.t -> aug:Bitset.t -> k:int -> report

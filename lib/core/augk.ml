@@ -110,10 +110,13 @@ let augment ?config ledger rng ~bfs_forest g ~h ~k =
     ignore
       (Prim.broadcast_list ~record:false ledger bfs_forest ~items:(fun _ ->
            List.map (fun e -> [| e |]) (Bitset.elements h)));
-    (* enumerate the size-(k-1) cuts of H — every vertex does this locally *)
+    (* enumerate the size-(k-1) cuts of H — every vertex does this
+       locally: exactly from the labels up to size 3, by Karger beyond *)
     let cuts =
+      let rng = Rng.split rng in
       Array.of_list
-        (Min_cut_enum.enumerate ~mask:h ~rng:(Rng.split rng) g ~size:(k - 1))
+        (if k <= 4 then Min_cut_enum.census ~mask:h ~rng g ~size:(k - 1)
+         else Min_cut_enum.enumerate ~mask:h ~rng g ~size:(k - 1))
     in
     let problem = cut_problem g ~h cuts in
     (* Line 4: the filter keeps the active candidates the MST under the

@@ -15,7 +15,8 @@
        active candidate's cuts end the iteration covered (Claim 4.3).}}
 
     The size-(k−1) cuts of H are its minimum cuts; they are enumerated with
-    {!Kecss_connectivity.Min_cut_enum} (complete w.h.p.), and an exact
+    {!Kecss_connectivity.Min_cut_enum}: exactly by the label census for
+    k ≤ 4, by Karger contraction (complete w.h.p.) beyond. An exact
     connectivity re-check with greedy repair backs the termination
     condition, so the output is unconditionally k-edge-connected.
 

@@ -30,6 +30,7 @@ let find_witness ~rng g ~h ~spanning ~lambda ~budget =
   else begin
     let search =
       if lambda <= 1 then "bridges"
+      else if lambda <= 3 then "labels"
       else if Graph.n g <= 16 then "exhaustive"
       else "karger"
     in

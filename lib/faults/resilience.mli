@@ -6,9 +6,10 @@
 
     - {b cut-guided search}: if λ(H) ≤ k−1 then every minimum cut of H is
       a disconnecting failure set within the budget; the search enumerates
-      them with [Min_cut_enum] (exhaustively for small n, bridges for
-      λ = 1, seeded Karger contraction otherwise) and reports the first as
-      a witness;
+      them with [Min_cut_enum.min_cuts] (bridges for λ = 1, the exact
+      label census for λ ∈ {2, 3}, exhaustively for small n and seeded
+      Karger contraction otherwise) and reports the first as a witness —
+      for the bridges and the census, the first in edge-id order;
     - {b random failure sampling}: seeded uniform (k−1)-subsets of H's
       edges are removed and connectivity re-checked, measuring the
       survival rate and the worst residual connectivity λ(H \ F) — the
@@ -31,8 +32,9 @@ type report = {
   lambda : int;          (** true λ(H), uncapped ([Verify] with [?cap]) *)
   margin : int;          (** λ(H) − (k−1): failures beyond the budget
                              needed to disconnect; ≥ 1 iff H is a k-ECSS *)
-  search : string;       (** witness search used: ["exhaustive"],
-                             ["bridges"], ["karger"] or ["none"] *)
+  search : string;       (** witness search used: ["bridges"] (λ = 1),
+                             ["labels"] (λ ∈ {2, 3}), ["exhaustive"]
+                             (n ≤ 16), ["karger"] or ["none"] *)
   trials : int;          (** random failure sets sampled *)
   survived : int;
   survival_rate : float; (** survived / trials, 1.0 when trials = 0 *)

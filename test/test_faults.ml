@@ -451,7 +451,9 @@ let resilience_tests =
           Resilience.attack ~trials:16 ~rng:(Rng.create ~seed:3) g ~h ~k:3
         in
         check_is "killed" (not (Resilience.ok r));
-        check_is "exhaustive search" (r.Resilience.search = "exhaustive");
+        (* λ = 2: the exact label census answers before the exhaustive
+           scan would *)
+        check_is "labels search" (r.Resilience.search = "labels");
         match r.Resilience.witness with
         | Some ids ->
           check_is "within budget" (List.length ids <= 2);
@@ -466,9 +468,38 @@ let resilience_tests =
           Resilience.attack ~trials:16 ~rng:(Rng.create ~seed:3) g ~h ~k:3
         in
         check_is "killed" (not (Resilience.ok r));
+        (* λ = 2: the exact label census answers before Karger would *)
+        check_is "labels search" (r.Resilience.search = "labels");
+        match r.Resilience.witness with
+        | Some ids ->
+          let mask = Bitset.copy h in
+          List.iter (Bitset.remove mask) ids;
+          check_is "the witness disconnects" (not (Graph.is_connected ~mask g))
+        | None -> Alcotest.fail "expected a witness");
+    (* past the census's sizes (λ ≥ 4) the search is exhaustive up to
+       n = 16 and Karger beyond *)
+    case "exhaustive witness at lambda 4" (fun () ->
+        let g = Gen.harary 4 12 in
+        let h = Graph.all_edges_mask g in
+        let r = Resilience.attack ~trials:16 ~rng:(Rng.create ~seed:3) g ~h ~k:5 in
+        check_is "killed" (not (Resilience.ok r));
+        check_is "exhaustive search" (r.Resilience.search = "exhaustive");
+        match r.Resilience.witness with
+        | Some ids ->
+          check_int "a 4-cut" 4 (List.length ids);
+          let mask = Bitset.copy h in
+          List.iter (Bitset.remove mask) ids;
+          check_is "the witness disconnects" (not (Graph.is_connected ~mask g))
+        | None -> Alcotest.fail "expected a witness");
+    case "karger witness at lambda 4 beyond the exhaustive bound" (fun () ->
+        let g = Gen.harary 4 20 in
+        let h = Graph.all_edges_mask g in
+        let r = Resilience.attack ~trials:16 ~rng:(Rng.create ~seed:3) g ~h ~k:5 in
+        check_is "killed" (not (Resilience.ok r));
         check_is "karger search" (r.Resilience.search = "karger");
         match r.Resilience.witness with
         | Some ids ->
+          check_int "a 4-cut" 4 (List.length ids);
           let mask = Bitset.copy h in
           List.iter (Bitset.remove mask) ids;
           check_is "the witness disconnects" (not (Graph.is_connected ~mask g))

@@ -171,10 +171,13 @@ let test_solver_identical () =
 
 let test_kecss_identical () =
   (* the k-ECSS solver exercises the parallel Karger enumeration inside
-     its augmentation phase *)
+     its augmentation phase at the level it still calls it: Aug_5 covers
+     the 4-cuts, past the label census's sizes *)
   let solve () =
-    let g = test_graph ~n:32 ~k:3 ~seed:7 in
-    let r = Kecss.solve ~seed:1 g ~k:3 in
+    let g = test_graph ~n:32 ~k:5 ~seed:7 in
+    let r = Kecss.solve ~seed:1 g ~k:5 in
+    let top = List.find (fun l -> l.Kecss.level = 5) r.Kecss.levels in
+    Alcotest.(check bool) "Aug_5 has 4-cuts to cover" true (top.Kecss.iterations > 0);
     (Bitset.elements r.Kecss.solution, r.Kecss.weight, r.Kecss.rounds)
   in
   let s1, w1, r1 = with_default_jobs 1 solve in
