@@ -3,10 +3,10 @@
     "an O(D)-round algorithm for verifying if a graph is 2-edge-connected
     or 3-edge-connected".
 
-    One-sided error: a verdict of [false] (not k-connected) is always
-    correct; [true] is correct with probability ≥ 1 − 2^{−Ω(bits)} per
-    candidate pair. All communication is executed on the engine and
-    charged to the ledger. *)
+    One-sided error: a bridge or cut pair always shows in the labels, so
+    a verdict of [true] (k-connected) is always correct; [false] can be a
+    false alarm, with probability about 2^{−bits} per candidate. All
+    communication is executed on the engine and charged to the ledger. *)
 
 open Kecss_graph
 open Kecss_congest

@@ -220,6 +220,31 @@ let verifier_tests =
           check_is "rejected"
             (not (Verifier.two_edge_connected ~bits:1 ledger (Rng.create ~seed) g))
         done);
+    case "true verdicts are exact, false ones can be false alarms" (fun () ->
+        (* a 2-edge-connected graph whose tree edges draw 1- and 2-bit
+           labels: some seed labels a tree edge 0 and says false *)
+        let g = Gen.circulant 12 [ 1; 2 ] in
+        List.iter
+          (fun bits ->
+            let verdicts =
+              List.init 40 (fun seed ->
+                  Verifier.two_edge_connected ~bits (Rounds.create ())
+                    (Rng.create ~seed) g)
+            in
+            check_is (Printf.sprintf "a false alarm at %d bits" bits)
+              (List.mem false verdicts))
+          [ 1; 2 ];
+        (* a bridge is labelled 0 under every draw: never true *)
+        let g = Gen.lollipop 6 4 in
+        List.iter
+          (fun bits ->
+            for seed = 0 to 39 do
+              check_is "bridge rejected"
+                (not
+                   (Verifier.two_edge_connected ~bits (Rounds.create ())
+                      (Rng.create ~seed) g))
+            done)
+          [ 1; 2 ]);
     case "subgraph verification via mask" (fun () ->
         let g = Gen.wheel 10 in
         let tree = Rooted_tree.bfs_tree g ~root:0 in
