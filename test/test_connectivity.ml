@@ -262,6 +262,159 @@ let enum_tests =
                 (Min_cut_enum.enumerate_exhaustive g ~size:lam)));
   ]
 
+(* ----- the exact label census against its oracles ----- *)
+
+(* one graph per generator family, n ≤ 14 so the exhaustive oracle runs *)
+let families =
+  [|
+    ("path", fun _ n -> Gen.path n);
+    ("cycle", fun _ n -> Gen.cycle n);
+    ("star", fun _ n -> Gen.star n);
+    ("wheel", fun _ n -> Gen.wheel (max 4 n));
+    ("complete", fun _ n -> Gen.complete (min n 8));
+    ("circulant", fun _ n -> Gen.circulant (max 7 n) [ 1; 3 ]);
+    ("harary3", fun _ n -> Gen.harary 3 (max 5 n));
+    ("harary4", fun _ n -> Gen.harary 4 (max 6 n));
+    ("torus", fun _ n -> Gen.torus 3 (max 3 (n / 3)));
+    ("grid", fun _ n -> Gen.grid 3 (max 2 (n / 3)));
+    ("hypercube", fun _ n -> Gen.hypercube (if n >= 12 then 3 else 2));
+    ("lollipop", fun _ n -> Gen.lollipop (max 3 (n / 2)) (max 1 (n / 2)));
+    ("caterpillar", fun _ n -> Gen.caterpillar (max 2 (n / 3)) 2);
+    ("random_tree", fun rng n -> Gen.random_tree rng n);
+    ("random_connected", fun rng n -> Gen.random_connected rng n 0.3);
+    ("random_2_connected", fun rng n -> Gen.random_k_connected rng (max 4 n) 2 ~extra:n);
+    ("random_3_connected", fun rng n -> Gen.random_k_connected rng (max 5 n) 3 ~extra:n);
+    ( "random_geometric",
+      fun rng n ->
+        (* not connected by construction: grow the radius until it is *)
+        let rec grow r =
+          let g = Gen.random_geometric rng n r in
+          if Graph.is_connected g then g else grow (r +. 0.2)
+        in
+        grow 0.5 );
+    ("paper_figure2", fun _ _ -> Gen.paper_figure2 ());
+  |]
+
+(* (family, seed, n, masked): masked instances drop every third edge
+   when H stays connected *)
+let arb_family =
+  QCheck.make
+    ~print:(fun (f, seed, n, masked) ->
+      Printf.sprintf "%s seed=%d n=%d masked=%b" (fst families.(f)) seed n masked)
+    QCheck.Gen.(
+      quad (int_bound (Array.length families - 1)) (int_bound 1_000_000)
+        (int_range 4 14) bool)
+
+let family_instance (f, seed, n, masked) =
+  let g = (snd families.(f)) (Rng.create ~seed) n in
+  let mask = Graph.all_edges_mask g in
+  if masked then begin
+    Graph.iter_edges
+      (fun e -> if e.Graph.id mod 3 = 2 then Bitset.remove mask e.Graph.id)
+      g;
+    if not (Graph.is_connected ~mask g) then
+      Bitset.union_into mask (Graph.all_edges_mask g)
+  end;
+  (g, mask)
+
+let cut_keys cuts =
+  List.map (fun c -> (c.Min_cut_enum.edge_ids, Bitset.elements c.Min_cut_enum.side)) cuts
+
+let sorted_keys cuts = List.sort compare (cut_keys cuts)
+
+(* a kecss-k3-shaped instance: weighted, 3-connected, 2n extra edges *)
+let kecss_k3_graph ~n ~seed =
+  let rng = Rng.create ~seed in
+  Weights.uniform rng ~lo:1 ~hi:(n * n) (Gen.random_k_connected rng n 3 ~extra:(2 * n))
+
+let census_tests =
+  [
+    qcheck
+      (QCheck.Test.make ~name:"census equals the exhaustive cuts, sizes 1-3"
+         ~count:120 arb_family (fun params ->
+           let g, mask = family_instance params in
+           let rng = Rng.create ~seed:(Graph.m g) in
+           List.for_all
+             (fun size ->
+               let census = Min_cut_enum.census ~mask ~rng g ~size in
+               cut_keys census
+               = sorted_keys (Min_cut_enum.enumerate_exhaustive ~mask g ~size))
+             [ 1; 2; 3 ]));
+    qcheck
+      (QCheck.Test.make ~name:"Verify's lambda equals capped max-flow at caps 2-4"
+         ~count:120 arb_family (fun params ->
+           let g, mask = family_instance params in
+           List.for_all
+             (fun cap ->
+               (Verify.check_kecss ~cap g mask ~k:1).Verify.connectivity
+               = Edge_connectivity.lambda ~mask ~upper:cap g)
+             [ 2; 3; 4 ]));
+    case "2-bit labels collide falsely, the census stays exact" (fun () ->
+        let false_collisions = ref 0 in
+        Array.iteri
+          (fun f _ ->
+            let g, mask = family_instance (f, 17, 12, f mod 2 = 0) in
+            List.iter
+              (fun size ->
+                let seed = 31 * f + size in
+                let census =
+                  Min_cut_enum.census ~bits:2 ~mask ~rng:(Rng.create ~seed) g ~size
+                in
+                let collisions =
+                  Min_cut_enum.collisions ~bits:2 ~mask ~rng:(Rng.create ~seed) g ~size
+                in
+                false_collisions :=
+                  !false_collisions + List.length collisions - List.length census;
+                Alcotest.(check (list (pair (list int) (list int))))
+                  (Printf.sprintf "%s size %d" (fst families.(f)) size)
+                  (sorted_keys (Min_cut_enum.enumerate_exhaustive ~mask g ~size))
+                  (cut_keys census))
+              [ 2; 3 ])
+          families;
+        check_is "some collisions were false" (!false_collisions > 0));
+    case "census equals Karger on kecss-k3-shaped graphs" (fun () ->
+        List.iter
+          (fun (n, seed) ->
+            let g = kecss_k3_graph ~n ~seed in
+            let h = (Kecss_core.Ecss2.solve ~seed g).Kecss_core.Ecss2.solution in
+            check_int "H is 2-connected" 2 (Edge_connectivity.lambda ~mask:h ~upper:3 g);
+            let rng () = Rng.create ~seed:(seed + 1) in
+            let census = Min_cut_enum.census ~mask:h ~rng:(rng ()) g ~size:2 in
+            check_is "H has 2-cuts" (census <> []);
+            Alcotest.(check (list (pair (list int) (list int))))
+              (Printf.sprintf "2-cuts of H at n=%d" n)
+              (sorted_keys (Min_cut_enum.enumerate ~mask:h ~rng:(rng ()) g ~size:2))
+              (cut_keys census))
+          [ (48, 3); (96, 5) ];
+        let g = kecss_k3_graph ~n:48 ~seed:3 in
+        let h = (Kecss_core.Kecss.solve ~seed:3 g ~k:3).Kecss_core.Kecss.solution in
+        check_int "H is 3-connected" 3 (Edge_connectivity.lambda ~mask:h g);
+        let rng () = Rng.create ~seed:9 in
+        let census = Min_cut_enum.census ~mask:h ~rng:(rng ()) g ~size:3 in
+        check_is "H has 3-cuts" (census <> []);
+        Alcotest.(check (list (pair (list int) (list int))))
+          "3-cuts of H at n=48"
+          (sorted_keys (Min_cut_enum.enumerate ~mask:h ~rng:(rng ()) g ~size:3))
+          (cut_keys census));
+    case "census refuses a disconnected subgraph and sizes past 3" (fun () ->
+        let g = Gen.cycle 6 in
+        let rng = Rng.create ~seed:1 in
+        let mask = Graph.all_edges_mask g in
+        Bitset.remove mask 0;
+        Bitset.remove mask 3;
+        List.iter
+          (fun size ->
+            check_is "disconnected"
+              (match Min_cut_enum.census ~mask ~rng g ~size with
+               | _ -> false
+               | exception Invalid_argument _ -> true))
+          [ 1; 2; 3 ];
+        check_is "size 4"
+          (match Min_cut_enum.census ~rng g ~size:4 with
+           | _ -> false
+           | exception Invalid_argument _ -> true));
+  ]
+
 let gomory_hu_tests =
   [
     case "known values on a wheel" (fun () ->
@@ -349,5 +502,6 @@ let () =
       ("stoer_wagner", sw_tests);
       ("gomory_hu", gomory_hu_tests);
       ("min_cut_enum", enum_tests);
+      ("census", census_tests);
       ("verify", verify_tests);
     ]
