@@ -7,6 +7,9 @@ type t = {
   h_mask : Bitset.t;
   bits : int;
   label : int array; (* by edge id; -1 outside h_mask *)
+  classes : (int, int) Hashtbl.t;
+      (* label φ → n_φ, the number of H edges labelled φ: counted once per
+         circulation (Claim 5.9) and never changed afterwards *)
 }
 
 let default_bits = 60
@@ -17,7 +20,15 @@ let check_args tree ~h_mask bits =
   if not (Bitset.subset te h_mask) then
     invalid_arg "Labels: h_mask must contain all tree edges"
 
-let finish tree ~h_mask ~bits label = { tree; h_mask; bits; label }
+let finish tree ~h_mask ~bits label =
+  let classes = Hashtbl.create 64 in
+  Bitset.iter
+    (fun id ->
+      let l = label.(id) in
+      Hashtbl.replace classes l
+        (1 + Option.value ~default:0 (Hashtbl.find_opt classes l)))
+    h_mask;
+  { tree; h_mask; bits; label; classes }
 
 let compute ?(bits = default_bits) rng tree ~h_mask =
   check_args tree ~h_mask bits;
@@ -92,7 +103,7 @@ let cut_pairs t =
   |> List.sort compare
 
 let edge_count_with_label t phi =
-  Bitset.fold (fun id acc -> if t.label.(id) = phi then acc + 1 else acc) t.h_mask 0
+  Option.value ~default:0 (Hashtbl.find_opt t.classes phi)
 
 let tree_edge_count_with_label t phi =
   Bitset.fold
@@ -103,25 +114,34 @@ let tree_edge_count_with_label t phi =
 
 let pairs_covered t e =
   if Bitset.mem t.h_mask e then invalid_arg "Labels.pairs_covered: edge in H";
-  let totals = Hashtbl.create 64 in
-  Bitset.iter
-    (fun id ->
-      let l = t.label.(id) in
-      Hashtbl.replace totals l
-        (1 + Option.value ~default:0 (Hashtbl.find_opt totals l)))
-    t.h_mask;
-  let on_path = Hashtbl.create 8 in
-  List.iter
-    (fun te ->
-      let phi = t.label.(te) in
-      Hashtbl.replace on_path phi
-        (1 + Option.value ~default:0 (Hashtbl.find_opt on_path phi)))
-    (Rooted_tree.fundamental_path t.tree e);
-  Hashtbl.fold
-    (fun phi c acc ->
-      let total = Option.value ~default:c (Hashtbl.find_opt totals phi) in
-      acc + (c * (total - c)))
-    on_path 0
+  let tree = t.tree in
+  let u, v = Graph.endpoints (Rooted_tree.graph tree) e in
+  let a = Rooted_tree.lca tree u v in
+  let depth = Rooted_tree.depth tree in
+  (* the labels of e's fundamental path, sorted so that each φ forms one
+     run of length n_{φ,e}; stable_sort insertion-sorts the short paths
+     most candidates have *)
+  let path = Array.make (depth u + depth v - (2 * depth a)) 0 in
+  let rec climb x i =
+    if x = a then i
+    else begin
+      path.(i) <- t.label.(Rooted_tree.parent_edge tree x);
+      climb (Rooted_tree.parent tree x) (i + 1)
+    end
+  in
+  ignore (climb v (climb u 0));
+  Array.stable_sort Int.compare path;
+  let len = Array.length path in
+  let total = ref 0 and i = ref 0 in
+  while !i < len do
+    let phi = path.(!i) in
+    let j = ref (!i + 1) in
+    while !j < len && path.(!j) = phi do incr j done;
+    let c = !j - !i in
+    total := !total + (c * (Hashtbl.find t.classes phi - c));
+    i := !j
+  done;
+  !total
 
 let is_two_edge_connected t =
   Bitset.fold
@@ -130,19 +150,12 @@ let is_two_edge_connected t =
     t.h_mask true
 
 let is_three_edge_connected t =
-  let counts = Hashtbl.create 64 in
-  Bitset.iter
-    (fun id ->
-      let l = t.label.(id) in
-      Hashtbl.replace counts l
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts l)))
-    t.h_mask;
   Bitset.fold
     (fun id ok ->
       ok
       && not
            (Rooted_tree.is_tree_edge t.tree id
-           && Hashtbl.find counts t.label.(id) > 1))
+           && Hashtbl.find t.classes t.label.(id) > 1))
     t.h_mask true
 
 let pp ppf t =

@@ -19,6 +19,11 @@ open Kecss_graph
 open Kecss_congest
 
 type t
+(** A labelling of H, together with its class sizes n_φ (the number of
+    edges of H labelled φ). They are counted once per circulation, when
+    the labels are made — the count Claim 5.9 learns once per iteration —
+    and {!edge_count_with_label}, {!pairs_covered} and
+    {!is_three_edge_connected} all read that one table. *)
 
 val default_bits : int
 (** 60 — far beyond the O(log n) needed for w.h.p. correctness at any
@@ -57,21 +62,26 @@ val tree_edge_count_with_label : t -> int -> int
 (** [tree_edge_count_with_label t phi]: n_φ restricted to tree edges. *)
 
 val edge_count_with_label : t -> int -> int
-(** n_φ of §5.3: the number of edges of H with label φ. *)
+(** n_φ of §5.3: the number of edges of H with label φ (0 for a label no
+    edge carries). One table lookup. *)
 
 val pairs_covered : t -> int -> int
 (** [pairs_covered t e] — Claim 5.8: the number of cut pairs of H covered
     by the outside edge [e] (not in H), namely
     Σ_φ n_{φ,e}·(n_φ − n_{φ,e}) over the labels φ of the tree edges on
-    [e]'s fundamental path. *)
+    [e]'s fundamental path. It walks that path once, counting n_{φ,e} by
+    sorting the path's labels, and reads each n_φ from the class table:
+    O(|path| log |path|) per call, nothing proportional to |H|. Calls
+    share no mutable state. Raises [Invalid_argument] if [e] is in H. *)
 
 val is_two_edge_connected : t -> bool
 (** No tree edge labelled 0 — iff H is 2-edge-connected (one-sided:
     a bridge is always detected). *)
 
 val is_three_edge_connected : t -> bool
-(** Claim 5.10: n_{φ(t)} = 1 for every tree edge t. One-sided: a cut pair
-    is always detected. *)
+(** Claim 5.10: n_{φ(t)} = 1 for every tree edge t, read from the same
+    class table as {!pairs_covered}. One-sided: a cut pair is always
+    detected. *)
 
 val pp : Format.formatter -> t -> unit
 (** Per-edge labels in hex plus the cut-pair classes — the rendering used

@@ -113,42 +113,101 @@ let oracle_tests =
     qcheck
       (QCheck.Test.make ~name:"pairs_covered equals the exact count (Claim 5.8)"
          ~count:30
-         QCheck.(pair (int_bound 100_000) (int_range 8 16))
-         (fun (seed, n) ->
+         QCheck.(triple (int_bound 100_000) (int_range 8 16) (int_bound 2))
+         (fun (seed, n, shape) ->
            let rng = Rng.create ~seed in
-           let g = Gen.random_k_connected rng n 2 ~extra:n in
-           (* H = a 2EC subgraph: the whole graph minus nothing is easiest;
-              instead take H as a spanning 2EC sub-mask via DFS check *)
-           let tree = Rooted_tree.bfs_tree g ~root:0 in
-           (* drop a few non-tree edges out of H to create outside edges *)
+           (* a shallow BFS tree; the BFS tree of the ring 0..n−1 inside a
+              circulant (depth n/2); or the MST that §5.4 labels *)
+           let g, tree =
+             match shape with
+             | 0 ->
+               let g = Gen.random_k_connected rng n 2 ~extra:n in
+               (g, Rooted_tree.bfs_tree g ~root:0)
+             | 1 ->
+               let g = Gen.circulant n [ 1; 3 ] in
+               let ring = Rooted_tree.bfs_tree (Gen.cycle n) ~root:0 in
+               let up v =
+                 let p = Rooted_tree.parent ring v in
+                 if p < 0 then -1 else Option.get (Graph.find_edge g v p)
+               in
+               (g, Rooted_tree.of_parent_edges g ~root:0 (Array.init n up))
+             | _ ->
+               let g =
+                 Weights.uniform rng ~lo:1 ~hi:100
+                   (Gen.random_k_connected rng n 2 ~extra:n)
+               in
+               (g, (Mst.run (Rounds.create ()) rng g).Mst.tree)
+           in
+           (* H: drop every non-tree edge whose removal keeps H
+              2-edge-connected; the dropped edges are the outside edges *)
            let h_mask = Graph.all_edges_mask g in
-           let outside = ref [] in
            Graph.iter_edges
              (fun e ->
-               if
-                 (not (Rooted_tree.is_tree_edge tree e.Graph.id))
-                 && e.Graph.id mod 3 = 0
-                 && List.length !outside < 4
-               then begin
-                 Bitset.remove h_mask e.Graph.id;
-                 outside := e.Graph.id :: !outside
+               let id = e.Graph.id in
+               if not (Rooted_tree.is_tree_edge tree id) then begin
+                 Bitset.remove h_mask id;
+                 if not (Dfs.is_two_edge_connected ~mask:h_mask g) then
+                   Bitset.add h_mask id
                end)
              g;
-           if not (Dfs.is_two_edge_connected ~mask:h_mask g) then true
-           else begin
-             let l = Labels.compute (Rng.create ~seed:5) tree ~h_mask in
-             let truth = Cut_pairs_exact.all g ~h_mask in
-             List.for_all
-               (fun e ->
-                 let exact =
-                   List.length
-                     (List.filter
-                        (fun pair -> Cut_pairs_exact.covers g ~h_mask ~pair e)
-                        truth)
+           let outside =
+             List.filter
+               (fun id -> not (Bitset.mem h_mask id))
+               (List.init (Graph.m g) Fun.id)
+           in
+           let tree_edges = Bitset.elements (Rooted_tree.edges_mask tree) in
+           let truth = Cut_pairs_exact.all g ~h_mask in
+           let exact e =
+             List.length
+               (List.filter
+                  (fun pair -> Cut_pairs_exact.covers g ~h_mask ~pair e)
+                  truth)
+           in
+           (* at 60 bits the labels are exact w.h.p.; at 1 and 2 bits
+              unrelated edges share labels, and Claim 5.8's sum is checked
+              against n_φ recounted from the groups — the class sizes also
+              on the labels of the whole graph, which may be 3EC *)
+           List.for_all
+             (fun bits ->
+               let label h_mask =
+                 Labels.compute ~bits (Rng.create ~seed:5) tree ~h_mask
+               in
+               let n_phi l phi =
+                 match List.assoc_opt phi (Labels.groups l) with
+                 | Some ids -> List.length ids
+                 | None -> 0
+               in
+               let classes_agree l =
+                 List.for_all
+                   (fun (phi, ids) ->
+                     Labels.edge_count_with_label l phi = List.length ids)
+                   (Labels.groups l)
+                 && Labels.edge_count_with_label l (1 lsl bits) = 0
+                 && Labels.is_three_edge_connected l
+                    = List.for_all
+                        (fun t -> n_phi l (Labels.label l t) = 1)
+                        tree_edges
+               in
+               let l = label h_mask in
+               let recount e =
+                 let on_path =
+                   List.map (Labels.label l) (Rooted_tree.fundamental_path tree e)
                  in
-                 Labels.pairs_covered l e = exact)
-               !outside
-           end));
+                 List.fold_left
+                   (fun acc phi ->
+                     let c = List.length (List.filter (( = ) phi) on_path) in
+                     acc + (c * (n_phi l phi - c)))
+                   0
+                   (List.sort_uniq compare on_path)
+               in
+               classes_agree l
+               && classes_agree (label (Graph.all_edges_mask g))
+               && List.for_all
+                    (fun e ->
+                      let covered = Labels.pairs_covered l e in
+                      covered = recount e && (bits < 60 || covered = exact e))
+                    outside)
+             [ 60; 2; 1 ]));
     qcheck
       (QCheck.Test.make
          ~name:"is_three_edge_connected agrees with exact connectivity"
