@@ -7,7 +7,8 @@
 
    The sequential baselines and the tree sweeps are pinned the same way:
    Greedy's picks, FT-MST's mask and swap array, and the unweighted
-   2-ECSS solution.
+   2-ECSS solution. The engine's metrics series, causal ids and flight
+   rings are pinned on one 2-ECSS solve, plain and under a fault plan.
 
    To regenerate after an intended behaviour change, set the expected
    string of a case to "" and run dune exec test/test_golden.exe; the
@@ -58,6 +59,50 @@ let ft_mst g () =
   in
   Printf.sprintf "%s swap=%s" pinned
     (String.concat "," (Array.to_list (Array.map string_of_int !swap)))
+
+(* The engine's own telemetry, which the ledger and trace pins do not
+   cover: a 2-ECSS solve on every recorder, optionally under a fault
+   plan, pins how the run ends, the injector's stats and the digests of
+   the metrics series, the causal report and the flight rings. *)
+let recorded ?faults g () =
+  let trace = Trace.create () in
+  let metrics = Metrics.create ~trace () in
+  let causal = Causal.create () in
+  let flight = Flight.create () in
+  let inj =
+    Option.map
+      (fun spec ->
+        Kecss_faults.Net.injector ~trace
+          (Result.get_ok (Kecss_faults.Plan.of_spec spec)))
+      faults
+  in
+  let ledger =
+    Rounds.create ~trace ~metrics ~causal ~flight
+      ?hook:(Option.map Kecss_faults.Net.hook inj)
+      ()
+  in
+  let ending =
+    match Ecss2.solve_with ledger (Rng.create ~seed:1) g with
+    | r -> "ids=" ^ ids r.Ecss2.solution
+    | exception e -> Printexc.to_string e
+  in
+  let causal_json =
+    Json.to_string
+      (Export.causal_to_json ~total_rounds:(Rounds.total ledger)
+         ~total_messages:(Rounds.total_messages ledger)
+         ~rounds_by_category:(Rounds.by_category ledger)
+         ~messages_by_category:(Rounds.messages_by_category ledger)
+         (Causal.analyze causal))
+  in
+  Printf.sprintf "%s%s metrics=%s causal=%s flight=%s" ending
+    (match inj with
+    | Some inj ->
+      Format.asprintf " stats=%a" Kecss_faults.Net.pp_stats
+        (Kecss_faults.Net.stats inj)
+    | None -> "")
+    (digest (Json.to_string (Metrics.to_json metrics)))
+    (digest causal_json)
+    (digest (Json.to_string (Flight.to_json ~reason:"pin" flight)))
 
 let greedy solve () = "ids=" ^ ids (solve ())
 
@@ -141,6 +186,12 @@ let cases =
     ( "ft_mst",
       "ids=0,1,2,3,4,5,6,7,8,9,10,11,12,14,15,17,18,22,23,24,25,26,29,30,31,32,33,34,35,37,38,39,40,41,42,43,45,46,47,49,51,52,54,55,56,57,59,60,64,67,68,69,70,71,72,73,74,75,76,77,81,82,83,84,85,86,87,88,89,90,92,94 rounds=360 ledger=5c1e9c79f98768b5506af2e0f5af1965 trace=36fda5e513f28fb8a0a6db9db109836f swap=-1,92,24,38,70,12,55,75,75,37,70,2,6,72,92,70,77,31,24,92,45,92,46,56,92,87,11,17,77,72,49,92,92,86,4,75,8,31,54,2,6,70,15,75,70,45,92,55",
       ft_mst g2 );
+    ( "ecss2 engine telemetry",
+      "ids=0,1,2,3,5,6,7,9,10,11,13,14,16,18,22,23,24,25,26,29,30,31,32,33,34,35,37,38,39,40,41,42,43,44,47,51,52,57,59,60,63,64,65,67,68,69,71,73,74,76,78,80,81,82,83,84,85,86,88,89,90,94 metrics=cdb9cee60080c9b15c75860d8350504b causal=b7167c6cc2a9167aede4650464460463 flight=9306dd888bd2b9f0e16f92646f1e81d2",
+      recorded g2 );
+    ( "ecss2 engine telemetry under faults",
+      "Kecss_congest.Network.Did_not_quiesce(10768, 4, 0) stats=71 injected (0 dropped, 49 delayed, 21 duplicated, 1 crashed, 0 cut, 0 restored) metrics=25ebf7fedd3d313535065b56d4e4c58d causal=b6fb635b5e1cc6ce25defaa0a0a80a72 flight=c8dcdef7715a9fe1936bca48aa86d04e",
+      recorded ~faults:"crash=v3@r40,delay=0.1:2,dup=0.05,seed=5" g2 );
     ( "ecss2 unweighted",
       "ids=0,1,2,4,5,6,8,10,12,13,15,21,23,24,25,27,29,30,32,33,34,35,37,38,45,46,48,49,51,53,54,55,58,59,60,66,67,68,70,75,82,84,87,88,93,95,98,102,103,104,107,109,110 rounds=16 ledger=08d394f5157148a41bf8e8ad7636ba70 trace=172252370280dce444ee2ba276d1c46d",
       traced (fun l -> (Ecss2_unweighted.solve_with l u3).Ecss2_unweighted.h) );
