@@ -13,11 +13,6 @@ let weighted_random ~n ~k =
   Weights.uniform rng ~lo:1 ~hi:(n * n)
     (Gen.random_k_connected rng n k ~extra:(2 * n))
 
-let weighted_torus ~n =
-  let side = max 3 (int_of_float (Float.round (sqrt (float_of_int n)))) in
-  let rng = rng_for 7 n in
-  Weights.uniform rng ~lo:1 ~hi:(n * n) (Gen.torus side side)
-
 let unweighted_low_d ~n =
   let rng = rng_for 8 n in
   Gen.random_k_connected rng n 3 ~extra:(3 * n)

@@ -18,9 +18,6 @@ val weighted_random : n:int -> k:int -> Graph.t
 (** Random k-edge-connected graph with ~2n extra chords, uniform weights in
     [1, n²]: D = O(log n). *)
 
-val weighted_torus : n:int -> Graph.t
-(** √n × √n torus (n rounded to a square), uniform weights: D ≈ √n. *)
-
 val unweighted_low_d : n:int -> Graph.t
 (** Random 3-edge-connected unit-weight graph with ~3n chords: the
     Theorem 1.3 regime (D small and independent of n). *)

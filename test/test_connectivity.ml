@@ -415,62 +415,6 @@ let census_tests =
            | exception Invalid_argument _ -> true));
   ]
 
-let gomory_hu_tests =
-  [
-    case "known values on a wheel" (fun () ->
-        let g = Gen.wheel 8 in
-        let t = Gomory_hu.build g in
-        check_int "global = lambda" (Edge_connectivity.lambda g)
-          (Gomory_hu.global_min t);
-        (* hub vertex 0 has degree 7; rim vertices 3 *)
-        check_int "rim pair" 3 (Gomory_hu.min_cut_value t 1 4));
-    case "structure is a tree" (fun () ->
-        let g = Gen.complete 9 in
-        let t = Gomory_hu.build g in
-        check_int "root" (-1) (Gomory_hu.parent t 0);
-        for v = 1 to 8 do
-          let p = Gomory_hu.parent t v in
-          check_is "parent in range" (p >= 0 && p < 9 && p <> v)
-        done);
-    qcheck
-      (QCheck.Test.make ~name:"Gomory-Hu equals pairwise max-flow" ~count:30
-         (arb_connected ~max_n:12 ()) (fun params ->
-           let g = graph_of_params params in
-           let t = Gomory_hu.build g in
-           let ok = ref true in
-           for u = 0 to Graph.n g - 1 do
-             for v = u + 1 to Graph.n g - 1 do
-               if Gomory_hu.min_cut_value t u v <> Edge_connectivity.pair g u v
-               then ok := false
-             done
-           done;
-           !ok));
-    qcheck
-      (QCheck.Test.make ~name:"Gomory-Hu global min equals lambda" ~count:30
-         (arb_connected ~max_n:16 ()) (fun params ->
-           let g = graph_of_params params in
-           Gomory_hu.global_min (Gomory_hu.build g)
-           = Edge_connectivity.lambda g));
-    qcheck
-      (QCheck.Test.make ~name:"weighted Gomory-Hu equals weighted max-flow"
-         ~count:20 (arb_connected ~max_n:10 ()) (fun params ->
-           let g = graph_of_params params in
-           let g =
-             Graph.map_weights (fun e -> 1 + ((e.Graph.id * 7) mod 5)) g
-           in
-           let cap e = e.Graph.w in
-           let t = Gomory_hu.build ~cap g in
-           let ok = ref true in
-           for u = 0 to Graph.n g - 1 do
-             for v = u + 1 to Graph.n g - 1 do
-               let net = Maxflow.of_graph ~cap g in
-               if Gomory_hu.min_cut_value t u v <> Maxflow.max_flow net ~s:u ~t:v
-               then ok := false
-             done
-           done;
-           !ok));
-  ]
-
 let verify_tests =
   [
     case "accepts a valid 2-ECSS" (fun () ->
@@ -500,7 +444,6 @@ let () =
       ("maxflow", maxflow_tests);
       ("edge_connectivity", ec_tests);
       ("stoer_wagner", sw_tests);
-      ("gomory_hu", gomory_hu_tests);
       ("min_cut_enum", enum_tests);
       ("census", census_tests);
       ("verify", verify_tests);
