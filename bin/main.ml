@@ -1179,7 +1179,11 @@ let resilience path algo sol_path k seed jobs trials json_out strict =
   | Error msg -> `Error (false, msg)
   | Ok (k, h) ->
     let rng = Rng.create ~seed in
-    let rep = Kecss_faults.Resilience.attack ~trials ~rng g ~h ~k in
+    (* the attack runs on the pool: a --jobs past the runtime's domain
+       limit fails in Pool.create, and that is a named error too *)
+    match Kecss_faults.Resilience.attack ~trials ~rng g ~h ~k with
+    | exception Failure msg -> `Error (false, msg)
+    | rep ->
     match
       match json_out with
       | Some p ->

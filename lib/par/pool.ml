@@ -93,6 +93,15 @@ let rec worker t ~slot last_epoch =
     worker t ~slot epoch
   end
 
+let shutdown t =
+  Mutex.lock t.m;
+  let ws = t.workers in
+  t.stopped <- true;
+  t.workers <- [];
+  Condition.broadcast t.work;
+  Mutex.unlock t.m;
+  List.iter Domain.join ws
+
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   let t =
@@ -110,9 +119,20 @@ let create ~jobs =
       stats_base_ns = wall_ns ();
     }
   in
-  t.workers <-
-    List.init (jobs - 1) (fun i ->
-        Domain.spawn (fun () -> worker t ~slot:(i + 1) 0));
+  (* one spawn at a time, so that when the runtime refuses a domain the
+     workers already started can be stopped and joined instead of leaked *)
+  for slot = 1 to jobs - 1 do
+    match Domain.spawn (fun () -> worker t ~slot 0) with
+    | d -> t.workers <- d :: t.workers
+    | exception e ->
+      shutdown t;
+      failwith
+        (Printf.sprintf
+           "Pool.create: the runtime refused a domain after %d of %d worker \
+            domains started (%s)"
+           (slot - 1) (jobs - 1)
+           (match e with Failure msg -> msg | e -> Printexc.to_string e))
+  done;
   t
 
 let jobs t = t.jobs
@@ -131,15 +151,6 @@ let reset_stats t =
       c.tasks <- 0)
     t.stat_cells;
   t.stats_base_ns <- wall_ns ()
-
-let shutdown t =
-  Mutex.lock t.m;
-  let ws = t.workers in
-  t.stopped <- true;
-  t.workers <- [];
-  Condition.broadcast t.work;
-  Mutex.unlock t.m;
-  List.iter Domain.join ws
 
 let reraise_first_failure b =
   match b.failures with

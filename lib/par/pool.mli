@@ -30,7 +30,10 @@ type t
 val create : jobs:int -> t
 (** [create ~jobs] starts a pool of [jobs] workers ([jobs - 1] spawned
     domains plus the submitting domain). [jobs = 1] spawns nothing; every
-    operation runs inline. Raises [Invalid_argument] if [jobs < 1]. *)
+    operation runs inline. Raises [Invalid_argument] if [jobs < 1]. If
+    the runtime refuses a domain (it caps how many may run at once), the
+    workers already started are stopped and joined, and [Failure] names
+    [Pool.create] and how many of them had started. *)
 
 val jobs : t -> int
 

@@ -140,6 +140,22 @@ let test_shutdown () =
       Pool.shutdown p;
       false)
 
+(* the runtime caps how many domains may run at once: a pool past the cap
+   must fail with a named error and join the workers it did start, or the
+   next pool of the process could not start its own *)
+let test_create_past_domain_limit () =
+  (match Pool.create ~jobs:100_000 with
+  | p ->
+    Pool.shutdown p;
+    Alcotest.fail "expected Failure past the domain limit"
+  | exception Failure msg ->
+    Alcotest.(check bool) "message names Pool.create" true
+      (contains ~affix:"Pool.create" msg));
+  with_pool 2 (fun pool ->
+      let out = Array.make 64 0 in
+      Pool.parallel_for ~pool ~chunk:1 64 (fun i -> out.(i) <- i + 1);
+      Alcotest.(check int) "a 2-job pool still runs" 64 out.(63))
+
 (* ---------- determinism across pool sizes ---------- *)
 
 let test_graph ~n ~k ~seed =
@@ -404,6 +420,8 @@ let () =
           case "nested run_batch rejected; combinators inline"
             test_nested_submission;
           case "shutdown is idempotent and final" test_shutdown;
+          case "create past the domain limit fails and joins its workers"
+            test_create_past_domain_limit;
         ] );
       ( "determinism",
         [
