@@ -167,27 +167,6 @@ let hot_tests () =
               (Kecss_faults.Resilience.attack ~trials:64 ~rng:(Rng.create ~seed:7)
                  ~pool g ~h ~k:3)))
   in
-  let net_round_par ~jobs =
-    (* a round-driven program whose step does real local work on a graph
-       large enough that every pass shards the full vertex set *)
-    let g = W.weighted_random ~n:2048 ~k:2 in
-    let rounds = 24 in
-    let program : int Network.program =
-      {
-        init = (fun v -> v);
-        step =
-          (fun ~round v s _inbox ->
-            let acc = ref s in
-            for i = 1 to 400 do
-              acc := ((!acc * 48271) + i + v) land 0x3FFFFFFF
-            done;
-            ignore !acc;
-            ([], if round + 1 < rounds then `Active else `Idle));
-      }
-    in
-    with_pool ~jobs (fun pool ->
-        stage (fun () -> ignore (Network.run_counted ~pool g program)))
-  in
   (* the flat-core rows: the generator building through Graph.of_arrays,
      the binary decode path, and the unweighted 2-ECSS solve end to end *)
   let gen_hot n =
@@ -223,8 +202,6 @@ let hot_tests () =
       ("hot/mincut-par-j4", fun () -> mincut_par ~jobs:4);
       ("hot/resilience-par-j1", fun () -> resilience_par ~jobs:1);
       ("hot/resilience-par-j4", fun () -> resilience_par ~jobs:4);
-      ("hot/net-round-par-j1", fun () -> net_round_par ~jobs:1);
-      ("hot/net-round-par-j4", fun () -> net_round_par ~jobs:4);
     ]
 
 (* hot kernels underneath everything *)

@@ -122,22 +122,6 @@ let apply_jobs = function
     Ok ()
   | Some _ -> Error "--jobs must be >= 1"
 
-let par_threshold_arg =
-  let doc =
-    "Eligible-vertex count below which an engine step pass runs \
-     sequentially instead of sharding across domains. Defaults to the \
-     KECSS_PAR_THRESHOLD environment variable, then 512. Results are \
-     bit-identical at every value."
-  in
-  Arg.(value & opt (some int) None & info [ "par-threshold" ] ~docv:"N" ~doc)
-
-let apply_par_threshold = function
-  | None -> Ok ()
-  | Some t when t >= 1 ->
-    Kecss_congest.Network.set_par_threshold t;
-    Ok ()
-  | Some _ -> Error "--par-threshold must be >= 1"
-
 let sparsify_arg =
   let doc =
     "Sparsify the input before solving: $(docv) is 'cert' (Thurimella \
@@ -682,13 +666,10 @@ let run_algo_named ledger ~algo ~k ~seed g =
   | r -> Ok r
   | exception (Failure msg | Invalid_argument msg) -> Error msg
 
-let solve path algo k seed par_threshold quiet flight_path run =
+let solve path algo k seed quiet flight_path run =
   match run with
   | Error msg -> `Error (false, msg)
   | Ok run ->
-  match apply_par_threshold par_threshold with
-  | Error msg -> `Error (false, msg)
-  | Ok () ->
   match read_graph path with
   | Error msg -> `Error (false, msg)
   | Ok g ->
@@ -791,8 +772,8 @@ let solve_cmd =
     (Cmd.info "solve" ~doc:"Compute an approximate minimum k-ECSS.")
     Term.(
       ret
-        (const solve $ graph_arg $ algo $ k_arg $ seed_arg $ par_threshold_arg
-       $ quiet $ flight_dump_arg $ run_term ~flight:true))
+        (const solve $ graph_arg $ algo $ k_arg $ seed_arg $ quiet
+       $ flight_dump_arg $ run_term ~flight:true))
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)

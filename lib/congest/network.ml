@@ -1,6 +1,5 @@
 open Kecss_graph
 module Probe = Kecss_obs.Probe
-module Pool = Kecss_par.Pool
 
 exception Message_too_large of { vertex : int; words : int }
 exception Duplicate_send of { vertex : int; edge : int }
@@ -30,36 +29,8 @@ let stamp_scratch m =
   end;
   s
 
-(* Below this many eligible vertices a round's step pass runs inline:
-   batch submission costs a few µs and the engine may run tens of
-   thousands of passes, so tiny rounds must not pay it.  The default was
-   picked from the measured sweep in EXPERIMENTS.md ("Scaling"); override
-   per-process with [set_par_threshold] (the CLI's [--par-threshold]) or
-   the [KECSS_PAR_THRESHOLD] environment variable. *)
-let default_par_threshold = 512
-
-let env_par_threshold =
-  lazy
-    (match Sys.getenv_opt "KECSS_PAR_THRESHOLD" with
-    | None -> None
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some t when t >= 1 -> Some t
-      | _ -> None))
-
-let par_threshold_override = ref None
-
-let set_par_threshold t =
-  if t < 1 then invalid_arg "Network.set_par_threshold: must be >= 1";
-  par_threshold_override := Some t
-
-let par_threshold () =
-  match !par_threshold_override with
-  | Some t -> t
-  | None -> (
-    match Lazy.force env_par_threshold with
-    | Some t -> t
-    | None -> default_par_threshold)
+(* Every pass steps inline on the calling domain; no pass shards. *)
+let par_threshold () = max_int
 
 type send = { edge : int; payload : int array }
 type 'a inbox = (int * 'a) list
@@ -78,7 +49,7 @@ type 's program = {
     round:int -> int -> 's -> int array inbox -> send list * [ `Active | `Idle ];
 }
 
-let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
+let run_counted ?(probe = Probe.noop) ?hook ?max_rounds g p =
   let n = Graph.n g in
   let max_rounds =
     match max_rounds with Some r -> r | None -> (16 * n) + 10_000
@@ -98,9 +69,6 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
   let scratch = stamp_scratch (max 1 (Graph.m g)) in
   let used_stamp = scratch.buf in
   let stamp = ref scratch.last in
-  (* per-vertex step results: 0 it steps to (or is crash-stopped as)
-     [`Idle], 1 it is planned to step, 2 it stepped to [`Active] *)
-  let statuses = Array.make n 0 in
   let sent : send list array = Array.make n [] in
   let in_flight = ref 0 in
   let round = ref 0 in
@@ -110,17 +78,15 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
      (due pass, destination, edge, payload, causal id) *)
   let delayed = ref [] in
   let obs = Probe.enabled probe in
-  (* causal ids and parent sets mirror [inboxes] exactly; both are read
-     and written only in the sequential passes below, so the recorded
-     stream is independent of the pool size *)
+  (* causal ids and parent sets mirror [inboxes] exactly *)
   let cobs = Probe.causal_ids probe in
   let inbox_ids : int list array = if cobs then Array.make n [] else [||] in
   let parent_ids : int list array = if cobs then Array.make n [] else [||] in
   (* The frontier: the vertices the next pass must step, i.e. those that
      are active or hold delivered mail.  A vertex enters it by stepping
      to [`Active] or by receiving a message.  Each pass reads it in
-     ascending order into [work] and clears it, so every phase of a pass
-     walks [work] and a pass costs O(n/63 + frontier), not O(n). *)
+     ascending order into [work] and clears it, so both passes walk [work]
+     and a pass costs O(n/63 + frontier), not O(n). *)
   let frontier = Bitset.full n in
   let work = Array.make n 0 in
   let wl = ref 0 in
@@ -176,8 +142,6 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
         delayed := (!round + 1 + extra, dst, edge, payload, id) :: !delayed);
       send_all v group rest
   in
-  let pool_now = lazy (match pool with Some t -> t | None -> Pool.default ()) in
-  let threshold = par_threshold () in
   if obs then Probe.run_begin probe ~n;
   while (!in_flight > 0 || !active_count > 0) && !round < max_rounds do
     (match hook with Some h -> h.round_begin ~round:!round | None -> ());
@@ -186,58 +150,31 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
     Bitset.iter push frontier;
     Bitset.clear frontier;
     let wl_now = !wl in
-    (* plan pass: sequential and ascending, so all hook calls ([alive],
-       like everything else hook-related) happen on the engine domain in
-       vertex order *)
-    let eligible = ref 0 in
+    (* step pass, ascending over [work]: gate each vertex on the hook,
+       step it, and settle whether it still wants rounds.  Its sends wait
+       in [sent] for the delivery pass, so no vertex sees mail sent in
+       the pass it steps in.  Every inbox in [work] is consumed
+       (crash-stopped vertices lose their deliveries); vertices outside
+       it hold nothing. *)
     for i = 0 to wl_now - 1 do
       let v = work.(i) in
-      if match hook with Some h -> h.alive ~round:!round v | None -> true
-      then begin
-        statuses.(v) <- 1;
-        incr eligible;
-        (* the messages delivered to [v] last pass are the parents of
-           everything it sends this pass *)
-        if cobs then parent_ids.(v) <- inbox_ids.(v)
-      end
-      else begin
-        (* crash-stop: the vertex neither steps nor sends, no longer
-           wants rounds, and its delivered messages are lost *)
-        statuses.(v) <- 0;
-        if obs then Probe.on_crash probe ~vertex:v
-      end
-    done;
-    (* step pass: consume inboxes, collect sends.  Each domain owns a
-       static contiguous slice of [work] and writes the sends of its
-       vertices into their own [sent] mailbox cells; a task touches only
-       vertex-owned cells ([states.(v)] by mutation, [statuses.(v)],
-       [sent.(v)]), so the split is invisible.  [set_active] — the shared
-       active count — is applied sequentially afterwards, in vertex
-       order. *)
-    let nshards =
-      if !eligible >= threshold && wl_now > 1 && not (Pool.in_task ()) then
-        min (Pool.jobs (Lazy.force pool_now)) wl_now
-      else 1
-    in
-    let step_slice lo hi =
-      for i = lo to hi - 1 do
-        let v = work.(i) in
-        if statuses.(v) = 1 then begin
+      let b =
+        if match hook with Some h -> h.alive ~round:!round v | None -> true
+        then begin
+          (* the messages delivered to [v] last pass are the parents of
+             everything it sends this pass *)
+          if cobs then parent_ids.(v) <- inbox_ids.(v);
           let sends, status = p.step ~round:!round v states.(v) inboxes.(v) in
-          statuses.(v) <- (if status = `Active then 2 else 0);
-          sent.(v) <- sends
+          sent.(v) <- sends;
+          status = `Active
         end
-      done
-    in
-    if nshards = 1 then step_slice 0 wl_now
-    else
-      Pool.run_batch (Lazy.force pool_now) ~ntasks:nshards (fun d ->
-          step_slice (d * wl_now / nshards) ((d + 1) * wl_now / nshards));
-    (* every inbox in [work] is consumed (crash-stopped vertices lose
-       their deliveries); vertices outside it hold nothing *)
-    for i = 0 to wl_now - 1 do
-      let v = work.(i) in
-      let b = statuses.(v) = 2 in
+        else begin
+          (* crash-stop: the vertex neither steps nor sends, no longer
+             wants rounds, and its delivered messages are lost *)
+          if obs then Probe.on_crash probe ~vertex:v;
+          false
+        end
+      in
       if obs && active.(v) <> b then Probe.on_active probe ~vertex:v ~active:b;
       set_active v b;
       if b then Bitset.add frontier v;
@@ -245,8 +182,7 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
       if cobs then inbox_ids.(v) <- []
     done;
     in_flight := 0;
-    (* delivery pass: sequential over [work] in ascending sender order,
-       whatever the pool size *)
+    (* delivery pass: over [work] in ascending sender order *)
     for i = 0 to wl_now - 1 do
       let v = work.(i) in
       match sent.(v) with
@@ -299,6 +235,6 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds ?pool g p =
   if obs then Probe.run_end probe ~quiesced:true ~rounds:!counted;
   (states, !counted, !messages)
 
-let run ?max_rounds ?pool g p =
-  let states, rounds, _ = run_counted ?max_rounds ?pool g p in
+let run ?max_rounds g p =
+  let states, rounds, _ = run_counted ?max_rounds g p in
   (states, rounds)

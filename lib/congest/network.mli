@@ -15,6 +15,10 @@
     [r] the messages sent during round [r]): an engine pass counts as a
     round iff something was sent in it or some vertex is still waiting.
 
+    The engine has one scheduling mode: every pass steps its vertices one
+    at a time, in ascending order, on the domain that called
+    {!run_counted}, and then delivers their sends in the same order.
+
     A run is observed through one {!Kecss_obs.Probe} — trace, metrics,
     causal and flight recorders behind a single value — and perturbed
     only through the separate fault {!hook}. *)
@@ -35,24 +39,9 @@ exception
 val cap_words : int
 (** Maximum message size in words (an int payload cell = one word). *)
 
-val default_par_threshold : int
-(** Below this many eligible vertices a pass's step phase runs inline
-    instead of sharding across the pool (batch submission costs a few µs
-    and the engine may run tens of thousands of passes).  The default,
-    512, comes from the measured sweep recorded in EXPERIMENTS.md
-    ("Scaling"). *)
-
 val par_threshold : unit -> int
-(** The effective threshold: {!set_par_threshold} if called, else the
-    [KECSS_PAR_THRESHOLD] environment variable (ignored unless a
-    positive integer), else {!default_par_threshold}. *)
-
-val set_par_threshold : int -> unit
-(** Process-wide override (the CLI's [--par-threshold]); takes
-    precedence over the environment.  Raises [Invalid_argument] if the
-    value is [< 1].  Changing the threshold moves work between the
-    engine domain and the pool but never changes results — the
-    jobs-equality contract below covers every threshold. *)
+(** [max_int]: no pass shards. Every pass steps inline on the calling
+    domain; environment reports still record the value. *)
 
 type send = { edge : int; payload : int array }
 (** A message to put on edge [edge] this round. *)
@@ -105,7 +94,6 @@ type 's program = {
 
 val run :
   ?max_rounds:int ->
-  ?pool:Kecss_par.Pool.t ->
   Graph.t ->
   's program ->
   's array * int
@@ -115,7 +103,6 @@ val run_counted :
   ?probe:Probe.t ->
   ?hook:hook ->
   ?max_rounds:int ->
-  ?pool:Kecss_par.Pool.t ->
   Graph.t ->
   's program ->
   's array * int * int
@@ -130,34 +117,23 @@ val run_counted :
     quiescence round; a causal id and parent set for every sent message
     (the deliveries that enabled it) and the phase of every counted
     round; and sends, deliveries, active/idle flips and crash-stops in
-    the flight recorder's per-vertex rings. Every hook runs from the
-    sequential plan/delivery passes on the engine domain, so what is
-    recorded is byte-identical at every pool size. With the noop probe
-    each event site costs one boolean test.
+    the flight recorder's per-vertex rings. Every hook runs in ascending
+    vertex order on the calling domain, so what is recorded is
+    byte-identical whichever domain calls and whatever the pool size.
+    With the noop probe each event site costs one boolean test.
 
     The engine keeps a frontier — a bitset of the vertices that are
     active or hold a delivered message.  A vertex enters it by stepping
     to [`Active] or by receiving a message; each pass reads it in
-    ascending order into a worklist and clears it, and every per-pass
-    phase walks that worklist instead of all [n] vertices, so an engine
-    pass costs O(n/63 + frontier), not O(n).
+    ascending order into a worklist and clears it, and both the step and
+    the delivery pass walk that worklist instead of all [n] vertices, so
+    an engine pass costs O(n/63 + frontier), not O(n).
 
     When [?hook] is given, every vertex step is gated by [hook.alive] and
     every sent message by [hook.fate]; postponed messages stay in flight
     (keeping the engine from quiescing) until their delay elapses. The
     message total always counts sends, not deliveries, so it is
     unaffected by drops and duplications.
-    On large rounds ({!par_threshold} or more vertices stepping) the
-    step pass shards across [?pool] (default
-    {!Kecss_par.Pool.default}): each domain owns a static contiguous
-    slice of the pass's worklist and stores each of its vertices' sends
-    in that vertex's own cell, and the sequential delivery pass then
-    walks the worklist in ascending sender order.  Only the step calls
-    themselves run off the engine domain — each touches exclusively its
-    vertex's state, status and send cells — while hook calls, delivery,
-    metrics and the active count stay sequential in vertex order, so
-    rounds, message totals, telemetry and final states are
-    byte-identical at every pool size.
     @raise Message_too_large on an oversized payload
     @raise Duplicate_send if a vertex sends twice on one edge in a round
     @raise Did_not_quiesce after [max_rounds] (default [16 * n + 10_000]). *)

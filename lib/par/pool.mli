@@ -2,8 +2,8 @@
 
     The whole stack is seeded and reproducible; this module lets the
     embarrassingly parallel pieces (Karger trial blocks, failure-set
-    sampling, per-round vertex stepping, experiment cells) use every core
-    without giving that up. The contract every caller relies on:
+    sampling, experiment cells) use every core without giving that up.
+    The contract every caller relies on:
 
     {e the result of a pool operation depends only on the submitted tasks
     and their canonical indices — never on the number of domains or on
@@ -56,10 +56,6 @@ val set_default_jobs : int -> unit
 (** Override the default pool size (the CLI's [--jobs]). If the default
     pool already exists at a different size it is shut down and will be
     re-created on next use. Raises [Invalid_argument] if [jobs < 1]. *)
-
-val in_task : unit -> bool
-(** Is the calling domain currently executing a pool task? (This is when
-    the combinators below run inline.) *)
 
 (** {1 Utilization instrumentation}
 

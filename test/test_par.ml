@@ -6,7 +6,8 @@
    suite checks the pool mechanics (batching, failures, nesting,
    shutdown) and then the contract end to end: solver outputs, trace
    event streams, enumerated cut lists, resilience reports and engine
-   runs must be identical at jobs = 1 and jobs = 4. *)
+   runs inside experiment cells must be identical at jobs = 1 and
+   jobs = 4. *)
 
 open Kecss_graph
 open Kecss_congest
@@ -235,42 +236,6 @@ let test_resilience_identical () =
   Alcotest.(check string) "rendered report" (Format.asprintf "%a" Kecss_faults.Resilience.pp r1)
     (Format.asprintf "%a" Kecss_faults.Resilience.pp r4)
 
-(* a graph big enough that the engine's step pass actually shards
-   (par_threshold vertices stepping), with per-vertex receive counters so
-   a misordered or doubled delivery would show *)
-let test_engine_identical () =
-  let g = Gen.circulant 600 [ 1; 2; 3 ] in
-  let program =
-    {
-      Network.init = (fun _ -> ref 0);
-      step =
-        (fun ~round v received inbox ->
-          received := !received + List.length inbox;
-          if round < 3 then
-            ( List.init (Graph.degree g v) (fun i ->
-                  { Network.edge = Graph.adj_eid_at g v i; payload = [| v land 63 |] }),
-              `Active )
-          else ([], `Idle));
-    }
-  in
-  let run pool =
-    let metrics = Kecss_obs.Metrics.create () in
-    let states, rounds, msgs =
-      Network.run_counted
-        ~probe:(Kecss_obs.Probe.create ~metrics ())
-        ~pool g program
-    in
-    ( Array.to_list (Array.map (fun r -> !r) states),
-      rounds,
-      msgs,
-      Kecss_obs.Metrics.summary metrics )
-  in
-  let s1, r1, m1, sum1 = with_pool 1 run and s4, r4, m4, sum4 = with_pool 4 run in
-  Alcotest.(check (list int)) "receive counters" s1 s4;
-  Alcotest.(check int) "rounds" r1 r4;
-  Alcotest.(check int) "messages" m1 m4;
-  Alcotest.(check bool) "metrics summary" true (sum1 = sum4)
-
 (* forked probes under real pool parallelism: cells record into private
    children on worker domains, and the exports joined in index order must
    be byte-identical to the jobs = 1 run *)
@@ -432,8 +397,6 @@ let () =
             test_enumerate_identical;
           case "resilience report identical at jobs 1 and 4"
             test_resilience_identical;
-          case "engine run identical at jobs 1 and 4 on a sharding-size graph"
-            test_engine_identical;
           case "sharded trace/metrics sinks identical at jobs 1 and 4"
             test_forked_probes_identical;
           case "duplicate-send detection survives across runs"
