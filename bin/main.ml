@@ -645,7 +645,8 @@ let run_algo ledger ~algo ~k ~seed g =
     (1, r.Ft_mst.mask, Some r.Ft_mst.rounds)
   | "thurimella" ->
     let r =
-      Kecss_baselines.Thurimella.sparse_certificate (Rng.create ~seed) g ~k
+      Kecss_baselines.Thurimella.sparse_certificate ~ledger (Rng.create ~seed)
+        g ~k
     in
     (k, r.Kecss_baselines.Thurimella.solution, Some r.Kecss_baselines.Thurimella.rounds)
   | "greedy" -> (k, Kecss_baselines.Greedy.kecss g ~k, None)
@@ -1016,6 +1017,9 @@ let experiment ids list_only run =
     match run with
     | Error msg -> `Error (false, msg)
     | Ok run ->
+    match List.find_opt (fun id -> Option.is_none (E.find id)) ids with
+    | Some id -> `Error (false, "unknown experiment: " ^ id)
+    | None ->
     Option.iter (fun m -> E.set_sparsify_modes [ m ]) run.sparsify_mode;
     (* Every experiment ledger records into its own fork of the run's
        probe, joined back in canonical cell order (see
@@ -1064,7 +1068,7 @@ let experiment ids list_only run =
         let passes =
           List.fold_left (fun acc i -> acc + rounds_seen i) 0 injs
         in
-        Format.eprintf "faults: %a over %d engine rounds in %d cells@."
+        Format.eprintf "faults: %a over %d engine rounds in %d ledgers@."
           pp_stats total passes (List.length injs)
     in
     (* the forks' causal recorders are joined into the run's, so one
@@ -1082,20 +1086,10 @@ let experiment ids list_only run =
       end
     in
     match
-      let targets =
-        match ids with
-        | [] -> E.all
-        | ids ->
-          List.map
-            (fun id ->
-              match E.find id with
-              | Some e -> e
-              | None -> failwith ("unknown experiment: " ^ id))
-            ids
-      in
-      List.iter (fun e -> ignore (E.run_and_print e)) targets
+      List.iter
+        (fun e -> ignore (E.run_and_print e))
+        (if ids = [] then E.all else List.filter_map E.find ids)
     with
-    | exception Failure msg -> `Error (false, msg)
     | exception Kecss_congest.Network.Did_not_quiesce
         { rounds; active; in_flight } ->
       `Error
@@ -1103,6 +1097,13 @@ let experiment ids list_only run =
           stalled_error ~faulted:(Option.is_some run.plan)
             ~report:report_fault_totals ~rounds ~active ~in_flight
         )
+    | exception e when Option.is_some run.plan ->
+      (* as in [solve]: under a fault plan any failure is the campaign's
+         doing, so report it structurally *)
+      report_fault_totals ();
+      `Error
+        (false, "experiment failed under the fault plan: " ^ Printexc.to_string e)
+    | exception Failure msg -> `Error (false, msg)
     | () -> (
       let report () =
         report_fault_totals ();
@@ -1132,8 +1133,9 @@ let experiment_cmd =
               so exported streams are byte-identical at every --jobs. \
               Under --faults each ledger gets its own injector on its own \
               engine-round clock (a scheduled crash=v17@r40 fires at \
-              round 40 of every cell), with injection stats aggregated in \
-              the final report.";
+              round 40 of every ledger), with injection stats aggregated \
+              in the final report; a failure the plan causes ends the run \
+              with a named error.";
          ])
     Term.(ret (const experiment $ ids $ list_only $ run_term ~flight:false))
 

@@ -296,7 +296,7 @@ let test_experiment_snapshots () =
             "the run's collector holds the joined ledgers" true
             (Kecss_obs.Metrics.runs metrics > 0))
         [ 1; 4 ])
-    [ "T1.1-rounds"; "M-messages" ]
+    [ "T1.1-rounds"; "M-messages"; "L4-iters"; "B-baselines"; "A-mstfilter" ]
 
 (* ---------- utilization instrumentation ---------- *)
 
