@@ -8,7 +8,8 @@
    The sequential baselines and the tree sweeps are pinned the same way:
    Greedy's picks, FT-MST's mask and swap array, and the unweighted
    2-ECSS solution. The engine's metrics series, causal ids and flight
-   rings are pinned on one 2-ECSS solve, plain and under a fault plan.
+   rings are pinned on one 2-ECSS solve, plain and under a fault plan,
+   and so is the order in which the primitives see their mail.
 
    To regenerate after an intended behaviour change, set the expected
    string of a case to "" and run dune exec test/test_golden.exe; the
@@ -104,6 +105,81 @@ let recorded ?faults g () =
     (digest causal_json)
     (digest (Json.to_string (Flight.to_json ~reason:"pin" flight)))
 
+(* What programs observe of the engine's delivery and send order, read
+   through the primitives' own results: [exchange]'s inbox lists (edge
+   ids and payload words, in list order), [down_pipeline]'s received
+   lists, [up_pipeline_merge]'s root lists under an order-sensitive
+   combine, and a [wave_up] whose value hashes its children's values in
+   the order it got them. Payload lengths vary from 0 to the cap, so a
+   word lost or reordered anywhere moves a digest. Optionally under a
+   fault plan, where each primitive's outcome (a stall included) is
+   pinned in turn on one injector. *)
+let order ?faults g () =
+  let inj =
+    Option.map
+      (fun spec ->
+        Kecss_faults.Net.injector (Result.get_ok (Kecss_faults.Plan.of_spec spec)))
+      faults
+  in
+  let ledger = Rounds.create ?hook:(Option.map Kecss_faults.Net.hook inj) () in
+  let words a = String.concat "." (Array.to_list (Array.map string_of_int a)) in
+  let pairs l =
+    String.concat ";" (List.map (fun (x, a) -> string_of_int x ^ ":" ^ words a) l)
+  in
+  let lists a = String.concat "|" (Array.to_list (Array.map pairs a)) in
+  let outcome name f =
+    match f () with
+    | s -> Printf.sprintf "%s=%s" name (digest s)
+    | exception e -> Printf.sprintf "%s=%s" name (Printexc.to_string e)
+  in
+  let forest = Forest.of_rooted_tree (Rooted_tree.bfs_tree g ~root:0) in
+  let parts =
+    [
+      outcome "exchange" (fun () ->
+          lists
+            (Prim.exchange ledger g (fun v ->
+                 List.init (Graph.degree g v) (fun i ->
+                     let e = Graph.adj_eid_at g v i in
+                     {
+                       Network.edge = e;
+                       payload =
+                         Array.init ((v + i) mod (Network.cap_words + 1)) (fun j ->
+                             (v * 1000) + (e * 10) + j);
+                     }))));
+      outcome "down_pipeline" (fun () ->
+          lists
+            (Prim.down_pipeline ~record:true ledger forest ~emit:(fun v ->
+                 List.init (v mod 3) (fun i ->
+                     Array.init ((v + i) mod Network.cap_words) (fun j ->
+                         (v * 100) + (i * 10) + j)))));
+      outcome "up_pipeline_merge" (fun () ->
+          lists
+            (Prim.up_pipeline_merge ledger forest
+               ~emit:(fun v ->
+                 List.init (v mod 4) (fun i ->
+                     ((v + (i * 7)) mod 11 + (i * 11), [| v; i |])))
+               ~combine:(fun a b -> [| (a.(0) * 31) + b.(0); a.(1) - b.(1) |])));
+      outcome "wave_up" (fun () ->
+          words
+            (Array.map
+               (fun a -> a.(0))
+               (Prim.wave_up ledger forest ~value:(fun v kids ->
+                    [|
+                      List.fold_left
+                        (fun acc k -> ((acc * 1_000_003) + k.(0)) land 0xFFFFFFF)
+                        v kids;
+                    |]))));
+    ]
+  in
+  Printf.sprintf "%s rounds=%d ledger=%s%s" (String.concat " " parts)
+    (Rounds.total ledger)
+    (digest (Rounds.to_json ledger))
+    (match inj with
+    | Some inj ->
+      Format.asprintf " stats=%a" Kecss_faults.Net.pp_stats
+        (Kecss_faults.Net.stats inj)
+    | None -> "")
+
 let greedy solve () = "ids=" ^ ids (solve ())
 
 let greedy_tap g =
@@ -192,6 +268,12 @@ let cases =
     ( "ecss2 engine telemetry under faults",
       "Kecss_congest.Network.Did_not_quiesce(10768, 4, 0) stats=71 injected (0 dropped, 49 delayed, 21 duplicated, 1 crashed, 0 cut, 0 restored) metrics=25ebf7fedd3d313535065b56d4e4c58d causal=b6fb635b5e1cc6ce25defaa0a0a80a72 flight=c8dcdef7715a9fe1936bca48aa86d04e",
       recorded ~faults:"crash=v3@r40,delay=0.1:2,dup=0.05,seed=5" g2 );
+    ( "engine inbox and send order",
+      "exchange=c370451ac4b791c50c5d42f5ca46043a down_pipeline=e94be2ed8b05423b6f96d537319dea6a up_pipeline_merge=1c1e524c008758f7370efcb17cecbfcd wave_up=bce98d668c7abc5286aaa7115b57d503 rounds=46 ledger=d09586ef01aaace5a5539d92b7f67fba",
+      order g2 );
+    ( "engine inbox and send order under faults",
+      "exchange=1017da94934044a8fdbdedecf4011570 down_pipeline=be4f8a21745a0962f9a3ef4dae45cfaa up_pipeline_merge=6e43b62d3c28d55035f0468427630eb5 wave_up=Kecss_congest.Network.Did_not_quiesce(10768, 8, 0) rounds=61 ledger=a8aee16f92ce867f1a0b51f3a9c4a708 stats=168 injected (0 dropped, 105 delayed, 63 duplicated, 0 crashed, 0 cut, 0 restored)",
+      order ~faults:"delay=0.15:2,dup=0.1,seed=3" g2 );
     ( "ecss2 unweighted",
       "ids=0,1,2,4,5,6,8,10,12,13,15,21,23,24,25,27,29,30,32,33,34,35,37,38,45,46,48,49,51,53,54,55,58,59,60,66,67,68,70,75,82,84,87,88,93,95,98,102,103,104,107,109,110 rounds=16 ledger=08d394f5157148a41bf8e8ad7636ba70 trace=172252370280dce444ee2ba276d1c46d",
       traced (fun l -> (Ecss2_unweighted.solve_with l u3).Ecss2_unweighted.h) );
