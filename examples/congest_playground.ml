@@ -19,15 +19,20 @@ let leader_election g =
     {
       Network.init = (fun v -> { best = v });
       step =
-        (fun ~round v st inbox ->
+        (fun ~round v st inbox out ->
           let before = st.best in
-          List.iter (fun (_, msg) -> st.best <- max st.best msg.(0)) inbox;
+          (* walk the mail in place: first message, then each next one *)
+          let m = ref (Network.Mail.first inbox) in
+          while !m >= 0 do
+            st.best <- max st.best (Network.Mail.word inbox !m 0);
+            m := Network.Mail.next inbox !m
+          done;
           let changed = st.best > before || round = 0 in
           if changed then
-            ( List.init (Graph.degree g v) (fun i ->
-                  { Network.edge = Graph.adj_eid_at g v i; payload = [| st.best |] }),
-              `Idle )
-          else ([], `Idle));
+            for i = 0 to Graph.degree g v - 1 do
+              Network.post1 out ~edge:(Graph.adj_eid_at g v i) st.best
+            done;
+          `Idle);
     }
   in
   let states, rounds = Network.run g program in

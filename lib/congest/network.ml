@@ -1,5 +1,6 @@
 open Kecss_graph
 module Probe = Kecss_obs.Probe
+module Prof = Kecss_obs.Prof
 
 exception Message_too_large of { vertex : int; words : int }
 exception Duplicate_send of { vertex : int; edge : int }
@@ -12,8 +13,10 @@ let cap_words = 6
 (* Scratch for duplicate-send detection, persistent across runs in
    domain-local storage: an edge is a duplicate iff its cell carries the
    current sender's stamp. The stamp counter strictly increases across
-   runs, so stale cells from earlier runs (or the zeroed cells of a grown
-   buffer) can never match, and a run costs no O(m) allocation. *)
+   runs (a nested run advances it too, since every sender reads and
+   bumps [last] itself), so stale cells from earlier runs (or the zeroed
+   cells of a grown buffer) can never match, and a run costs no O(m)
+   allocation. *)
 type stamp_scratch = { mutable buf : int array; mutable last : int }
 
 let stamp_key = Domain.DLS.new_key (fun () -> { buf = [||]; last = 0 })
@@ -43,19 +46,184 @@ type hook = {
   fate : round:int -> src:int -> edge:int -> fate;
 }
 
-type 's program = {
-  init : int -> 's;
-  step :
-    round:int -> int -> 's -> int array inbox -> send list * [ `Active | `Idle ];
+(* ---------- the message plane ---------- *)
+
+(* One pass's messages as a struct of arrays: slot [s] is a message on
+   edge [edge.(s)] from [src.(s)] whose [len.(s)] payload words sit at
+   [words.(off.(s))]. A delivery threads its slot onto the receiver's
+   chain through [next] (and records its causal id in [id]). Slots and
+   words only ever grow, so after a few runs a domain's arenas hold the
+   largest pass it has seen and a pass allocates nothing. *)
+type arena = {
+  mutable slots : int;
+  mutable edge : int array;
+  mutable src : int array;
+  mutable off : int array;
+  mutable len : int array;
+  mutable next : int array;
+  mutable id : int array;
+  mutable used : int;
+  mutable words : int array;
 }
 
-let run_counted ?(probe = Probe.noop) ?hook ?max_rounds g p =
+let arena () =
+  {
+    slots = 0;
+    edge = [||];
+    src = [||];
+    off = [||];
+    len = [||];
+    next = [||];
+    id = [||];
+    used = 0;
+    words = [||];
+  }
+
+let grow_slots a =
+  let cap = max 256 (2 * Array.length a.edge) in
+  let ext x =
+    let y = Array.make cap 0 in
+    Array.blit x 0 y 0 a.slots;
+    y
+  in
+  a.edge <- ext a.edge;
+  a.src <- ext a.src;
+  a.off <- ext a.off;
+  a.len <- ext a.len;
+  a.next <- ext a.next;
+  a.id <- ext a.id
+
+(* a new slot for a [len]-word message; returns the offset its payload
+   words go to. An oversized payload is refused at delivery, before
+   anything reads it, so its words are never stored. *)
+let reserve a ~src ~edge ~len =
+  if a.slots = Array.length a.edge then grow_slots a;
+  let s = a.slots in
+  a.slots <- s + 1;
+  a.edge.(s) <- edge;
+  a.src.(s) <- src;
+  a.len.(s) <- len;
+  let o = a.used in
+  a.off.(s) <- o;
+  if len <= cap_words then begin
+    if o + len > Array.length a.words then begin
+      let w = Array.make (max 1024 (2 * (o + len))) 0 in
+      Array.blit a.words 0 w 0 o;
+      a.words <- w
+    end;
+    a.used <- o + len
+  end;
+  o
+
+(* The run's view of the plane: the arena being read (mail delivered
+   last pass) and the one being written (this pass's sends), the
+   stepping vertex and the first message of its chain. A program's step
+   gets it twice, as its [mail] and as its [outbox]. *)
+type io = {
+  mutable inbox : arena;
+  mutable outbox : arena;
+  mutable v : int;
+  mutable head : int;
+}
+
+type mail = io
+type outbox = io
+
+module Mail = struct
+  let first m = m.head
+  let next m s = m.inbox.next.(s)
+  let edge m s = m.inbox.edge.(s)
+  let words m s = m.inbox.len.(s)
+
+  let word m s i =
+    let a = m.inbox in
+    if i < 0 || i >= a.len.(s) then invalid_arg "Network.Mail.word";
+    a.words.(a.off.(s) + i)
+
+  let is_empty m = m.head < 0
+
+  let count m =
+    let k = ref 0 and s = ref m.head in
+    while !s >= 0 do
+      incr k;
+      s := m.inbox.next.(!s)
+    done;
+    !k
+
+  (* one- and two-word payloads are built inline: [Array.sub] is a C
+     call, and most messages are that short *)
+  let payload m s =
+    let a = m.inbox in
+    let o = a.off.(s) in
+    match a.len.(s) with
+    | 0 -> [||]
+    | 1 -> [| a.words.(o) |]
+    | 2 -> [| a.words.(o); a.words.(o + 1) |]
+    | l -> Array.sub a.words o l
+
+  let[@tail_mod_cons] rec chain m s =
+    if s < 0 then [] else (edge m s, payload m s) :: chain m (next m s)
+
+  let to_inbox m = chain m m.head
+end
+
+let post_sub o ~edge src ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length src then
+    invalid_arg "Network.post_sub";
+  let a = o.outbox in
+  let at = reserve a ~src:o.v ~edge ~len in
+  if len <= cap_words then
+    for i = 0 to len - 1 do
+      a.words.(at + i) <- src.(pos + i)
+    done
+
+let post o ~edge payload =
+  post_sub o ~edge payload ~pos:0 ~len:(Array.length payload)
+
+let post1 o ~edge w =
+  let a = o.outbox in
+  let at = reserve a ~src:o.v ~edge ~len:1 in
+  a.words.(at) <- w
+
+let forward o ~edge m s =
+  let a = o.outbox and b = m.inbox in
+  let len = b.len.(s) in
+  let at = reserve a ~src:o.v ~edge ~len in
+  let from = b.off.(s) in
+  for i = 0 to len - 1 do
+    a.words.(at + i) <- b.words.(from + i)
+  done
+
+let rec post_all o = function
+  | [] -> ()
+  | { edge; payload } :: rest ->
+    post o ~edge payload;
+    post_all o rest
+
+(* Each domain keeps one pair of arenas across runs. A run that starts
+   while another holds the pair (a step that runs the engine) gets a
+   fresh pair, so the two never share slots. *)
+type plane = { a : arena; b : arena; mutable busy : bool }
+
+let plane_key =
+  Domain.DLS.new_key (fun () -> { a = arena (); b = arena (); busy = false })
+
+type 's program = {
+  init : int -> 's;
+  step : round:int -> int -> 's -> mail -> outbox -> [ `Active | `Idle ];
+}
+
+let run_on ~probe ?hook ?max_rounds g p inbox outbox =
   let n = Graph.n g in
   let max_rounds =
     match max_rounds with Some r -> r | None -> (16 * n) + 10_000
   in
   let states = Array.init n p.init in
-  let inboxes : int array inbox array = Array.make n [] in
+  let io = { inbox; outbox; v = -1; head = -1 } in
+  (* [heads.(v)]: the slot of the latest message delivered to [v], in
+     [io.inbox]; the chain runs from it through [next], most recent
+     delivery first *)
+  let heads = Array.make n (-1) in
   let active = Array.make n true in
   (* [active_count] tracks the number of [true] cells in [active] so the
      quiescence test is O(1) instead of an O(n) scan per pass *)
@@ -68,20 +236,24 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds g p =
   in
   let scratch = stamp_scratch (max 1 (Graph.m g)) in
   let used_stamp = scratch.buf in
-  let stamp = ref scratch.last in
-  let sent : send list array = Array.make n [] in
   let in_flight = ref 0 in
   let round = ref 0 in
   let counted = ref 0 in
   let messages = ref 0 in
-  (* deliveries whose injected delay has not yet elapsed:
+  (* deliveries whose injected delay has not yet elapsed, with their
+     payloads copied out of the plane:
      (due pass, destination, edge, payload, causal id) *)
   let delayed = ref [] in
   let obs = Probe.enabled probe in
-  (* causal ids and parent sets mirror [inboxes] exactly *)
+  let prof = Probe.prof probe in
+  let timed = Prof.enabled prof in
+  (* the causal ids of the messages each vertex stepped on, when the
+     causal recorder records *)
   let cobs = Probe.causal_ids probe in
-  let inbox_ids : int list array = if cobs then Array.make n [] else [||] in
   let parent_ids : int list array = if cobs then Array.make n [] else [||] in
+  let[@tail_mod_cons] rec chain_ids a s =
+    if s < 0 then [] else a.id.(s) :: chain_ids a a.next.(s)
+  in
   (* The frontier: the vertices the next pass must step, i.e. those that
      are active or hold delivered mail.  A vertex enters it by stepping
      to [`Active] or by receiving a message.  Each pass reads it in
@@ -94,79 +266,53 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds g p =
     work.(!wl) <- v;
     incr wl
   in
-  let first_word payload =
-    if Array.length payload > 0 then payload.(0) else -1
-  in
-  (* the one delivery path: normal, replicated and delayed copies alike *)
-  let deliver dst edge payload id =
-    inboxes.(dst) <- (edge, payload) :: inboxes.(dst);
-    if cobs then inbox_ids.(dst) <- id :: inbox_ids.(dst);
+  let first_word a s = if a.len.(s) > 0 then a.words.(a.off.(s)) else -1 in
+  (* the one delivery path: normal, replicated and delayed copies alike
+     join the receiver's chain in [io.outbox] *)
+  let deliver dst s id =
+    let a = io.outbox in
+    a.next.(s) <- heads.(dst);
+    heads.(dst) <- s;
+    if cobs then a.id.(s) <- id;
     if obs then
-      Probe.on_recv probe ~vertex:dst ~edge ~word:(first_word payload);
+      Probe.on_recv probe ~vertex:dst ~edge:a.edge.(s) ~word:(first_word a s);
     incr in_flight;
     Bitset.add frontier dst
   in
-  let rec send_all v group = function
-    | [] -> ()
-    | { edge; payload } :: rest ->
-      let words = Array.length payload in
-      if words > cap_words then
-        raise (Message_too_large { vertex = v; words });
-      if used_stamp.(edge) = !stamp then
-        raise (Duplicate_send { vertex = v; edge });
-      used_stamp.(edge) <- !stamp;
-      let dst = Graph.other_end g edge v in
-      (* the sender spent its message budget whatever the network then
-         does with the copy: sends are counted before the hook rules *)
-      incr messages;
-      let id =
-        if obs then
-          Probe.on_send probe ~src:v ~dst ~edge ~word:(first_word payload)
-            ~group
-        else -1
-      in
-      let fate =
-        match hook with
-        | Some h -> h.fate ~round:!round ~src:v ~edge
-        | None -> Deliver
-      in
-      (match fate with
-      | Drop -> ()
-      | Deliver -> deliver dst edge payload id
-      | Replicate copies ->
-        for _ = 1 to max 1 copies do
-          deliver dst edge payload id
-        done
-      | Postpone extra when extra <= 0 -> deliver dst edge payload id
-      | Postpone extra ->
-        delayed := (!round + 1 + extra, dst, edge, payload, id) :: !delayed);
-      send_all v group rest
+  (* a further copy of slot [s] for [Replicate]: same payload words *)
+  let copy a s =
+    if a.slots = Array.length a.edge then grow_slots a;
+    let c = a.slots in
+    a.slots <- c + 1;
+    a.edge.(c) <- a.edge.(s);
+    a.src.(c) <- a.src.(s);
+    a.off.(c) <- a.off.(s);
+    a.len.(c) <- a.len.(s);
+    c
   in
-  if obs then Probe.run_begin probe ~n;
-  while (!in_flight > 0 || !active_count > 0) && !round < max_rounds do
-    (match hook with Some h -> h.round_begin ~round:!round | None -> ());
-    if obs then Probe.round_begin probe;
+  (* step pass, ascending over [work]: gate each vertex on the hook,
+     step it, and settle whether it still wants rounds.  Its sends land
+     in [io.outbox] for the delivery pass, so no vertex sees mail sent
+     in the pass it steps in.  Every chain in [work] is consumed
+     (crash-stopped vertices lose their deliveries); vertices outside it
+     hold nothing. *)
+  let step_pass () =
     wl := 0;
     Bitset.iter push frontier;
     Bitset.clear frontier;
-    let wl_now = !wl in
-    (* step pass, ascending over [work]: gate each vertex on the hook,
-       step it, and settle whether it still wants rounds.  Its sends wait
-       in [sent] for the delivery pass, so no vertex sees mail sent in
-       the pass it steps in.  Every inbox in [work] is consumed
-       (crash-stopped vertices lose their deliveries); vertices outside
-       it hold nothing. *)
-    for i = 0 to wl_now - 1 do
+    io.outbox.slots <- 0;
+    io.outbox.used <- 0;
+    for i = 0 to !wl - 1 do
       let v = work.(i) in
       let b =
         if match hook with Some h -> h.alive ~round:!round v | None -> true
         then begin
           (* the messages delivered to [v] last pass are the parents of
              everything it sends this pass *)
-          if cobs then parent_ids.(v) <- inbox_ids.(v);
-          let sends, status = p.step ~round:!round v states.(v) inboxes.(v) in
-          sent.(v) <- sends;
-          status = `Active
+          if cobs then parent_ids.(v) <- chain_ids io.inbox heads.(v);
+          io.v <- v;
+          io.head <- heads.(v);
+          p.step ~round:!round v states.(v) io io = `Active
         end
         else begin
           (* crash-stop: the vertex neither steps nor sends, no longer
@@ -178,40 +324,86 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds g p =
       if obs && active.(v) <> b then Probe.on_active probe ~vertex:v ~active:b;
       set_active v b;
       if b then Bitset.add frontier v;
-      inboxes.(v) <- [];
-      if cobs then inbox_ids.(v) <- []
-    done;
+      heads.(v) <- -1
+    done
+  in
+  (* delivery pass: the slots in send order, i.e. ascending sender and
+     each sender's sends in the order it posted them *)
+  let deliver_pass () =
     in_flight := 0;
-    (* delivery pass: over [work] in ascending sender order *)
-    for i = 0 to wl_now - 1 do
-      let v = work.(i) in
-      match sent.(v) with
-      | [] -> ()
-      | sends ->
-        sent.(v) <- [];
-        incr stamp;
-        (* persisted eagerly so a run aborted by an engine exception
+    let a = io.outbox in
+    let sent = a.slots in
+    let sender = ref (-1) and group = ref 0 in
+    for s = 0 to sent - 1 do
+      let v = a.src.(s) in
+      if v <> !sender then begin
+        sender := v;
+        (* persisted at once so a run aborted by an engine exception
            cannot leave stale cells above the next run's stamps *)
-        scratch.last <- !stamp;
+        scratch.last <- scratch.last + 1;
         (* every message [v] sends this round was enabled by the same
            inbox, so its parent set is interned once *)
-        let group =
-          if cobs then Probe.group probe ~parents:parent_ids.(v) else 0
-        in
-        send_all v group sends
+        if cobs then group := Probe.group probe ~parents:parent_ids.(v)
+      end;
+      let edge = a.edge.(s) and words = a.len.(s) in
+      if words > cap_words then
+        raise (Message_too_large { vertex = v; words });
+      if used_stamp.(edge) = scratch.last then
+        raise (Duplicate_send { vertex = v; edge });
+      used_stamp.(edge) <- scratch.last;
+      let dst = Graph.other_end g edge v in
+      (* the sender spent its message budget whatever the network then
+         does with the copy: sends are counted before the hook rules *)
+      incr messages;
+      let id =
+        if obs then
+          Probe.on_send probe ~src:v ~dst ~edge ~word:(first_word a s)
+            ~group:!group
+        else -1
+      in
+      match hook with
+      | None -> deliver dst s id
+      | Some h -> (
+        match h.fate ~round:!round ~src:v ~edge with
+        | Drop -> ()
+        | Deliver -> deliver dst s id
+        | Replicate copies ->
+          deliver dst s id;
+          for _ = 2 to copies do
+            deliver dst (copy a s) id
+          done
+        | Postpone extra when extra <= 0 -> deliver dst s id
+        | Postpone extra ->
+          let payload = Array.sub a.words a.off.(s) words in
+          delayed := (!round + 1 + extra, dst, edge, payload, id) :: !delayed)
     done;
     if !delayed <> [] then begin
       let due, future =
         List.partition (fun (r, _, _, _, _) -> r <= !round + 1) !delayed
       in
       List.iter
-        (fun (_, dst, edge, payload, id) -> deliver dst edge payload id)
+        (fun (_, dst, edge, payload, id) ->
+          let len = Array.length payload in
+          let at = reserve a ~src:(-1) ~edge ~len in
+          Array.blit payload 0 a.words at len;
+          deliver dst (a.slots - 1) id)
         due;
       delayed := future;
       (* a postponed message is still in flight: it must keep the engine
          from declaring quiescence until it lands *)
       in_flight := !in_flight + List.length future
     end;
+    (* this pass's deliveries are the next pass's mail *)
+    io.outbox <- io.inbox;
+    io.inbox <- a
+  in
+  if obs then Probe.run_begin probe ~n;
+  while (!in_flight > 0 || !active_count > 0) && !round < max_rounds do
+    (match hook with Some h -> h.round_begin ~round:!round | None -> ());
+    if obs then Probe.round_begin probe;
+    if timed then Prof.span prof "engine/step" step_pass else step_pass ();
+    if timed then Prof.span prof "engine/deliver" deliver_pass
+    else deliver_pass ();
     incr round;
     (* In the synchronous model a vertex receives, at the end of round r,
        the messages sent in round r; the engine splits this into a send
@@ -234,6 +426,16 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds g p =
   end;
   if obs then Probe.run_end probe ~quiesced:true ~rounds:!counted;
   (states, !counted, !messages)
+
+let run_counted ?(probe = Probe.noop) ?hook ?max_rounds g p =
+  let plane = Domain.DLS.get plane_key in
+  if plane.busy then run_on ~probe ?hook ?max_rounds g p (arena ()) (arena ())
+  else begin
+    plane.busy <- true;
+    Fun.protect
+      ~finally:(fun () -> plane.busy <- false)
+      (fun () -> run_on ~probe ?hook ?max_rounds g p plane.a plane.b)
+  end
 
 let run ?max_rounds g p =
   let states, rounds, _ = run_counted ?max_rounds g p in

@@ -44,10 +44,14 @@ val par_threshold : unit -> int
     domain; environment reports still record the value. *)
 
 type send = { edge : int; payload : int array }
-(** A message to put on edge [edge] this round. *)
+(** A message as a value: edge [edge] and its payload. Programs post
+    sends to their {!outbox}; this record is how [Prim.exchange]'s
+    callers describe theirs, and {!post_all} posts a list of them. *)
 
 type 'a inbox = (int * 'a) list
-(** Received messages as [(edge_id, payload)] pairs, in arbitrary order. *)
+(** Received messages as [(edge_id, payload)] pairs, in {!mail} order
+    (most recent delivery first): the list form {!Mail.to_inbox} builds
+    and [Prim.exchange] returns. *)
 
 type fate = Deliver | Drop | Replicate of int | Postpone of int
 (** What the network does with one sent message: deliver it normally, lose
@@ -77,19 +81,89 @@ type hook = {
     exactly as specified above and pays one [match] per vertex and per
     message. *)
 
+(** {1 The message plane}
+
+    Messages live in a flat arena, not in per-message heap objects: a
+    send is a slot (edge id, word offset, length) plus its payload words
+    in parallel [int array]s, and a delivery threads the slot onto the
+    receiver's chain. Each domain keeps two arenas across runs, one for
+    the mail being read and one for the sends being written, swapped
+    every pass and grown on demand, so once they have reached a run's
+    largest pass the engine allocates nothing per message.
+
+    A run that starts while another is live on the same domain (a step
+    that itself runs the engine) gets a fresh pair of arenas. Chain heads
+    belong to the run, so a run that raises leaves no mail behind for the
+    next one. *)
+
+type mail
+(** The messages delivered to the stepping vertex in the previous pass,
+    read in place. A message is an [int] handle valid only during the
+    step that received it; copy what must outlive the step. *)
+
+(** Reading {!mail}. The chain runs from {!first} through {!next}, most
+    recent delivery first — ascending sender order, reversed — so
+    [Mail.to_inbox] equals the list the engine's list form delivered. *)
+module Mail : sig
+  val first : mail -> int
+  (** The latest message, or [-1] when the vertex has no mail. *)
+
+  val next : mail -> int -> int
+  (** The message delivered before this one, or [-1]. *)
+
+  val is_empty : mail -> bool
+  val count : mail -> int
+  val edge : mail -> int -> int
+  (** The edge the message arrived on. *)
+
+  val words : mail -> int -> int
+  (** Its payload length. *)
+
+  val word : mail -> int -> int -> int
+  (** [word m msg i] is payload word [i].
+      @raise Invalid_argument outside [0, words m msg). *)
+
+  val payload : mail -> int -> int array
+  (** A fresh copy of the payload. *)
+
+  val to_inbox : mail -> int array inbox
+  (** Every message as an [(edge, payload copy)] list, in chain order. *)
+end
+
+type outbox
+(** Where the stepping vertex posts this pass's sends. Posting copies
+    the payload words into the arena, so the caller may reuse its array.
+    Sends are checked and delivered after the whole step pass, in
+    posting order: the size and duplicate checks, the counts, the hook's
+    [fate] and the probe's send and receive events all see the order a
+    [send list] returned by the step would have had. *)
+
+val post : outbox -> edge:int -> int array -> unit
+val post1 : outbox -> edge:int -> int -> unit
+(** [post1 o ~edge w] posts the one-word payload [[|w|]]. *)
+
+val post_sub : outbox -> edge:int -> int array -> pos:int -> len:int -> unit
+(** Posts words [pos .. pos + len - 1] of the array.
+    @raise Invalid_argument if they are not within it. *)
+
+val forward : outbox -> edge:int -> mail -> int -> unit
+(** [forward o ~edge m msg] posts a received message's payload as is. *)
+
+val post_all : outbox -> send list -> unit
+(** Posts each send in list order. *)
+
 type 's program = {
   init : int -> 's;
   (** [init v] builds vertex [v]'s initial state. It may inspect the graph
       locally (own adjacency) — vertices know their incident edges. *)
-  step :
-    round:int -> int -> 's -> int array inbox -> send list * [ `Active | `Idle ];
-  (** [step ~round v state inbox] returns messages to send and whether
-      the vertex still wants rounds; state is updated by mutation. Every
-      vertex steps in round 0 (inboxes empty); after that a vertex steps
-      only in rounds where it is active (its last step returned
-      [`Active]) or has mail. An idle vertex with an empty inbox is not
-      stepped, so a program must not rely on idle steps to send or to
-      change state. *)
+  step : round:int -> int -> 's -> mail -> outbox -> [ `Active | `Idle ];
+  (** [step ~round v state mail out] reads the messages delivered to [v]
+      last pass, posts this pass's sends to [out], and says whether the
+      vertex still wants rounds; state is updated by mutation. Every
+      vertex steps in round 0 (no mail); after that a vertex steps only
+      in rounds where it is active (its last step returned [`Active]) or
+      has mail. An idle vertex without mail is not stepped, so a program
+      must not rely on idle steps to send or to change state. *)
 }
 
 val run :
@@ -120,7 +194,11 @@ val run_counted :
     the flight recorder's per-vertex rings. Every hook runs in ascending
     vertex order on the calling domain, so what is recorded is
     byte-identical whichever domain calls and whatever the pool size.
-    With the noop probe each event site costs one boolean test.
+    With the noop probe each event site costs one boolean test. When
+    the probe holds a recording profiler, each pass's step and delivery
+    halves are timed as the {!Kecss_obs.Prof} spans ["engine/step"] and
+    ["engine/deliver"]; without one this costs one boolean test per
+    pass.
 
     The engine keeps a frontier — a bitset of the vertices that are
     active or hold a delivered message.  A vertex enters it by stepping

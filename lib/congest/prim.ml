@@ -15,6 +15,24 @@ let engine ledger ~category g program =
   Rounds.charge_messages ledger ~category messages;
   states
 
+module Mail = Network.Mail
+
+(* Steps walk their mail with a loop over [Mail.first]/[Mail.next] and
+   post through the helpers below, so a step allocates no closure. *)
+
+(* words [pos .. pos + len - 1] of [buf] to each of [children] in [f],
+   in child order *)
+let rec post_children out (f : Forest.t) buf ~pos ~len = function
+  | [] -> ()
+  | c :: cs ->
+    Network.post_sub out ~edge:f.Forest.parent_edge.(c) buf ~pos ~len;
+    post_children out f buf ~pos ~len cs
+
+(* payload words [pos ..] of a received message, as a fresh array *)
+let payload_from inbox m pos =
+  let p = Mail.payload inbox m in
+  Array.sub p pos (Array.length p - pos)
+
 (* ---------- BFS tree ---------- *)
 
 type bfs_state = { mutable parent_edge : int; mutable joined : bool }
@@ -29,32 +47,31 @@ let bfs_tree ledger g ~root =
     {
       init = (fun v -> { parent_edge = -1; joined = v = root });
       step =
-        (fun ~round v st inbox ->
+        (fun ~round v st inbox out ->
           if v = root && round = 0 then begin
             (* flood the join token on every incident edge *)
-            let sends = ref [] in
-            for i = Graph.degree g v - 1 downto 0 do
-              sends :=
-                { Network.edge = Graph.adj_eid_at g v i; payload = [| 0 |] }
-                :: !sends
+            for i = 0 to Graph.degree g v - 1 do
+              Network.post1 out ~edge:(Graph.adj_eid_at g v i) 0
             done;
-            (!sends, `Idle)
+            `Idle
           end
-          else if (not st.joined) && inbox <> [] then begin
-            let best =
-              List.fold_left (fun acc (id, _) -> min acc id) max_int inbox
-            in
-            st.parent_edge <- best;
+          else if (not st.joined) && not (Mail.is_empty inbox) then begin
+            let best = ref max_int and m = ref (Mail.first inbox) in
+            while !m >= 0 do
+              let id = Mail.edge inbox !m in
+              if id < !best then best := id;
+              m := Mail.next inbox !m
+            done;
+            st.parent_edge <- !best;
             st.joined <- true;
-            let sends = ref [] in
-            for i = Graph.degree g v - 1 downto 0 do
+            for i = 0 to Graph.degree g v - 1 do
               let id = Graph.adj_eid_at g v i in
-              if id <> best then
-                sends := { Network.edge = id; payload = [| 0 |] } :: !sends
+              if id <> !best then Network.post1 out ~edge:id 0
             done;
-            (!sends, `Idle)
+            `Idle
           end
-          else ([], if st.joined then `Idle else `Active));
+          else if st.joined then `Idle
+          else `Active);
     }
   in
   let states = engine ledger ~category:"bfs" g program in
@@ -70,12 +87,10 @@ let exchange ledger g sends =
     {
       init = (fun _ -> { got = [] });
       step =
-        (fun ~round v st inbox ->
-          if round = 0 then (sends v, `Idle)
-          else begin
-            st.got <- inbox @ st.got;
-            ([], `Idle)
-          end);
+        (fun ~round v st inbox out ->
+          if round = 0 then Network.post_all out (sends v)
+          else st.got <- Mail.to_inbox inbox @ st.got;
+          `Idle);
     }
   in
   let states = engine ledger ~category:"exchange" g program in
@@ -102,21 +117,22 @@ let wave_up ledger (f : Forest.t) ~value =
             value = [||];
           });
       step =
-        (fun ~round:_ v st inbox ->
-          List.iter
-            (fun (_, payload) ->
-              st.child_values <- payload :: st.child_values;
-              st.pending <- st.pending - 1)
-            inbox;
+        (fun ~round:_ v st inbox out ->
+          let m = ref (Mail.first inbox) in
+          while !m >= 0 do
+            st.child_values <- Mail.payload inbox !m :: st.child_values;
+            st.pending <- st.pending - 1;
+            m := Mail.next inbox !m
+          done;
           if (not st.fired) && st.pending = 0 then begin
             st.fired <- true;
             st.value <- value v st.child_values;
             if f.Forest.parent_edge.(v) >= 0 then
-              ( [ { Network.edge = f.Forest.parent_edge.(v); payload = st.value } ],
-                `Idle )
-            else ([], `Idle)
+              Network.post out ~edge:f.Forest.parent_edge.(v) st.value;
+            `Idle
           end
-          else ([], if st.fired then `Idle else `Active));
+          else if st.fired then `Idle
+          else `Active);
     }
   in
   let states = engine ledger ~category:"wave_up" f.Forest.graph program in
@@ -127,28 +143,30 @@ let wave_up ledger (f : Forest.t) ~value =
 type down_state = { mutable value : int array; mutable have : bool }
 
 let wave_down ledger (f : Forest.t) ~root_value ~derive =
-  let send_children v payload =
-    List.map
-      (fun c -> { Network.edge = f.Forest.parent_edge.(c); payload })
-      f.Forest.children.(v)
-  in
   let program : down_state Network.program =
     {
       init = (fun _ -> { value = [||]; have = false });
       step =
-        (fun ~round v st inbox ->
+        (fun ~round v st inbox out ->
           if round = 0 && f.Forest.parent.(v) < 0 then begin
             st.value <- root_value v;
             st.have <- true;
-            (send_children v st.value, `Idle)
+            post_children out f st.value ~pos:0
+              ~len:(Array.length st.value) f.Forest.children.(v);
+            `Idle
           end
           else
-            match inbox with
-            | [ (_, parent_value) ] when not st.have ->
-              st.value <- derive v ~parent_value;
+            let m = Mail.first inbox in
+            (* exactly one message: the parent's value *)
+            if m >= 0 && Mail.next inbox m < 0 && not st.have then begin
+              st.value <- derive v ~parent_value:(Mail.payload inbox m);
               st.have <- true;
-              (send_children v st.value, `Idle)
-            | _ -> ([], if st.have then `Idle else `Active));
+              post_children out f st.value ~pos:0
+                ~len:(Array.length st.value) f.Forest.children.(v);
+              `Idle
+            end
+            else if st.have then `Idle
+            else `Active);
     }
   in
   let states = engine ledger ~category:"wave_down" f.Forest.graph program in
@@ -156,49 +174,92 @@ let wave_down ledger (f : Forest.t) ~root_value ~derive =
 
 (* ---------- pipelined root-path dissemination ---------- *)
 
+(* The messages a vertex has yet to forward, [origin; payload...] each,
+   flat in [buf.(head) .. buf.(tail - 1)] as a length word followed by
+   the message's words. Draining the queue rewinds it, so a vertex that
+   forwards each message the pass after it arrives never grows its
+   buffer. *)
 type pipe_state = {
-  queue : int array Queue.t; (* [|origin; payload...|] messages to forward *)
-  mutable received : int array list; (* reverse order *)
+  mutable buf : int array;
+  mutable head : int;
+  mutable tail : int;
+  mutable received : (int * int array) list; (* reverse order *)
 }
+
+(* room for [need] more words at [tail] *)
+let make_room st need =
+  if st.tail + need > Array.length st.buf then begin
+    let live = st.tail - st.head in
+    let buf =
+      if live + need > Array.length st.buf then
+        Array.make (max 8 (2 * (live + need))) 0
+      else st.buf
+    in
+    Array.blit st.buf st.head buf 0 live;
+    st.buf <- buf;
+    st.head <- 0;
+    st.tail <- live
+  end
 
 let down_pipeline ?(record = true) ledger (f : Forest.t) ~emit =
   let program : pipe_state Network.program =
     {
       init =
         (fun v ->
-          let q = Queue.create () in
+          let own = emit v in
+          let need =
+            List.fold_left (fun acc p -> acc + 2 + Array.length p) 0 own
+          in
+          let st =
+            {
+              buf = (if need = 0 then [||] else Array.make need 0);
+              head = 0;
+              tail = 0;
+              received = [];
+            }
+          in
           List.iter
-            (fun payload -> Queue.add (Array.append [| v |] payload) q)
-            (emit v);
-          { queue = q; received = [] });
+            (fun p ->
+              let len = Array.length p in
+              st.buf.(st.tail) <- len + 1;
+              st.buf.(st.tail + 1) <- v;
+              Array.blit p 0 st.buf (st.tail + 2) len;
+              st.tail <- st.tail + len + 2)
+            own;
+          st);
       step =
-        (fun ~round:_ v st inbox ->
-          List.iter
-            (fun (_, msg) ->
-              (* the message array is immutable in flight, so it is queued
-                 and forwarded as-is — no per-hop repacking *)
-              if record then st.received <- msg :: st.received;
-              Queue.add msg st.queue)
-            inbox;
-          if Queue.is_empty st.queue then ([], `Idle)
+        (fun ~round:_ v st inbox out ->
+          let m = ref (Mail.first inbox) in
+          while !m >= 0 do
+            let len = Mail.words inbox !m in
+            if record then
+              st.received <-
+                (Mail.word inbox !m 0, payload_from inbox !m 1) :: st.received;
+            make_room st (len + 1);
+            st.buf.(st.tail) <- len;
+            for i = 0 to len - 1 do
+              st.buf.(st.tail + 1 + i) <- Mail.word inbox !m i
+            done;
+            st.tail <- st.tail + len + 1;
+            m := Mail.next inbox !m
+          done;
+          if st.head = st.tail then `Idle
           else begin
-            let msg = Queue.pop st.queue in
-            let sends =
-              List.map
-                (fun c -> { Network.edge = f.Forest.parent_edge.(c); payload = msg })
-                f.Forest.children.(v)
-            in
-            (sends, (if Queue.is_empty st.queue then `Idle else `Active))
+            let len = st.buf.(st.head) in
+            let pos = st.head + 1 in
+            post_children out f st.buf ~pos ~len f.Forest.children.(v);
+            st.head <- pos + len;
+            if st.head = st.tail then begin
+              st.head <- 0;
+              st.tail <- 0;
+              `Idle
+            end
+            else `Active
           end);
     }
   in
   let states = engine ledger ~category:"down_pipeline" f.Forest.graph program in
-  Array.map
-    (fun st ->
-      List.rev_map
-        (fun msg -> (msg.(0), Array.sub msg 1 (Array.length msg - 1)))
-        st.received)
-    states
+  Array.map (fun st -> List.rev st.received) states
 
 let broadcast_list ?(record = true) ledger (f : Forest.t) ~items =
   let emit v = if f.Forest.parent.(v) < 0 then items v else [] in
@@ -222,17 +283,17 @@ let edge_stream ledger g ~lengths =
     {
       init = (fun _ -> ());
       step =
-        (fun ~round v () _ ->
-          let sends = ref [] and more = ref false in
-          for i = Graph.degree g v - 1 downto 0 do
+        (fun ~round v () _ out ->
+          let more = ref false in
+          for i = 0 to Graph.degree g v - 1 do
             let id = Graph.adj_eid_at g v i in
             let l = len.(id) in
             if round < l then begin
-              sends := { Network.edge = id; payload = [| round |] } :: !sends;
+              Network.post1 out ~edge:id round;
               if round + 1 < l then more := true
             end
           done;
-          (!sends, if !more then `Active else `Idle));
+          if !more then `Active else `Idle);
     }
   in
   ignore (engine ledger ~category:"edge_stream" g program)
@@ -248,17 +309,17 @@ let walk_up ledger (f : Forest.t) ~sources =
     {
       init = (fun v -> { tokens = initial.(v) });
       step =
-        (fun ~round:_ v st inbox ->
-          st.tokens <- st.tokens + List.length inbox;
-          if st.tokens = 0 then ([], `Idle)
+        (fun ~round:_ v st inbox out ->
+          st.tokens <- st.tokens + Mail.count inbox;
+          if st.tokens = 0 then `Idle
           else if f.Forest.parent_edge.(v) < 0 then begin
             st.tokens <- 0;
-            ([], `Idle)
+            `Idle
           end
           else begin
             st.tokens <- st.tokens - 1;
-            ( [ { Network.edge = f.Forest.parent_edge.(v); payload = [| 0 |] } ],
-              if st.tokens = 0 then `Idle else `Active )
+            Network.post1 out ~edge:f.Forest.parent_edge.(v) 0;
+            if st.tokens = 0 then `Idle else `Active
           end);
     }
   in
@@ -363,14 +424,17 @@ let up_pipeline_merge ledger (f : Forest.t) ~emit ~combine =
             results = [];
           });
       step =
-        (fun ~round:_ v st inbox ->
-          List.iter
-            (fun (edge, msg) ->
-              let s = stream_for st edge in
-              if msg.(0) = 1 then s.closed <- true
-              else
-                Queue.add (msg.(1), Array.sub msg 2 (Array.length msg - 2)) s.entries)
-            inbox;
+        (fun ~round:_ v st inbox out ->
+          let m = ref (Mail.first inbox) in
+          while !m >= 0 do
+            let s = stream_for st (Mail.edge inbox !m) in
+            if Mail.word inbox !m 0 = 1 then s.closed <- true
+            else
+              Queue.add
+                (Mail.word inbox !m 1, payload_from inbox !m 2)
+                s.entries;
+            m := Mail.next inbox !m
+          done;
           let is_root = f.Forest.parent.(v) < 0 in
           if is_root then begin
             (* local computation: drain everything currently safe *)
@@ -382,24 +446,24 @@ let up_pipeline_merge ledger (f : Forest.t) ~emit ~combine =
                 | None -> continue := false
               else continue := false
             done;
-            ([], if all_drained st then `Idle else `Active)
+            if all_drained st then `Idle else `Active
           end
-          else if st.sent_done then ([], `Idle)
+          else if st.sent_done then `Idle
           else if ready st then
             match heads st with
             | Some k ->
               let payload = pop_key st k in
-              let msg = Array.concat [ [| 0; k |]; payload ] in
-              ( [ { Network.edge = f.Forest.parent_edge.(v); payload = msg } ],
-                `Active )
+              Network.post out ~edge:f.Forest.parent_edge.(v)
+                (Array.concat [ [| 0; k |]; payload ]);
+              `Active
             | None ->
               if all_drained st then begin
                 st.sent_done <- true;
-                ( [ { Network.edge = f.Forest.parent_edge.(v); payload = [| 1 |] } ],
-                  `Idle )
+                Network.post1 out ~edge:f.Forest.parent_edge.(v) 1;
+                `Idle
               end
-              else ([], `Active)
-          else ([], `Active));
+              else `Active
+          else `Active);
     }
   in
   let states = engine ledger ~category:"up_pipeline" f.Forest.graph program in

@@ -250,19 +250,17 @@ let relay_program edges n =
   {
     Network.init = (fun _ -> ref false);
     step =
-      (fun ~round v got inbox ->
-        if inbox <> [] then got := true;
-        if v = 0 then
-          ( (if round = 0 then [ { Network.edge = edges.(0); payload = [| 1 |] } ]
-             else []),
-            `Idle )
-        else
-          let fwd =
-            if inbox <> [] && v < n - 1 then
-              [ { Network.edge = edges.(v); payload = [| 1 |] } ]
-            else []
-          in
-          (fwd, if !got then `Idle else `Active));
+      (fun ~round v got inbox out ->
+        let mail = not (Network.Mail.is_empty inbox) in
+        if mail then got := true;
+        if v = 0 then begin
+          if round = 0 then Network.post1 out ~edge:edges.(0) 1;
+          `Idle
+        end
+        else begin
+          if mail && v < n - 1 then Network.post1 out ~edge:edges.(v) 1;
+          if !got then `Idle else `Active
+        end);
   }
 
 let stall_dump () =

@@ -11,7 +11,7 @@ let engine_tests =
     case "quiescence of a silent program" (fun () ->
         let g = Gen.path 4 in
         let p =
-          { Network.init = (fun _ -> ()); step = (fun ~round:_ _ () _ -> ([], `Idle)) }
+          { Network.init = (fun _ -> ()); step = (fun ~round:_ _ () _ _ -> `Idle) }
         in
         let _, rounds = Network.run g p in
         check_int "no rounds" 0 rounds);
@@ -21,10 +21,9 @@ let engine_tests =
           {
             Network.init = (fun _ -> ());
             step =
-              (fun ~round v () _ ->
-                if round = 0 && v = 0 then
-                  ([ { Network.edge = 0; payload = [| 42 |] } ], `Idle)
-                else ([], `Idle));
+              (fun ~round v () _ out ->
+                if round = 0 && v = 0 then Network.post1 out ~edge:0 42;
+                `Idle);
           }
         in
         let _, rounds = Network.run g p in
@@ -35,11 +34,10 @@ let engine_tests =
           {
             Network.init = (fun _ -> ());
             step =
-              (fun ~round v () _ ->
+              (fun ~round v () _ out ->
                 if round = 0 && v = 0 then
-                  ( [ { Network.edge = 0; payload = Array.make (Network.cap_words + 1) 0 } ],
-                    `Idle )
-                else ([], `Idle));
+                  Network.post out ~edge:0 (Array.make (Network.cap_words + 1) 0);
+                `Idle);
           }
         in
         (match Network.run g p with
@@ -53,14 +51,12 @@ let engine_tests =
           {
             Network.init = (fun _ -> ());
             step =
-              (fun ~round v () _ ->
-                if round = 0 && v = 0 then
-                  ( [
-                      { Network.edge = 0; payload = [| 1 |] };
-                      { Network.edge = 0; payload = [| 2 |] };
-                    ],
-                    `Idle )
-                else ([], `Idle));
+              (fun ~round v () _ out ->
+                if round = 0 && v = 0 then begin
+                  Network.post1 out ~edge:0 1;
+                  Network.post1 out ~edge:0 2
+                end;
+                `Idle);
           }
         in
         (match Network.run g p with
@@ -71,7 +67,7 @@ let engine_tests =
     case "non-quiescing program detected" (fun () ->
         let g = Gen.path 2 in
         let p =
-          { Network.init = (fun _ -> ()); step = (fun ~round:_ _ () _ -> ([], `Active)) }
+          { Network.init = (fun _ -> ()); step = (fun ~round:_ _ () _ _ -> `Active) }
         in
         (match Network.run ~max_rounds:50 g p with
         | exception Network.Did_not_quiesce { rounds; active; in_flight } ->
@@ -87,10 +83,10 @@ let engine_tests =
           {
             Network.init = (fun v -> v = 0);
             step =
-              (fun ~round v has inbox ->
-                if (round = 0 && has) || inbox <> [] then
-                  ([ { Network.edge = 0; payload = [| v |] } ], `Idle)
-                else ([], `Idle));
+              (fun ~round v has inbox out ->
+                if (round = 0 && has) || not (Network.Mail.is_empty inbox) then
+                  Network.post1 out ~edge:0 v;
+                `Idle);
           }
         in
         (match Network.run ~max_rounds:30 g p with
@@ -99,6 +95,54 @@ let engine_tests =
           check_int "all idle" 0 active;
           check_int "token in flight" 1 in_flight
         | _ -> Alcotest.fail "expected Did_not_quiesce"));
+    case "the engine allocates nothing per message" (fun () ->
+        (* three passes of one word on every edge, both ways: 6m messages *)
+        let n = 4096 in
+        let g = Gen.circulant n [ 1; 2 ] in
+        let p =
+          {
+            Network.init = (fun _ -> ());
+            step =
+              (fun ~round v () _ out ->
+                if round < 3 then
+                  for i = 0 to Graph.degree g v - 1 do
+                    Network.post1 out ~edge:(Graph.adj_eid_at g v i) v
+                  done;
+                if round < 2 then `Active else `Idle);
+          }
+        in
+        (* the warm-up run grows this domain's message arenas *)
+        ignore (Network.run g p);
+        Gc.full_major ();
+        let a0 = Kecss_obs.Prof.allocated_words () in
+        let _, rounds, messages = Network.run_counted g p in
+        Gc.full_major ();
+        let words = Kecss_obs.Prof.allocated_words () -. a0 in
+        check_int "three rounds" 3 rounds;
+        check_int "6m messages" (6 * Graph.m g) messages;
+        check_is
+          (Printf.sprintf "%.0f words allocated, under 16n = %d" words (16 * n))
+          (words < float_of_int (16 * n)));
+    case "a recording profiler times both engine passes" (fun () ->
+        let g = Gen.path 3 in
+        let p =
+          {
+            Network.init = (fun _ -> ());
+            step =
+              (fun ~round v () _ out ->
+                if round = 0 && v = 0 then Network.post1 out ~edge:0 1;
+                `Idle);
+          }
+        in
+        let prof = Kecss_obs.Prof.create () in
+        ignore (Network.run_counted ~probe:(Kecss_obs.Probe.create ~prof ()) g p);
+        (* one pass sends, the next only delivers *)
+        Alcotest.(check (list (pair string int)))
+          "spans and calls"
+          [ ("engine/deliver", 2); ("engine/step", 2) ]
+          (List.map
+             (fun s -> (s.Kecss_obs.Prof.name, s.Kecss_obs.Prof.calls))
+             (Kecss_obs.Prof.stats prof)));
   ]
 
 (* ---------- primitives ---------- *)

@@ -16,11 +16,10 @@ let ping_program =
   {
     Network.init = (fun _ -> ref 0);
     step =
-      (fun ~round v received inbox ->
-        received := !received + List.length inbox;
-        if round = 0 && v = 0 then
-          ([ { Network.edge = 0; payload = [| 7 |] } ], `Idle)
-        else ([], `Idle));
+      (fun ~round v received inbox out ->
+        received := !received + Network.Mail.count inbox;
+        if round = 0 && v = 0 then Network.post1 out ~edge:0 7;
+        `Idle);
   }
 
 (* v0 pings, v1 echoes anything back; both count receipts *)
@@ -28,13 +27,12 @@ let echo_program =
   {
     Network.init = (fun _ -> ref 0);
     step =
-      (fun ~round v received inbox ->
-        received := !received + List.length inbox;
-        if round = 0 && v = 0 then
-          ([ { Network.edge = 0; payload = [| 1 |] } ], `Idle)
-        else if v = 1 && inbox <> [] then
-          ([ { Network.edge = 0; payload = [| 2 |] } ], `Idle)
-        else ([], `Idle));
+      (fun ~round v received inbox out ->
+        received := !received + Network.Mail.count inbox;
+        if round = 0 && v = 0 then Network.post1 out ~edge:0 1
+        else if v = 1 && not (Network.Mail.is_empty inbox) then
+          Network.post1 out ~edge:0 2;
+        `Idle);
   }
 
 (* v1 stays Active until it has received something — a dropped token
@@ -43,12 +41,14 @@ let waiter_program =
   {
     Network.init = (fun _ -> ref 0);
     step =
-      (fun ~round v received inbox ->
-        received := !received + List.length inbox;
-        if round = 0 && v = 0 then
-          ([ { Network.edge = 0; payload = [| 7 |] } ], `Idle)
-        else if v = 1 then ([], if !received > 0 then `Idle else `Active)
-        else ([], `Idle));
+      (fun ~round v received inbox out ->
+        received := !received + Network.Mail.count inbox;
+        if round = 0 && v = 0 then begin
+          Network.post1 out ~edge:0 7;
+          `Idle
+        end
+        else if v = 1 then if !received > 0 then `Idle else `Active
+        else `Idle);
   }
 
 (* every vertex floods all incident edges for [rounds] rounds *)
@@ -56,13 +56,13 @@ let flood_program g ~rounds =
   {
     Network.init = (fun _ -> ref 0);
     step =
-      (fun ~round _v received inbox ->
-        received := !received + List.length inbox;
+      (fun ~round v received inbox out ->
+        received := !received + Network.Mail.count inbox;
         if round < rounds then
-          ( List.init (Graph.degree g _v) (fun i ->
-                { Network.edge = Graph.adj_eid_at g _v i; payload = [| _v |] }),
-            `Idle )
-        else ([], `Idle));
+          for i = 0 to Graph.degree g v - 1 do
+            Network.post1 out ~edge:(Graph.adj_eid_at g v i) v
+          done;
+        `Idle);
   }
 
 let counts states = Array.to_list (Array.map (fun r -> !r) states)
@@ -273,14 +273,11 @@ let net_tests =
           {
             Network.init = (fun _ -> ref 0);
             step =
-              (fun ~round v received inbox ->
-                received := !received + List.length inbox;
-                let out =
-                  if v = 0 && List.mem round sends then
-                    [ { Network.edge = 0; payload = [| round |] } ]
-                  else []
-                in
-                (out, if v = 0 && round < until then `Active else `Idle));
+              (fun ~round v received inbox out ->
+                received := !received + Network.Mail.count inbox;
+                if v = 0 && List.mem round sends then
+                  Network.post1 out ~edge:0 round;
+                if v = 0 && round < until then `Active else `Idle);
           }
         in
         let g = Gen.path 2 in

@@ -329,33 +329,33 @@ let test_pool_stats () =
       Pool.parallel_for ~pool 1 (fun _ -> ());
       Alcotest.(check int) "submitter cell" 1 (Pool.stats pool).(0).Pool.tasks)
 
-(* the persistent duplicate-send scratch: detection must survive across
-   many runs on one domain (the stamp strictly increases, stale cells
-   never match) *)
+(* the persistent duplicate-send scratch and message arenas: detection
+   must survive across many runs on one domain (the stamp strictly
+   increases, stale cells never match), and a run aborted by it must
+   leave no mail behind *)
 let test_duplicate_detection_across_runs () =
   let g = Gen.cycle 4 in
   let dup =
     {
       Network.init = (fun _ -> ());
       step =
-        (fun ~round v () _inbox ->
-          if round = 0 && v = 0 then
-            ( [
-                { Network.edge = 0; payload = [| 1 |] };
-                { Network.edge = 0; payload = [| 2 |] };
-              ],
-              `Idle )
-          else ([], `Idle));
+        (fun ~round v () _inbox out ->
+          if round = 0 && v = 0 then begin
+            Network.post1 out ~edge:0 1;
+            Network.post1 out ~edge:0 2
+          end;
+          `Idle);
     }
   in
+  (* each vertex counts the messages it receives *)
   let honest =
     {
-      Network.init = (fun _ -> ());
+      Network.init = (fun _ -> ref 0);
       step =
-        (fun ~round v () _inbox ->
-          if round = 0 && v = 0 then
-            ([ { Network.edge = 0; payload = [| 1 |] } ], `Idle)
-          else ([], `Idle));
+        (fun ~round v got inbox out ->
+          got := !got + Network.Mail.count inbox;
+          if round = 0 && v = 0 then Network.post1 out ~edge:0 1;
+          `Idle);
     }
   in
   for _ = 1 to 50 do
@@ -366,8 +366,12 @@ let test_duplicate_detection_across_runs () =
   | exception Network.Duplicate_send { vertex; edge } ->
     Alcotest.(check int) "vertex" 0 vertex;
     Alcotest.(check int) "edge" 0 edge);
-  (* an aborted run must not poison later ones *)
-  ignore (Network.run g honest)
+  (* an aborted run must not poison later ones: the honest run sees
+     exactly one delivery, at vertex 1 *)
+  let states, _ = Network.run g honest in
+  Alcotest.(check (list int))
+    "deliveries" [ 0; 1; 0; 0 ]
+    (Array.to_list (Array.map ( ! ) states))
 
 let () =
   Alcotest.run "par"
