@@ -49,43 +49,53 @@ type hook = {
 (* ---------- the message plane ---------- *)
 
 (* One pass's messages as a struct of arrays: slot [s] is a message on
-   edge [edge.(s)] from [src.(s)] whose [len.(s)] payload words sit at
-   [words.(off.(s))]. A delivery threads its slot onto the receiver's
+   edge [edge.{s}] from [src.{s}] whose [len.{s}] payload words sit at
+   [words.{off.{s}}]. A delivery threads its slot onto the receiver's
    chain through [next] (and records its causal id in [id]). Slots and
    words only ever grow, so after a few runs a domain's arenas hold the
-   largest pass it has seen and a pass allocates nothing. *)
+   largest pass it has seen and a pass allocates nothing.
+
+   The arrays are bigarrays, outside the OCaml heap: the collector never
+   scans them, and an arena that stays live across runs does not slow
+   the major GC's cycles for the garbage the rest of a solve makes. *)
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let ints n : ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+
+(* [x]'s first [keep] cells in a new array of [cap] cells *)
+let extend (x : ints) ~keep cap =
+  let y = ints cap in
+  Bigarray.Array1.blit (Bigarray.Array1.sub x 0 keep) (Bigarray.Array1.sub y 0 keep);
+  y
+
 type arena = {
   mutable slots : int;
-  mutable edge : int array;
-  mutable src : int array;
-  mutable off : int array;
-  mutable len : int array;
-  mutable next : int array;
-  mutable id : int array;
+  mutable edge : ints;
+  mutable src : ints;
+  mutable off : ints;
+  mutable len : ints;
+  mutable next : ints;
+  mutable id : ints;
   mutable used : int;
-  mutable words : int array;
+  mutable words : ints;
 }
 
 let arena () =
   {
     slots = 0;
-    edge = [||];
-    src = [||];
-    off = [||];
-    len = [||];
-    next = [||];
-    id = [||];
+    edge = ints 0;
+    src = ints 0;
+    off = ints 0;
+    len = ints 0;
+    next = ints 0;
+    id = ints 0;
     used = 0;
-    words = [||];
+    words = ints 0;
   }
 
 let grow_slots a =
-  let cap = max 256 (2 * Array.length a.edge) in
-  let ext x =
-    let y = Array.make cap 0 in
-    Array.blit x 0 y 0 a.slots;
-    y
-  in
+  let cap = max 256 (2 * Bigarray.Array1.dim a.edge) in
+  let ext x = extend x ~keep:a.slots cap in
   a.edge <- ext a.edge;
   a.src <- ext a.src;
   a.off <- ext a.off;
@@ -93,24 +103,25 @@ let grow_slots a =
   a.next <- ext a.next;
   a.id <- ext a.id
 
+let[@inline] get (a : ints) i = Bigarray.Array1.unsafe_get a i
+let[@inline] set (a : ints) i x = Bigarray.Array1.unsafe_set a i x
+
 (* a new slot for a [len]-word message; returns the offset its payload
-   words go to. An oversized payload is refused at delivery, before
-   anything reads it, so its words are never stored. *)
-let reserve a ~src ~edge ~len =
-  if a.slots = Array.length a.edge then grow_slots a;
+   words go to, which has room for them. An oversized payload is refused
+   at delivery, before anything reads it, so its words are never stored.
+   The engine's own accesses below a checked capacity are unchecked. *)
+let[@inline] reserve a ~src ~edge ~len =
+  if a.slots = Bigarray.Array1.dim a.edge then grow_slots a;
   let s = a.slots in
   a.slots <- s + 1;
-  a.edge.(s) <- edge;
-  a.src.(s) <- src;
-  a.len.(s) <- len;
+  set a.edge s edge;
+  set a.src s src;
+  set a.len s len;
   let o = a.used in
-  a.off.(s) <- o;
+  set a.off s o;
   if len <= cap_words then begin
-    if o + len > Array.length a.words then begin
-      let w = Array.make (max 1024 (2 * (o + len))) 0 in
-      Array.blit a.words 0 w 0 o;
-      a.words <- w
-    end;
+    if o + len > Bigarray.Array1.dim a.words then
+      a.words <- extend a.words ~keep:o (max 1024 (2 * (o + len)));
     a.used <- o + len
   end;
   o
@@ -131,14 +142,14 @@ type outbox = io
 
 module Mail = struct
   let first m = m.head
-  let next m s = m.inbox.next.(s)
-  let edge m s = m.inbox.edge.(s)
-  let words m s = m.inbox.len.(s)
+  let next m s = m.inbox.next.{s}
+  let edge m s = m.inbox.edge.{s}
+  let words m s = m.inbox.len.{s}
 
   let word m s i =
     let a = m.inbox in
-    if i < 0 || i >= a.len.(s) then invalid_arg "Network.Mail.word";
-    a.words.(a.off.(s) + i)
+    if i < 0 || i >= a.len.{s} then invalid_arg "Network.Mail.word";
+    a.words.{a.off.{s} + i}
 
   let is_empty m = m.head < 0
 
@@ -146,23 +157,38 @@ module Mail = struct
     let k = ref 0 and s = ref m.head in
     while !s >= 0 do
       incr k;
-      s := m.inbox.next.(!s)
+      s := m.inbox.next.{!s}
     done;
     !k
 
-  (* one- and two-word payloads are built inline: [Array.sub] is a C
-     call, and most messages are that short *)
-  let payload m s =
+  (* one- and two-word results are built inline, without the C call of
+     [Array.make]: most messages are that short *)
+  let sub m s ~pos =
     let a = m.inbox in
-    let o = a.off.(s) in
-    match a.len.(s) with
+    let l = a.len.{s} - pos in
+    if pos < 0 || l < 0 then invalid_arg "Network.Mail.sub";
+    let o = a.off.{s} + pos in
+    match l with
     | 0 -> [||]
-    | 1 -> [| a.words.(o) |]
-    | 2 -> [| a.words.(o); a.words.(o + 1) |]
-    | l -> Array.sub a.words o l
+    | 1 -> [| a.words.{o} |]
+    | 2 -> [| a.words.{o}; a.words.{o + 1} |]
+    | l ->
+      let p = Array.make l 0 in
+      for i = 0 to l - 1 do
+        p.(i) <- a.words.{o + i}
+      done;
+      p
 
-  let[@tail_mod_cons] rec chain m s =
-    if s < 0 then [] else (edge m s, payload m s) :: chain m (next m s)
+  let payload m s = sub m s ~pos:0
+
+  (* not tail-recursive: an inbox holds at most a few messages per
+     incident edge, and building each cell after the recursive call
+     spares the write barrier a tail-modulo-cons list would pay *)
+  let rec chain m s =
+    if s < 0 then []
+    else
+      let rest = chain m (next m s) in
+      (edge m s, payload m s) :: rest
 
   let to_inbox m = chain m m.head
 end
@@ -174,7 +200,7 @@ let post_sub o ~edge src ~pos ~len =
   let at = reserve a ~src:o.v ~edge ~len in
   if len <= cap_words then
     for i = 0 to len - 1 do
-      a.words.(at + i) <- src.(pos + i)
+      set a.words (at + i) (Array.unsafe_get src (pos + i))
     done
 
 let post o ~edge payload =
@@ -183,15 +209,15 @@ let post o ~edge payload =
 let post1 o ~edge w =
   let a = o.outbox in
   let at = reserve a ~src:o.v ~edge ~len:1 in
-  a.words.(at) <- w
+  set a.words at w
 
 let forward o ~edge m s =
   let a = o.outbox and b = m.inbox in
-  let len = b.len.(s) in
+  let len = b.len.{s} in
   let at = reserve a ~src:o.v ~edge ~len in
-  let from = b.off.(s) in
+  let from = b.off.{s} in
   for i = 0 to len - 1 do
-    a.words.(at + i) <- b.words.(from + i)
+    set a.words (at + i) b.words.{from + i}
   done
 
 let rec post_all o = function
@@ -252,7 +278,7 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
   let cobs = Probe.causal_ids probe in
   let parent_ids : int list array = if cobs then Array.make n [] else [||] in
   let[@tail_mod_cons] rec chain_ids a s =
-    if s < 0 then [] else a.id.(s) :: chain_ids a a.next.(s)
+    if s < 0 then [] else a.id.{s} :: chain_ids a a.next.{s}
   in
   (* The frontier: the vertices the next pass must step, i.e. those that
      are active or hold delivered mail.  A vertex enters it by stepping
@@ -266,28 +292,30 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
     work.(!wl) <- v;
     incr wl
   in
-  let first_word a s = if a.len.(s) > 0 then a.words.(a.off.(s)) else -1 in
+  let first_word a s =
+    if get a.len s > 0 then get a.words (get a.off s) else -1
+  in
   (* the one delivery path: normal, replicated and delayed copies alike
      join the receiver's chain in [io.outbox] *)
   let deliver dst s id =
     let a = io.outbox in
-    a.next.(s) <- heads.(dst);
+    set a.next s heads.(dst);
     heads.(dst) <- s;
-    if cobs then a.id.(s) <- id;
+    if cobs then set a.id s id;
     if obs then
-      Probe.on_recv probe ~vertex:dst ~edge:a.edge.(s) ~word:(first_word a s);
+      Probe.on_recv probe ~vertex:dst ~edge:(get a.edge s) ~word:(first_word a s);
     incr in_flight;
     Bitset.add frontier dst
   in
   (* a further copy of slot [s] for [Replicate]: same payload words *)
   let copy a s =
-    if a.slots = Array.length a.edge then grow_slots a;
+    if a.slots = Bigarray.Array1.dim a.edge then grow_slots a;
     let c = a.slots in
     a.slots <- c + 1;
-    a.edge.(c) <- a.edge.(s);
-    a.src.(c) <- a.src.(s);
-    a.off.(c) <- a.off.(s);
-    a.len.(c) <- a.len.(s);
+    set a.edge c (get a.edge s);
+    set a.src c (get a.src s);
+    set a.off c (get a.off s);
+    set a.len c (get a.len s);
     c
   in
   (* step pass, ascending over [work]: gate each vertex on the hook,
@@ -333,28 +361,29 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
     in_flight := 0;
     let a = io.outbox in
     let sent = a.slots in
-    let sender = ref (-1) and group = ref 0 in
+    (* slots below [sent] keep their sender, edge and length even if a
+       replica grows the arena's arrays *)
+    let srcs = a.src and edges = a.edge and lens = a.len in
+    let sender = ref (-1) and stamp = ref 0 and group = ref 0 in
     for s = 0 to sent - 1 do
-      let v = a.src.(s) in
+      let v = get srcs s in
       if v <> !sender then begin
         sender := v;
         (* persisted at once so a run aborted by an engine exception
            cannot leave stale cells above the next run's stamps *)
-        scratch.last <- scratch.last + 1;
+        stamp := scratch.last + 1;
+        scratch.last <- !stamp;
         (* every message [v] sends this round was enabled by the same
            inbox, so its parent set is interned once *)
         if cobs then group := Probe.group probe ~parents:parent_ids.(v)
       end;
-      let edge = a.edge.(s) and words = a.len.(s) in
+      let edge = get edges s and words = get lens s in
       if words > cap_words then
         raise (Message_too_large { vertex = v; words });
-      if used_stamp.(edge) = scratch.last then
+      if used_stamp.(edge) = !stamp then
         raise (Duplicate_send { vertex = v; edge });
-      used_stamp.(edge) <- scratch.last;
+      used_stamp.(edge) <- !stamp;
       let dst = Graph.other_end g edge v in
-      (* the sender spent its message budget whatever the network then
-         does with the copy: sends are counted before the hook rules *)
-      incr messages;
       let id =
         if obs then
           Probe.on_send probe ~src:v ~dst ~edge ~word:(first_word a s)
@@ -374,9 +403,13 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
           done
         | Postpone extra when extra <= 0 -> deliver dst s id
         | Postpone extra ->
-          let payload = Array.sub a.words a.off.(s) words in
+          let o = a.off.{s} in
+          let payload = Array.init words (fun i -> a.words.{o + i}) in
           delayed := (!round + 1 + extra, dst, edge, payload, id) :: !delayed)
     done;
+    (* the senders spent their message budget whatever the network then
+       did with the copies: every send counts, before the hook rules *)
+    messages := !messages + sent;
     if !delayed <> [] then begin
       let due, future =
         List.partition (fun (r, _, _, _, _) -> r <= !round + 1) !delayed
@@ -385,7 +418,7 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
         (fun (_, dst, edge, payload, id) ->
           let len = Array.length payload in
           let at = reserve a ~src:(-1) ~edge ~len in
-          Array.blit payload 0 a.words at len;
+          Array.iteri (fun i w -> a.words.{at + i} <- w) payload;
           deliver dst (a.slots - 1) id)
         due;
       delayed := future;

@@ -126,6 +126,10 @@ module Mail : sig
   val payload : mail -> int -> int array
   (** A fresh copy of the payload. *)
 
+  val sub : mail -> int -> pos:int -> int array
+  (** A fresh copy of payload words [pos ..].
+      @raise Invalid_argument unless [0 <= pos <= words m msg]. *)
+
   val to_inbox : mail -> int array inbox
   (** Every message as an [(edge, payload copy)] list, in chain order. *)
 end

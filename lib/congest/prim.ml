@@ -28,10 +28,12 @@ let rec post_children out (f : Forest.t) buf ~pos ~len = function
     Network.post_sub out ~edge:f.Forest.parent_edge.(c) buf ~pos ~len;
     post_children out f buf ~pos ~len cs
 
-(* payload words [pos ..] of a received message, as a fresh array *)
-let payload_from inbox m pos =
-  let p = Mail.payload inbox m in
-  Array.sub p pos (Array.length p - pos)
+(* received message [m] to each of [children], in child order *)
+let rec forward_children out (f : Forest.t) inbox m = function
+  | [] -> ()
+  | c :: cs ->
+    Network.forward out ~edge:f.Forest.parent_edge.(c) inbox m;
+    forward_children out f inbox m cs
 
 (* ---------- BFS tree ---------- *)
 
@@ -89,7 +91,11 @@ let exchange ledger g sends =
       step =
         (fun ~round v st inbox out ->
           if round = 0 then Network.post_all out (sends v)
-          else st.got <- Mail.to_inbox inbox @ st.got;
+          else
+            st.got <-
+              (match st.got with
+              | [] -> Mail.to_inbox inbox
+              | got -> Mail.to_inbox inbox @ got);
           `Idle);
     }
   in
@@ -201,6 +207,19 @@ let make_room st need =
     st.tail <- live
   end
 
+(* a received [origin; payload...] message, as the result lists it *)
+let keep st inbox m =
+  st.received <- (Mail.word inbox m 0, Mail.sub inbox m ~pos:1) :: st.received
+
+let enqueue st inbox m =
+  let len = Mail.words inbox m in
+  make_room st (len + 1);
+  st.buf.(st.tail) <- len;
+  for i = 0 to len - 1 do
+    st.buf.(st.tail + 1 + i) <- Mail.word inbox m i
+  done;
+  st.tail <- st.tail + len + 1
+
 let down_pipeline ?(record = true) ledger (f : Forest.t) ~emit =
   let program : pipe_state Network.program =
     {
@@ -229,32 +248,35 @@ let down_pipeline ?(record = true) ledger (f : Forest.t) ~emit =
           st);
       step =
         (fun ~round:_ v st inbox out ->
-          let m = ref (Mail.first inbox) in
-          while !m >= 0 do
-            let len = Mail.words inbox !m in
-            if record then
-              st.received <-
-                (Mail.word inbox !m 0, payload_from inbox !m 1) :: st.received;
-            make_room st (len + 1);
-            st.buf.(st.tail) <- len;
-            for i = 0 to len - 1 do
-              st.buf.(st.tail + 1 + i) <- Mail.word inbox !m i
-            done;
-            st.tail <- st.tail + len + 1;
-            m := Mail.next inbox !m
-          done;
-          if st.head = st.tail then `Idle
+          let first = Mail.first inbox in
+          if st.head = st.tail && first >= 0 && Mail.next inbox first < 0
+          then begin
+            (* the steady state: one message in and nothing queued, so it
+               goes straight on to the children *)
+            if record then keep st inbox first;
+            forward_children out f inbox first f.Forest.children.(v);
+            `Idle
+          end
           else begin
-            let len = st.buf.(st.head) in
-            let pos = st.head + 1 in
-            post_children out f st.buf ~pos ~len f.Forest.children.(v);
-            st.head <- pos + len;
-            if st.head = st.tail then begin
-              st.head <- 0;
-              st.tail <- 0;
-              `Idle
+            let m = ref first in
+            while !m >= 0 do
+              if record then keep st inbox !m;
+              enqueue st inbox !m;
+              m := Mail.next inbox !m
+            done;
+            if st.head = st.tail then `Idle
+            else begin
+              let len = st.buf.(st.head) in
+              let pos = st.head + 1 in
+              post_children out f st.buf ~pos ~len f.Forest.children.(v);
+              st.head <- pos + len;
+              if st.head = st.tail then begin
+                st.head <- 0;
+                st.tail <- 0;
+                `Idle
+              end
+              else `Active
             end
-            else `Active
           end);
     }
   in
@@ -431,7 +453,7 @@ let up_pipeline_merge ledger (f : Forest.t) ~emit ~combine =
             if Mail.word inbox !m 0 = 1 then s.closed <- true
             else
               Queue.add
-                (Mail.word inbox !m 1, payload_from inbox !m 2)
+                (Mail.word inbox !m 1, Mail.sub inbox !m ~pos:2)
                 s.entries;
             m := Mail.next inbox !m
           done;

@@ -123,6 +123,38 @@ let engine_tests =
         check_is
           (Printf.sprintf "%.0f words allocated, under 16n = %d" words (16 * n))
           (words < float_of_int (16 * n)));
+    case "a run inside a step leaves the outer run's mail alone" (fun () ->
+        (* vertex 0 sends 7 to vertex 1; before reading it, vertex 1 runs
+           an engine run of its own that sends on every edge *)
+        let g = Gen.path 3 and inner_g = Gen.cycle 8 in
+        let inner =
+          {
+            Network.init = (fun _ -> ());
+            step =
+              (fun ~round v () _ out ->
+                if round = 0 then
+                  for i = 0 to Graph.degree inner_g v - 1 do
+                    Network.post1 out ~edge:(Graph.adj_eid_at inner_g v i) 99
+                  done;
+                `Idle);
+          }
+        in
+        let outer =
+          {
+            Network.init = (fun _ -> ref []);
+            step =
+              (fun ~round v got inbox out ->
+                if round = 0 && v = 0 then Network.post1 out ~edge:0 7;
+                if not (Network.Mail.is_empty inbox) then begin
+                  let _, inner_rounds = Network.run inner_g inner in
+                  check_int "inner rounds" 1 inner_rounds;
+                  got := List.map (fun (_, p) -> p.(0)) (Network.Mail.to_inbox inbox)
+                end;
+                `Idle);
+          }
+        in
+        let states, _ = Network.run g outer in
+        Alcotest.(check (list int)) "outer mail" [ 7 ] !(states.(1)));
     case "a recording profiler times both engine passes" (fun () ->
         let g = Gen.path 3 in
         let p =
