@@ -141,15 +141,23 @@ type mail = io
 type outbox = io
 
 module Mail = struct
+  (* A handle below the inbox arena's slot count names a slot its pass
+     wrote, so every field read past this check holds what the engine
+     stored there and is read unchecked. *)
+  let arena m s =
+    let a = m.inbox in
+    if s < 0 || s >= a.slots then invalid_arg "Network.Mail: not a message";
+    a
+
   let first m = m.head
-  let next m s = m.inbox.next.{s}
-  let edge m s = m.inbox.edge.{s}
-  let words m s = m.inbox.len.{s}
+  let next m s = get (arena m s).next s
+  let edge m s = get (arena m s).edge s
+  let words m s = get (arena m s).len s
 
   let word m s i =
-    let a = m.inbox in
-    if i < 0 || i >= a.len.{s} then invalid_arg "Network.Mail.word";
-    a.words.{a.off.{s} + i}
+    let a = arena m s in
+    if i < 0 || i >= get a.len s then invalid_arg "Network.Mail.word";
+    get a.words (get a.off s + i)
 
   let is_empty m = m.head < 0
 
@@ -157,40 +165,42 @@ module Mail = struct
     let k = ref 0 and s = ref m.head in
     while !s >= 0 do
       incr k;
-      s := m.inbox.next.{!s}
+      s := get m.inbox.next !s
     done;
     !k
 
-  (* one- and two-word results are built inline, without the C call of
-     [Array.make]: most messages are that short *)
-  let sub m s ~pos =
-    let a = m.inbox in
-    let l = a.len.{s} - pos in
-    if pos < 0 || l < 0 then invalid_arg "Network.Mail.sub";
-    let o = a.off.{s} + pos in
+  (* words [o .. o + l - 1]; one- and two-word copies are built inline,
+     without the C call of [Array.make]: most messages are that short *)
+  let copy a o l =
     match l with
     | 0 -> [||]
-    | 1 -> [| a.words.{o} |]
-    | 2 -> [| a.words.{o}; a.words.{o + 1} |]
+    | 1 -> [| get a.words o |]
+    | 2 -> [| get a.words o; get a.words (o + 1) |]
     | l ->
       let p = Array.make l 0 in
       for i = 0 to l - 1 do
-        p.(i) <- a.words.{o + i}
+        Array.unsafe_set p i (get a.words (o + i))
       done;
       p
 
+  let sub m s ~pos =
+    let a = arena m s in
+    let l = get a.len s - pos in
+    if pos < 0 || l < 0 then invalid_arg "Network.Mail.sub";
+    copy a (get a.off s + pos) l
+
   let payload m s = sub m s ~pos:0
 
-  (* not tail-recursive: an inbox holds at most a few messages per
+  (* Not tail-recursive: an inbox holds at most a few messages per
      incident edge, and building each cell after the recursive call
-     spares the write barrier a tail-modulo-cons list would pay *)
-  let rec chain m s =
+     spares the write barrier a tail-modulo-cons list would pay. *)
+  let rec chain a s =
     if s < 0 then []
     else
-      let rest = chain m (next m s) in
-      (edge m s, payload m s) :: rest
+      let rest = chain a (get a.next s) in
+      (get a.edge s, copy a (get a.off s) (get a.len s)) :: rest
 
-  let to_inbox m = chain m m.head
+  let to_inbox m = chain m.inbox m.head
 end
 
 let post_sub o ~edge src ~pos ~len =
@@ -204,7 +214,12 @@ let post_sub o ~edge src ~pos ~len =
     done
 
 let post o ~edge payload =
-  post_sub o ~edge payload ~pos:0 ~len:(Array.length payload)
+  let a = o.outbox and len = Array.length payload in
+  let at = reserve a ~src:o.v ~edge ~len in
+  if len <= cap_words then
+    for i = 0 to len - 1 do
+      set a.words (at + i) (Array.unsafe_get payload i)
+    done
 
 let post1 o ~edge w =
   let a = o.outbox in
@@ -212,12 +227,12 @@ let post1 o ~edge w =
   set a.words at w
 
 let forward o ~edge m s =
-  let a = o.outbox and b = m.inbox in
-  let len = b.len.{s} in
+  let a = o.outbox and b = Mail.arena m s in
+  let len = get b.len s in
   let at = reserve a ~src:o.v ~edge ~len in
-  let from = b.off.{s} in
+  let from = get b.off s in
   for i = 0 to len - 1 do
-    set a.words (at + i) b.words.{from + i}
+    set a.words (at + i) (get b.words (from + i))
   done
 
 let rec post_all o = function

@@ -85,11 +85,21 @@ type hook = {
 
     Messages live in a flat arena, not in per-message heap objects: a
     send is a slot (edge id, word offset, length) plus its payload words
-    in parallel [int array]s, and a delivery threads the slot onto the
+    in parallel flat int arrays, and a delivery threads the slot onto the
     receiver's chain. Each domain keeps two arenas across runs, one for
     the mail being read and one for the sends being written, swapped
     every pass and grown on demand, so once they have reached a run's
-    largest pass the engine allocates nothing per message.
+    largest pass the engine allocates nothing per message. The arrays
+    are bigarrays, outside the OCaml heap: the collector never scans
+    them, and their memory shows in the process's resident size, not in
+    [Gc] heap or allocation counters.
+
+    Delivery order: the sends of a pass are checked and delivered after
+    the whole step pass, in ascending sender order and each sender's
+    sends in posting order, and each delivery goes to the front of its
+    receiver's chain. So a vertex reads its mail most recent delivery
+    first; replicated and delayed copies join the chain at the point of
+    their delivery.
 
     A run that starts while another is live on the same domain (a step
     that itself runs the engine) gets a fresh pair of arenas. Chain heads
@@ -101,9 +111,12 @@ type mail
     read in place. A message is an [int] handle valid only during the
     step that received it; copy what must outlive the step. *)
 
-(** Reading {!mail}. The chain runs from {!first} through {!next}, most
-    recent delivery first — ascending sender order, reversed — so
-    [Mail.to_inbox] equals the list the engine's list form delivered. *)
+(** Reading {!mail}: the chain runs from {!Mail.first} through
+    {!Mail.next}, most recent delivery first. Walk it with a loop, e.g.
+    [let m = ref (Mail.first mail) in while !m >= 0 do ...; m := Mail.next
+    mail !m done], which allocates nothing. Every function that takes a
+    message raises [Invalid_argument] on a handle that names no message
+    of the current pass. *)
 module Mail : sig
   val first : mail -> int
   (** The latest message, or [-1] when the vertex has no mail. *)
@@ -143,6 +156,8 @@ type outbox
     [send list] returned by the step would have had. *)
 
 val post : outbox -> edge:int -> int array -> unit
+(** [post o ~edge payload] sends [payload] on [edge] this pass. *)
+
 val post1 : outbox -> edge:int -> int -> unit
 (** [post1 o ~edge w] posts the one-word payload [[|w|]]. *)
 

@@ -1,15 +1,22 @@
 (** Message-level distributed primitives.
 
     Every function here executes a genuine synchronous message-passing
-    protocol through {!Network.run} and charges the executed round count to
-    the given ledger.  These are the building blocks the paper's algorithms
-    are assembled from: BFS-tree construction, single-value waves up and
-    down a forest, pipelined dissemination along root paths, and pipelined
-    sorted keyed aggregation (upcast) — the workhorse behind "the root
-    learns the optimal edge per segment / per fragment in O(D + √n)
-    rounds" steps.
+    protocol through {!Network.run_counted} and charges the executed round
+    and message counts to the given ledger.  These are the building blocks
+    the paper's algorithms are assembled from: BFS-tree construction,
+    single-value waves up and down a forest, pipelined dissemination along
+    root paths, and pipelined sorted keyed aggregation (upcast) — the
+    workhorse behind "the root learns the optimal edge per segment / per
+    fragment in O(D + √n) rounds" steps.
 
-    Payloads are [int array]s of at most {!Network.cap_words} words. *)
+    Payloads are [int array]s of at most {!Network.cap_words} words. Each
+    primitive's program reads its mail in place through {!Network.Mail}
+    and posts through the step's outbox, so the engine allocates nothing
+    per message; the arrays and lists in these signatures are built only
+    where a caller hands them in or gets them back ([exchange] posts its
+    callers' [send list]s and rebuilds the inbox lists it returns,
+    [wave_up] and [wave_down] copy the values they pass to [value] and
+    [derive], and [down_pipeline ~record:true] copies what it records). *)
 
 open Kecss_graph
 
