@@ -150,10 +150,10 @@ end
 type outbox
 (** Where the stepping vertex posts this pass's sends. Posting copies
     the payload words into the arena, so the caller may reuse its array.
-    Sends are checked and delivered after the whole step pass, in
-    posting order: the size and duplicate checks, the counts, the hook's
-    [fate] and the probe's send and receive events all see the order a
-    [send list] returned by the step would have had. *)
+    Sends are checked and delivered after the whole step pass: the size
+    and duplicate checks, the counts, the hook's [fate] and the probe's
+    send and receive events see the senders in ascending order and each
+    sender's messages in the order it posted them. *)
 
 val post : outbox -> edge:int -> int array -> unit
 (** [post o ~edge payload] sends [payload] on [edge] this pass. *)
