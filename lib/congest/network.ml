@@ -152,7 +152,7 @@ module Mail = struct
   let first m = m.head
   let next m s = get (arena m s).next s
   let edge m s = get (arena m s).edge s
-  let words m s = get (arena m s).len s
+  let length m s = get (arena m s).len s
 
   let word m s i =
     let a = arena m s in
@@ -214,12 +214,7 @@ let post_sub o ~edge src ~pos ~len =
     done
 
 let post o ~edge payload =
-  let a = o.outbox and len = Array.length payload in
-  let at = reserve a ~src:o.v ~edge ~len in
-  if len <= cap_words then
-    for i = 0 to len - 1 do
-      set a.words (at + i) (Array.unsafe_get payload i)
-    done
+  post_sub o ~edge payload ~pos:0 ~len:(Array.length payload)
 
 let post1 o ~edge w =
   let a = o.outbox in
@@ -261,6 +256,9 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
   in
   let states = Array.init n p.init in
   let io = { inbox; outbox; v = -1; head = -1 } in
+  (* no handle names a message before the first delivery, not even a
+     slot an earlier run left in this arena *)
+  inbox.slots <- 0;
   (* [heads.(v)]: the slot of the latest message delivered to [v], in
      [io.inbox]; the chain runs from it through [next], most recent
      delivery first *)

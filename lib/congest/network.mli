@@ -129,19 +129,19 @@ module Mail : sig
   val edge : mail -> int -> int
   (** The edge the message arrived on. *)
 
-  val words : mail -> int -> int
-  (** Its payload length. *)
+  val length : mail -> int -> int
+  (** Its payload length in words. *)
 
   val word : mail -> int -> int -> int
   (** [word m msg i] is payload word [i].
-      @raise Invalid_argument outside [0, words m msg). *)
+      @raise Invalid_argument outside [0, length m msg). *)
 
   val payload : mail -> int -> int array
   (** A fresh copy of the payload. *)
 
   val sub : mail -> int -> pos:int -> int array
   (** A fresh copy of payload words [pos ..].
-      @raise Invalid_argument unless [0 <= pos <= words m msg]. *)
+      @raise Invalid_argument unless [0 <= pos <= length m msg]. *)
 
   val to_inbox : mail -> int array inbox
   (** Every message as an [(edge, payload copy)] list, in chain order. *)

@@ -212,7 +212,7 @@ let keep st inbox m =
   st.received <- (Mail.word inbox m 0, Mail.sub inbox m ~pos:1) :: st.received
 
 let enqueue st inbox m =
-  let len = Mail.words inbox m in
+  let len = Mail.length inbox m in
   make_room st (len + 1);
   st.buf.(st.tail) <- len;
   for i = 0 to len - 1 do
