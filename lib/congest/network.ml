@@ -230,12 +230,6 @@ let forward o ~edge m s =
     set a.words (at + i) (get b.words (from + i))
   done
 
-let rec post_all o = function
-  | [] -> ()
-  | { edge; payload } :: rest ->
-    post o ~edge payload;
-    post_all o rest
-
 (* Each domain keeps one pair of arenas across runs. A run that starts
    while another holds the pair (a step that runs the engine) gets a
    fresh pair, so the two never share slots. *)

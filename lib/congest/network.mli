@@ -46,7 +46,7 @@ val par_threshold : unit -> int
 type send = { edge : int; payload : int array }
 (** A message as a value: edge [edge] and its payload. Programs post
     sends to their {!outbox}; this record is how [Prim.exchange]'s
-    callers describe theirs, and {!post_all} posts a list of them. *)
+    callers describe theirs. *)
 
 type 'a inbox = (int * 'a) list
 (** Received messages as [(edge_id, payload)] pairs, in {!mail} order
@@ -166,10 +166,8 @@ val post_sub : outbox -> edge:int -> int array -> pos:int -> len:int -> unit
     @raise Invalid_argument if they are not within it. *)
 
 val forward : outbox -> edge:int -> mail -> int -> unit
-(** [forward o ~edge m msg] posts a received message's payload as is. *)
-
-val post_all : outbox -> send list -> unit
-(** Posts each send in list order. *)
+(** [forward o ~edge m msg] posts a received message's payload as is,
+    copying it from arena to arena. *)
 
 type 's program = {
   init : int -> 's;

@@ -35,6 +35,13 @@ let rec forward_children out (f : Forest.t) inbox m = function
     Network.forward out ~edge:f.Forest.parent_edge.(c) inbox m;
     forward_children out f inbox m cs
 
+(* each of [sends], in list order *)
+let rec post_sends out = function
+  | [] -> ()
+  | { Network.edge; payload } :: rest ->
+    Network.post out ~edge payload;
+    post_sends out rest
+
 (* ---------- BFS tree ---------- *)
 
 type bfs_state = { mutable parent_edge : int; mutable joined : bool }
@@ -90,12 +97,8 @@ let exchange ledger g sends =
       init = (fun _ -> { got = [] });
       step =
         (fun ~round v st inbox out ->
-          if round = 0 then Network.post_all out (sends v)
-          else
-            st.got <-
-              (match st.got with
-              | [] -> Mail.to_inbox inbox
-              | got -> Mail.to_inbox inbox @ got);
+          if round = 0 then post_sends out (sends v)
+          else st.got <- Mail.to_inbox inbox @ st.got;
           `Idle);
     }
   in
@@ -252,7 +255,10 @@ let down_pipeline ?(record = true) ledger (f : Forest.t) ~emit =
           if st.head = st.tail && first >= 0 && Mail.next inbox first < 0
           then begin
             (* the steady state: one message in and nothing queued, so it
-               goes straight on to the children *)
+               goes straight on to the children. The queue round trip
+               below sends the same, but a deep tree's solve, whose mail
+               all comes this way, ran 1.35x as long through it
+               (EXPERIMENTS.md, "The flat message plane") *)
             if record then keep st inbox first;
             forward_children out f inbox first f.Forest.children.(v);
             `Idle
