@@ -8,8 +8,9 @@
    The sequential baselines and the tree sweeps are pinned the same way:
    Greedy's picks, FT-MST's mask and swap array, and the unweighted
    2-ECSS solution. The engine's metrics series, causal ids and flight
-   rings are pinned on one 2-ECSS solve, plain and under a fault plan,
-   and so is the order in which the primitives see their mail.
+   rings are pinned on one 2-ECSS and one unweighted 3-ECSS solve, plain
+   and under fault plans, and so is the order in which the primitives
+   see their mail.
 
    To regenerate after an intended behaviour change, set the expected
    string of a case to "" and run dune exec test/test_golden.exe; the
@@ -62,10 +63,10 @@ let ft_mst g () =
     (String.concat "," (Array.to_list (Array.map string_of_int !swap)))
 
 (* The engine's own telemetry, which the ledger and trace pins do not
-   cover: a 2-ECSS solve on every recorder, optionally under a fault
-   plan, pins how the run ends, the injector's stats and the digests of
-   the metrics series, the causal report and the flight rings. *)
-let recorded ?faults g () =
+   cover: a solve on every recorder, optionally under a fault plan, pins
+   how the run ends, the injector's stats and the digests of the metrics
+   series, the causal report and the flight rings. *)
+let recorded ?faults solve () =
   let trace = Trace.create () in
   let metrics = Metrics.create ~trace () in
   let causal = Causal.create () in
@@ -83,8 +84,8 @@ let recorded ?faults g () =
       ()
   in
   let ending =
-    match Ecss2.solve_with ledger (Rng.create ~seed:1) g with
-    | r -> "ids=" ^ ids r.Ecss2.solution
+    match solve ledger with
+    | sol -> "ids=" ^ ids sol
     | exception e -> Printexc.to_string e
   in
   let causal_json =
@@ -200,6 +201,7 @@ let cases =
     let rng = Rng.create ~seed:14 in
     Gen.random_k_connected rng 40 3 ~extra:40
   in
+  let ecss3u l = (Ecss3.solve_with l (Rng.create ~seed:1) u3).Ecss3.solution in
   let w3 = weighted ~n:40 ~k:3 ~seed:15 in
   (* wide weights and many chords: at p = 1 the MST filter has cycles to cut *)
   let dense =
@@ -244,8 +246,7 @@ let cases =
            g3) );
     ( "ecss3 unweighted",
       "ids=0,1,2,3,4,5,6,8,10,12,13,15,17,21,23,24,25,27,29,30,32,33,34,35,37,38,45,46,48,49,51,52,53,54,55,56,58,59,60,61,65,66,67,68,70,75,80,82,84,85,86,87,88,93,95,98,99,102,103,104,106,107,108,109,110,111,112,113 rounds=2735 ledger=8fdb5fa9d7e57a4dfa1f203d5158627a trace=97df363bd90458c7c7186d61e0c7ea93",
-      traced (fun l -> (Ecss3.solve_with l (Rng.create ~seed:1) u3).Ecss3.solution)
-    );
+      traced ecss3u );
     ( "ecss3 weighted",
       "ids=0,3,4,5,6,7,9,11,12,14,15,19,24,25,27,28,29,30,31,33,37,38,40,41,43,44,47,48,51,52,53,55,56,57,58,59,60,62,64,65,69,72,73,74,77,80,81,82,84,86,88,89,90,91,94,95,96,97,100,101,102,103,105,107,111,113,117,119 rounds=475 ledger=1c68f6bffb01bcec5e43fb02df141682 trace=cfec618fb09ac97d740025741730fe18",
       traced (fun l ->
@@ -264,10 +265,19 @@ let cases =
       ft_mst g2 );
     ( "ecss2 engine telemetry",
       "ids=0,1,2,3,5,6,7,9,10,11,13,14,16,18,22,23,24,25,26,29,30,31,32,33,34,35,37,38,39,40,41,42,43,44,47,51,52,57,59,60,63,64,65,67,68,69,71,73,74,76,78,80,81,82,83,84,85,86,88,89,90,94 metrics=cdb9cee60080c9b15c75860d8350504b causal=b7167c6cc2a9167aede4650464460463 flight=9306dd888bd2b9f0e16f92646f1e81d2",
-      recorded g2 );
+      recorded (ecss2 g2) );
     ( "ecss2 engine telemetry under faults",
       "Kecss_congest.Network.Did_not_quiesce(10768, 4, 0) stats=71 injected (0 dropped, 49 delayed, 21 duplicated, 1 crashed, 0 cut, 0 restored) metrics=25ebf7fedd3d313535065b56d4e4c58d causal=b6fb635b5e1cc6ce25defaa0a0a80a72 flight=c8dcdef7715a9fe1936bca48aa86d04e",
-      recorded ~faults:"crash=v3@r40,delay=0.1:2,dup=0.05,seed=5" g2 );
+      recorded ~faults:"crash=v3@r40,delay=0.1:2,dup=0.05,seed=5" (ecss2 g2) );
+    ( "ecss3 engine telemetry",
+      "ids=0,1,2,3,4,5,6,8,10,12,13,15,17,21,23,24,25,27,29,30,32,33,34,35,37,38,45,46,48,49,51,52,53,54,55,56,58,59,60,61,65,66,67,68,70,75,80,82,84,85,86,87,88,93,95,98,99,102,103,104,106,107,108,109,110,111,112,113 metrics=8a50f6efc784ef0b188242918868680b causal=59d590f115c8a1c60ec9b2e6b22b0353 flight=b27fccad6f0848edc6e33a0a84aa5428",
+      recorded ecss3u );
+    ( "ecss3 engine telemetry under faults",
+      "Kecss_congest.Network.Did_not_quiesce(10640, 1, 0) stats=142 injected (0 dropped, 103 delayed, 39 duplicated, 0 crashed, 0 cut, 0 restored) metrics=f51f4b81e233eddc2e47baab0e48e167 causal=ca40f2123d91d68b71d122ef29183b4b flight=d3389b33075b25b40fa6835ab047a85c",
+      recorded ~faults:"delay=0.1:2,dup=0.05,seed=7" ecss3u );
+    ( "ecss3 engine telemetry under delays",
+      "ids=0,1,2,3,4,6,8,10,12,13,15,16,18,19,20,21,23,24,25,26,27,29,30,32,33,34,36,37,40,41,44,45,46,48,49,51,52,53,54,55,58,60,61,66,67,68,70,72,73,76,77,78,81,82,84,87,88,91,95,96,98,101,103,105,107,109,110,118,119 stats=6388 injected (0 dropped, 6388 delayed, 0 duplicated, 0 crashed, 0 cut, 0 restored) metrics=996ef3291a307ea0498564cbee77971b causal=c4a02119c419618da0bcda5f55cb7009 flight=27ea9d55c8bd0aaa1877805243b910a6",
+      recorded ~faults:"delay=0.1:2,seed=7" ecss3u );
     ( "engine inbox and send order",
       "exchange=c370451ac4b791c50c5d42f5ca46043a down_pipeline=e94be2ed8b05423b6f96d537319dea6a up_pipeline_merge=1c1e524c008758f7370efcb17cecbfcd wave_up=bce98d668c7abc5286aaa7115b57d503 rounds=46 ledger=d09586ef01aaace5a5539d92b7f67fba",
       order g2 );
