@@ -2,14 +2,27 @@ open Kecss_graph
 open Kecss_connectivity
 open Kecss_congest
 
+(* labels are uniform random bits, so their low bits hash them *)
+module Classes = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash l = l land max_int
+end)
+
 type t = {
   tree : Rooted_tree.t;
   h_mask : Bitset.t;
   bits : int;
   label : int array; (* by edge id; -1 outside h_mask *)
-  classes : (int, int) Hashtbl.t;
-      (* label φ → n_φ, the number of H edges labelled φ: counted once per
-         circulation (Claim 5.9) and never changed afterwards *)
+  index : int Classes.t; (* label φ → its class index *)
+  size : int array; (* class index → n_φ, the number of H edges labelled φ *)
+  parent : int array; (* the tree's parents, depths *)
+  depth : int array;
+  up : int array;
+      (* by vertex: the class index of its parent edge when that class
+         holds two edges or more, else -1 (the root, and classes of one,
+         which cover no pair) *)
 }
 
 let default_bits = 60
@@ -20,15 +33,44 @@ let check_args tree ~h_mask bits =
   if not (Bitset.subset te h_mask) then
     invalid_arg "Labels: h_mask must contain all tree edges"
 
+(* The classes of the circulation, counted once (Claim 5.9): each H edge
+   is hashed once to give its label a dense index, and n_φ is read from
+   an int array by that index from then on. *)
 let finish tree ~h_mask ~bits label =
-  let classes = Hashtbl.create 64 in
+  let g = Rooted_tree.graph tree in
+  let n = Graph.n g in
+  let index = Classes.create 64 in
+  let cls = Array.make (Graph.m g) (-1) in
+  let size = Array.make (max 1 (Bitset.cardinal h_mask)) 0 in
   Bitset.iter
     (fun id ->
-      let l = label.(id) in
-      Hashtbl.replace classes l
-        (1 + Option.value ~default:0 (Hashtbl.find_opt classes l)))
+      let c =
+        match Classes.find_opt index label.(id) with
+        | Some c -> c
+        | None ->
+          let c = Classes.length index in
+          Classes.add index label.(id) c;
+          c
+      in
+      cls.(id) <- c;
+      size.(c) <- size.(c) + 1)
     h_mask;
-  { tree; h_mask; bits; label; classes }
+  let up =
+    Array.init n (fun v ->
+        let pe = Rooted_tree.parent_edge tree v in
+        if pe >= 0 && size.(cls.(pe)) > 1 then cls.(pe) else -1)
+  in
+  {
+    tree;
+    h_mask;
+    bits;
+    label;
+    index;
+    size;
+    parent = Array.init n (Rooted_tree.parent tree);
+    depth = Array.init n (Rooted_tree.depth tree);
+    up;
+  }
 
 let compute ?(bits = default_bits) rng tree ~h_mask =
   check_args tree ~h_mask bits;
@@ -42,31 +84,28 @@ let compute_distributed ?(bits = default_bits) ledger rng tree ~h_mask =
      sends it across the edge — one round; the draws are the sequential
      sweep's, whose tree labels the wave below recomputes *)
   let label = Min_cut_enum.label_sweep ~bits rng tree ~h_mask in
-  let is_h id = Bitset.mem h_mask id in
-  let sends v =
-    List.rev
-      (Graph.fold_adj g v
-         (fun acc nb id ->
-           if is_h id && (not (Rooted_tree.is_tree_edge tree id)) && v < nb then
-             { Network.edge = id; payload = [| label.(id) |] } :: acc
-           else acc)
-         [])
-  in
-  ignore (Prim.exchange ledger g sends);
+  let non_tree = Bitset.copy h_mask in
+  Bitset.diff_into non_tree (Rooted_tree.edges_mask tree);
+  Prim.exchange_in_place ledger g ~post:(fun v out ->
+      for i = 0 to Graph.degree g v - 1 do
+        let id = Graph.adj_eid_at g v i in
+        if Bitset.mem non_tree id && v < Graph.adj_nbr_at g v i then
+          Network.post1 out ~edge:id label.(id)
+      done);
+  (* each vertex's XOR of the labels of its non-tree H edges *)
+  let local = Array.make (Graph.n g) 0 in
+  Bitset.iter
+    (fun id ->
+      let u = Graph.edge_u g id and v = Graph.edge_v g id in
+      local.(u) <- local.(u) lxor label.(id);
+      local.(v) <- local.(v) lxor label.(id))
+    non_tree;
   (* leaves-to-root wave: φ({v, p(v)}) = XOR of the labels of all H edges
      at v other than the parent edge (Theorem 4.2 of Pritchard–Thurimella) *)
   let forest = Forest.make g ~parent_edge:(Array.init (Graph.n g) (Rooted_tree.parent_edge tree)) in
   let values =
     Prim.wave_up ledger forest ~value:(fun v kids ->
-        let local =
-          Graph.fold_adj g v
-            (fun acc _ id ->
-              if is_h id && (not (Rooted_tree.is_tree_edge tree id)) then
-                acc lxor label.(id)
-              else acc)
-            0
-        in
-        [| List.fold_left (fun acc k -> acc lxor k.(0)) local kids |])
+        [| List.fold_left (fun acc k -> acc lxor k.(0)) local.(v) kids |])
   in
   for v = 0 to Graph.n g - 1 do
     if v <> Rooted_tree.root tree then
@@ -103,7 +142,7 @@ let cut_pairs t =
   |> List.sort compare
 
 let edge_count_with_label t phi =
-  Option.value ~default:0 (Hashtbl.find_opt t.classes phi)
+  match Classes.find_opt t.index phi with Some c -> t.size.(c) | None -> 0
 
 let tree_edge_count_with_label t phi =
   Bitset.fold
@@ -112,33 +151,58 @@ let tree_edge_count_with_label t phi =
       else acc)
     t.h_mask 0
 
+(* paths of at most this many shared classes are insertion-sorted *)
+let insertion_max = 16
+
 let pairs_covered t e =
   if Bitset.mem t.h_mask e then invalid_arg "Labels.pairs_covered: edge in H";
-  let tree = t.tree in
-  let u, v = Graph.endpoints (Rooted_tree.graph tree) e in
-  let a = Rooted_tree.lca tree u v in
-  let depth = Rooted_tree.depth tree in
-  (* the labels of e's fundamental path, sorted so that each φ forms one
-     run of length n_{φ,e}; stable_sort insertion-sorts the short paths
-     most candidates have *)
-  let path = Array.make (depth u + depth v - (2 * depth a)) 0 in
-  let rec climb x i =
-    if x = a then i
+  let g = Rooted_tree.graph t.tree in
+  let parent = t.parent and depth = t.depth and up = t.up in
+  (* the classes of e's fundamental path that hold two edges or more,
+     climbing the deeper end until both ends meet at their LCA; the
+     array is made at the first such class, with room for the rest of
+     the path *)
+  let path = ref [||] and len = ref 0 in
+  let x = ref (Graph.edge_u g e) and y = ref (Graph.edge_v g e) in
+  while !x <> !y do
+    let z = if depth.(!x) >= depth.(!y) then !x else !y in
+    let c = up.(z) in
+    if c >= 0 then begin
+      if !len = 0 then path := Array.make (depth.(!x) + depth.(!y)) 0;
+      !path.(!len) <- c;
+      incr len
+    end;
+    if z = !x then x := parent.(z) else y := parent.(z)
+  done;
+  let len = !len in
+  (* sorted, each class forms one run of length n_{φ,e} *)
+  let path =
+    if len <= insertion_max then begin
+      let p = !path in
+      for i = 1 to len - 1 do
+        let c = p.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && p.(!j) > c do
+          p.(!j + 1) <- p.(!j);
+          decr j
+        done;
+        p.(!j + 1) <- c
+      done;
+      p
+    end
     else begin
-      path.(i) <- t.label.(Rooted_tree.parent_edge tree x);
-      climb (Rooted_tree.parent tree x) (i + 1)
+      let p = Array.sub !path 0 len in
+      Array.sort Int.compare p;
+      p
     end
   in
-  ignore (climb v (climb u 0));
-  Array.stable_sort Int.compare path;
-  let len = Array.length path in
   let total = ref 0 and i = ref 0 in
   while !i < len do
-    let phi = path.(!i) in
+    let c = path.(!i) in
     let j = ref (!i + 1) in
-    while !j < len && path.(!j) = phi do incr j done;
-    let c = !j - !i in
-    total := !total + (c * (Hashtbl.find t.classes phi - c));
+    while !j < len && path.(!j) = c do incr j done;
+    let k = !j - !i in
+    total := !total + (k * (t.size.(c) - k));
     i := !j
   done;
   !total
@@ -149,14 +213,8 @@ let is_two_edge_connected t =
       ok && not (Rooted_tree.is_tree_edge t.tree id && t.label.(id) = 0))
     t.h_mask true
 
-let is_three_edge_connected t =
-  Bitset.fold
-    (fun id ok ->
-      ok
-      && not
-           (Rooted_tree.is_tree_edge t.tree id
-           && Hashtbl.find t.classes t.label.(id) > 1))
-    t.h_mask true
+(* a tree edge shares its label iff its vertex's [up] names a class *)
+let is_three_edge_connected t = Array.for_all (fun c -> c < 0) t.up
 
 let pp ppf t =
   let g = Rooted_tree.graph t.tree in

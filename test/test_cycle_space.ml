@@ -113,11 +113,22 @@ let oracle_tests =
     qcheck
       (QCheck.Test.make ~name:"pairs_covered equals the exact count (Claim 5.8)"
          ~count:30
-         QCheck.(triple (int_bound 100_000) (int_range 8 16) (int_bound 2))
+         QCheck.(triple (int_bound 100_000) (int_range 8 16) (int_bound 3))
          (fun (seed, n, shape) ->
            let rng = Rng.create ~seed in
            (* a shallow BFS tree; the BFS tree of the ring 0..n−1 inside a
-              circulant (depth n/2); or the MST that §5.4 labels *)
+              circulant (depth n/2); the MST that §5.4 labels; or the path
+              0–1–…–(n−1) inside that circulant (depth n − 1), on 24 to 48
+              vertices so that paths share more classes than insertion
+              sort takes *)
+           let n = if shape = 3 then 3 * n else n in
+           let along_ring g parent =
+             let up v =
+               let p = parent v in
+               if p < 0 then -1 else Option.get (Graph.find_edge g v p)
+             in
+             Rooted_tree.of_parent_edges g ~root:0 (Array.init n up)
+           in
            let g, tree =
              match shape with
              | 0 ->
@@ -126,17 +137,16 @@ let oracle_tests =
              | 1 ->
                let g = Gen.circulant n [ 1; 3 ] in
                let ring = Rooted_tree.bfs_tree (Gen.cycle n) ~root:0 in
-               let up v =
-                 let p = Rooted_tree.parent ring v in
-                 if p < 0 then -1 else Option.get (Graph.find_edge g v p)
-               in
-               (g, Rooted_tree.of_parent_edges g ~root:0 (Array.init n up))
-             | _ ->
+               (g, along_ring g (Rooted_tree.parent ring))
+             | 2 ->
                let g =
                  Weights.uniform rng ~lo:1 ~hi:100
                    (Gen.random_k_connected rng n 2 ~extra:n)
                in
                (g, (Mst.run (Rounds.create ()) rng g).Mst.tree)
+             | _ ->
+               let g = Gen.circulant n [ 1; 3 ] in
+               (g, along_ring g (fun v -> v - 1))
            in
            (* H: drop every non-tree edge whose removal keeps H
               2-edge-connected; the dropped edges are the outside edges *)
@@ -150,6 +160,40 @@ let oracle_tests =
                    Bitset.add h_mask id
                end)
              g;
+           (* more outside edges, appended so that every id above keeps
+              its meaning: from each vertex below the root to a random
+              proper ancestor, and to another vertex at its depth *)
+           let depth = Rooted_tree.depth tree in
+           let extra =
+             List.concat_map
+               (fun v ->
+                 if depth v = 0 then []
+                 else
+                   let anc = Rooted_tree.ancestor_at_depth tree v (Rng.int rng (depth v)) in
+                   let peers =
+                     List.filter (fun w -> w <> v && depth w = depth v) (List.init n Fun.id)
+                   in
+                   (v, anc, 1)
+                   ::
+                   (match peers with
+                   | [] -> []
+                   | _ -> [ (v, List.nth peers (Rng.int rng (List.length peers)), 1) ]))
+               (List.init n Fun.id)
+           in
+           let g =
+             Graph.make ~n
+               (List.init (Graph.m g) (fun id ->
+                    let u, v = Graph.endpoints g id in
+                    (u, v, Graph.weight g id))
+               @ extra)
+           in
+           let tree =
+             Rooted_tree.of_parent_edges g ~root:0
+               (Array.init n (Rooted_tree.parent_edge tree))
+           in
+           let h_mask =
+             Bitset.of_list (Graph.m g) (Bitset.elements h_mask)
+           in
            let outside =
              List.filter
                (fun id -> not (Bitset.mem h_mask id))
