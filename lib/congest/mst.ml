@@ -14,6 +14,23 @@ let none_w = max_int
 let lex_min (a : int array) (b : int array) =
   if a.(0) < b.(0) || (a.(0) = b.(0) && a.(1) <= b.(1)) then a else b
 
+(* Each vertex's minimum outgoing edge so far, as (weight, edge id)
+   ints: [none_w] in both while it has none. *)
+type outgoing = { w : int array; e : int array }
+
+let outgoing n = { w = Array.make n none_w; e = Array.make n none_w }
+
+(* does [edge], reaching [v] from another fragment, beat [v]'s best?
+   If so it becomes the best. *)
+let improves o g v edge =
+  let w = Graph.weight g edge in
+  if w < o.w.(v) || (w = o.w.(v) && edge < o.e.(v)) then begin
+    o.w.(v) <- w;
+    o.e.(v) <- edge;
+    true
+  end
+  else false
+
 let log2_ceil n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (2 * v) in
   go 0 1
@@ -80,39 +97,41 @@ let part1 ledger rng g ~cap ~bfs_forest =
       st.capped.(v) <- flags.(v).(0) = 1;
       coin.(v) <- flags.(v).(1) = 1
     done;
-    (* neighbours exchange (fragment id, head bit, capped bit) *)
+    (* neighbours exchange (fragment id, head bit, capped bit); each
+       vertex keeps its minimum outgoing candidate as it reads them *)
     let head v = st.capped.(v) || coin.(v) in
-    let inboxes =
-      Prim.exchange ledger g (fun v ->
-          let sends = ref [] in
-          for i = Graph.degree g v - 1 downto 0 do
-            sends :=
-              {
-                Network.edge = Graph.adj_eid_at g v i;
-                payload =
-                  [|
-                    st.fid.(v);
-                    (if head v then 1 else 0);
-                    (if st.capped.(v) then 1 else 0);
-                  |];
-              }
-              :: !sends
-          done;
-          !sends)
-    in
-    (* per-vertex minimum outgoing candidate *)
-    let candidate v =
-      List.fold_left
-        (fun acc (eid, msg) ->
-          if msg.(0) = st.fid.(v) then acc
-          else
-            lex_min acc [| Graph.weight g eid; eid; msg.(1); msg.(2); msg.(0) |])
-        [| none_w; none_w; 0; 0; -1 |]
-        inboxes.(v)
-    in
+    let best = outgoing n in
+    let c_head = Array.make n 0 and c_capped = Array.make n 0 in
+    let c_fid = Array.make n (-1) in
+    Prim.exchange_in_place ledger g
+      ~post:(fun v out ->
+        let payload =
+          [|
+            st.fid.(v);
+            (if head v then 1 else 0);
+            (if st.capped.(v) then 1 else 0);
+          |]
+        in
+        for i = 0 to Graph.degree g v - 1 do
+          Network.post out ~edge:(Graph.adj_eid_at g v i) payload
+        done)
+      ~read:(fun v mail ->
+        let m = ref (Network.Mail.first mail) in
+        while !m >= 0 do
+          let fid = Network.Mail.word mail !m 0 in
+          if fid <> st.fid.(v) && improves best g v (Network.Mail.edge mail !m)
+          then begin
+            c_head.(v) <- Network.Mail.word mail !m 1;
+            c_capped.(v) <- Network.Mail.word mail !m 2;
+            c_fid.(v) <- fid
+          end;
+          m := Network.Mail.next mail !m
+        done);
     let moes =
       Prim.wave_up ledger wf ~value:(fun v kids ->
-          List.fold_left lex_min (candidate v) kids)
+          List.fold_left lex_min
+            [| best.w.(v); best.e.(v); c_head.(v); c_capped.(v); c_fid.(v) |]
+            kids)
     in
     (* tail roots of small fragments merge along their MOE into heads *)
     let merges = ref [] in
@@ -188,25 +207,22 @@ let part2 ledger g ~bfs_forest (st : part1) =
     incr phase;
     Kecss_obs.Events.mst_phase (Rounds.trace ledger) ~part:2 ~phase:!phase
       ~fragments:(distinct_count fid);
-    let inboxes =
-      Prim.exchange ledger g (fun v ->
-          let sends = ref [] in
-          for i = Graph.degree g v - 1 downto 0 do
-            sends :=
-              { Network.edge = Graph.adj_eid_at g v i; payload = [| fid.(v) |] }
-              :: !sends
-          done;
-          !sends)
-    in
+    let best = outgoing n in
+    Prim.exchange_in_place ledger g
+      ~post:(fun v out ->
+        for i = 0 to Graph.degree g v - 1 do
+          Network.post1 out ~edge:(Graph.adj_eid_at g v i) fid.(v)
+        done)
+      ~read:(fun v mail ->
+        let m = ref (Network.Mail.first mail) in
+        while !m >= 0 do
+          if Network.Mail.word mail !m 0 <> fid.(v) then
+            ignore (improves best g v (Network.Mail.edge mail !m));
+          m := Network.Mail.next mail !m
+        done);
     let emit v =
-      let best =
-        List.fold_left
-          (fun acc (eid, msg) ->
-            if msg.(0) = fid.(v) then acc
-            else lex_min acc [| Graph.weight g eid; eid |])
-          [| none_w; none_w |] inboxes.(v)
-      in
-      if best.(0) = none_w then [] else [ (fid.(v), best) ]
+      if best.w.(v) = none_w then []
+      else [ (fid.(v), [| best.w.(v); best.e.(v) |]) ]
     in
     let merged = Prim.up_pipeline_merge ledger bfs_forest ~emit ~combine:lex_min in
     let entries = merged.(bfs_root) in

@@ -89,21 +89,26 @@ let bfs_tree ledger g ~root =
 
 (* ---------- single-round exchange ---------- *)
 
-type exch_state = { mutable got : int array Network.inbox }
-
-let exchange ledger g sends =
-  let program : exch_state Network.program =
+let exchange_in_place ?read ledger g ~post =
+  let program : unit Network.program =
     {
-      init = (fun _ -> { got = [] });
+      init = (fun _ -> ());
       step =
-        (fun ~round v st inbox out ->
-          if round = 0 then post_sends out (sends v)
-          else st.got <- Mail.to_inbox inbox @ st.got;
+        (fun ~round v () mail out ->
+          (if round = 0 then post v out
+           else match read with Some read -> read v mail | None -> ());
           `Idle);
     }
   in
-  let states = engine ledger ~category:"exchange" g program in
-  Array.map (fun st -> st.got) states
+  ignore (engine ledger ~category:"exchange" g program)
+
+(* the list view: each pass's inbox goes in front of the earlier ones *)
+let exchange ledger g sends =
+  let got = Array.make (Graph.n g) [] in
+  exchange_in_place ledger g
+    ~post:(fun v out -> post_sends out (sends v))
+    ~read:(fun v mail -> got.(v) <- Mail.to_inbox mail @ got.(v));
+  got
 
 (* ---------- convergecast wave ---------- *)
 

@@ -13,10 +13,15 @@
     primitive's program reads its mail in place through {!Network.Mail}
     and posts through the step's outbox, so the engine allocates nothing
     per message; the arrays and lists in these signatures are built only
-    where a caller hands them in or gets them back ([exchange] posts its
-    callers' [send list]s and rebuilds the inbox lists it returns,
-    [wave_up] and [wave_down] copy the values they pass to [value] and
-    [derive], and [down_pipeline ~record:true] copies what it records). *)
+    where a caller hands them in or gets them back ([wave_up] and
+    [wave_down] copy the values they pass to [value] and [derive], and
+    [down_pipeline ~record:true] copies what it records).
+
+    There is one exchange program, {!exchange_in_place}: its callers
+    post through the outbox and read their mail in place. {!exchange}
+    is a list view over it, posting [send list]s and returning inbox
+    lists, kept for callers that want values (the benchmark's
+    per-primitive probe, tests, examples); no solver uses it. *)
 
 open Kecss_graph
 
@@ -26,10 +31,24 @@ val bfs_tree : Rounds.t -> Graph.t -> root:int -> Rooted_tree.t
     deterministic. Raises [Invalid_argument] on a disconnected graph,
     before any engine pass and without charging a round. *)
 
+val exchange_in_place :
+  ?read:(int -> Network.mail -> unit) ->
+  Rounds.t ->
+  Graph.t ->
+  post:(int -> Network.outbox -> unit) ->
+  unit
+(** [exchange_in_place ledger g ~post ~read] performs one communication
+    round: in round 0 every vertex [v] posts its sends with [post v out];
+    in every later pass that brings [v] mail, [read v mail] reads it in
+    place (once without faults; delayed or replicated copies may come in
+    later passes, each pass's mail in its own call). Without [read] the
+    mail is delivered and charged but not read. 1 round. *)
+
 val exchange :
   Rounds.t -> Graph.t -> (int -> Network.send list) -> int array Network.inbox array
-(** [exchange ledger g sends] performs one communication round in which
-    vertex [v] emits [sends v]; returns each vertex's inbox. 1 round. *)
+(** [exchange ledger g sends] is {!exchange_in_place} with each vertex
+    posting [sends v] in list order; returns each vertex's inbox, each
+    pass's messages in mail order ahead of those of earlier passes. *)
 
 val wave_up :
   Rounds.t ->

@@ -25,21 +25,8 @@ type result = {
 
 (* ----- the real communication pattern of one iteration (§3.1) ----- *)
 
-(* the per-iteration §3.1 exchange pattern is static: one message per
-   non-tree edge, emitted by its smaller endpoint.  Built once per run. *)
-let exchange_sends tree g =
-  let n = Graph.n g in
-  Array.init n (fun v ->
-      let sends = ref [] in
-      for i = Graph.degree g v - 1 downto 0 do
-        let id = Graph.adj_eid_at g v i in
-        if (not (Rooted_tree.is_tree_edge tree id)) && v < Graph.adj_nbr_at g v i
-        then sends := { Network.edge = id; payload = [| 0 |] } :: !sends
-      done;
-      !sends)
-
 (* [covered v]: is the tree edge above vertex [v] covered? *)
-let charge_iteration ledger ~bfs_forest segments ~exch ~covered =
+let charge_iteration ledger ~bfs_forest segments ~covered =
   let tree = Segments.tree segments in
   let wf = Segments.wave_forest segments in
   (* Claim 3.2 dissemination: per-segment root-path pipeline carrying
@@ -67,8 +54,15 @@ let charge_iteration ledger ~bfs_forest segments ~exch ~covered =
     (Prim.broadcast_list ~record:false ledger bfs_forest ~items:(fun _ ->
          [| 0; 0 |] :: List.map (fun (k, p) -> [| k; p.(0) |]) summary));
   (* one round in which the endpoints of every candidate edge exchange
-     their path knowledge summaries (cases 1–3 of the CE computation) *)
-  ignore (Prim.exchange ledger (Rooted_tree.graph tree) (fun v -> exch.(v)))
+     their path knowledge summaries (cases 1–3 of the CE computation):
+     one message per non-tree edge, from its smaller endpoint *)
+  let g = Rooted_tree.graph tree in
+  Prim.exchange_in_place ledger g ~post:(fun v out ->
+      for i = 0 to Graph.degree g v - 1 do
+        let id = Graph.adj_eid_at g v i in
+        if (not (Rooted_tree.is_tree_edge tree id)) && v < Graph.adj_nbr_at g v i
+        then Network.post1 out ~edge:id 0
+      done)
 
 let charge_global_max ledger ~bfs_forest level =
   (* O(D): convergecast the maximum level, broadcast it back *)
@@ -157,11 +151,10 @@ let augment ?config ledger rng ~bfs_forest segments =
     if (not (Rooted_tree.is_tree_edge tree e)) && Graph.weight g e = 0 then
       Bitset.add free e
   done;
-  let exch = exchange_sends tree g in
   let charge st = function
     | Cover.Agreed level -> charge_global_max ledger ~bfs_forest level
     | Cover.Start | Cover.Committed _ ->
-      charge_iteration ledger ~bfs_forest segments ~exch ~covered:(fun v ->
+      charge_iteration ledger ~bfs_forest segments ~covered:(fun v ->
           Cover.covered st (element tree v))
   in
   let r =

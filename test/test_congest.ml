@@ -111,7 +111,8 @@ let engine_tests =
                 if round < 2 then `Active else `Idle);
           }
         in
-        (* the warm-up run grows this domain's message arenas *)
+        (* the warm-up run grows this domain's message arenas from empty *)
+        Network.release_arenas ();
         ignore (Network.run g p);
         Gc.full_major ();
         let a0 = Kecss_obs.Prof.allocated_words () in
@@ -122,7 +123,15 @@ let engine_tests =
         check_int "6m messages" (6 * Graph.m g) messages;
         check_is
           (Printf.sprintf "%.0f words allocated, under 16n = %d" words (16 * n))
-          (words < float_of_int (16 * n)));
+          (words < float_of_int (16 * n));
+        (* off the heap, the arenas hold the largest pass (2m one-word
+           messages) in each of two arenas: six words per slot and one
+           payload word, at most doubled by their growth *)
+        let bound = 2 * 2 * (6 + 1) * (2 * Graph.m g) in
+        let arena = Network.arena_words () in
+        check_is
+          (Printf.sprintf "%d arena words, at most %d" arena bound)
+          (arena >= (6 + 1) * (2 * Graph.m g) && arena <= bound));
     case "a run inside a step leaves the outer run's mail alone" (fun () ->
         (* vertex 0 sends 7 to vertex 1; before reading it, vertex 1 runs
            an engine run of its own that sends on every edge *)
@@ -222,6 +231,76 @@ let prim_tests =
                   payload.(0))
               inbox)
           inboxes);
+    case "the in-place exchange reads what exchange's lists return" (fun () ->
+        (* payloads of 0 to cap words on every edge; under the fault plan
+           copies come twice and late, each pass's mail in its own read *)
+        let g = Gen.random_k_connected (Rng.create ~seed:9) 48 2 ~extra:48 in
+        let sends v =
+          List.init (Graph.degree g v) (fun i ->
+              let e = Graph.adj_eid_at g v i in
+              {
+                Network.edge = e;
+                payload =
+                  Array.init ((v + i) mod (Network.cap_words + 1)) (fun j ->
+                      (v * 1000) + (e * 10) + j);
+              })
+        in
+        let on faults =
+          Rounds.create
+            ?hook:
+              (Option.map
+                 (fun spec ->
+                   Kecss_faults.Net.hook
+                     (Kecss_faults.Net.injector
+                        (Result.get_ok (Kecss_faults.Plan.of_spec spec))))
+                 faults)
+            ()
+        in
+        List.iter
+          (fun faults ->
+            let lists = Prim.exchange (on faults) g sends in
+            (* every read, message by message in chain order, as
+               (vertex, pass, edge, payload) *)
+            let reads = ref [] and pass = Array.make (Graph.n g) 0 in
+            Prim.exchange_in_place (on faults) g
+              ~post:(fun v out ->
+                List.iter
+                  (fun { Network.edge; payload } -> Network.post out ~edge payload)
+                  (sends v))
+              ~read:(fun v mail ->
+                pass.(v) <- pass.(v) + 1;
+                let m = ref (Network.Mail.first mail) in
+                while !m >= 0 do
+                  reads :=
+                    ( v,
+                      pass.(v),
+                      Network.Mail.edge mail !m,
+                      Array.init (Network.Mail.length mail !m)
+                        (Network.Mail.word mail !m) )
+                    :: !reads;
+                  m := Network.Mail.next mail !m
+                done);
+            let reads = List.rev !reads in
+            Array.iteri
+              (fun v inbox ->
+                (* the list puts each pass's mail ahead of the earlier
+                   passes' *)
+                let mine =
+                  List.filter (fun (u, _, _, _) -> u = v) reads
+                  |> List.stable_sort (fun (_, p, _, _) (_, q, _, _) -> compare q p)
+                  |> List.map (fun (_, _, e, w) -> (e, w))
+                in
+                Alcotest.(check (list (pair int (array int))))
+                  (Printf.sprintf "vertex %d" v)
+                  inbox mine)
+              lists;
+            check_int "every message read once or more"
+              (List.length reads)
+              (Array.fold_left (fun acc l -> acc + List.length l) 0 lists);
+            if faults <> None then
+              check_is "some vertex read more than one pass"
+                (Array.exists (fun p -> p > 1) pass))
+          [ None; Some "dup=0.2,delay=0.1:2,seed=4" ]);
     case "wave_up computes subtree sizes in height rounds" (fun () ->
         let g = Gen.caterpillar 6 2 in
         let t = Rooted_tree.bfs_tree g ~root:0 in
