@@ -93,7 +93,17 @@ let augment ?config ledger rng ~bfs_forest g ~h ~k =
   let n = Graph.n g in
   let m = Graph.m g in
   let config = match config with Some c -> c | None -> default_config n in
-  if Edge_connectivity.is_k_edge_connected ~mask:h g k then
+  (* min(λ(H), k), once: from the census at k = 3 and 4 (exact whatever
+     its labels draw, so a fixed seed leaves the solver's rng alone),
+     from the capped max-flow otherwise *)
+  let lam =
+    if k >= 3 && k <= 4 && n >= 2 then
+      if Graph.is_connected ~mask:h g then
+        Min_cut_enum.lambda_upto ~mask:h ~rng:(Rng.create ~seed:1) g ~upper:k
+      else 0
+    else Edge_connectivity.lambda ~mask:h ~upper:k g
+  in
+  if lam >= k then
     {
       augmentation = Graph.no_edges_mask g;
       iterations = 0;
@@ -103,7 +113,6 @@ let augment ?config ledger rng ~bfs_forest g ~h ~k =
       active_weight = 0;
     }
   else begin
-    let lam = Edge_connectivity.lambda ~mask:h ~upper:k g in
     if lam < k - 1 then
       invalid_arg "Augk.augment: H is not (k-1)-edge-connected";
     (* the vertices learn H over the BFS tree (the O(kn)-edge invariant) *)

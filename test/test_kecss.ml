@@ -52,10 +52,20 @@ let augk_tests =
         check_int "no iterations" 0 r.Augk.iterations);
     case "rejects an H that is not (k-1)-connected" (fun () ->
         let g = Weights.unit (Gen.complete 6) in
-        let tree = Rooted_tree.bfs_tree g ~root:0 in
-        (match run_augk g ~h:(Rooted_tree.edges_mask tree) ~k:3 with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "expected Invalid_argument"));
+        let tree = Rooted_tree.edges_mask (Rooted_tree.bfs_tree g ~root:0) in
+        (* the tree less one edge: H spans nothing connected *)
+        let split = Bitset.copy tree in
+        Bitset.remove split (List.hd (Bitset.elements tree));
+        (* k = 3 and 4 read λ from the census, k = 5 from max-flow *)
+        List.iter
+          (fun (h, k) ->
+            match run_augk g ~h ~k with
+            | exception Invalid_argument msg ->
+              Alcotest.(check string)
+                (Printf.sprintf "k=%d" k)
+                "Augk.augment: H is not (k-1)-edge-connected" msg
+            | _ -> Alcotest.fail "expected Invalid_argument")
+          [ (tree, 3); (tree, 4); (split, 3); (split, 4); (tree, 5); (split, 2) ]);
     case "active_weight counts each edge once (A' is a set)" (fun () ->
         (* an edge can be activated in many iterations; the §4.2 charging
            set A' is a set, so the total must be bounded by the weight of
