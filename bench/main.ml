@@ -767,6 +767,7 @@ type scale_row = {
   sc_parse_ns : float; (* text parse of the same graph *)
   sc_solve_ns : float; (* unweighted 2-ECSS end to end *)
   sc_solve_words : float; (* words allocated by the solve, at jobs = 1 *)
+  sc_arena_words : int; (* the engine's arena capacity after the solve *)
   sc_rounds : int;
   sc_messages : int;
   sc_edges : int; (* solution edges *)
@@ -774,8 +775,9 @@ type scale_row = {
 
 (* Each sweep size runs the whole million-vertex pipeline once:
    generate -> binary encode/decode (checked against the text codec) ->
-   solve -> verify.  Everything is seeded and forced to jobs = 1, so the
-   rounds/messages/allocated_words rows are deterministic and the tier
+   solve -> verify.  Everything is seeded and forced to jobs = 1, and the
+   solve starts from empty message arenas, so the rounds, messages,
+   allocated-words and arena-words rows are deterministic; the tier
    hard-fails on any codec mismatch or verification failure. *)
 let run_scale_tier ~ns =
   let saved = Kecss_par.Pool.default_jobs () in
@@ -802,6 +804,7 @@ let run_scale_tier ~ns =
         failwith
           (Printf.sprintf "scale tier: n=%d codec round-trip mismatch" n);
       let ledger = Rounds.create () in
+      Network.release_arenas ();
       Gc.full_major ();
       let a0 = Kecss_obs.Prof.allocated_words () in
       let r, solve_ns =
@@ -809,6 +812,7 @@ let run_scale_tier ~ns =
       in
       Gc.full_major ();
       let solve_words = Kecss_obs.Prof.allocated_words () -. a0 in
+      let arena_words = Network.arena_words () in
       let h = r.Ecss2_unweighted.h in
       let report = Kecss_connectivity.Verify.check_kecss ~cap:2 g h ~k:2 in
       if not report.Kecss_connectivity.Verify.ok then
@@ -823,6 +827,7 @@ let run_scale_tier ~ns =
         sc_parse_ns = parse_ns;
         sc_solve_ns = solve_ns;
         sc_solve_words = solve_words;
+        sc_arena_words = arena_words;
         sc_rounds = Rounds.total ledger;
         sc_messages = Rounds.total_messages ledger;
         sc_edges = Bitset.cardinal h;
@@ -836,20 +841,20 @@ let print_scale_tier rows =
   print_endline
     "# unweighted 2-ECSS through the binary codec, verified at every size";
   print_newline ();
-  Printf.printf "%8s %9s %9s %9s %9s %9s %10s %12s %8s %10s %9s\n" "n" "m"
-    "gen" "encode" "decode" "parse" "solve" "alloc-words" "rounds" "messages"
-    "edges";
-  Printf.printf "%s\n" (String.make 112 '-');
+  Printf.printf "%8s %9s %9s %9s %9s %9s %10s %12s %12s %8s %10s %9s\n" "n"
+    "m" "gen" "encode" "decode" "parse" "solve" "alloc-words" "arena-words"
+    "rounds" "messages" "edges";
+  Printf.printf "%s\n" (String.make 125 '-');
   List.iter
     (fun r ->
-      Printf.printf "%8d %9d %9s %9s %9s %9s %10s %12.0f %8d %10d %9d\n"
+      Printf.printf "%8d %9d %9s %9s %9s %9s %10s %12.0f %12d %8d %10d %9d\n"
         r.sc_n r.sc_m
         (History.pretty_ns r.sc_gen_ns)
         (History.pretty_ns r.sc_encode_ns)
         (History.pretty_ns r.sc_decode_ns)
         (History.pretty_ns r.sc_parse_ns)
         (History.pretty_ns r.sc_solve_ns)
-        r.sc_solve_words r.sc_rounds r.sc_messages r.sc_edges)
+        r.sc_solve_words r.sc_arena_words r.sc_rounds r.sc_messages r.sc_edges)
     rows;
   (match rows with
   | r :: _ when r.sc_decode_ns > 0.0 ->
@@ -873,6 +878,7 @@ let scale_json rows =
              ("parse_ns", Obs.Json.Float r.sc_parse_ns);
              ("solve_ns", Obs.Json.Float r.sc_solve_ns);
              ("solve_allocated_words", Obs.Json.Float r.sc_solve_words);
+             ("arena_words", Obs.Json.Int r.sc_arena_words);
              ("rounds", Obs.Json.Int r.sc_rounds);
              ("messages", Obs.Json.Int r.sc_messages);
              ("solution_edges", Obs.Json.Int r.sc_edges);
@@ -880,9 +886,11 @@ let scale_json rows =
        rows)
 
 (* growth-is-bad rows, so History.compare's REGRESSION judgement applies
-   directly; rounds/messages/alloc-words are deterministic at jobs = 1
-   and gate CI, the ns rows are wall-clock and only tracked locally like
-   the micros (CI runs --no-micro, which drops them here too) *)
+   directly; rounds/messages/alloc-words/arena-words are deterministic at
+   jobs = 1 and gate CI (the arenas are off the heap, so only their own
+   row sees them grow), the ns rows are wall-clock and only tracked
+   locally like the micros (CI runs --no-micro, which drops them here
+   too) *)
 let scale_history_rows ~wallclock rows =
   List.concat_map
     (fun r ->
@@ -897,6 +905,8 @@ let scale_history_rows ~wallclock rows =
       @ [
           ( Printf.sprintf "scale/solve-n%d-allocwords" r.sc_n,
             r.sc_solve_words );
+          ( Printf.sprintf "scale/solve-n%d-arenawords" r.sc_n,
+            float_of_int r.sc_arena_words );
           ( Printf.sprintf "scale/solve-n%d-rounds" r.sc_n,
             float_of_int r.sc_rounds );
           ( Printf.sprintf "scale/solve-n%d-messages" r.sc_n,

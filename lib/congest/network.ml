@@ -233,10 +233,23 @@ let forward o ~edge m s =
 (* Each domain keeps one pair of arenas across runs. A run that starts
    while another holds the pair (a step that runs the engine) gets a
    fresh pair, so the two never share slots. *)
-type plane = { a : arena; b : arena; mutable busy : bool }
+type plane = { mutable a : arena; mutable b : arena; mutable busy : bool }
 
 let plane_key =
   Domain.DLS.new_key (fun () -> { a = arena (); b = arena (); busy = false })
+
+(* six slot arrays and the payload words *)
+let capacity a = (6 * Bigarray.Array1.dim a.edge) + Bigarray.Array1.dim a.words
+
+let arena_words () =
+  let plane = Domain.DLS.get plane_key in
+  capacity plane.a + capacity plane.b
+
+(* a run in progress keeps the pair it started with *)
+let release_arenas () =
+  let plane = Domain.DLS.get plane_key in
+  plane.a <- arena ();
+  plane.b <- arena ()
 
 type 's program = {
   init : int -> 's;
@@ -441,8 +454,8 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
   while (!in_flight > 0 || !active_count > 0) && !round < max_rounds do
     (match hook with Some h -> h.round_begin ~round:!round | None -> ());
     if obs then Probe.round_begin probe;
-    if timed then Prof.span prof "engine/step" step_pass else step_pass ();
-    if timed then Prof.span prof "engine/deliver" deliver_pass
+    if timed then Prof.time prof "engine/step" step_pass else step_pass ();
+    if timed then Prof.time prof "engine/deliver" deliver_pass
     else deliver_pass ();
     incr round;
     (* In the synchronous model a vertex receives, at the end of round r,

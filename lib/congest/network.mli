@@ -106,6 +106,19 @@ type hook = {
     belong to the run, so a run that raises leaves no mail behind for the
     next one. *)
 
+val arena_words : unit -> int
+(** The capacity of the calling domain's two arenas, in words: six per
+    message slot (edge, sender, offset, length, chain link, causal id)
+    plus the payload words. It follows the largest pass the domain has
+    run since its arenas were made, rounded up by their growth, and no
+    [Gc] counter sees it. *)
+
+val release_arenas : unit -> unit
+(** Drops the calling domain's arenas, so its next run starts from empty
+    ones and grows them again: frees what a large run left behind, and
+    lets a caller read one run's {!arena_words} alone. A run in progress
+    keeps the arenas it started with. *)
+
 type mail
 (** The messages delivered to the stepping vertex in the previous pass,
     read in place. A message is an [int] handle valid only during the
@@ -213,9 +226,9 @@ val run_counted :
     byte-identical whichever domain calls and whatever the pool size.
     With the noop probe each event site costs one boolean test. When
     the probe holds a recording profiler, each pass's step and delivery
-    halves are timed as the {!Kecss_obs.Prof} spans ["engine/step"] and
-    ["engine/deliver"]; without one this costs one boolean test per
-    pass.
+    halves are timed with {!Kecss_obs.Prof.time} (clock and minor words
+    only) as the spans ["engine/step"] and ["engine/deliver"]; without
+    one this costs one boolean test per pass.
 
     The engine keeps a frontier — a bitset of the vertices that are
     active or hold a delivered message.  A vertex enters it by stepping

@@ -135,7 +135,7 @@ let allocated_words () =
   let s = Gc.quick_stat () in
   Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
-let record r name ~dns ~dminor ~(g0 : Gc.stat) ~(g1 : Gc.stat) =
+let record r name ~dns ~dminor ~promoted ~major ~minor_c ~major_c =
   let dns = if dns < 0.0 then 0.0 else dns in
   Mutex.lock r.m;
   let s =
@@ -162,10 +162,10 @@ let record r name ~dns ~dminor ~(g0 : Gc.stat) ~(g1 : Gc.stat) =
   s.r_total <- s.r_total +. dns;
   if dns > s.r_max then s.r_max <- dns;
   s.r_minor <- s.r_minor +. dminor;
-  s.r_promoted <- s.r_promoted +. (g1.Gc.promoted_words -. g0.Gc.promoted_words);
-  s.r_major <- s.r_major +. (g1.Gc.major_words -. g0.Gc.major_words);
-  s.r_minor_c <- s.r_minor_c + (g1.Gc.minor_collections - g0.Gc.minor_collections);
-  s.r_major_c <- s.r_major_c + (g1.Gc.major_collections - g0.Gc.major_collections);
+  s.r_promoted <- s.r_promoted +. promoted;
+  s.r_major <- s.r_major +. major;
+  s.r_minor_c <- s.r_minor_c + minor_c;
+  s.r_major_c <- s.r_major_c + major_c;
   Hist.add s.r_hist dns;
   Mutex.unlock r.m
 
@@ -181,8 +181,28 @@ let span t name f =
         let t1 = now_ns () in
         let g1 = Gc.quick_stat () in
         let dminor = Gc.minor_words () -. m0 in
-        record r name ~dns:(t1 -. t0) ~dminor ~g0 ~g1)
+        record r name ~dns:(t1 -. t0) ~dminor
+          ~promoted:(g1.Gc.promoted_words -. g0.Gc.promoted_words)
+          ~major:(g1.Gc.major_words -. g0.Gc.major_words)
+          ~minor_c:(g1.Gc.minor_collections - g0.Gc.minor_collections)
+          ~major_c:(g1.Gc.major_collections - g0.Gc.major_collections))
       f
+
+let time t name f =
+  match t with
+  | Noop -> f ()
+  | Recording r ->
+    let t0 = now_ns () in
+    let m0 = Gc.minor_words () in
+    let stop () =
+      record r name ~dns:(now_ns () -. t0) ~dminor:(Gc.minor_words () -. m0)
+        ~promoted:0.0 ~major:0.0 ~minor_c:0 ~major_c:0
+    in
+    (match f () with
+    | () -> stop ()
+    | exception e ->
+      stop ();
+      raise e)
 
 let stats t =
   match t with
