@@ -14,22 +14,47 @@ let none_w = max_int
 let lex_min (a : int array) (b : int array) =
   if a.(0) < b.(0) || (a.(0) = b.(0) && a.(1) <= b.(1)) then a else b
 
-(* Each vertex's minimum outgoing edge so far, as (weight, edge id)
-   ints: [none_w] in both while it has none. *)
-type outgoing = { w : int array; e : int array }
+(* Each vertex's minimum outgoing candidate so far, as ints: the edge's
+   weight and id ([none_w] in both while it has none) and what its far
+   end sent, its fragment id and, in part 1, its head and capped bits. *)
+type moe = {
+  w : int array;
+  e : int array;
+  fid : int array;
+  head : int array;
+  capped : int array;
+}
 
-let outgoing n = { w = Array.make n none_w; e = Array.make n none_w }
+let moe n =
+  {
+    w = Array.make n none_w;
+    e = Array.make n none_w;
+    fid = Array.make n (-1);
+    head = Array.make n 0;
+    capped = Array.make n 0;
+  }
 
-(* does [edge], reaching [v] from another fragment, beat [v]'s best?
-   If so it becomes the best. *)
-let improves o g v edge =
-  let w = Graph.weight g edge in
-  if w < o.w.(v) || (w = o.w.(v) && edge < o.e.(v)) then begin
-    o.w.(v) <- w;
-    o.e.(v) <- edge;
-    true
-  end
-  else false
+(* [v] reads its neighbours' fragment ids (and bits) in place; an edge
+   from another fragment that is lighter, or as light with a smaller id,
+   becomes its candidate *)
+let read_moe c g ~own v mail =
+  let module Mail = Network.Mail in
+  let m = ref (Mail.first mail) in
+  while !m >= 0 do
+    let edge = Mail.edge mail !m and fid = Mail.word mail !m 0 in
+    let w = Graph.weight g edge in
+    if fid <> own && (w < c.w.(v) || (w = c.w.(v) && edge < c.e.(v))) then begin
+      c.w.(v) <- w;
+      c.e.(v) <- edge;
+      c.fid.(v) <- fid;
+      (* part 2 sends the fragment id alone *)
+      if Mail.length mail !m = 3 then begin
+        c.head.(v) <- Mail.word mail !m 1;
+        c.capped.(v) <- Mail.word mail !m 2
+      end
+    end;
+    m := Mail.next mail !m
+  done
 
 let log2_ceil n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (2 * v) in
@@ -100,9 +125,7 @@ let part1 ledger rng g ~cap ~bfs_forest =
     (* neighbours exchange (fragment id, head bit, capped bit); each
        vertex keeps its minimum outgoing candidate as it reads them *)
     let head v = st.capped.(v) || coin.(v) in
-    let best = outgoing n in
-    let c_head = Array.make n 0 and c_capped = Array.make n 0 in
-    let c_fid = Array.make n (-1) in
+    let c = moe n in
     Prim.exchange_in_place ledger g
       ~post:(fun v out ->
         let payload =
@@ -115,22 +138,11 @@ let part1 ledger rng g ~cap ~bfs_forest =
         for i = 0 to Graph.degree g v - 1 do
           Network.post out ~edge:(Graph.adj_eid_at g v i) payload
         done)
-      ~read:(fun v mail ->
-        let m = ref (Network.Mail.first mail) in
-        while !m >= 0 do
-          let fid = Network.Mail.word mail !m 0 in
-          if fid <> st.fid.(v) && improves best g v (Network.Mail.edge mail !m)
-          then begin
-            c_head.(v) <- Network.Mail.word mail !m 1;
-            c_capped.(v) <- Network.Mail.word mail !m 2;
-            c_fid.(v) <- fid
-          end;
-          m := Network.Mail.next mail !m
-        done);
+      ~read:(fun v mail -> read_moe c g ~own:st.fid.(v) v mail);
     let moes =
       Prim.wave_up ledger wf ~value:(fun v kids ->
           List.fold_left lex_min
-            [| best.w.(v); best.e.(v); c_head.(v); c_capped.(v); c_fid.(v) |]
+            [| c.w.(v); c.e.(v); c.head.(v); c.capped.(v); c.fid.(v) |]
             kids)
     in
     (* tail roots of small fragments merge along their MOE into heads *)
@@ -207,22 +219,15 @@ let part2 ledger g ~bfs_forest (st : part1) =
     incr phase;
     Kecss_obs.Events.mst_phase (Rounds.trace ledger) ~part:2 ~phase:!phase
       ~fragments:(distinct_count fid);
-    let best = outgoing n in
+    let c = moe n in
     Prim.exchange_in_place ledger g
       ~post:(fun v out ->
         for i = 0 to Graph.degree g v - 1 do
           Network.post1 out ~edge:(Graph.adj_eid_at g v i) fid.(v)
         done)
-      ~read:(fun v mail ->
-        let m = ref (Network.Mail.first mail) in
-        while !m >= 0 do
-          if Network.Mail.word mail !m 0 <> fid.(v) then
-            ignore (improves best g v (Network.Mail.edge mail !m));
-          m := Network.Mail.next mail !m
-        done);
+      ~read:(fun v mail -> read_moe c g ~own:fid.(v) v mail);
     let emit v =
-      if best.w.(v) = none_w then []
-      else [ (fid.(v), [| best.w.(v); best.e.(v) |]) ]
+      if c.w.(v) = none_w then [] else [ (fid.(v), [| c.w.(v); c.e.(v) |]) ]
     in
     let merged = Prim.up_pipeline_merge ledger bfs_forest ~emit ~combine:lex_min in
     let entries = merged.(bfs_root) in
