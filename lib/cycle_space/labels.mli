@@ -19,11 +19,13 @@ open Kecss_graph
 open Kecss_congest
 
 type t
-(** A labelling of H, together with its class sizes n_φ (the number of
-    edges of H labelled φ). They are counted once per circulation, when
-    the labels are made — the count Claim 5.9 learns once per iteration —
-    and {!edge_count_with_label}, {!pairs_covered} and
-    {!is_three_edge_connected} all read that one table. *)
+(** A labelling of H, together with its label classes. When the labels
+    are made — once per circulation, the count Claim 5.9 learns once per
+    iteration — each edge of H is hashed once to give its label a dense
+    class index, and n_φ (the number of edges of H labelled φ) is kept
+    in an int array by that index, beside each vertex's class of its
+    parent edge. {!edge_count_with_label}, {!pairs_covered} and
+    {!is_three_edge_connected} all read those arrays. *)
 
 val default_bits : int
 (** 60 — far beyond the O(log n) needed for w.h.p. correctness at any
@@ -41,7 +43,8 @@ val compute_distributed :
 (** The distributed computation of §5.1 / Lemma 5.5: one exchange round for
     non-tree labels, then a leaves-to-root wave in which each vertex XORs
     its incident labels — O(height(T)) rounds, charged to the ledger.
-    Produces the same distribution as {!compute}. *)
+    Each vertex's XOR of its non-tree labels is computed once, before the
+    wave. Produces the same distribution as {!compute}. *)
 
 val bits : t -> int
 val tree : t -> Rooted_tree.t
@@ -63,16 +66,21 @@ val tree_edge_count_with_label : t -> int -> int
 
 val edge_count_with_label : t -> int -> int
 (** n_φ of §5.3: the number of edges of H with label φ (0 for a label no
-    edge carries). One table lookup. *)
+    edge carries). One hash lookup of φ's class index. *)
 
 val pairs_covered : t -> int -> int
 (** [pairs_covered t e] — Claim 5.8: the number of cut pairs of H covered
     by the outside edge [e] (not in H), namely
     Σ_φ n_{φ,e}·(n_φ − n_{φ,e}) over the labels φ of the tree edges on
-    [e]'s fundamental path. It walks that path once, counting n_{φ,e} by
-    sorting the path's labels, and reads each n_φ from the class table:
-    O(|path| log |path|) per call, nothing proportional to |H|. Calls
-    share no mutable state. Raises [Invalid_argument] if [e] is in H. *)
+    [e]'s fundamental path. It climbs that path once from both ends, the
+    deeper end first, until they meet, so it needs no LCA query. It
+    keeps the class indices of the classes of two edges or more (a class
+    of one adds 1·(1 − 1) = 0), sorts them as ints to count n_{φ,e}
+    (insertion sort for up to 16, a heap sort beyond), and reads each
+    n_φ from the class array: O(|path|) for the climb plus
+    O(p log p) for the p indices kept, nothing proportional to |H| and
+    no hashing. Calls share no mutable state. Raises [Invalid_argument]
+    if [e] is in H. *)
 
 val is_two_edge_connected : t -> bool
 (** No tree edge labelled 0 — iff H is 2-edge-connected (one-sided:
@@ -80,8 +88,8 @@ val is_two_edge_connected : t -> bool
 
 val is_three_edge_connected : t -> bool
 (** Claim 5.10: n_{φ(t)} = 1 for every tree edge t, read from the same
-    class table as {!pairs_covered}. One-sided: a cut pair is always
-    detected. *)
+    per-vertex classes as {!pairs_covered}: O(n). One-sided: a cut pair
+    is always detected. *)
 
 val pp : Format.formatter -> t -> unit
 (** Per-edge labels in hex plus the cut-pair classes — the rendering used

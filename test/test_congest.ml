@@ -171,7 +171,12 @@ let engine_tests =
             Network.init = (fun _ -> ());
             step =
               (fun ~round v () _ out ->
-                if round = 0 && v = 0 then Network.post1 out ~edge:0 1;
+                if round = 0 && v = 0 then begin
+                  (* a collection inside a pass, which a span reading
+                     Gc.quick_stat would count *)
+                  Gc.minor ();
+                  Network.post1 out ~edge:0 1
+                end;
                 `Idle);
           }
         in
@@ -183,7 +188,17 @@ let engine_tests =
           [ ("engine/deliver", 2); ("engine/step", 2) ]
           (List.map
              (fun s -> (s.Kecss_obs.Prof.name, s.Kecss_obs.Prof.calls))
-             (Kecss_obs.Prof.stats prof)));
+             (Kecss_obs.Prof.stats prof));
+        (* a pass reads the clock and the minor-words pointer only, not
+           Gc.quick_stat, so it counts no promoted words or collections *)
+        List.iter
+          (fun s ->
+            let gc = s.Kecss_obs.Prof.gc in
+            check_is s.Kecss_obs.Prof.name
+              (gc.Kecss_obs.Prof.promoted_words = 0.0
+              && gc.Kecss_obs.Prof.major_collections = 0
+              && gc.Kecss_obs.Prof.minor_collections = 0))
+          (Kecss_obs.Prof.stats prof));
   ]
 
 (* ---------- primitives ---------- *)
