@@ -21,7 +21,7 @@
     post through the outbox and read their mail in place. {!exchange}
     is a list view over it, posting [send list]s and returning inbox
     lists, kept for callers that want values (the benchmark's
-    per-primitive probe, tests, examples); no solver uses it. *)
+    per-primitive probe, tests, examples); no library module calls it. *)
 
 open Kecss_graph
 
