@@ -15,10 +15,7 @@ type t = {
   h_mask : Bitset.t;
   bits : int;
   label : int array; (* by edge id; -1 outside h_mask *)
-  index : int Classes.t; (* label φ → its class index *)
   size : int array; (* class index → n_φ, the number of H edges labelled φ *)
-  parent : int array; (* the tree's parents, depths *)
-  depth : int array;
   up : int array;
       (* by vertex: the class index of its parent edge when that class
          holds two edges or more, else -1 (the root, and classes of one,
@@ -60,17 +57,7 @@ let finish tree ~h_mask ~bits label =
         let pe = Rooted_tree.parent_edge tree v in
         if pe >= 0 && size.(cls.(pe)) > 1 then cls.(pe) else -1)
   in
-  {
-    tree;
-    h_mask;
-    bits;
-    label;
-    index;
-    size;
-    parent = Array.init n (Rooted_tree.parent tree);
-    depth = Array.init n (Rooted_tree.depth tree);
-    up;
-  }
+  { tree; h_mask; bits; label; size; up }
 
 let compute ?(bits = default_bits) rng tree ~h_mask =
   check_args tree ~h_mask bits;
@@ -142,7 +129,7 @@ let cut_pairs t =
   |> List.sort compare
 
 let edge_count_with_label t phi =
-  match Classes.find_opt t.index phi with Some c -> t.size.(c) | None -> 0
+  Bitset.fold (fun id acc -> if t.label.(id) = phi then acc + 1 else acc) t.h_mask 0
 
 let tree_edge_count_with_label t phi =
   Bitset.fold
@@ -151,13 +138,12 @@ let tree_edge_count_with_label t phi =
       else acc)
     t.h_mask 0
 
-(* paths of at most this many shared classes are insertion-sorted *)
-let insertion_max = 16
-
 let pairs_covered t e =
   if Bitset.mem t.h_mask e then invalid_arg "Labels.pairs_covered: edge in H";
   let g = Rooted_tree.graph t.tree in
-  let parent = t.parent and depth = t.depth and up = t.up in
+  let parent = Rooted_tree.parents t.tree
+  and depth = Rooted_tree.depths t.tree
+  and up = t.up in
   (* the classes of e's fundamental path that hold two edges or more,
      climbing the deeper end until both ends meet at their LCA; the
      array is made at the first such class, with room for the rest of
@@ -174,28 +160,11 @@ let pairs_covered t e =
     end;
     if z = !x then x := parent.(z) else y := parent.(z)
   done;
-  let len = !len in
-  (* sorted, each class forms one run of length n_{φ,e} *)
-  let path =
-    if len <= insertion_max then begin
-      let p = !path in
-      for i = 1 to len - 1 do
-        let c = p.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && p.(!j) > c do
-          p.(!j + 1) <- p.(!j);
-          decr j
-        done;
-        p.(!j + 1) <- c
-      done;
-      p
-    end
-    else begin
-      let p = Array.sub !path 0 len in
-      Array.sort Int.compare p;
-      p
-    end
-  in
+  (* sorted, each class forms one run of length n_{φ,e}; stable_sort
+     insertion-sorts the short paths most candidates have *)
+  let path = Array.sub !path 0 !len in
+  Array.stable_sort Int.compare path;
+  let len = Array.length path in
   let total = ref 0 and i = ref 0 in
   while !i < len do
     let c = path.(!i) in

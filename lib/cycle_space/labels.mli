@@ -24,8 +24,8 @@ type t
     iteration — each edge of H is hashed once to give its label a dense
     class index, and n_φ (the number of edges of H labelled φ) is kept
     in an int array by that index, beside each vertex's class of its
-    parent edge. {!edge_count_with_label}, {!pairs_covered} and
-    {!is_three_edge_connected} all read those arrays. *)
+    parent edge. {!pairs_covered} and {!is_three_edge_connected} read
+    those arrays. *)
 
 val default_bits : int
 (** 60 — far beyond the O(log n) needed for w.h.p. correctness at any
@@ -66,7 +66,7 @@ val tree_edge_count_with_label : t -> int -> int
 
 val edge_count_with_label : t -> int -> int
 (** n_φ of §5.3: the number of edges of H with label φ (0 for a label no
-    edge carries). One hash lookup of φ's class index. *)
+    edge carries). One pass over H. *)
 
 val pairs_covered : t -> int -> int
 (** [pairs_covered t e] — Claim 5.8: the number of cut pairs of H covered
@@ -76,8 +76,8 @@ val pairs_covered : t -> int -> int
     deeper end first, until they meet, so it needs no LCA query. It
     keeps the class indices of the classes of two edges or more (a class
     of one adds 1·(1 − 1) = 0), sorts them as ints to count n_{φ,e}
-    (insertion sort for up to 16, a heap sort beyond), and reads each
-    n_φ from the class array: O(|path|) for the climb plus
+    ([Array.stable_sort], which insertion-sorts short arrays), and reads
+    each n_φ from the class array: O(|path|) for the climb plus
     O(p log p) for the p indices kept, nothing proportional to |H| and
     no hashing. Calls share no mutable state. Raises [Invalid_argument]
     if [e] is in H. *)

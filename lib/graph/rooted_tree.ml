@@ -92,6 +92,8 @@ let root t = t.root
 let parent t v = t.parent.(v)
 let parent_edge t v = t.parent_edge.(v)
 let depth t v = t.depth.(v)
+let parents t = t.parent
+let depths t = t.depth
 let height t = Array.fold_left max 0 t.depth
 let children t v = t.children.(v)
 let preorder t = t.preorder

@@ -33,6 +33,13 @@ val parent_edge : t -> int -> int
 (** Edge id to the parent, [-1] for the root. *)
 
 val depth : t -> int -> int
+
+val parents : t -> int array
+(** Every vertex's parent, [-1] for the root. Do not mutate. *)
+
+val depths : t -> int array
+(** Every vertex's depth. Do not mutate. *)
+
 val height : t -> int
 (** Maximum depth. *)
 
