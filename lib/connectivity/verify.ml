@@ -9,16 +9,20 @@ type report = {
   ok : bool;
 }
 
+(* min(λ, upper) of a connected subgraph *)
+let connected_lambda ~mask g ~upper =
+  if upper >= 3 && upper <= 4 && Graph.n g >= 2 then
+    (* the census is exact whatever the labels draw, so any seed does *)
+    Min_cut_enum.lambda_upto ~mask ~rng:(Rng.create ~seed:1) g ~upper
+  else Edge_connectivity.lambda ~mask ~upper g
+
+let lambda_upto ~mask g ~upper =
+  if Graph.is_connected ~mask g then connected_lambda ~mask g ~upper else 0
+
 let make_report ?cap g mask ~k ~weight_mask =
   let spanning = Graph.is_connected ~mask g in
   let upper = match cap with None -> k + 1 | Some c -> max c k in
-  let connectivity =
-    if not spanning then 0
-    else if upper >= 3 && upper <= 4 && Graph.n g >= 2 then
-      (* the census is exact whatever the labels draw, so any seed does *)
-      Min_cut_enum.lambda_upto ~mask ~rng:(Rng.create ~seed:1) g ~upper
-    else Edge_connectivity.lambda ~mask ~upper g
-  in
+  let connectivity = if spanning then connected_lambda ~mask g ~upper else 0 in
   {
     spanning;
     connectivity;

@@ -12,6 +12,12 @@ type report = {
   ok : bool;             (** spanning ∧ connectivity ≥ required *)
 }
 
+val lambda_upto : mask:Bitset.t -> Graph.t -> upper:int -> int
+(** [lambda_upto ~mask g ~upper] is min(λ, [upper]) of the subgraph
+    [mask] of [g], 0 when it is disconnected — the [connectivity] of
+    {!check_kecss}'s report, by the oracles described there. The census
+    draws its labels from a fixed seed, so no caller's rng moves. *)
+
 val check_kecss : ?cap:int -> Graph.t -> Bitset.t -> k:int -> report
 (** [check_kecss g sol ~k] verifies that the edge set [sol] is a spanning
     k-edge-connected subgraph of [g] and reports its cost. By default λ

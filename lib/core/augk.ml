@@ -93,16 +93,9 @@ let augment ?config ledger rng ~bfs_forest g ~h ~k =
   let n = Graph.n g in
   let m = Graph.m g in
   let config = match config with Some c -> c | None -> default_config n in
-  (* min(λ(H), k), once: from the census at k = 3 and 4 (exact whatever
-     its labels draw, so a fixed seed leaves the solver's rng alone),
-     from the capped max-flow otherwise *)
-  let lam =
-    if k >= 3 && k <= 4 && n >= 2 then
-      if Graph.is_connected ~mask:h g then
-        Min_cut_enum.lambda_upto ~mask:h ~rng:(Rng.create ~seed:1) g ~upper:k
-      else 0
-    else Edge_connectivity.lambda ~mask:h ~upper:k g
-  in
+  (* min(λ(H), k), once, by Verify's oracles (the census at k = 3 and 4,
+     on its own fixed seed, so the solver's rng does not move) *)
+  let lam = Verify.lambda_upto ~mask:h g ~upper:k in
   if lam >= k then
     {
       augmentation = Graph.no_edges_mask g;
