@@ -112,15 +112,14 @@ let oracle_tests =
              Labels.cut_pairs (build g) = truth));
     qcheck
       (QCheck.Test.make ~name:"pairs_covered equals the exact count (Claim 5.8)"
-         ~count:30
+         ~count:40
          QCheck.(triple (int_bound 100_000) (int_range 8 16) (int_bound 3))
          (fun (seed, n, shape) ->
            let rng = Rng.create ~seed in
            (* a shallow BFS tree; the BFS tree of the ring 0..n−1 inside a
               circulant (depth n/2); the MST that §5.4 labels; or the path
               0–1–…–(n−1) inside that circulant (depth n − 1), on 24 to 48
-              vertices so that paths share more classes than insertion
-              sort takes *)
+              vertices so that paths keep many classes to sort *)
            let n = if shape = 3 then 3 * n else n in
            let along_ring g parent =
              let up v =
