@@ -771,7 +771,66 @@ type scale_row = {
   sc_rounds : int;
   sc_messages : int;
   sc_edges : int; (* solution edges *)
+  sc_prims : prim_row list; (* each primitive run alone on the graph *)
 }
+
+(* one CONGEST primitive run alone on a scale graph: its message count
+   (deterministic) and the median wall-clock of three runs per message *)
+and prim_row = { pr_name : string; pr_messages : int; pr_ns_per_msg : float }
+
+(* The primitives that carry an unweighted 2-ECSS solve, each on the
+   solve's own BFS tree and with the solve's own payloads: the BFS flood,
+   the root-path pipeline, the §5.3 path exchange across non-tree edges
+   and the two waves. *)
+let scale_primitives g =
+  let tree = Rooted_tree.bfs_tree g ~root:0 in
+  let forest = Forest.of_rooted_tree tree in
+  let depth = Rooted_tree.depth tree in
+  let runs =
+    [
+      ("bfs", fun l -> ignore (Prim.bfs_tree l g ~root:0));
+      ( "down_pipeline",
+        fun l ->
+          ignore
+            (Prim.down_pipeline ~record:false l forest ~emit:(fun v ->
+                 let pe = Rooted_tree.parent_edge tree v in
+                 if pe < 0 then [] else [ [| pe |] ])) );
+      ( "edge_stream",
+        fun l ->
+          Prim.edge_stream l g ~lengths:(fun e ->
+              if Rooted_tree.is_tree_edge tree e then 0
+              else 1 + min (depth (Graph.edge_u g e)) (depth (Graph.edge_v g e)))
+      );
+      ( "wave_up",
+        fun l ->
+          ignore
+            (Prim.wave_up l forest ~value:(fun _ kids ->
+                 [| List.fold_left (fun acc k -> acc + k.(0)) 1 kids |])) );
+      ( "wave_down",
+        fun l ->
+          ignore
+            (Prim.wave_down l forest
+               ~root_value:(fun _ -> [| 0 |])
+               ~derive:(fun _ ~parent_value -> [| parent_value.(0) + 1 |])) );
+    ]
+  in
+  List.map
+    (fun (name, run) ->
+      let once () =
+        let l = Rounds.create () in
+        let t0 = Kecss_obs.Prof.now_ns () in
+        run l;
+        (Kecss_obs.Prof.now_ns () -. t0, Rounds.total_messages l)
+      in
+      let samples = List.init 3 (fun _ -> once ()) in
+      let messages = snd (List.hd samples) in
+      let ns = List.sort compare (List.map fst samples) in
+      {
+        pr_name = name;
+        pr_messages = messages;
+        pr_ns_per_msg = List.nth ns 1 /. float_of_int (max 1 messages);
+      })
+    runs
 
 (* Each sweep size runs the whole million-vertex pipeline once:
    generate -> binary encode/decode (checked against the text codec) ->
@@ -831,6 +890,7 @@ let run_scale_tier ~ns =
         sc_rounds = Rounds.total ledger;
         sc_messages = Rounds.total_messages ledger;
         sc_edges = Bitset.cardinal h;
+        sc_prims = scale_primitives g;
       })
     ns
 
@@ -861,6 +921,17 @@ let print_scale_tier rows =
     Printf.printf "# binary decode vs text parse at n=%d: %.1fx\n" r.sc_n
       (r.sc_parse_ns /. r.sc_decode_ns)
   | _ -> ());
+  print_newline ();
+  print_endline "# each primitive alone on the solve's BFS tree (median of 3)";
+  Printf.printf "%8s %-14s %10s %10s\n" "n" "primitive" "messages" "ns/msg";
+  List.iter
+    (fun r ->
+      List.iter
+        (fun p ->
+          Printf.printf "%8d %-14s %10d %10.1f\n" r.sc_n p.pr_name
+            p.pr_messages p.pr_ns_per_msg)
+        r.sc_prims)
+    rows;
   flush stdout
 
 let scale_json rows =
@@ -882,13 +953,25 @@ let scale_json rows =
              ("rounds", Obs.Json.Int r.sc_rounds);
              ("messages", Obs.Json.Int r.sc_messages);
              ("solution_edges", Obs.Json.Int r.sc_edges);
+             ( "primitives",
+               Obs.Json.List
+                 (List.map
+                    (fun p ->
+                      Obs.Json.Obj
+                        [
+                          ("name", Obs.Json.Str p.pr_name);
+                          ("messages", Obs.Json.Int p.pr_messages);
+                          ("ns_per_msg", Obs.Json.Float p.pr_ns_per_msg);
+                        ])
+                    r.sc_prims) );
            ])
        rows)
 
 (* growth-is-bad rows, so History.compare's REGRESSION judgement applies
-   directly; rounds/messages/alloc-words/arena-words are deterministic at
-   jobs = 1 and gate CI (the arenas are off the heap, so only their own
-   row sees them grow), the ns rows are wall-clock and only tracked
+   directly; rounds/messages/alloc-words/arena-words and each primitive's
+   messages are deterministic at jobs = 1 and gate CI (the arenas are off
+   the heap, so only their own row sees them grow), the ns rows (the
+   primitives' ns per message too) are wall-clock and only tracked
    locally like the micros (CI runs --no-micro, which drops them here
    too) *)
 let scale_history_rows ~wallclock rows =
@@ -911,7 +994,20 @@ let scale_history_rows ~wallclock rows =
             float_of_int r.sc_rounds );
           ( Printf.sprintf "scale/solve-n%d-messages" r.sc_n,
             float_of_int r.sc_messages );
-        ])
+        ]
+      @ List.concat_map
+          (fun p ->
+            (if wallclock then
+               [
+                 ( Printf.sprintf "scale/%s-n%d-ns-per-msg" p.pr_name r.sc_n,
+                   p.pr_ns_per_msg );
+               ]
+             else [])
+            @ [
+                ( Printf.sprintf "scale/%s-n%d-messages" p.pr_name r.sc_n,
+                  float_of_int p.pr_messages );
+              ])
+          r.sc_prims)
     rows
 
 (* ------------------------------------------------------------------ *)
