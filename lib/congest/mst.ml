@@ -136,7 +136,7 @@ let part1 ledger rng g ~cap ~bfs_forest =
           |]
         in
         for i = 0 to Graph.degree g v - 1 do
-          Network.post out ~edge:(Graph.adj_eid_at g v i) payload
+          Network.post_port out ~port:i payload
         done)
       ~read:(fun v mail -> read_moe c g ~own:st.fid.(v) v mail);
     let moes =
@@ -223,7 +223,7 @@ let part2 ledger g ~bfs_forest (st : part1) =
     Prim.exchange_in_place ledger g
       ~post:(fun v out ->
         for i = 0 to Graph.degree g v - 1 do
-          Network.post1 out ~edge:(Graph.adj_eid_at g v i) fid.(v)
+          Network.post1_port out ~port:i fid.(v)
         done)
       ~read:(fun v mail -> read_moe c g ~own:fid.(v) v mail);
     let emit v =

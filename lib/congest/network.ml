@@ -49,11 +49,12 @@ type hook = {
 (* ---------- the message plane ---------- *)
 
 (* One pass's messages as a struct of arrays: slot [s] is a message on
-   edge [edge.{s}] from [src.{s}] whose [len.{s}] payload words sit at
-   [words.{off.{s}}]. A delivery threads its slot onto the receiver's
-   chain through [next] (and records its causal id in [id]). Slots and
-   words only ever grow, so after a few runs a domain's arenas hold the
-   largest pass it has seen and a pass allocates nothing.
+   edge [edge.{s}] from [src.{s}] to [dst.{s}] whose [len.{s}] payload
+   words sit at [words.{off.{s}}]. A delivery threads its slot onto the
+   receiver's chain through [next] (and records its causal id in
+   [id]). Slots and words only ever grow, so after a few runs a domain's
+   arenas hold the largest pass it has seen and a pass allocates
+   nothing.
 
    The arrays are bigarrays, outside the OCaml heap: the collector never
    scans them, and an arena that stays live across runs does not slow
@@ -72,6 +73,7 @@ type arena = {
   mutable slots : int;
   mutable edge : ints;
   mutable src : ints;
+  mutable dst : ints;
   mutable off : ints;
   mutable len : ints;
   mutable next : ints;
@@ -85,6 +87,7 @@ let arena () =
     slots = 0;
     edge = ints 0;
     src = ints 0;
+    dst = ints 0;
     off = ints 0;
     len = ints 0;
     next = ints 0;
@@ -98,6 +101,7 @@ let grow_slots a =
   let ext x = extend x ~keep:a.slots cap in
   a.edge <- ext a.edge;
   a.src <- ext a.src;
+  a.dst <- ext a.dst;
   a.off <- ext a.off;
   a.len <- ext a.len;
   a.next <- ext a.next;
@@ -110,12 +114,13 @@ let[@inline] set (a : ints) i x = Bigarray.Array1.unsafe_set a i x
    words go to, which has room for them. An oversized payload is refused
    at delivery, before anything reads it, so its words are never stored.
    The engine's own accesses below a checked capacity are unchecked. *)
-let[@inline] reserve a ~src ~edge ~len =
+let[@inline] reserve a ~src ~edge ~dst ~len =
   if a.slots = Bigarray.Array1.dim a.edge then grow_slots a;
   let s = a.slots in
   a.slots <- s + 1;
   set a.edge s edge;
   set a.src s src;
+  set a.dst s dst;
   set a.len s len;
   let o = a.used in
   set a.off s o;
@@ -128,13 +133,20 @@ let[@inline] reserve a ~src ~edge ~len =
 
 (* The run's view of the plane: the arena being read (mail delivered
    last pass) and the one being written (this pass's sends), the
-   stepping vertex and the first message of its chain. A program's step
-   gets it twice, as its [mail] and as its [outbox]. *)
+   stepping vertex, the first message of its chain, and its adjacency
+   row: [deg] ports from position [lo] of the graph's CSR arrays [nbr]
+   and [eid]. A program's step gets it twice, as its [mail] and as its
+   [outbox]. *)
 type io = {
+  g : Graph.t;
+  nbr : int array;
+  eid : int array;
   mutable inbox : arena;
   mutable outbox : arena;
   mutable v : int;
   mutable head : int;
+  mutable lo : int;
+  mutable deg : int;
 }
 
 type mail = io
@@ -203,32 +215,90 @@ module Mail = struct
   let to_inbox m = chain m.inbox m.head
 end
 
-let post_sub o ~edge src ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Array.length src then
-    invalid_arg "Network.post_sub";
-  let a = o.outbox in
-  let at = reserve a ~src:o.v ~edge ~len in
+(* Two ways to fill a slot. A port post reads the edge and the far end
+   from the sender's own adjacency row, checked against its degree, and
+   makes no call outside this module; an edge post resolves the far end
+   with [Graph.other_end]. Either way the destination is stored in the
+   slot, so the delivery pass never looks an edge up. *)
+
+let bad_port o port =
+  invalid_arg
+    (Printf.sprintf "Network: port %d outside [0, %d) at vertex %d" port o.deg
+       o.v)
+
+let[@inline] port_slot o ~port ~len =
+  if port < 0 || port >= o.deg then bad_port o port;
+  let i = o.lo + port in
+  reserve o.outbox ~src:o.v ~edge:(Array.unsafe_get o.eid i)
+    ~dst:(Array.unsafe_get o.nbr i) ~len
+
+let edge_slot o ~edge ~len =
+  let dst =
+    match Graph.other_end o.g edge o.v with
+    | d -> d
+    | exception Invalid_argument _ ->
+      invalid_arg
+        (Printf.sprintf "Network: edge %d is not incident to vertex %d" edge
+           o.v)
+  in
+  reserve o.outbox ~src:o.v ~edge ~dst ~len
+
+(* the payload copies: [at] has room for [len] words unless the message
+   is oversized, which delivery refuses before anything reads it *)
+let[@inline] copy_in a ~at src ~pos ~len =
   if len <= cap_words then
     for i = 0 to len - 1 do
       set a.words (at + i) (Array.unsafe_get src (pos + i))
     done
 
-let post o ~edge payload =
-  post_sub o ~edge payload ~pos:0 ~len:(Array.length payload)
-
-let post1 o ~edge w =
-  let a = o.outbox in
-  let at = reserve a ~src:o.v ~edge ~len:1 in
-  set a.words at w
-
-let forward o ~edge m s =
-  let a = o.outbox and b = Mail.arena m s in
-  let len = get b.len s in
-  let at = reserve a ~src:o.v ~edge ~len in
+let[@inline] copy_mail a ~at m s =
+  let b = Mail.arena m s in
   let from = get b.off s in
-  for i = 0 to len - 1 do
+  for i = 0 to get b.len s - 1 do
     set a.words (at + i) (get b.words (from + i))
   done
+
+let check_sub src ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length src then
+    invalid_arg "Network.post_sub"
+
+(* each takes its slot first: reserving may grow the words array *)
+
+let post_sub o ~edge src ~pos ~len =
+  check_sub src ~pos ~len;
+  let at = edge_slot o ~edge ~len in
+  copy_in o.outbox ~at src ~pos ~len
+
+let post o ~edge payload =
+  let len = Array.length payload in
+  let at = edge_slot o ~edge ~len in
+  copy_in o.outbox ~at payload ~pos:0 ~len
+
+let post1 o ~edge w =
+  let at = edge_slot o ~edge ~len:1 in
+  set o.outbox.words at w
+
+let forward o ~edge m s =
+  let at = edge_slot o ~edge ~len:(Mail.length m s) in
+  copy_mail o.outbox ~at m s
+
+let post_sub_port o ~port src ~pos ~len =
+  check_sub src ~pos ~len;
+  let at = port_slot o ~port ~len in
+  copy_in o.outbox ~at src ~pos ~len
+
+let post_port o ~port payload =
+  let len = Array.length payload in
+  let at = port_slot o ~port ~len in
+  copy_in o.outbox ~at payload ~pos:0 ~len
+
+let post1_port o ~port w =
+  let at = port_slot o ~port ~len:1 in
+  set o.outbox.words at w
+
+let forward_port o ~port m s =
+  let at = port_slot o ~port ~len:(Mail.length m s) in
+  copy_mail o.outbox ~at m s
 
 (* Each domain keeps one pair of arenas across runs. A run that starts
    while another holds the pair (a step that runs the engine) gets a
@@ -238,8 +308,8 @@ type plane = { mutable a : arena; mutable b : arena; mutable busy : bool }
 let plane_key =
   Domain.DLS.new_key (fun () -> { a = arena (); b = arena (); busy = false })
 
-(* six slot arrays and the payload words *)
-let capacity a = (6 * Bigarray.Array1.dim a.edge) + Bigarray.Array1.dim a.words
+(* seven slot arrays and the payload words *)
+let capacity a = (7 * Bigarray.Array1.dim a.edge) + Bigarray.Array1.dim a.words
 
 let arena_words () =
   let plane = Domain.DLS.get plane_key in
@@ -262,7 +332,8 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
     match max_rounds with Some r -> r | None -> (16 * n) + 10_000
   in
   let states = Array.init n p.init in
-  let io = { inbox; outbox; v = -1; head = -1 } in
+  let adj_off, nbr, eid = Graph.adjacency g in
+  let io = { g; nbr; eid; inbox; outbox; v = -1; head = -1; lo = 0; deg = 0 } in
   (* no handle names a message before the first delivery, not even a
      slot an earlier run left in this arena *)
   inbox.slots <- 0;
@@ -334,6 +405,7 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
     a.slots <- c + 1;
     set a.edge c (get a.edge s);
     set a.src c (get a.src s);
+    set a.dst c (get a.dst s);
     set a.off c (get a.off s);
     set a.len c (get a.len s);
     c
@@ -360,6 +432,8 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
           if cobs then parent_ids.(v) <- chain_ids io.inbox heads.(v);
           io.v <- v;
           io.head <- heads.(v);
+          io.lo <- adj_off.(v);
+          io.deg <- adj_off.(v + 1) - io.lo;
           p.step ~round:!round v states.(v) io io = `Active
         end
         else begin
@@ -381,9 +455,9 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
     in_flight := 0;
     let a = io.outbox in
     let sent = a.slots in
-    (* slots below [sent] keep their sender, edge and length even if a
-       replica grows the arena's arrays *)
-    let srcs = a.src and edges = a.edge and lens = a.len in
+    (* slots below [sent] keep their sender, edge, destination and
+       length even if a replica grows the arena's arrays *)
+    let srcs = a.src and edges = a.edge and dsts = a.dst and lens = a.len in
     let sender = ref (-1) and stamp = ref 0 and group = ref 0 in
     for s = 0 to sent - 1 do
       let v = get srcs s in
@@ -403,7 +477,7 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
       if used_stamp.(edge) = !stamp then
         raise (Duplicate_send { vertex = v; edge });
       used_stamp.(edge) <- !stamp;
-      let dst = Graph.other_end g edge v in
+      let dst = get dsts s in
       let id =
         if obs then
           Probe.on_send probe ~src:v ~dst ~edge ~word:(first_word a s)
@@ -437,7 +511,7 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
       List.iter
         (fun (_, dst, edge, payload, id) ->
           let len = Array.length payload in
-          let at = reserve a ~src:(-1) ~edge ~len in
+          let at = reserve a ~src:(-1) ~edge ~dst ~len in
           Array.iteri (fun i w -> a.words.{at + i} <- w) payload;
           deliver dst (a.slots - 1) id)
         due;

@@ -84,15 +84,17 @@ type hook = {
 (** {1 The message plane}
 
     Messages live in a flat arena, not in per-message heap objects: a
-    send is a slot (edge id, word offset, length) plus its payload words
-    in parallel flat int arrays, and a delivery threads the slot onto the
-    receiver's chain. Each domain keeps two arenas across runs, one for
-    the mail being read and one for the sends being written, swapped
-    every pass and grown on demand, so once they have reached a run's
-    largest pass the engine allocates nothing per message. The arrays
-    are bigarrays, outside the OCaml heap: the collector never scans
-    them, and their memory shows in the process's resident size, not in
-    [Gc] heap or allocation counters.
+    send is a slot (edge id, sender, destination, word offset, length)
+    plus its payload words in parallel flat int arrays, and a delivery
+    threads the slot onto the receiver's chain. The destination is
+    resolved when the message is posted and stored in its slot, so the
+    delivery pass never looks an edge up in the graph. Each domain keeps
+    two arenas across runs, one for the mail being read and one for the
+    sends being written, swapped every pass and grown on demand, so once
+    they have reached a run's largest pass the engine allocates nothing
+    per message. The arrays are bigarrays, outside the OCaml heap: the
+    collector never scans them, and their memory shows in the process's
+    resident size, not in [Gc] heap or allocation counters.
 
     Delivery order: the sends of a pass are checked and delivered after
     the whole step pass, in ascending sender order and each sender's
@@ -107,11 +109,11 @@ type hook = {
     next one. *)
 
 val arena_words : unit -> int
-(** The capacity of the calling domain's two arenas, in words: six per
-    message slot (edge, sender, offset, length, chain link, causal id)
-    plus the payload words. It follows the largest pass the domain has
-    run since its arenas were made, rounded up by their growth, and no
-    [Gc] counter sees it. *)
+(** The capacity of the calling domain's two arenas, in words: seven
+    per message slot (edge, sender, destination, offset, length, chain
+    link, causal id) plus the payload words. It follows the largest pass
+    the domain has run since its arenas were made, rounded up by their
+    growth, and no [Gc] counter sees it. *)
 
 val release_arenas : unit -> unit
 (** Drops the calling domain's arenas, so its next run starts from empty
@@ -166,7 +168,25 @@ type outbox
     Sends are checked and delivered after the whole step pass: the size
     and duplicate checks, the counts, the hook's [fate] and the probe's
     send and receive events see the senders in ascending order and each
-    sender's messages in the order it posted them. *)
+    sender's messages in the order it posted them.
+
+    A send names its link in one of two ways, which fill the same slot
+    and are delivered alike:
+    - by {e port}, the vertex's own index [i] into its adjacency row
+      ([0 <= i < Graph.degree g v], the [i]-th entry of
+      {!Kecss_graph.Graph.adjacency}, in ascending edge-id order): the
+      way a CONGEST vertex knows its links. The engine reads the edge
+      and the neighbour from that row, with no call outside the engine.
+      A port outside [[0, degree)] raises
+      [Invalid_argument "Network: port P outside [0, D) at vertex V"]
+      at the post;
+    - by edge id, resolving the neighbour with
+      {!Kecss_graph.Graph.other_end} at the post. An edge not incident
+      to the sender (or no edge at all) raises
+      [Invalid_argument "Network: edge E is not incident to vertex V"]
+      at the post.
+
+    The size and duplicate-send checks stay with the delivery pass. *)
 
 val post : outbox -> edge:int -> int array -> unit
 (** [post o ~edge payload] sends [payload] on [edge] this pass. *)
@@ -181,6 +201,19 @@ val post_sub : outbox -> edge:int -> int array -> pos:int -> len:int -> unit
 val forward : outbox -> edge:int -> mail -> int -> unit
 (** [forward o ~edge m msg] posts a received message's payload as is,
     copying it from arena to arena. *)
+
+val post_port : outbox -> port:int -> int array -> unit
+(** {!post} on the stepping vertex's port [port]. *)
+
+val post1_port : outbox -> port:int -> int -> unit
+(** {!post1} on a port. *)
+
+val post_sub_port :
+  outbox -> port:int -> int array -> pos:int -> len:int -> unit
+(** {!post_sub} on a port. *)
+
+val forward_port : outbox -> port:int -> mail -> int -> unit
+(** {!forward} on a port. *)
 
 type 's program = {
   init : int -> 's;

@@ -18,22 +18,23 @@ let engine ledger ~category g program =
 module Mail = Network.Mail
 
 (* Steps walk their mail with a loop over [Mail.first]/[Mail.next] and
-   post through the helpers below, so a step allocates no closure. *)
+   post through the helpers below, so a step allocates no closure. Every
+   program but the exchange's list view posts by port: to a forest
+   parent or child through the ports the forest holds, and across graph
+   edges by its own adjacency row. *)
 
-(* words [pos .. pos + len - 1] of [buf] to each of [children] in [f],
-   in child order *)
-let rec post_children out (f : Forest.t) buf ~pos ~len = function
-  | [] -> ()
-  | c :: cs ->
-    Network.post_sub out ~edge:f.Forest.parent_edge.(c) buf ~pos ~len;
-    post_children out f buf ~pos ~len cs
+(* words [pos .. pos + len - 1] of [buf] to each child of [v], in child
+   order *)
+let post_children out (f : Forest.t) v buf ~pos ~len =
+  for j = f.child_off.(v) to f.child_off.(v + 1) - 1 do
+    Network.post_sub_port out ~port:f.child_port.(j) buf ~pos ~len
+  done
 
-(* received message [m] to each of [children], in child order *)
-let rec forward_children out (f : Forest.t) inbox m = function
-  | [] -> ()
-  | c :: cs ->
-    Network.forward out ~edge:f.Forest.parent_edge.(c) inbox m;
-    forward_children out f inbox m cs
+(* received message [m] to each child of [v], in child order *)
+let forward_children out (f : Forest.t) v inbox m =
+  for j = f.child_off.(v) to f.child_off.(v + 1) - 1 do
+    Network.forward_port out ~port:f.child_port.(j) inbox m
+  done
 
 (* each of [sends], in list order *)
 let rec post_sends out = function
@@ -52,15 +53,16 @@ let bfs_tree ledger g ~root =
   if not (Graph.is_connected g) then
     invalid_arg "Prim.bfs_tree: disconnected graph";
   Kecss_obs.Trace.span (Rounds.trace ledger) "bfs" @@ fun () ->
+  let off, _, eid = Graph.adjacency g in
   let program : bfs_state Network.program =
     {
       init = (fun v -> { parent_edge = -1; joined = v = root });
       step =
         (fun ~round v st inbox out ->
           if v = root && round = 0 then begin
-            (* flood the join token on every incident edge *)
-            for i = 0 to Graph.degree g v - 1 do
-              Network.post1 out ~edge:(Graph.adj_eid_at g v i) 0
+            (* flood the join token on every port *)
+            for i = 0 to off.(v + 1) - off.(v) - 1 do
+              Network.post1_port out ~port:i 0
             done;
             `Idle
           end
@@ -73,9 +75,9 @@ let bfs_tree ledger g ~root =
             done;
             st.parent_edge <- !best;
             st.joined <- true;
-            for i = 0 to Graph.degree g v - 1 do
-              let id = Graph.adj_eid_at g v i in
-              if id <> !best then Network.post1 out ~edge:id 0
+            let lo = off.(v) in
+            for k = lo to off.(v + 1) - 1 do
+              if eid.(k) <> !best then Network.post1_port out ~port:(k - lo) 0
             done;
             `Idle
           end
@@ -125,7 +127,7 @@ let wave_up ledger (f : Forest.t) ~value =
       init =
         (fun v ->
           {
-            pending = List.length f.Forest.children.(v);
+            pending = f.child_off.(v + 1) - f.child_off.(v);
             child_values = [];
             fired = false;
             value = [||];
@@ -141,8 +143,8 @@ let wave_up ledger (f : Forest.t) ~value =
           if (not st.fired) && st.pending = 0 then begin
             st.fired <- true;
             st.value <- value v st.child_values;
-            if f.Forest.parent_edge.(v) >= 0 then
-              Network.post out ~edge:f.Forest.parent_edge.(v) st.value;
+            if f.parent_port.(v) >= 0 then
+              Network.post_port out ~port:f.parent_port.(v) st.value;
             `Idle
           end
           else if st.fired then `Idle
@@ -165,8 +167,7 @@ let wave_down ledger (f : Forest.t) ~root_value ~derive =
           if round = 0 && f.Forest.parent.(v) < 0 then begin
             st.value <- root_value v;
             st.have <- true;
-            post_children out f st.value ~pos:0
-              ~len:(Array.length st.value) f.Forest.children.(v);
+            post_children out f v st.value ~pos:0 ~len:(Array.length st.value);
             `Idle
           end
           else
@@ -175,8 +176,8 @@ let wave_down ledger (f : Forest.t) ~root_value ~derive =
             if m >= 0 && Mail.next inbox m < 0 && not st.have then begin
               st.value <- derive v ~parent_value:(Mail.payload inbox m);
               st.have <- true;
-              post_children out f st.value ~pos:0
-                ~len:(Array.length st.value) f.Forest.children.(v);
+              post_children out f v st.value ~pos:0
+                ~len:(Array.length st.value);
               `Idle
             end
             else if st.have then `Idle
@@ -265,7 +266,7 @@ let down_pipeline ?(record = true) ledger (f : Forest.t) ~emit =
                all comes this way, ran 1.35x as long through it
                (EXPERIMENTS.md, "The flat message plane") *)
             if record then keep st inbox first;
-            forward_children out f inbox first f.Forest.children.(v);
+            forward_children out f v inbox first;
             `Idle
           end
           else begin
@@ -279,7 +280,7 @@ let down_pipeline ?(record = true) ledger (f : Forest.t) ~emit =
             else begin
               let len = st.buf.(st.head) in
               let pos = st.head + 1 in
-              post_children out f st.buf ~pos ~len f.Forest.children.(v);
+              post_children out f v st.buf ~pos ~len;
               st.head <- pos + len;
               if st.head = st.tail then begin
                 st.head <- 0;
@@ -309,20 +310,22 @@ let broadcast_list ?(record = true) ledger (f : Forest.t) ~items =
 (* ---------- per-edge bidirectional streaming ---------- *)
 
 let edge_stream ledger g ~lengths =
-  (* memoize: [lengths] may hide LCA/depth lookups and the step below
-     reads every incident edge's length every round *)
-  let len = Array.init (Graph.m g) lengths in
+  (* by port: each length once per edge end, laid out like the adjacency
+     rows, since [lengths] may hide LCA/depth lookups and the step below
+     reads its whole row every round *)
+  let off, _, eid = Graph.adjacency g in
+  let len = Array.map lengths eid in
   let program : unit Network.program =
     {
       init = (fun _ -> ());
       step =
         (fun ~round v () _ out ->
           let more = ref false in
-          for i = 0 to Graph.degree g v - 1 do
-            let id = Graph.adj_eid_at g v i in
-            let l = len.(id) in
+          let lo = off.(v) in
+          for k = lo to off.(v + 1) - 1 do
+            let l = len.(k) in
             if round < l then begin
-              Network.post1 out ~edge:id round;
+              Network.post1_port out ~port:(k - lo) round;
               if round + 1 < l then more := true
             end
           done;
@@ -345,13 +348,13 @@ let walk_up ledger (f : Forest.t) ~sources =
         (fun ~round:_ v st inbox out ->
           st.tokens <- st.tokens + Mail.count inbox;
           if st.tokens = 0 then `Idle
-          else if f.Forest.parent_edge.(v) < 0 then begin
+          else if f.parent_port.(v) < 0 then begin
             st.tokens <- 0;
             `Idle
           end
           else begin
             st.tokens <- st.tokens - 1;
-            Network.post1 out ~edge:f.Forest.parent_edge.(v) 0;
+            Network.post1_port out ~port:f.parent_port.(v) 0;
             if st.tokens = 0 then `Idle else `Active
           end);
     }
@@ -442,9 +445,11 @@ let up_pipeline_merge ledger (f : Forest.t) ~emit ~combine =
     {
       init =
         (fun v ->
+          let lo = f.child_off.(v) in
           let child_edges =
-            List.map (fun c -> f.Forest.parent_edge.(c)) f.Forest.children.(v)
-            |> Array.of_list
+            Array.init
+              (f.child_off.(v + 1) - lo)
+              (fun j -> f.parent_edge.(f.child.(lo + j)))
           in
           {
             own = check_sorted v (emit v);
@@ -486,13 +491,13 @@ let up_pipeline_merge ledger (f : Forest.t) ~emit ~combine =
             match heads st with
             | Some k ->
               let payload = pop_key st k in
-              Network.post out ~edge:f.Forest.parent_edge.(v)
+              Network.post_port out ~port:f.parent_port.(v)
                 (Array.concat [ [| 0; k |]; payload ]);
               `Active
             | None ->
               if all_drained st then begin
                 st.sent_done <- true;
-                Network.post1 out ~edge:f.Forest.parent_edge.(v) 1;
+                Network.post1_port out ~port:f.parent_port.(v) 1;
                 `Idle
               end
               else `Active

@@ -17,6 +17,14 @@
     [wave_down] copy the values they pass to [value] and [derive], and
     [down_pipeline ~record:true] copies what it records).
 
+    Every program here posts by port ({!Network.post_port}): the tree
+    primitives through the parent and child ports their {!Forest.t}
+    computed once, [bfs_tree] and [edge_stream] along each vertex's own
+    adjacency row. Children are posted to in ascending vertex order, so
+    the order of sends, and with it every inbox, ledger and export, is
+    the one an edge-addressed program gets. Only {!exchange}'s list view
+    posts by edge id, since its callers name their sends that way.
+
     There is one exchange program, {!exchange_in_place}: its callers
     post through the outbox and read their mail in place. {!exchange}
     is a list view over it, posting [send list]s and returning inbox
@@ -93,7 +101,10 @@ val edge_stream : Rounds.t -> Graph.t -> lengths:(int -> int) -> unit
 (** [edge_stream ledger g ~lengths] has both endpoints of every edge [e]
     with [lengths e > 0] stream that many one-word messages to each other,
     one per round — the "exchange the root paths over the edge" pattern of
-    §5.3 (and of TAP's case analysis). Rounds = max positive length. *)
+    §5.3 (and of TAP's case analysis). Rounds = max positive length.
+    [lengths] is called once per edge end, before the first round, into
+    an array laid out like the adjacency rows, which each vertex then
+    reads in order. *)
 
 val walk_up : Rounds.t -> Forest.t -> sources:int list -> unit
 (** A token travels from each source vertex to its tree's root along parent

@@ -67,8 +67,8 @@ let augment_core ?config ledger rng g ~tree ~h ~weight =
   while not !finished do
     (* fresh circulation of H ∪ A — the distributed O(D) wave of §5.1 *)
     let labels =
-      Labels.compute_distributed ~bits:config.bits ledger (Rng.split rng) tree
-        ~h_mask:(h_and_a ())
+      Labels.compute_distributed ~bits:config.bits ledger (Rng.split rng)
+        ~forest tree ~h_mask:(h_and_a ())
     in
     if Labels.is_three_edge_connected labels then finished := true
     else if !iterations >= config.max_iterations then finished := true
@@ -78,7 +78,7 @@ let augment_core ?config ledger rng g ~tree ~h ~weight =
       (* dissemination charges of §5.3: root-path labels down the tree,
          path exchange across candidate edges, pipelined n_φ(t) upcast *)
       ignore
-        (Prim.down_pipeline ledger forest ~emit:(fun v ->
+        (Prim.down_pipeline ~record:false ledger forest ~emit:(fun v ->
              let pe = Rooted_tree.parent_edge tree v in
              if pe < 0 then [] else [ [| pe; Labels.label labels pe |] ]));
       Prim.edge_stream ledger g ~lengths:(fun e ->
@@ -127,7 +127,7 @@ let augment_core ?config ledger rng g ~tree ~h ~weight =
         Events.candidate_census tr ~algo:"ecss3" ~level
           ~candidates:(List.length !added);
         ignore
-          (Prim.broadcast_list ledger forest ~items:(fun _ ->
+          (Prim.broadcast_list ~record:false ledger forest ~items:(fun _ ->
                [| 0 |] :: List.map (fun e -> [| e |]) !added));
         (* probability schedule; at p = 1 the level must drop (Claim 5.12) *)
         if Cover.certain sched then level_cap := level - 1;

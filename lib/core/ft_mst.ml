@@ -20,7 +20,7 @@ let build_with ledger rng g =
      pass): per-segment pipelines plus a keyed long-range aggregation *)
   let wf = Segments.wave_forest segments in
   ignore
-    (Prim.down_pipeline ledger wf ~emit:(fun v ->
+    (Prim.down_pipeline ~record:false ledger wf ~emit:(fun v ->
          let pe = Rooted_tree.parent_edge tree v in
          if pe < 0 then [] else [ [| pe |] ]));
   let results =
@@ -34,7 +34,7 @@ let build_with ledger rng g =
   in
   let bfs_root = List.hd bfs_forest.Forest.roots in
   ignore
-    (Prim.broadcast_list ledger bfs_forest ~items:(fun _ ->
+    (Prim.broadcast_list ~record:false ledger bfs_forest ~items:(fun _ ->
          List.map (fun (k, p) -> [| k; p.(0) |]) results.(bfs_root)));
   (* swap edges: sweep non-tree edges cheapest-first; the first edge to
      reach an uncovered tree edge is its swap (classic cycle property) *)

@@ -55,7 +55,8 @@ let build ledger ~bfs_forest (mst : Mst.result) =
         [| u; v; eid |])
       mst.Mst.global_edges
   in
-  ignore (Prim.broadcast_list ledger bfs_forest ~items:global_items);
+  ignore
+    (Prim.broadcast_list ~record:false ledger bfs_forest ~items:global_items);
   (* fragment forest: the MST minus the global edges *)
   let is_global = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace is_global e ()) mst.Mst.global_edges;
@@ -90,14 +91,16 @@ let build ledger ~bfs_forest (mst : Mst.result) =
   (* topmost marked vertex in each subtree (unique below unmarked
      vertices, by LCA-closure), and nearest marked proper ancestor *)
   let order = Rooted_tree.preorder tree in
+  let child_off, child = Rooted_tree.children tree in
   let topmost = Array.make n (-1) in
   for i = n - 1 downto 0 do
     let v = order.(i) in
     if marked.(v) then topmost.(v) <- v
     else
-      List.iter
-        (fun c -> if topmost.(c) >= 0 then topmost.(v) <- topmost.(c))
-        (Rooted_tree.children tree v)
+      for j = child_off.(v) to child_off.(v + 1) - 1 do
+        let c = child.(j) in
+        if topmost.(c) >= 0 then topmost.(v) <- topmost.(c)
+      done
   done;
   let nma = Array.make n (-1) in
   Array.iter
@@ -198,9 +201,9 @@ let build ledger ~bfs_forest (mst : Mst.result) =
   (* charge the Claim 3.1 dissemination: segment ids over the BFS tree,
      root-path pipelines inside segments, and the d-to-r report wave *)
   let seg_items _ = Array.to_list (Array.map (fun s -> [| s.r; s.d |]) segs_arr) in
-  ignore (Prim.broadcast_list ledger bfs_forest ~items:seg_items);
+  ignore (Prim.broadcast_list ~record:false ledger bfs_forest ~items:seg_items);
   ignore
-    (Prim.down_pipeline ledger wave_forest_ ~emit:(fun v ->
+    (Prim.down_pipeline ~record:false ledger wave_forest_ ~emit:(fun v ->
          let pe = Rooted_tree.parent_edge tree v in
          if pe < 0 then [] else [ [| pe |] ]));
   ignore

@@ -57,11 +57,12 @@ let charge_iteration ledger ~bfs_forest segments ~covered =
      their path knowledge summaries (cases 1–3 of the CE computation):
      one message per non-tree edge, from its smaller endpoint *)
   let g = Rooted_tree.graph tree in
+  let off, nbr, eid = Graph.adjacency g in
   Prim.exchange_in_place ledger g ~post:(fun v out ->
-      for i = 0 to Graph.degree g v - 1 do
-        let id = Graph.adj_eid_at g v i in
-        if (not (Rooted_tree.is_tree_edge tree id)) && v < Graph.adj_nbr_at g v i
-        then Network.post1 out ~edge:id 0
+      let lo = off.(v) in
+      for k = lo to off.(v + 1) - 1 do
+        if v < nbr.(k) && not (Rooted_tree.is_tree_edge tree eid.(k)) then
+          Network.post1_port out ~port:(k - lo) 0
       done)
 
 let charge_global_max ledger ~bfs_forest level =

@@ -63,9 +63,13 @@ let compute ?(bits = default_bits) rng tree ~h_mask =
   check_args tree ~h_mask bits;
   finish tree ~h_mask ~bits (Min_cut_enum.label_sweep ~bits rng tree ~h_mask)
 
-let compute_distributed ?(bits = default_bits) ledger rng tree ~h_mask =
+let compute_distributed ?(bits = default_bits) ledger rng ~forest tree ~h_mask
+    =
   Rounds.scoped ledger "labels" @@ fun () ->
   check_args tree ~h_mask bits;
+  (* [of_rooted_tree] shares the tree's arrays *)
+  if forest.Forest.parent_edge != Rooted_tree.parent_edges tree then
+    invalid_arg "Labels.compute_distributed: forest is not the tree's";
   let g = Rooted_tree.graph tree in
   (* the smaller endpoint of every non-tree H edge draws the label and
      sends it across the edge — one round; the draws are the sequential
@@ -73,11 +77,13 @@ let compute_distributed ?(bits = default_bits) ledger rng tree ~h_mask =
   let label = Min_cut_enum.label_sweep ~bits rng tree ~h_mask in
   let non_tree = Bitset.copy h_mask in
   Bitset.diff_into non_tree (Rooted_tree.edges_mask tree);
+  let off, nbr, eid = Graph.adjacency g in
   Prim.exchange_in_place ledger g ~post:(fun v out ->
-      for i = 0 to Graph.degree g v - 1 do
-        let id = Graph.adj_eid_at g v i in
-        if Bitset.mem non_tree id && v < Graph.adj_nbr_at g v i then
-          Network.post1 out ~edge:id label.(id)
+      let lo = off.(v) in
+      for k = lo to off.(v + 1) - 1 do
+        let id = eid.(k) in
+        if v < nbr.(k) && Bitset.mem non_tree id then
+          Network.post1_port out ~port:(k - lo) label.(id)
       done);
   (* each vertex's XOR of the labels of its non-tree H edges *)
   let local = Array.make (Graph.n g) 0 in
@@ -89,7 +95,6 @@ let compute_distributed ?(bits = default_bits) ledger rng tree ~h_mask =
     non_tree;
   (* leaves-to-root wave: φ({v, p(v)}) = XOR of the labels of all H edges
      at v other than the parent edge (Theorem 4.2 of Pritchard–Thurimella) *)
-  let forest = Forest.make g ~parent_edge:(Array.init (Graph.n g) (Rooted_tree.parent_edge tree)) in
   let values =
     Prim.wave_up ledger forest ~value:(fun v kids ->
         [| List.fold_left (fun acc k -> acc lxor k.(0)) local.(v) kids |])

@@ -39,12 +39,21 @@ val compute : ?bits:int -> Rng.t -> Rooted_tree.t -> h_mask:Bitset.t -> t
     cut census shares. *)
 
 val compute_distributed :
-  ?bits:int -> Rounds.t -> Rng.t -> Rooted_tree.t -> h_mask:Bitset.t -> t
+  ?bits:int ->
+  Rounds.t ->
+  Rng.t ->
+  forest:Forest.t ->
+  Rooted_tree.t ->
+  h_mask:Bitset.t ->
+  t
 (** The distributed computation of §5.1 / Lemma 5.5: one exchange round for
     non-tree labels, then a leaves-to-root wave in which each vertex XORs
     its incident labels — O(height(T)) rounds, charged to the ledger.
     Each vertex's XOR of its non-tree labels is computed once, before the
-    wave. Produces the same distribution as {!compute}. *)
+    wave. Produces the same distribution as {!compute}. The wave runs on
+    [forest], which must be [Forest.of_rooted_tree tree]: a caller that
+    circulates many times makes it once (raises [Invalid_argument]
+    otherwise). *)
 
 val bits : t -> int
 val tree : t -> Rooted_tree.t

@@ -9,18 +9,12 @@ let prepare ?mask ledger g =
     let dist, pe = Graph.bfs_tree ~mask g 0 in
     let ecc = Array.fold_left max 0 dist in
     Rounds.charge ledger ~category:"verifier_bfs" ecc;
-    Some (Rooted_tree.of_parent_edges g ~root:0 pe, mask)
+    let tree = Rooted_tree.of_parent_edges g ~root:0 pe in
+    Some (tree, Forest.of_rooted_tree tree, mask)
   end
 
 (* the verdict travels to the root and back: two O(D) waves *)
-let agree ledger tree verdict =
-  let forest =
-    Forest.make (Rooted_tree.graph tree)
-      ~parent_edge:
-        (Array.init
-           (Graph.n (Rooted_tree.graph tree))
-           (Rooted_tree.parent_edge tree))
-  in
+let agree ledger forest verdict =
   ignore
     (Prim.wave_up ledger forest ~value:(fun _ kids ->
          [| List.fold_left (fun acc k -> min acc k.(0)) 1 kids |]));
@@ -34,16 +28,20 @@ let two_edge_connected ?bits ?mask ledger rng g =
   Rounds.scoped ledger "verify2ec" @@ fun () ->
   match prepare ?mask ledger g with
   | None -> false
-  | Some (tree, h_mask) ->
-    let labels = Labels.compute_distributed ?bits ledger rng tree ~h_mask in
-    agree ledger tree (Labels.is_two_edge_connected labels)
+  | Some (tree, forest, h_mask) ->
+    let labels =
+      Labels.compute_distributed ?bits ledger rng ~forest tree ~h_mask
+    in
+    agree ledger forest (Labels.is_two_edge_connected labels)
 
 let three_edge_connected ?bits ?mask ledger rng g =
   Rounds.scoped ledger "verify3ec" @@ fun () ->
   match prepare ?mask ledger g with
   | None -> false
-  | Some (tree, h_mask) ->
-    let labels = Labels.compute_distributed ?bits ledger rng tree ~h_mask in
-    agree ledger tree
+  | Some (tree, forest, h_mask) ->
+    let labels =
+      Labels.compute_distributed ?bits ledger rng ~forest tree ~h_mask
+    in
+    agree ledger forest
       (Labels.is_two_edge_connected labels
       && Labels.is_three_edge_connected labels)

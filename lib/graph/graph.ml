@@ -116,6 +116,8 @@ let fold_adj g v f init =
 let adj_nbr_at g v i = g.adj_nbr.(g.adj_off.(v) + i)
 let adj_eid_at g v i = g.adj_eid.(g.adj_off.(v) + i)
 
+let adjacency g = (g.adj_off, g.adj_nbr, g.adj_eid)
+
 let find_edge g u v =
   let lo = g.adj_off.(u) and hi = g.adj_off.(u + 1) in
   let rec scan i =

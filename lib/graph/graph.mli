@@ -78,6 +78,14 @@ val adj_nbr_at : t -> int -> int -> int
 val adj_eid_at : t -> int -> int -> int
 (** [adj_eid_at g v i] is the id of the [i]-th incident edge of [v]. *)
 
+val adjacency : t -> int array * int array * int array
+(** [(off, nbr, eid)]: the CSR arrays themselves, for a loop that walks
+    many rows without a call per entry. Vertex [v]'s incident edges sit
+    at positions [off.(v) .. off.(v + 1) - 1] of [nbr] (the neighbour)
+    and [eid] (the edge id), in ascending edge-id order: position
+    [off.(v) + i] is [v]'s {e port} [i], the entry {!adj_nbr_at} and
+    {!adj_eid_at} read. Shared, not copied: do not mutate. *)
+
 val find_edge : t -> int -> int -> int option
 (** [find_edge g u v] is the id of some edge joining [u] and [v], if any. *)
 

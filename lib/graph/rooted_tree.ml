@@ -4,22 +4,39 @@ type t = {
   parent : int array;
   parent_edge : int array;
   depth : int array;
-  children : int list array;
+  child_off : int array; (* n + 1 offsets into [child] *)
+  child : int array; (* each vertex's children, ascending *)
   preorder : int array;
   tin : int array;
   tout : int array;
   up : int array array; (* up.(j).(v): 2^j-th ancestor of v, -1 past root *)
 }
 
+(* a counting sort of the vertices by parent: ascending within a row *)
+let children_of_parents parent =
+  let n = Array.length parent in
+  let off = Array.make (n + 1) 0 in
+  Array.iter (fun p -> if p >= 0 then off.(p + 1) <- off.(p + 1) + 1) parent;
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  let child = Array.make off.(n) 0 in
+  let fill = Array.sub off 0 n in
+  Array.iteri
+    (fun v p ->
+      if p >= 0 then begin
+        child.(fill.(p)) <- v;
+        fill.(p) <- fill.(p) + 1
+      end)
+    parent;
+  (off, child)
+
 let build graph root parent parent_edge =
   let n = Graph.n graph in
-  let children = Array.make n [] in
-  for v = n - 1 downto 0 do
-    if v <> root then begin
-      if parent.(v) < 0 then invalid_arg "Rooted_tree: not spanning";
-      children.(parent.(v)) <- v :: children.(parent.(v))
-    end
+  for v = 0 to n - 1 do
+    if v <> root && parent.(v) < 0 then invalid_arg "Rooted_tree: not spanning"
   done;
+  let child_off, child = children_of_parents parent in
   let depth = Array.make n (-1) in
   let tin = Array.make n 0 and tout = Array.make n 0 in
   let preorder = Array.make n root in
@@ -36,11 +53,11 @@ let build graph root parent parent_edge =
       preorder.(!count) <- v;
       incr count;
       Stack.push (`Exit v) stack;
-      List.iter
-        (fun c ->
-          depth.(c) <- depth.(v) + 1;
-          Stack.push (`Enter c) stack)
-        children.(v)
+      for j = child_off.(v) to child_off.(v + 1) - 1 do
+        let c = child.(j) in
+        depth.(c) <- depth.(v) + 1;
+        Stack.push (`Enter c) stack
+      done
     | `Exit v ->
       tout.(v) <- !clock;
       incr clock
@@ -58,7 +75,19 @@ let build graph root parent parent_edge =
           let half = up.(j - 1).(v) in
           if half < 0 then -1 else up.(j - 1).(half))
   done;
-  { graph; root; parent; parent_edge; depth; children; preorder; tin; tout; up }
+  {
+    graph;
+    root;
+    parent;
+    parent_edge;
+    depth;
+    child_off;
+    child;
+    preorder;
+    tin;
+    tout;
+    up;
+  }
 
 let of_parent_edges graph ~root pe =
   let n = Graph.n graph in
@@ -93,9 +122,10 @@ let parent t v = t.parent.(v)
 let parent_edge t v = t.parent_edge.(v)
 let depth t v = t.depth.(v)
 let parents t = t.parent
+let parent_edges t = t.parent_edge
 let depths t = t.depth
 let height t = Array.fold_left max 0 t.depth
-let children t v = t.children.(v)
+let children t = (t.child_off, t.child)
 let preorder t = t.preorder
 
 let edges_mask t =
@@ -104,14 +134,16 @@ let edges_mask t =
   s
 
 let is_tree_edge t id =
-  let u, v = Graph.endpoints t.graph id in
-  t.parent_edge.(u) = id || t.parent_edge.(v) = id
+  t.parent_edge.(Graph.edge_u t.graph id) = id
+  || t.parent_edge.(Graph.edge_v t.graph id) = id
 
 let lower_endpoint t id =
-  let u, v = Graph.endpoints t.graph id in
+  let u = Graph.edge_u t.graph id in
   if t.parent_edge.(u) = id then u
-  else if t.parent_edge.(v) = id then v
-  else invalid_arg "Rooted_tree.lower_endpoint: not a tree edge"
+  else
+    let v = Graph.edge_v t.graph id in
+    if t.parent_edge.(v) = id then v
+    else invalid_arg "Rooted_tree.lower_endpoint: not a tree edge"
 
 let is_ancestor t a v = t.tin.(a) <= t.tin.(v) && t.tout.(v) <= t.tout.(a)
 
@@ -141,8 +173,8 @@ let lca t u v =
 
 let covers t e tree_e =
   let x = lower_endpoint t tree_e in
-  let u, v = Graph.endpoints t.graph e in
-  is_ancestor t x u <> is_ancestor t x v
+  is_ancestor t x (Graph.edge_u t.graph e)
+  <> is_ancestor t x (Graph.edge_v t.graph e)
 
 let path_up t ~from ~to_anc =
   (* edge ids from [from] walking up to (excluding) ancestor [to_anc] *)

@@ -32,6 +32,10 @@ val parent : t -> int -> int
 val parent_edge : t -> int -> int
 (** Edge id to the parent, [-1] for the root. *)
 
+val parent_edges : t -> int array
+(** Every vertex's edge to its parent, [-1] for the root. Do not
+    mutate. *)
+
 val depth : t -> int -> int
 
 val parents : t -> int array
@@ -43,7 +47,14 @@ val depths : t -> int array
 val height : t -> int
 (** Maximum depth. *)
 
-val children : t -> int -> int list
+val children : t -> int array * int array
+(** [(off, child)]: vertex [v]'s children are
+    [child.(off.(v)) .. child.(off.(v + 1) - 1)], in ascending order.
+    Do not mutate. *)
+
+val children_of_parents : int array -> int array * int array
+(** The same [(off, child)] layout for any parent array ([-1] marks a
+    root): one counting sort, ascending within each vertex's row. *)
 
 val preorder : t -> int array
 (** Vertices in DFS preorder (root first). Do not mutate. *)
@@ -52,6 +63,9 @@ val edges_mask : t -> Bitset.t
 (** Mask of the n-1 tree edge ids (fresh copy). *)
 
 val is_tree_edge : t -> int -> bool
+(** Reads the edge's endpoints with {!Graph.edge_u}/{!Graph.edge_v}, so
+    a call allocates nothing; the same holds for {!lower_endpoint} and
+    {!covers}. *)
 
 val lower_endpoint : t -> int -> int
 (** [lower_endpoint t id] is the deeper endpoint of tree edge [id]. *)

@@ -125,13 +125,200 @@ let engine_tests =
           (Printf.sprintf "%.0f words allocated, under 16n = %d" words (16 * n))
           (words < float_of_int (16 * n));
         (* off the heap, the arenas hold the largest pass (2m one-word
-           messages) in each of two arenas: six words per slot and one
-           payload word, at most doubled by their growth *)
-        let bound = 2 * 2 * (6 + 1) * (2 * Graph.m g) in
+           messages) in each of two arenas: seven words per slot (edge,
+           sender, destination, offset, length, chain link, causal id)
+           and one payload word, at most doubled by their growth *)
+        let bound = 2 * 2 * (7 + 1) * (2 * Graph.m g) in
         let arena = Network.arena_words () in
         check_is
           (Printf.sprintf "%d arena words, at most %d" arena bound)
-          (arena >= (6 + 1) * (2 * Graph.m g) && arena <= bound));
+          (arena >= (7 + 1) * (2 * Graph.m g) && arena <= bound));
+    case "a port outside the sender's row is refused by name" (fun () ->
+        (* vertex 1 of a path has ports 0 and 1 *)
+        let g = Gen.path 3 in
+        let posts =
+          [
+            ("post_port", fun out port -> Network.post_port out ~port [| 7 |]);
+            ("post1_port", fun out port -> Network.post1_port out ~port 7);
+            ( "post_sub_port",
+              fun out port ->
+                Network.post_sub_port out ~port [| 7; 8 |] ~pos:1 ~len:1 );
+          ]
+        in
+        List.iter
+          (fun (name, post) ->
+            List.iter
+              (fun port ->
+                let p =
+                  {
+                    Network.init = (fun _ -> ());
+                    step =
+                      (fun ~round v () _ out ->
+                        if round = 0 && v = 1 then post out port;
+                        `Idle);
+                  }
+                in
+                match Network.run g p with
+                | exception Invalid_argument msg ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s on port %d" name port)
+                    (Printf.sprintf
+                       "Network: port %d outside [0, 2) at vertex 1" port)
+                    msg
+                | _ -> Alcotest.fail "expected Invalid_argument")
+              [ -1; 2 ])
+          posts;
+        (* forwarding a received message on a bad port *)
+        let p =
+          {
+            Network.init = (fun _ -> ());
+            step =
+              (fun ~round v () inbox out ->
+                if round = 0 && v = 0 then Network.post1_port out ~port:0 5;
+                if v = 1 && not (Network.Mail.is_empty inbox) then
+                  Network.forward_port out ~port:2 inbox
+                    (Network.Mail.first inbox);
+                `Idle);
+          }
+        in
+        match Network.run g p with
+        | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            "forward_port" "Network: port 2 outside [0, 2) at vertex 1" msg
+        | _ -> Alcotest.fail "expected Invalid_argument");
+    case "an edge the sender does not touch is refused by name" (fun () ->
+        (* on the path 0-1-2-3, edge 2 joins 2 and 3, and there is no
+           edge 7 *)
+        let g = Gen.path 4 in
+        List.iter
+          (fun edge ->
+            let p =
+              {
+                Network.init = (fun _ -> ());
+                step =
+                  (fun ~round v () _ out ->
+                    if round = 0 && v = 0 then Network.post1 out ~edge 7;
+                    `Idle);
+              }
+            in
+            match Network.run g p with
+            | exception Invalid_argument msg ->
+              Alcotest.(check string)
+                (Printf.sprintf "edge %d" edge)
+                (Printf.sprintf "Network: edge %d is not incident to vertex 0"
+                   edge)
+                msg
+            | _ -> Alcotest.fail "expected Invalid_argument")
+          [ 2; 7; -1 ]);
+    case "posting by port and by edge is one message plane" (fun () ->
+        (* three rounds in which every vertex posts 0 to cap words on
+           every other port and forwards its latest mail on its port 0;
+           one run names links by port, the other by edge id. Reads, the
+           ledger and every probe export must agree, plainly and under a
+           dup and delay plan *)
+        let g = Gen.random_k_connected (Rng.create ~seed:9) 48 2 ~extra:48 in
+        let program ~by_port reads : unit Network.program =
+          {
+            init = (fun _ -> ());
+            step =
+              (fun ~round v () inbox out ->
+                let m = ref (Network.Mail.first inbox) in
+                while !m >= 0 do
+                  reads :=
+                    ( round,
+                      v,
+                      Network.Mail.edge inbox !m,
+                      Network.Mail.payload inbox !m )
+                    :: !reads;
+                  m := Network.Mail.next inbox !m
+                done;
+                if round < 3 then begin
+                  for i = 0 to Graph.degree g v - 1 do
+                    let e = Graph.adj_eid_at g v i in
+                    if (i + round) mod 2 = 0 && i > 0 then begin
+                      let words =
+                        Array.init
+                          ((v + i + round) mod (Network.cap_words + 1))
+                          (fun j -> (v * 1000) + (e * 10) + j)
+                      in
+                      if by_port then Network.post_port out ~port:i words
+                      else Network.post out ~edge:e words
+                    end
+                    else if i > 0 && round = 1 then
+                      if by_port then Network.post1_port out ~port:i v
+                      else Network.post1 out ~edge:e v
+                    else if i > 0 && round = 2 then
+                      if by_port then
+                        Network.post_sub_port out ~port:i [| 1; 2; 3 |] ~pos:1
+                          ~len:2
+                      else
+                        Network.post_sub out ~edge:e [| 1; 2; 3 |] ~pos:1 ~len:2
+                  done;
+                  let first = Network.Mail.first inbox in
+                  if first >= 0 then
+                    if by_port then Network.forward_port out ~port:0 inbox first
+                    else
+                      Network.forward out ~edge:(Graph.adj_eid_at g v 0) inbox
+                        first
+                end;
+                if round < 2 then `Active else `Idle);
+          }
+        in
+        let run ~by_port faults =
+          let open Kecss_obs in
+          let trace = Trace.create () in
+          let metrics = Metrics.create ~trace () in
+          let causal = Causal.create () in
+          let flight = Flight.create () in
+          let hook =
+            Option.map
+              (fun spec ->
+                Kecss_faults.Net.hook
+                  (Kecss_faults.Net.injector ~trace
+                     (Result.get_ok (Kecss_faults.Plan.of_spec spec))))
+              faults
+          in
+          let ledger = Rounds.create ~trace ~metrics ~causal ~flight ?hook () in
+          let probe = Rounds.probe ledger in
+          let reads = ref [] in
+          let _, rounds, messages =
+            Probe.phase probe (Run "ports") (fun () ->
+                Network.run_counted ~probe ?hook g (program ~by_port reads))
+          in
+          Rounds.charge ledger ~category:"ports" rounds;
+          Rounds.charge_messages ledger ~category:"ports" messages;
+          let causal_json =
+            Json.to_string
+              (Export.causal_to_json ~total_rounds:(Rounds.total ledger)
+                 ~total_messages:(Rounds.total_messages ledger)
+                 ~rounds_by_category:(Rounds.by_category ledger)
+                 ~messages_by_category:(Rounds.messages_by_category ledger)
+                 (Causal.analyze causal))
+          in
+          ( List.rev !reads,
+            [
+              Rounds.to_json ledger;
+              Json.to_string (Metrics.to_json metrics);
+              causal_json;
+              Json.to_string (Flight.to_json ~reason:"ports" flight);
+              Export.jsonl trace;
+            ] )
+        in
+        List.iter
+          (fun faults ->
+            let port_reads, port_exports = run ~by_port:true faults in
+            let edge_reads, edge_exports = run ~by_port:false faults in
+            check_is
+              (Printf.sprintf "%d messages read" (List.length port_reads))
+              (List.length port_reads > 200);
+            Alcotest.(check (list (pair (pair int int) (pair int (array int)))))
+              "mail order"
+              (List.map (fun (r, v, e, p) -> ((r, v), (e, p))) edge_reads)
+              (List.map (fun (r, v, e, p) -> ((r, v), (e, p))) port_reads);
+            Alcotest.(check (list string))
+              "ledger, metrics, causal, flight and trace" edge_exports
+              port_exports)
+          [ None; Some "dup=0.2,delay=0.1:2,seed=4" ]);
     case "a run inside a step leaves the outer run's mail alone" (fun () ->
         (* vertex 0 sends 7 to vertex 1; before reading it, vertex 1 runs
            an engine run of its own that sends on every edge *)

@@ -62,9 +62,10 @@ let labels_tests =
               let mask = Graph.all_edges_mask g in
               let seq = Labels.compute (Rng.create ~seed:3) tree ~h_mask:mask in
               let ledger = Rounds.create () in
+              let forest = Forest.of_rooted_tree tree in
               let dist =
-                Labels.compute_distributed ledger (Rng.create ~seed:4) tree
-                  ~h_mask:mask
+                Labels.compute_distributed ledger (Rng.create ~seed:4) ~forest
+                  tree ~h_mask:mask
               in
               Alcotest.(check (list (pair int int)))
                 (name ^ " same cut pairs")
