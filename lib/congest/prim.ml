@@ -114,6 +114,12 @@ let exchange ledger g sends =
 
 (* ---------- convergecast wave ---------- *)
 
+(* The waves count each sender once. A send the network replicates
+   arrives as copies in one pass, one after another in the receiver's
+   chain (Network's delivery order), so [wave_up] skips a message on the
+   edge of the one before it, and [wave_down], whose only sender is the
+   parent, takes the first copy. *)
+
 type up_state = {
   mutable pending : int;              (* children not yet heard from *)
   mutable child_values : int array list;
@@ -134,10 +140,14 @@ let wave_up ledger (f : Forest.t) ~value =
           });
       step =
         (fun ~round:_ v st inbox out ->
-          let m = ref (Mail.first inbox) in
+          let m = ref (Mail.first inbox) and last = ref (-1) in
           while !m >= 0 do
-            st.child_values <- Mail.payload inbox !m :: st.child_values;
-            st.pending <- st.pending - 1;
+            let e = Mail.edge inbox !m in
+            if e <> !last then begin
+              st.child_values <- Mail.payload inbox !m :: st.child_values;
+              st.pending <- st.pending - 1
+            end;
+            last := e;
             m := Mail.next inbox !m
           done;
           if (not st.fired) && st.pending = 0 then begin
@@ -172,8 +182,8 @@ let wave_down ledger (f : Forest.t) ~root_value ~derive =
           end
           else
             let m = Mail.first inbox in
-            (* exactly one message: the parent's value *)
-            if m >= 0 && Mail.next inbox m < 0 && not st.have then begin
+            (* the parent's value, or its first copy *)
+            if m >= 0 && not st.have then begin
               st.value <- derive v ~parent_value:(Mail.payload inbox m);
               st.have <- true;
               post_children out f v st.value ~pos:0

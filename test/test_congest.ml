@@ -528,6 +528,40 @@ let prim_tests =
           check_int "depth" (Rooted_tree.depth t v) vals.(v).(0)
         done;
         check_int "rounds = height" (Rooted_tree.height t) (Rounds.total l));
+    case "both waves finish under duplicated messages" (fun () ->
+        (* a child's duplicated value counts once, and two copies of the
+           parent's value are one value: each wave ends with the values
+           of its fault-free run *)
+        let g = Gen.random_k_connected (Rng.create ~seed:3) 64 2 ~extra:64 in
+        let f = Forest.of_rooted_tree (Rooted_tree.bfs_tree g ~root:0) in
+        let up l =
+          Prim.wave_up l f ~value:(fun _ kids ->
+              [| List.fold_left (fun acc k -> acc + k.(0)) 1 kids |])
+        and down l =
+          Prim.wave_down l f
+            ~root_value:(fun _ -> [| 0 |])
+            ~derive:(fun _ ~parent_value -> [| parent_value.(0) + 1 |])
+        in
+        List.iter
+          (fun (name, wave) ->
+            let plain = wave (ledger ()) in
+            List.iter
+              (fun spec ->
+                let inj =
+                  Kecss_faults.Net.injector
+                    (Result.get_ok (Kecss_faults.Plan.of_spec spec))
+                in
+                let l = Rounds.create ~hook:(Kecss_faults.Net.hook inj) () in
+                let label = Printf.sprintf "%s under %s" name spec in
+                (match wave l with
+                | values ->
+                  Alcotest.(check (array (array int))) label plain values
+                | exception Network.Did_not_quiesce _ ->
+                  Alcotest.fail (label ^ " did not quiesce"));
+                check_is (label ^ " duplicated a message")
+                  ((Kecss_faults.Net.stats inj).Kecss_faults.Net.duplicated > 0))
+              [ "dup=0.05,seed=1"; "dup=0.05,seed=2"; "dup=0.2,seed=3" ])
+          [ ("wave_up", up); ("wave_down", down) ]);
     case "down_pipeline delivers ancestors nearest-first" (fun () ->
         let g = Gen.path 6 in
         let t = Rooted_tree.bfs_tree g ~root:0 in

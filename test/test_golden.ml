@@ -267,13 +267,13 @@ let cases =
       "ids=0,1,2,3,5,6,7,9,10,11,13,14,16,18,22,23,24,25,26,29,30,31,32,33,34,35,37,38,39,40,41,42,43,44,47,51,52,57,59,60,63,64,65,67,68,69,71,73,74,76,78,80,81,82,83,84,85,86,88,89,90,94 metrics=cdb9cee60080c9b15c75860d8350504b causal=b7167c6cc2a9167aede4650464460463 flight=9306dd888bd2b9f0e16f92646f1e81d2",
       recorded (ecss2 g2) );
     ( "ecss2 engine telemetry under faults",
-      "Kecss_congest.Network.Did_not_quiesce(10768, 4, 0) stats=71 injected (0 dropped, 49 delayed, 21 duplicated, 1 crashed, 0 cut, 0 restored) metrics=25ebf7fedd3d313535065b56d4e4c58d causal=b6fb635b5e1cc6ce25defaa0a0a80a72 flight=c8dcdef7715a9fe1936bca48aa86d04e",
+      "Invalid_argument(\"index out of bounds\") stats=82 injected (0 dropped, 56 delayed, 25 duplicated, 1 crashed, 0 cut, 0 restored) metrics=752692cac0bcd9d939f9d99eaa5dfae1 causal=cd37703ea30b2b6b184c036d5693bacf flight=54085f9a1320973925a29a3cb8e0c170",
       recorded ~faults:"crash=v3@r40,delay=0.1:2,dup=0.05,seed=5" (ecss2 g2) );
     ( "ecss3 engine telemetry",
       "ids=0,1,2,3,4,5,6,8,10,12,13,15,17,21,23,24,25,27,29,30,32,33,34,35,37,38,45,46,48,49,51,52,53,54,55,56,58,59,60,61,65,66,67,68,70,75,80,82,84,85,86,87,88,93,95,98,99,102,103,104,106,107,108,109,110,111,112,113 metrics=8a50f6efc784ef0b188242918868680b causal=59d590f115c8a1c60ec9b2e6b22b0353 flight=b27fccad6f0848edc6e33a0a84aa5428",
       recorded ecss3u );
     ( "ecss3 engine telemetry under faults",
-      "Kecss_congest.Network.Did_not_quiesce(10640, 1, 0) stats=142 injected (0 dropped, 103 delayed, 39 duplicated, 0 crashed, 0 cut, 0 restored) metrics=f51f4b81e233eddc2e47baab0e48e167 causal=ca40f2123d91d68b71d122ef29183b4b flight=d3389b33075b25b40fa6835ab047a85c",
+      "ids=0,1,2,3,4,5,6,7,8,10,12,13,15,17,18,19,20,21,22,24,25,27,28,30,32,33,34,35,36,37,38,42,43,44,48,49,50,51,52,54,55,56,59,62,63,64,66,67,68,70,71,74,75,78,80,82,83,84,87,88,89,93,98,99,102,103,108,109,117 stats=7187 injected (0 dropped, 4722 delayed, 2465 duplicated, 0 crashed, 0 cut, 0 restored) metrics=cb898ae372bbc9181d136f27575eebf6 causal=cd52cfe2be3b5cf5ca803c3e3a6797d9 flight=5e658f2366017450171ed952d31cfbf3",
       recorded ~faults:"delay=0.1:2,dup=0.05,seed=7" ecss3u );
     ( "ecss3 engine telemetry under delays",
       "ids=0,1,2,3,4,6,8,10,12,13,15,16,18,19,20,21,23,24,25,26,27,29,30,32,33,34,36,37,40,41,44,45,46,48,49,51,52,53,54,55,58,60,61,66,67,68,70,72,73,76,77,78,81,82,84,87,88,91,95,96,98,101,103,105,107,109,110,118,119 stats=6388 injected (0 dropped, 6388 delayed, 0 duplicated, 0 crashed, 0 cut, 0 restored) metrics=996ef3291a307ea0498564cbee77971b causal=c4a02119c419618da0bcda5f55cb7009 flight=27ea9d55c8bd0aaa1877805243b910a6",
@@ -282,7 +282,7 @@ let cases =
       "exchange=c370451ac4b791c50c5d42f5ca46043a down_pipeline=e94be2ed8b05423b6f96d537319dea6a up_pipeline_merge=1c1e524c008758f7370efcb17cecbfcd wave_up=bce98d668c7abc5286aaa7115b57d503 rounds=46 ledger=d09586ef01aaace5a5539d92b7f67fba",
       order g2 );
     ( "engine inbox and send order under faults",
-      "exchange=1017da94934044a8fdbdedecf4011570 down_pipeline=be4f8a21745a0962f9a3ef4dae45cfaa up_pipeline_merge=6e43b62d3c28d55035f0468427630eb5 wave_up=Kecss_congest.Network.Did_not_quiesce(10768, 8, 0) rounds=61 ledger=a8aee16f92ce867f1a0b51f3a9c4a708 stats=168 injected (0 dropped, 105 delayed, 63 duplicated, 0 crashed, 0 cut, 0 restored)",
+      "exchange=2d24d316b7d1888a4493b90ac1d5c8cd down_pipeline=21f0a031391cf1304a29be74b7c16c91 up_pipeline_merge=1b4c35d7b5fb3a38b9c0d7af0a026d58 wave_up=018ba76ed3f96136d6b43f7ccb1993b1 rounds=66 ledger=11f4b73643a7fd3f947befcd00c22be9 stats=170 injected (0 dropped, 106 delayed, 64 duplicated, 0 crashed, 0 cut, 0 restored)",
       order ~faults:"delay=0.15:2,dup=0.1,seed=3" g2 );
     ( "ecss2 unweighted",
       "ids=0,1,2,4,5,6,8,10,12,13,15,21,23,24,25,27,29,30,32,33,34,35,37,38,45,46,48,49,51,53,54,55,58,59,60,66,67,68,70,75,82,84,87,88,93,95,98,102,103,104,107,109,110 rounds=16 ledger=08d394f5157148a41bf8e8ad7636ba70 trace=172252370280dce444ee2ba276d1c46d",
