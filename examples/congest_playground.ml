@@ -28,9 +28,11 @@ let leader_election g =
             m := Network.Mail.next inbox !m
           done;
           let changed = st.best > before || round = 0 in
+          (* a vertex names its links by port, its index into its own
+             adjacency row *)
           if changed then
             for i = 0 to Graph.degree g v - 1 do
-              Network.post1 out ~edge:(Graph.adj_eid_at g v i) st.best
+              Network.post1_port out ~port:i st.best
             done;
           `Idle);
     }

@@ -243,31 +243,14 @@ let edge_slot o ~edge ~len =
   in
   reserve o.outbox ~src:o.v ~edge ~dst ~len
 
-(* the payload copies: [at] has room for [len] words unless the message
-   is oversized, which delivery refuses before anything reads it *)
+(* Each post takes its slot first, since reserving may grow the words
+   array. [at] has room for [len] words unless the message is oversized,
+   which delivery refuses before anything reads it. *)
 let[@inline] copy_in a ~at src ~pos ~len =
   if len <= cap_words then
     for i = 0 to len - 1 do
       set a.words (at + i) (Array.unsafe_get src (pos + i))
     done
-
-let[@inline] copy_mail a ~at m s =
-  let b = Mail.arena m s in
-  let from = get b.off s in
-  for i = 0 to get b.len s - 1 do
-    set a.words (at + i) (get b.words (from + i))
-  done
-
-let check_sub src ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Array.length src then
-    invalid_arg "Network.post_sub"
-
-(* each takes its slot first: reserving may grow the words array *)
-
-let post_sub o ~edge src ~pos ~len =
-  check_sub src ~pos ~len;
-  let at = edge_slot o ~edge ~len in
-  copy_in o.outbox ~at src ~pos ~len
 
 let post o ~edge payload =
   let len = Array.length payload in
@@ -278,12 +261,9 @@ let post1 o ~edge w =
   let at = edge_slot o ~edge ~len:1 in
   set o.outbox.words at w
 
-let forward o ~edge m s =
-  let at = edge_slot o ~edge ~len:(Mail.length m s) in
-  copy_mail o.outbox ~at m s
-
 let post_sub_port o ~port src ~pos ~len =
-  check_sub src ~pos ~len;
+  if pos < 0 || len < 0 || pos + len > Array.length src then
+    invalid_arg "Network.post_sub_port";
   let at = port_slot o ~port ~len in
   copy_in o.outbox ~at src ~pos ~len
 
@@ -298,7 +278,11 @@ let post1_port o ~port w =
 
 let forward_port o ~port m s =
   let at = port_slot o ~port ~len:(Mail.length m s) in
-  copy_mail o.outbox ~at m s
+  let a = o.outbox and b = Mail.arena m s in
+  let from = get b.off s in
+  for i = 0 to get b.len s - 1 do
+    set a.words (at + i) (get b.words (from + i))
+  done
 
 (* Each domain keeps one pair of arenas across runs. A run that starts
    while another holds the pair (a step that runs the engine) gets a

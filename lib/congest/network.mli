@@ -180,40 +180,36 @@ type outbox
       A port outside [[0, degree)] raises
       [Invalid_argument "Network: port P outside [0, D) at vertex V"]
       at the post;
-    - by edge id, resolving the neighbour with
-      {!Kecss_graph.Graph.other_end} at the post. An edge not incident
-      to the sender (or no edge at all) raises
+    - by edge id ({!post}, {!post1}), resolving the neighbour with
+      {!Kecss_graph.Graph.other_end} at the post: the way
+      [Prim.exchange]'s [send] lists name their links. An edge not
+      incident to the sender (or no edge at all) raises
       [Invalid_argument "Network: edge E is not incident to vertex V"]
       at the post.
 
     The size and duplicate-send checks stay with the delivery pass. *)
 
-val post : outbox -> edge:int -> int array -> unit
-(** [post o ~edge payload] sends [payload] on [edge] this pass. *)
-
-val post1 : outbox -> edge:int -> int -> unit
-(** [post1 o ~edge w] posts the one-word payload [[|w|]]. *)
-
-val post_sub : outbox -> edge:int -> int array -> pos:int -> len:int -> unit
-(** Posts words [pos .. pos + len - 1] of the array.
-    @raise Invalid_argument if they are not within it. *)
-
-val forward : outbox -> edge:int -> mail -> int -> unit
-(** [forward o ~edge m msg] posts a received message's payload as is,
-    copying it from arena to arena. *)
-
 val post_port : outbox -> port:int -> int array -> unit
-(** {!post} on the stepping vertex's port [port]. *)
+(** [post_port o ~port payload] sends [payload] on the stepping vertex's
+    port [port] this pass. *)
 
 val post1_port : outbox -> port:int -> int -> unit
-(** {!post1} on a port. *)
+(** [post1_port o ~port w] posts the one-word payload [[|w|]]. *)
 
 val post_sub_port :
   outbox -> port:int -> int array -> pos:int -> len:int -> unit
-(** {!post_sub} on a port. *)
+(** Posts words [pos .. pos + len - 1] of the array.
+    @raise Invalid_argument if they are not within it. *)
 
 val forward_port : outbox -> port:int -> mail -> int -> unit
-(** {!forward} on a port. *)
+(** [forward_port o ~port m msg] posts a received message's payload as
+    is, copying it from arena to arena. *)
+
+val post : outbox -> edge:int -> int array -> unit
+(** {!post_port} on edge [edge]. *)
+
+val post1 : outbox -> edge:int -> int -> unit
+(** {!post1_port} on edge [edge]. *)
 
 type 's program = {
   init : int -> 's;

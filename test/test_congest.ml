@@ -251,15 +251,14 @@ let engine_tests =
                       if by_port then
                         Network.post_sub_port out ~port:i [| 1; 2; 3 |] ~pos:1
                           ~len:2
-                      else
-                        Network.post_sub out ~edge:e [| 1; 2; 3 |] ~pos:1 ~len:2
+                      else Network.post out ~edge:e [| 2; 3 |]
                   done;
                   let first = Network.Mail.first inbox in
                   if first >= 0 then
                     if by_port then Network.forward_port out ~port:0 inbox first
                     else
-                      Network.forward out ~edge:(Graph.adj_eid_at g v 0) inbox
-                        first
+                      Network.post out ~edge:(Graph.adj_eid_at g v 0)
+                        (Network.Mail.payload inbox first)
                 end;
                 if round < 2 then `Active else `Idle);
           }
