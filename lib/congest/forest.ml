@@ -13,6 +13,26 @@ type t = {
   root_of : int array;
 }
 
+(* The children as CSR arrays: a counting sort of the vertices by
+   parent, ascending within each row *)
+let children_of_parents parent =
+  let n = Array.length parent in
+  let off = Array.make (n + 1) 0 in
+  Array.iter (fun p -> if p >= 0 then off.(p + 1) <- off.(p + 1) + 1) parent;
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  let child = Array.make off.(n) 0 in
+  let fill = Array.sub off 0 n in
+  Array.iteri
+    (fun v p ->
+      if p >= 0 then begin
+        child.(fill.(p)) <- v;
+        fill.(p) <- fill.(p) + 1
+      end)
+    parent;
+  (off, child)
+
 (* Every vertex's port of its parent edge, and every child's port at its
    parent in [child]'s order: one pass over the adjacency rows. An edge
    that is not [v]'s own parent edge is the parent edge of its far end
@@ -39,7 +59,7 @@ let make graph ~parent_edge =
       (fun v pe -> if pe >= 0 then Graph.other_end graph pe v else -1)
       parent_edge
   in
-  let child_off, child = Rooted_tree.children_of_parents parent in
+  let child_off, child = children_of_parents parent in
   (* breadth-first from the roots, ascending: whatever it does not reach
      hangs on a cycle *)
   let depth = Array.make n (-1) and root_of = Array.make n (-1) in
@@ -82,16 +102,17 @@ let make graph ~parent_edge =
     root_of;
   }
 
-(* the tree's own arrays, shared: only the ports are new *)
+(* the tree's parent, parent-edge and depth arrays, shared *)
 let of_rooted_tree t =
   let graph = Rooted_tree.graph t in
   let root = Rooted_tree.root t in
+  let parent = Rooted_tree.parents t in
   let parent_edge = Rooted_tree.parent_edges t in
-  let child_off, child = Rooted_tree.children t in
+  let child_off, child = children_of_parents parent in
   let parent_port, child_port = ports graph ~parent_edge ~child in
   {
     graph;
-    parent = Rooted_tree.parents t;
+    parent;
     parent_edge;
     parent_port;
     depth = Rooted_tree.depths t;

@@ -40,8 +40,9 @@ val make : Graph.t -> parent_edge:int array -> t
 
 val of_rooted_tree : Rooted_tree.t -> t
 (** The single-tree forest of a spanning tree. It shares the tree's
-    parent, parent-edge, depth and children arrays rather than copying
-    them; only the ports and [root_of] are new. *)
+    parent, parent-edge and depth arrays rather than copying them, and
+    walks no tree: the children, the ports and [root_of] are the only
+    new arrays. *)
 
 val singleton : Graph.t -> t
 (** The forest of n isolated roots. *)

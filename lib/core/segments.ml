@@ -91,16 +91,14 @@ let build ledger ~bfs_forest (mst : Mst.result) =
   (* topmost marked vertex in each subtree (unique below unmarked
      vertices, by LCA-closure), and nearest marked proper ancestor *)
   let order = Rooted_tree.preorder tree in
-  let child_off, child = Rooted_tree.children tree in
   let topmost = Array.make n (-1) in
   for i = n - 1 downto 0 do
     let v = order.(i) in
     if marked.(v) then topmost.(v) <- v
     else
-      for j = child_off.(v) to child_off.(v + 1) - 1 do
-        let c = child.(j) in
-        if topmost.(c) >= 0 then topmost.(v) <- topmost.(c)
-      done
+      List.iter
+        (fun c -> if topmost.(c) >= 0 then topmost.(v) <- topmost.(c))
+        (Rooted_tree.children tree v)
   done;
   let nma = Array.make n (-1) in
   Array.iter

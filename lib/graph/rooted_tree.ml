@@ -4,39 +4,22 @@ type t = {
   parent : int array;
   parent_edge : int array;
   depth : int array;
-  child_off : int array; (* n + 1 offsets into [child] *)
-  child : int array; (* each vertex's children, ascending *)
+  children : int list array;
   preorder : int array;
   tin : int array;
   tout : int array;
   up : int array array; (* up.(j).(v): 2^j-th ancestor of v, -1 past root *)
 }
 
-(* a counting sort of the vertices by parent: ascending within a row *)
-let children_of_parents parent =
-  let n = Array.length parent in
-  let off = Array.make (n + 1) 0 in
-  Array.iter (fun p -> if p >= 0 then off.(p + 1) <- off.(p + 1) + 1) parent;
-  for v = 1 to n do
-    off.(v) <- off.(v) + off.(v - 1)
-  done;
-  let child = Array.make off.(n) 0 in
-  let fill = Array.sub off 0 n in
-  Array.iteri
-    (fun v p ->
-      if p >= 0 then begin
-        child.(fill.(p)) <- v;
-        fill.(p) <- fill.(p) + 1
-      end)
-    parent;
-  (off, child)
-
 let build graph root parent parent_edge =
   let n = Graph.n graph in
-  for v = 0 to n - 1 do
-    if v <> root && parent.(v) < 0 then invalid_arg "Rooted_tree: not spanning"
+  let children = Array.make n [] in
+  for v = n - 1 downto 0 do
+    if v <> root then begin
+      if parent.(v) < 0 then invalid_arg "Rooted_tree: not spanning";
+      children.(parent.(v)) <- v :: children.(parent.(v))
+    end
   done;
-  let child_off, child = children_of_parents parent in
   let depth = Array.make n (-1) in
   let tin = Array.make n 0 and tout = Array.make n 0 in
   let preorder = Array.make n root in
@@ -53,11 +36,11 @@ let build graph root parent parent_edge =
       preorder.(!count) <- v;
       incr count;
       Stack.push (`Exit v) stack;
-      for j = child_off.(v) to child_off.(v + 1) - 1 do
-        let c = child.(j) in
-        depth.(c) <- depth.(v) + 1;
-        Stack.push (`Enter c) stack
-      done
+      List.iter
+        (fun c ->
+          depth.(c) <- depth.(v) + 1;
+          Stack.push (`Enter c) stack)
+        children.(v)
     | `Exit v ->
       tout.(v) <- !clock;
       incr clock
@@ -75,19 +58,7 @@ let build graph root parent parent_edge =
           let half = up.(j - 1).(v) in
           if half < 0 then -1 else up.(j - 1).(half))
   done;
-  {
-    graph;
-    root;
-    parent;
-    parent_edge;
-    depth;
-    child_off;
-    child;
-    preorder;
-    tin;
-    tout;
-    up;
-  }
+  { graph; root; parent; parent_edge; depth; children; preorder; tin; tout; up }
 
 let of_parent_edges graph ~root pe =
   let n = Graph.n graph in
@@ -125,7 +96,7 @@ let parents t = t.parent
 let parent_edges t = t.parent_edge
 let depths t = t.depth
 let height t = Array.fold_left max 0 t.depth
-let children t = (t.child_off, t.child)
+let children t v = t.children.(v)
 let preorder t = t.preorder
 
 let edges_mask t =

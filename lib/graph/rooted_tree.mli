@@ -47,14 +47,7 @@ val depths : t -> int array
 val height : t -> int
 (** Maximum depth. *)
 
-val children : t -> int array * int array
-(** [(off, child)]: vertex [v]'s children are
-    [child.(off.(v)) .. child.(off.(v + 1) - 1)], in ascending order.
-    Do not mutate. *)
-
-val children_of_parents : int array -> int array * int array
-(** The same [(off, child)] layout for any parent array ([-1] marks a
-    root): one counting sort, ascending within each vertex's row. *)
+val children : t -> int -> int list
 
 val preorder : t -> int array
 (** Vertices in DFS preorder (root first). Do not mutate. *)
