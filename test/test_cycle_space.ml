@@ -74,6 +74,23 @@ let labels_tests =
                 (Rounds.total ledger <= (2 * Rooted_tree.height tree) + 3)
             end)
           (connected_pool ()));
+    case "distributed labels refuse another tree's forest" (fun () ->
+        (* the forest must be the tree's own: a copy of its parent edges
+           makes an equal forest that shares nothing with it *)
+        let g = Gen.cycle 6 in
+        let tree = Rooted_tree.bfs_tree g ~root:0 in
+        let copy =
+          Forest.make g ~parent_edge:(Array.copy (Rooted_tree.parent_edges tree))
+        in
+        match
+          Labels.compute_distributed (Rounds.create ()) (Rng.create ~seed:4)
+            ~forest:copy tree ~h_mask:(Graph.all_edges_mask g)
+        with
+        | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            "named error" "Labels.compute_distributed: forest is not the tree's"
+            msg
+        | _ -> Alcotest.fail "expected Invalid_argument");
     case "n_phi counters" (fun () ->
         let g = Gen.cycle 5 in
         let l = build g in
