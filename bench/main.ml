@@ -612,8 +612,11 @@ let serve_history_rows sv =
 
 module Sparsify = Kecss_sparsify.Sparsify
 
-type sparsify_run = {
-  sx_mode : string;
+type sparsify_tier = {
+  sx_n : int;
+  sx_m : int;
+  sx_base_ns : float; (* unsparsified end-to-end solve *)
+  sx_base_weight : int;
   sx_kept : int;
   sx_retained : float; (* kept / m, in [0, 1] *)
   sx_sparsify_ns : float; (* the preprocessing stage alone *)
@@ -623,22 +626,14 @@ type sparsify_run = {
   sx_ok : bool;
 }
 
-type sparsify_tier = {
-  sx_n : int;
-  sx_m : int;
-  sx_base_ns : float; (* unsparsified end-to-end solve *)
-  sx_base_weight : int;
-  sx_runs : sparsify_run list;
-}
-
 (* end-to-end wall-clock with and without the sparsification front-end on
-   the acceptance-scale dense instance; every sparsified solution is
+   the acceptance-scale dense instance; the sparsified solution is
    verified against the original graph and the tier hard-fails if the
    gate ever trips *)
-let run_sparsify_tier ~modes =
+let run_sparsify_tier () =
   let k = 2 in
   let g = Gen.random_connected (Rng.create ~seed:42) 1024 0.25 in
-  let n = Graph.n g and m = Graph.m g in
+  let m = Graph.m g in
   let time f =
     let t0 = Kecss_obs.Prof.now_ns () in
     let r = f () in
@@ -650,43 +645,30 @@ let run_sparsify_tier ~modes =
   in
   if not base_report.Kecss_connectivity.Verify.ok then
     failwith "sparsify tier: baseline solve failed verification";
-  let runs =
-    List.map
-      (fun mode ->
-        let sp, sparsify_ns =
-          time (fun () -> Sparsify.run (Rng.create ~seed:1) g ~k ~mode)
-        in
-        let sol, rest_ns =
-          time (fun () ->
-              let r = Ecss2.solve ~seed:1 sp.Sparsify.sub in
-              Sparsify.lift sp r.Ecss2.solution)
-        in
-        let total_ns = sparsify_ns +. rest_ns in
-        let report = Kecss_connectivity.Verify.check_kecss g sol ~k in
-        if not report.Kecss_connectivity.Verify.ok then
-          failwith
-            (Printf.sprintf
-               "sparsify tier: mode %s failed verification against the \
-                original graph"
-               (Sparsify.mode_to_string mode));
-        {
-          sx_mode = Sparsify.mode_to_string mode;
-          sx_kept = sp.Sparsify.edges_out;
-          sx_retained = float_of_int sp.Sparsify.edges_out /. float_of_int m;
-          sx_sparsify_ns = sparsify_ns;
-          sx_total_ns = total_ns;
-          sx_speedup = (if total_ns > 0.0 then base_ns /. total_ns else Float.nan);
-          sx_weight = Graph.mask_weight g sol;
-          sx_ok = report.Kecss_connectivity.Verify.ok;
-        })
-      modes
+  let sp, sparsify_ns = time (fun () -> Sparsify.run g ~k) in
+  let sol, rest_ns =
+    time (fun () ->
+        let r = Ecss2.solve ~seed:1 sp.Sparsify.sub in
+        Sparsify.lift sp r.Ecss2.solution)
   in
+  let total_ns = sparsify_ns +. rest_ns in
+  let report = Kecss_connectivity.Verify.check_kecss g sol ~k in
+  if not report.Kecss_connectivity.Verify.ok then
+    failwith
+      "sparsify tier: the certificate failed verification against the \
+       original graph";
   {
-    sx_n = n;
+    sx_n = Graph.n g;
     sx_m = m;
     sx_base_ns = base_ns;
     sx_base_weight = Graph.mask_weight g base.Ecss2.solution;
-    sx_runs = runs;
+    sx_kept = sp.Sparsify.edges_out;
+    sx_retained = float_of_int sp.Sparsify.edges_out /. float_of_int m;
+    sx_sparsify_ns = sparsify_ns;
+    sx_total_ns = total_ns;
+    sx_speedup = (if total_ns > 0.0 then base_ns /. total_ns else Float.nan);
+    sx_weight = Graph.mask_weight g sol;
+    sx_ok = report.Kecss_connectivity.Verify.ok;
   }
 
 let print_sparsify_tier sx =
@@ -696,22 +678,21 @@ let print_sparsify_tier sx =
     sx.sx_n sx.sx_m
     (History.pretty_ns sx.sx_base_ns)
     sx.sx_base_weight;
-  List.iter
-    (fun r ->
-      Printf.printf
-        "  %-8s kept %6d/%d (%4.1f%%), sparsify %s, end-to-end %s \
-         (%.2fx speedup), weight %d, verified %s\n"
-        r.sx_mode r.sx_kept sx.sx_m
-        (100.0 *. r.sx_retained)
-        (History.pretty_ns r.sx_sparsify_ns)
-        (History.pretty_ns r.sx_total_ns)
-        r.sx_speedup r.sx_weight
-        (if r.sx_ok then "yes" else "NO");
-      if r.sx_retained > 0.40 && r.sx_mode = "cert" then
-        failwith "sparsify tier: certificate retained more than 40% of edges")
-    sx.sx_runs;
+  Printf.printf
+    "  %-8s kept %6d/%d (%4.1f%%), sparsify %s, end-to-end %s \
+     (%.2fx speedup), weight %d, verified %s\n"
+    "cert" sx.sx_kept sx.sx_m
+    (100.0 *. sx.sx_retained)
+    (History.pretty_ns sx.sx_sparsify_ns)
+    (History.pretty_ns sx.sx_total_ns)
+    sx.sx_speedup sx.sx_weight
+    (if sx.sx_ok then "yes" else "NO");
+  if sx.sx_retained > 0.40 then
+    failwith "sparsify tier: certificate retained more than 40% of edges";
   flush stdout
 
+(* the one certificate run stays a one-element [modes] list, the shape
+   CI's cross-pool-size diff reads *)
 let sparsify_json sx =
   let module Obs = Kecss_obs in
   Obs.Json.Obj
@@ -722,37 +703,33 @@ let sparsify_json sx =
       ("base_weight", Obs.Json.Int sx.sx_base_weight);
       ( "modes",
         Obs.Json.List
-          (List.map
-             (fun r ->
-               Obs.Json.Obj
-                 [
-                   ("mode", Obs.Json.Str r.sx_mode);
-                   ("kept", Obs.Json.Int r.sx_kept);
-                   ("retained", Obs.Json.Float r.sx_retained);
-                   ("sparsify_ns", Obs.Json.Float r.sx_sparsify_ns);
-                   ("total_ns", Obs.Json.Float r.sx_total_ns);
-                   ("speedup", Obs.Json.Float r.sx_speedup);
-                   ("weight", Obs.Json.Int r.sx_weight);
-                   ("verified", Obs.Json.Bool r.sx_ok);
-                 ])
-             sx.sx_runs) );
+          [
+            Obs.Json.Obj
+              [
+                ("mode", Obs.Json.Str "cert");
+                ("kept", Obs.Json.Int sx.sx_kept);
+                ("retained", Obs.Json.Float sx.sx_retained);
+                ("sparsify_ns", Obs.Json.Float sx.sx_sparsify_ns);
+                ("total_ns", Obs.Json.Float sx.sx_total_ns);
+                ("speedup", Obs.Json.Float sx.sx_speedup);
+                ("weight", Obs.Json.Int sx.sx_weight);
+                ("verified", Obs.Json.Bool sx.sx_ok);
+              ];
+          ] );
     ]
 
 (* history rows are shaped so growth is bad and History.compare's
    REGRESSION judgement applies directly: end-to-end ns, the retained
    fraction, and total/base (the inverse of the speedup) *)
 let sparsify_history_rows sx =
-  ("sparsify/solve-dense-base", sx.sx_base_ns)
-  :: List.concat_map
-       (fun r ->
-         [
-           (Printf.sprintf "sparsify/solve-dense-%s" r.sx_mode, r.sx_total_ns);
-           (Printf.sprintf "sparsify/retained-%s" r.sx_mode, r.sx_retained);
-           ( Printf.sprintf "sparsify/%s-over-base-ratio" r.sx_mode,
-             if sx.sx_base_ns > 0.0 then r.sx_total_ns /. sx.sx_base_ns
-             else Float.nan );
-         ])
-       sx.sx_runs
+  [
+    ("sparsify/solve-dense-base", sx.sx_base_ns);
+    ("sparsify/solve-dense-cert", sx.sx_total_ns);
+    ("sparsify/retained-cert", sx.sx_retained);
+    ( "sparsify/cert-over-base-ratio",
+      if sx.sx_base_ns > 0.0 then sx.sx_total_ns /. sx.sx_base_ns
+      else Float.nan );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* scale tier: the flat-core pipeline at sweep sizes                   *)
@@ -1216,14 +1193,13 @@ type opts = {
   threshold : float;
   jobs : int option;
   profile : bool;
-  sparsify : string option; (* restrict the sparsify tier: cert | spanner *)
 }
 
 let usage =
   "usage: main.exe [--quick] [--exp ID]... [--micro-only] [--no-micro]\n\
   \       [--micro-filter SUBSTRING] [--metrics-out FILE]\n\
   \       [--history-out FILE] [--rev REV] [--jobs N] [--profile]\n\
-  \       [--compare OLD.json] [--threshold FRACTION] [--sparsify MODE]\n"
+  \       [--compare OLD.json] [--threshold FRACTION]\n"
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -1254,11 +1230,6 @@ let () =
         Printf.eprintf "--jobs expects an integer >= 1\n%s" usage;
         exit 2)
     | "--profile" :: rest -> parse { o with profile = true } rest
-    | "--sparsify" :: m :: rest when List.mem m [ "cert"; "spanner"; "both" ] ->
-      parse { o with sparsify = (if m = "both" then None else Some m) } rest
-    | "--sparsify" :: _ ->
-      Printf.eprintf "--sparsify expects cert, spanner or both\n%s" usage;
-      exit 2
     | arg :: _ ->
       Printf.eprintf "unknown argument %s\n%s" arg usage;
       exit 2
@@ -1278,7 +1249,6 @@ let () =
         threshold = 0.10;
         jobs = None;
         profile = false;
-        sparsify = None;
       }
       args
   in
@@ -1322,13 +1292,7 @@ let () =
   let sparsify =
     if o.micro_only then None
     else begin
-      let modes =
-        match o.sparsify with
-        | Some "cert" -> [ Sparsify.Certificate ]
-        | Some "spanner" -> [ Sparsify.Spanner ]
-        | _ -> [ Sparsify.Certificate; Sparsify.Spanner ]
-      in
-      let sx = run_sparsify_tier ~modes in
+      let sx = run_sparsify_tier () in
       print_sparsify_tier sx;
       Some sx
     end

@@ -124,26 +124,12 @@ let apply_jobs = function
 
 let sparsify_arg =
   let doc =
-    "Sparsify the input before solving: $(docv) is 'cert' (Thurimella \
-     sparse certificate, ≤ k(n−1) edges, the default) or 'spanner' \
-     (k edge-disjoint Baswana–Sen (2k−1)-spanner layers, weight-aware). \
+    "Sparsify the input before solving: keep its sparse certificate, k \
+     edge-disjoint lex-min (weight, id) spanning forests (≤ k(n−1) edges). \
      The final solution is lifted back to, and verified against, the \
      original graph."
   in
-  Arg.(
-    value
-    & opt ~vopt:(Some "cert") (some string) None
-    & info [ "sparsify" ] ~docv:"MODE" ~doc)
-
-let parse_sparsify = function
-  | None -> Ok None
-  | Some s -> (
-    match Sparsify.mode_of_string s with
-    | Some m -> Ok (Some m)
-    | None ->
-      Error
-        (Printf.sprintf
-           "unknown sparsify mode %S (expected 'spanner' or 'cert')" s))
+  Arg.(value & flag & info [ "sparsify" ] ~doc)
 
 (* the connectivity the chosen algorithm actually targets, needed before
    the solver runs so the sparsifier preserves the right k *)
@@ -155,8 +141,7 @@ let algo_k ~algo ~k =
   | _ -> k
 
 let report_sparsify ppf sp =
-  Format.fprintf ppf "sparsify(%s): edges %d -> %d (%.1f%% retained), rounds %d@."
-    (Sparsify.mode_to_string sp.Sparsify.mode)
+  Format.fprintf ppf "sparsify(cert): edges %d -> %d (%.1f%% retained), rounds %d@."
     sp.Sparsify.edges_in sp.Sparsify.edges_out
     (100.0
     *. float_of_int sp.Sparsify.edges_out
@@ -373,7 +358,6 @@ let report_causal ?top ?phase ppf causal ledger =
 
 type run = {
   plan : Kecss_faults.Plan.t option;
-  sparsify_mode : Sparsify.mode option;
   probe : Kecss_obs.Probe.t;
   monitor : ([ `Warn | `Strict ] * Kecss_obs.Monitor.t) option;
   trace_path : string option;
@@ -382,8 +366,8 @@ type run = {
   profile : string option;
 }
 
-(* The nine flags `solve` and `experiment` share, as one term: it applies
-   [--jobs], parses the plan and the sparsify mode, and builds the run's
+(* The eight flags `solve` and `experiment` share, as one term: it applies
+   [--jobs], parses the plan, and builds the run's
    one probe. [--trace]/[--trace-jsonl] imply metric collection: the
    counter tracks come from the metrics hooks inside the engine.
    [--monitor] needs a recording trace to subscribe to, but not metrics.
@@ -391,7 +375,7 @@ type run = {
    mortem could be needed: a fault campaign (stalls) or the monitor
    (strict violations). *)
 let run_term ~flight =
-  let setup jobs faults sparsify trace_path jsonl_path metrics_on
+  let setup jobs faults trace_path jsonl_path metrics_on
       monitor_mode profile causal_on =
     match apply_jobs jobs with
     | Error msg -> Error msg
@@ -399,9 +383,6 @@ let run_term ~flight =
     match parse_faults faults with
     | Error msg -> Error msg
     | Ok plan ->
-    match parse_sparsify sparsify with
-    | Error msg -> Error msg
-    | Ok sparsify_mode ->
       let open Kecss_obs in
       let want_trace = trace_path <> None || jsonl_path <> None in
       let trace =
@@ -430,7 +411,6 @@ let run_term ~flight =
       Ok
         {
           plan;
-          sparsify_mode;
           probe;
           monitor;
           trace_path;
@@ -440,7 +420,7 @@ let run_term ~flight =
         }
   in
   Term.(
-    const setup $ jobs_arg $ faults_arg $ sparsify_arg $ trace_arg
+    const setup $ jobs_arg $ faults_arg $ trace_arg
     $ trace_jsonl_arg $ metrics_arg $ monitor_arg $ profile_arg $ causal_arg)
 
 let export run ledger =
@@ -667,7 +647,7 @@ let run_algo_named ledger ~algo ~k ~seed g =
   | r -> Ok r
   | exception (Failure msg | Invalid_argument msg) -> Error msg
 
-let solve path algo k seed quiet flight_path run =
+let solve path algo k seed quiet sparsify flight_path run =
   match run with
   | Error msg -> `Error (false, msg)
   | Ok run ->
@@ -695,14 +675,12 @@ let solve path algo k seed quiet flight_path run =
     `Error (false, msg)
   in
   let sp =
-    Option.map
-      (fun mode ->
-        let sp =
-          Sparsify.run ~ledger (Rng.create ~seed) g ~k:(algo_k ~algo ~k) ~mode
-        in
-        if not quiet then report_sparsify Format.err_formatter sp;
-        sp)
-      run.sparsify_mode
+    if not sparsify then None
+    else begin
+      let sp = Sparsify.run ~ledger g ~k:(algo_k ~algo ~k) in
+      if not quiet then report_sparsify Format.err_formatter sp;
+      Some sp
+    end
   in
   let target = match sp with Some sp -> sp.Sparsify.sub | None -> g in
   match run_algo ledger ~algo ~k ~seed target with
@@ -774,7 +752,7 @@ let solve_cmd =
     Term.(
       ret
         (const solve $ graph_arg $ algo $ k_arg $ seed_arg $ quiet
-       $ flight_dump_arg $ run_term ~flight:true))
+       $ sparsify_arg $ flight_dump_arg $ run_term ~flight:true))
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)
@@ -1020,7 +998,6 @@ let experiment ids list_only run =
     match List.find_opt (fun id -> Option.is_none (E.find id)) ids with
     | Some id -> `Error (false, "unknown experiment: " ^ id)
     | None ->
-    Option.iter (fun m -> E.set_sparsify_modes [ m ]) run.sparsify_mode;
     (* Every experiment ledger records into its own fork of the run's
        probe, joined back in canonical cell order (see
        [Experiments.set_probe]), so the exported stream is byte-identical

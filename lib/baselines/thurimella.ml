@@ -1,5 +1,6 @@
 open Kecss_graph
 open Kecss_congest
+module Certificate = Kecss_connectivity.Certificate
 
 type result = {
   solution : Bitset.t;
@@ -7,43 +8,25 @@ type result = {
   rounds : int;
 }
 
-(* maximal spanning forest of the graph restricted to [avail] *)
-let spanning_forest g avail =
-  let uf = Union_find.create (Graph.n g) in
-  let forest = Graph.no_edges_mask g in
-  Graph.iter_edges
-    (fun e ->
-      if Bitset.mem avail e.Graph.id && Union_find.union uf e.Graph.u e.Graph.v
-      then Bitset.add forest e.Graph.id)
-    g;
-  forest
-
-let sparse_certificate ?ledger ?per_phase rng g ~k =
+let sparse_certificate ?ledger rng g ~k =
   let ledger = match ledger with Some l -> l | None -> Rounds.create () in
   Rounds.scoped ledger "thurimella" @@ fun () ->
   if k < 1 then invalid_arg "Thurimella.sparse_certificate: k must be >= 1";
-  (* per-phase round cost of one distributed forest computation: either
-     supplied analytically by the caller, or measured by executing the
-     message-level unweighted MST once *)
-  let per_phase =
-    match per_phase with
-    | Some r ->
-      if r < 0 then
-        invalid_arg "Thurimella.sparse_certificate: per_phase must be >= 0";
-      r
-    | None ->
-      let probe = Rounds.create () in
-      ignore (Mst.run probe (Rng.split rng) (Graph.unit_weights g));
-      Rounds.total probe
-  in
-  let avail = Graph.all_edges_mask g in
+  (* per-phase round cost of one distributed forest computation, measured
+     by executing the message-level unweighted MST once *)
+  let unit = Graph.unit_weights g in
+  let probe = Rounds.create () in
+  ignore (Mst.run probe (Rng.split rng) unit);
+  let per_phase = Rounds.total probe in
+  (* on unit weights the forests take the edges in id order *)
+  let forests = Array.init k (fun _ -> Graph.no_edges_mask g) in
+  Array.iteri
+    (fun e i -> if i > 0 then Bitset.add forests.(i - 1) e)
+    (Certificate.levels unit ~k);
   let solution = Graph.no_edges_mask g in
-  let forests = ref [] in
-  for _ = 1 to k do
-    let f = spanning_forest g avail in
-    forests := f :: !forests;
-    Bitset.union_into solution f;
-    Bitset.diff_into avail f;
-    Rounds.charge ledger ~category:"forest" per_phase
-  done;
-  { solution; forests = List.rev !forests; rounds = Rounds.total ledger }
+  Array.iter
+    (fun f ->
+      Bitset.union_into solution f;
+      Rounds.charge ledger ~category:"forest" per_phase)
+    forests;
+  { solution; forests = Array.to_list forests; rounds = Rounds.total ledger }

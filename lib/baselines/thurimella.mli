@@ -19,11 +19,8 @@ type result = {
 }
 
 val sparse_certificate :
-  ?ledger:Rounds.t -> ?per_phase:int -> Rng.t -> Graph.t -> k:int -> result
+  ?ledger:Rounds.t -> Rng.t -> Graph.t -> k:int -> result
 (** Requires a k-edge-connected graph (each of the k forests is then
-    spanning on the first round, and the union is k-edge-connected).
-    [per_phase] overrides the measured per-forest round charge with an
-    analytic one and skips the MST probe entirely — callers that use the
-    certificate as a wall-clock preprocessing step (see
-    [Kecss_sparsify.Sparsify]) supply the O(D + √n log* n) bound instead
-    of paying a full simulated MST on the dense input. *)
+    spanning on the first round, and the union is k-edge-connected). The
+    forests are {!Kecss_connectivity.Certificate.levels} on unit weights,
+    so each takes the edges in id order. *)

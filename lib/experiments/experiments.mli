@@ -29,10 +29,6 @@ val set_probe :
     stream, metrics totals and table rows are byte-identical to a
     sequential run at any [--jobs]. *)
 
-val set_sparsify_modes : Kecss_sparsify.Sparsify.mode list -> unit
-(** Restrict the S-sparsify density sweep to the given modes (the CLI's
-    [experiment --sparsify MODE]). Default: both modes. *)
-
 type exp = {
   id : string;          (** e.g. "T1.1-rounds" *)
   title : string;

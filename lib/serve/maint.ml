@@ -3,6 +3,7 @@ open Kecss_core
 module Verify = Kecss_connectivity.Verify
 module Edge_connectivity = Kecss_connectivity.Edge_connectivity
 module Min_cut_enum = Kecss_connectivity.Min_cut_enum
+module Certificate = Kecss_connectivity.Certificate
 
 (* The resident solution is the canonical sparse certificate: the union
    of k successively edge-disjoint lex-minimum (weight, id) spanning
@@ -43,7 +44,6 @@ type stats = {
 type t = {
   g : Graph.t;
   k : int;
-  sorted : int array; (* every edge id, ascending (weight, id) *)
   lev : int array; (* -1 dead, 0 live free, 1..k forest level *)
   live : Bitset.t;
   sol : Bitset.t;
@@ -167,29 +167,9 @@ let rebuild t =
   done;
   Array.iteri (fun e l -> if l > 0 then t.lev.(e) <- 0) t.lev;
   Bitset.iter (fun e -> Bitset.remove t.sol e) (Bitset.copy t.sol);
-  (* one pass of the sorted edge list through k union-finds: assigning
-     each edge to the first forest whose components it joins is
-     equivalent to peeling k successive lex-min spanning forests *)
-  let parent = Array.init t.k (fun _ -> Array.init n (fun v -> v)) in
-  let rec find p x = if p.(x) = x then x else find p p.(x) in
-  Array.iter
-    (fun e ->
-      if t.lev.(e) = 0 then begin
-        let u, v = Graph.endpoints t.g e in
-        let placed = ref false in
-        let i = ref 1 in
-        while (not !placed) && !i <= t.k do
-          let p = parent.(!i - 1) in
-          let ru = find p u and rv = find p v in
-          if ru <> rv then begin
-            p.(ru) <- rv;
-            link t !i e;
-            placed := true
-          end;
-          incr i
-        done
-      end)
-    t.sorted
+  Array.iteri
+    (fun e i -> if i > 0 then link t i e)
+    (Certificate.levels ~mask:t.live t.g ~k:t.k)
 
 (* ----- delete cascade (cut rule) ----- *)
 
@@ -314,10 +294,6 @@ let create ?live:live0 g ~k =
   in
   let lev = Array.make (max 1 m) (-1) in
   Bitset.iter (fun e -> lev.(e) <- 0) live;
-  let sorted = Array.init m (fun e -> e) in
-  Array.sort
-    (fun a b -> compare (Graph.weight g a, a) (Graph.weight g b, b))
-    sorted;
   let windex =
     Level_index.create ~universe:(max 1 m) ~level:(fun e ->
         if lev.(e) < 0 then Cost.useless
@@ -330,7 +306,6 @@ let create ?live:live0 g ~k =
     {
       g;
       k;
-      sorted;
       lev;
       live;
       sol = Graph.no_edges_mask g;

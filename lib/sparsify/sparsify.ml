@@ -1,19 +1,9 @@
 open Kecss_graph
 open Kecss_congest
 open Kecss_obs
-module Thurimella = Kecss_baselines.Thurimella
-
-type mode = Spanner | Certificate
-
-let mode_of_string = function
-  | "spanner" -> Some Spanner
-  | "cert" | "certificate" -> Some Certificate
-  | _ -> None
-
-let mode_to_string = function Spanner -> "spanner" | Certificate -> "cert"
+module Certificate = Kecss_connectivity.Certificate
 
 type t = {
-  mode : mode;
   kept : Bitset.t;
   edges_in : int;
   edges_out : int;
@@ -22,120 +12,7 @@ type t = {
   to_original : int array;
 }
 
-(* (weight, id) total order: distinct edges never compare equal, so every
-   "lightest edge" choice below is deterministic. *)
-let lighter g e f =
-  let we = Graph.weight g e and wf = Graph.weight g f in
-  we < wf || (we = wf && e < f)
-
-(* One Baswana–Sen pass with stretch parameter [t] over the edges of [g]
-   still in [avail]: returns a (2t−1)-spanner of that residual graph.
-   Vertices are simulated in ascending order against the mutating residual
-   [live]; an edge is only dropped once the pass has kept a path covering
-   it (per-cluster lightest edges, clusters spanner-connected by their
-   join edges), which is the property the layering below needs. *)
-let spanner_layer rng ledger g avail ~t =
-  let n = Graph.n g in
-  let keep = Bitset.create (Graph.m g) in
-  let live = Bitset.copy avail in
-  let cluster = Array.init n (fun v -> v) in
-  let prob = Float.of_int n ** (-1.0 /. Float.of_int t) in
-  (* per-cluster lightest live edge out of the vertex being scanned *)
-  let best = Hashtbl.create 16 in
-  let scan v =
-    Hashtbl.reset best;
-    Graph.iter_adj g v (fun u e ->
-        if Bitset.mem live e then
-          let c = cluster.(u) in
-          if c >= 0 && c <> cluster.(v) then
-            match Hashtbl.find_opt best c with
-            | Some e' when not (lighter g e e') -> ()
-            | _ -> Hashtbl.replace best c e)
-  in
-  let drop_clusters v drop =
-    Graph.iter_adj g v (fun u e ->
-        if Bitset.mem live e then
-          let cu = cluster.(u) in
-          if cu >= 0 && Hashtbl.mem drop cu then Bitset.remove live e)
-  in
-  let settle v = Graph.iter_adj g v (fun _ e -> Bitset.remove live e) in
-  (* phase 1: t−1 rounds of cluster sampling and joining *)
-  for _ = 2 to t do
-    let sampled = Array.init n (fun _ -> Rng.bernoulli rng prob) in
-    let next = Array.make n (-1) in
-    for v = 0 to n - 1 do
-      let c = cluster.(v) in
-      if c >= 0 && sampled.(c) then next.(v) <- c
-    done;
-    for v = 0 to n - 1 do
-      let c = cluster.(v) in
-      if c >= 0 && not sampled.(c) then begin
-        scan v;
-        let star =
-          Hashtbl.fold
-            (fun c' e acc ->
-              if not sampled.(c') then acc
-              else
-                match acc with
-                | Some (_, e') when lighter g e' e -> acc
-                | _ -> Some (c', e))
-            best None
-        in
-        match star with
-        | None ->
-          (* no sampled neighbor: keep the lightest edge per neighboring
-             cluster and leave the residual for good *)
-          Hashtbl.iter (fun _ e -> Bitset.add keep e) best;
-          settle v
-        | Some (cs, es) ->
-          (* join the sampled cluster through its lightest edge; clusters
-             beaten by [es] contribute their lightest edge and fall away *)
-          Bitset.add keep es;
-          next.(v) <- cs;
-          let drop = Hashtbl.create 8 in
-          Hashtbl.replace drop cs ();
-          Hashtbl.iter
-            (fun c' e ->
-              if c' <> cs && lighter g e es then begin
-                Bitset.add keep e;
-                Hashtbl.replace drop c' ()
-              end)
-            best;
-          drop_clusters v drop
-      end
-    done;
-    Array.blit next 0 cluster 0 n;
-    Rounds.charge ledger ~category:"spanner" 3;
-    Rounds.charge_messages ledger ~category:"spanner" n
-  done;
-  (* phase 2: every surviving vertex keeps its lightest edge to each
-     neighboring cluster; everything else is covered and discarded *)
-  for v = 0 to n - 1 do
-    if cluster.(v) >= 0 then begin
-      scan v;
-      Hashtbl.iter (fun _ e -> Bitset.add keep e) best;
-      settle v
-    end
-  done;
-  Rounds.charge ledger ~category:"spanner" 1;
-  Rounds.charge_messages ledger ~category:"spanner" (Bitset.cardinal keep);
-  keep
-
-(* k edge-disjoint layers, each a (2k−1)-spanner of what the earlier
-   layers left behind. A never-kept edge (u,v) sits in every residual, so
-   every layer keeps a u–v path, and the k paths are pairwise
-   edge-disjoint: the union preserves min(k, λ) across every cut. *)
-let spanner_certificate rng ledger g ~k =
-  let kept = Graph.no_edges_mask g in
-  let avail = Graph.all_edges_mask g in
-  for _ = 1 to k do
-    let layer = spanner_layer (Rng.split rng) ledger g avail ~t:k in
-    Bitset.union_into kept layer;
-    Bitset.diff_into avail layer
-  done;
-  kept
-
-let run ?ledger rng g ~k ~mode =
+let run ?ledger g ~k =
   if k < 1 then invalid_arg "Sparsify.run: k must be >= 1";
   let ledger = match ledger with Some l -> l | None -> Rounds.create () in
   Rounds.scoped ledger "sparsify" @@ fun () ->
@@ -143,28 +20,27 @@ let run ?ledger rng g ~k ~mode =
   let trace = Rounds.trace ledger in
   Trace.count trace "sparsify edges in" m;
   let before = Rounds.total ledger in
-  let kept =
-    match mode with
-    | Spanner -> spanner_certificate rng ledger g ~k
-    | Certificate ->
-      (* analytic O(D + √n log* n) per-forest charge: the measured-probe
-         default would execute a full simulated MST on the dense input,
-         which is exactly the wall-clock cost sparsification exists to
-         avoid. D is bounded by twice the eccentricity of vertex 0. *)
-      let n = Graph.n g in
-      let ecc0 = Array.fold_left max 0 (Graph.bfs g 0) in
-      let isqrt =
-        let r = int_of_float (Float.sqrt (float_of_int n)) in
-        if r * r < n then r + 1 else r
-      in
-      let logstar =
-        let rec go x acc = if x <= 1.0 then acc else go (Float.log2 x) (acc + 1) in
-        go (float_of_int n) 0
-      in
-      let per_phase = (2 * ecc0) + (isqrt * logstar) in
-      let r = Thurimella.sparse_certificate ~ledger ~per_phase rng g ~k in
-      r.Thurimella.solution
+  (* analytic O(D + √n log* n) per-forest charge: the measured-probe
+     default would execute a full simulated MST on the dense input, which
+     is exactly the wall-clock cost sparsification exists to avoid. D is
+     bounded by twice the eccentricity of vertex 0. *)
+  let n = Graph.n g in
+  let ecc0 = Array.fold_left max 0 (Graph.bfs g 0) in
+  let isqrt =
+    let r = int_of_float (Float.sqrt (float_of_int n)) in
+    if r * r < n then r + 1 else r
   in
+  let logstar =
+    let rec go x acc = if x <= 1.0 then acc else go (Float.log2 x) (acc + 1) in
+    go (float_of_int n) 0
+  in
+  let per_phase = (2 * ecc0) + (isqrt * logstar) in
+  let kept = Graph.no_edges_mask g in
+  Array.iteri (fun e i -> if i > 0 then Bitset.add kept e) (Certificate.levels g ~k);
+  Rounds.scoped ledger "thurimella" (fun () ->
+      for _ = 1 to k do
+        Rounds.charge ledger ~category:"forest" per_phase
+      done);
   let rounds = Rounds.total ledger - before in
   let edges_out = Bitset.cardinal kept in
   Trace.count trace "sparsify edges out" edges_out;
@@ -182,7 +58,7 @@ let run ?ledger rng g ~k ~mode =
       incr i)
     kept;
   let sub = Graph.of_arrays ~n:(Graph.n g) su sv sw in
-  { mode; kept; edges_in = m; edges_out; rounds; sub; to_original }
+  { kept; edges_in = m; edges_out; rounds; sub; to_original }
 
 let lift t sol =
   let out = Bitset.create t.edges_in in

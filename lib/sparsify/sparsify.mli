@@ -1,17 +1,13 @@
 (** Sparsification front-end: shrink a dense input before the distributed
     solvers run, preserving k-edge-connectivity of the certificate.
 
-    Two modes:
-
-    - {!Spanner} — k edge-disjoint layers, each a seeded Baswana–Sen
-      (2k−1)-spanner of the residual graph (the input minus the layers
-      already kept). Any discarded edge (u,v) survives every residual, so
-      each of the k layers crosses every u–v cut; the union therefore
-      preserves [min k λ(u,v)] for every pair, i.e. k-edge-connectivity.
-      Size O(k²·n^{1+1/k}); weight-aware (per-cluster lightest edges).
-    - {!Certificate} — Thurimella's sparse certificate
-      ({!Kecss_baselines.Thurimella}): the union of k successively
-      edge-disjoint spanning forests, ≤ k(n−1) edges. Ignores weights.
+    The kept edges are the sparse certificate of
+    {!Kecss_connectivity.Certificate}: k successively edge-disjoint
+    lex-minimum (weight, id) spanning forests, ≤ k(n−1) edges — the
+    certificate [kecss serve] maintains. Every cut keeps [min k] of its
+    capacity, and the lightest edges are the ones kept. Rounds are charged
+    analytically, O(D + √n log* n) per forest, under
+    ["sparsify/thurimella/forest"].
 
     A sparsified run must always be gated by
     [Kecss_connectivity.Verify.check_kecss] on the final solution against
@@ -21,15 +17,7 @@
 open Kecss_graph
 open Kecss_congest
 
-type mode = Spanner | Certificate
-
-val mode_of_string : string -> mode option
-(** ["spanner"] and ["cert"] (also ["certificate"]). *)
-
-val mode_to_string : mode -> string
-
 type t = {
-  mode : mode;
   kept : Bitset.t;  (** retained edges, as ids of the original graph *)
   edges_in : int;  (** [Graph.m] of the input *)
   edges_out : int;  (** [Bitset.cardinal kept] *)
@@ -38,14 +26,13 @@ type t = {
   to_original : int array;  (** sub edge id → original edge id *)
 }
 
-val run : ?ledger:Rounds.t -> Rng.t -> Graph.t -> k:int -> mode:mode -> t
-(** [run rng g ~k ~mode] sparsifies [g] so that every cut of the result
-    has capacity ≥ [min k] (capacity of the same cut in [g]). Charged
-    under the ledger scope ["sparsify"]; when the ledger carries a trace,
-    emits [sparsify edges in]/[sparsify edges out] counters. [sub]
-    preserves weights and vertex ids; only edge ids are re-indexed
-    (ascending in original id, so the mapping is deterministic).
-    Requires [k >= 1]. *)
+val run : ?ledger:Rounds.t -> Graph.t -> k:int -> t
+(** [run g ~k] sparsifies [g] so that every cut of the result has
+    capacity ≥ [min k] (capacity of the same cut in [g]). Charged under
+    the ledger scope ["sparsify"]; when the ledger carries a trace, emits
+    [sparsify edges in]/[sparsify edges out] counters. [sub] preserves
+    weights and vertex ids; only edge ids are re-indexed (ascending in
+    original id, so the mapping is deterministic). Requires [k >= 1]. *)
 
 val lift : t -> Bitset.t -> Bitset.t
 (** [lift t sol] maps a solution mask over [t.sub]'s edge ids back to a

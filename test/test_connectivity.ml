@@ -437,6 +437,42 @@ let verify_tests =
         check_int "aug weight" 100 r.Verify.weight);
   ]
 
+let certificate_tests =
+  [
+    case "levels are forests off the mask, at most k(n-1) edges" (fun () ->
+        Alcotest.check_raises "k = 0"
+          (Invalid_argument "Certificate.levels: k must be >= 1")
+          (fun () -> ignore (Certificate.levels (Gen.cycle 4) ~k:0));
+        let rng = Rng.create ~seed:8 in
+        for n = 4 to 30 do
+          let g = Gen.random_connected (Rng.split rng) n 0.4 in
+          let g = Graph.map_weights (fun _ -> 1 + Rng.int rng 5) g in
+          let mask = Graph.all_edges_mask g in
+          Graph.iter_edges
+            (fun e -> if Rng.int rng 4 = 0 then Bitset.remove mask e.Graph.id)
+            g;
+          for k = 1 to 3 do
+            let level = Certificate.levels ~mask g ~k in
+            Array.iteri
+              (fun e i -> if not (Bitset.mem mask e) then check_int "off mask" 0 i)
+              level;
+            let placed = ref 0 in
+            for i = 1 to k do
+              let f = Graph.no_edges_mask g in
+              Array.iteri (fun e l -> if l = i then Bitset.add f e) level;
+              let c = Bitset.cardinal f in
+              placed := !placed + c;
+              (* c edges on n vertices form a forest iff n - c components *)
+              check_int
+                (Printf.sprintf "level %d is a forest, n=%d k=%d" i n k)
+                (n - c)
+                (Graph.num_components ~mask:f g)
+            done;
+            check_is "at most k(n-1) placed" (!placed <= k * (n - 1))
+          done
+        done);
+  ]
+
 let () =
   Alcotest.run "connectivity"
     [
@@ -447,4 +483,5 @@ let () =
       ("min_cut_enum", enum_tests);
       ("census", census_tests);
       ("verify", verify_tests);
+      ("certificate", certificate_tests);
     ]
