@@ -10,6 +10,15 @@ type result = {
 
 let none_w = max_int
 
+exception Missing_wave_value of { vertex : int; wave : string }
+
+(* A wave that quiesces leaves a value at every vertex; only a
+   crash-stopped vertex keeps the empty one. *)
+let wave_value ~wave values v =
+  match values.(v) with
+  | [||] -> raise (Missing_wave_value { vertex = v; wave })
+  | x -> x
+
 (* candidates are compared lexicographically as (weight, edge id) *)
 let lex_min (a : int array) (b : int array) =
   if a.(0) < b.(0) || (a.(0) = b.(0) && a.(1) <= b.(1)) then a else b
@@ -114,13 +123,16 @@ let part1 ledger rng g ~cap ~bfs_forest =
     let flags =
       Prim.wave_down ledger wf
         ~root_value:(fun r ->
-          let capped_now = st.capped.(r) || sizes.(r).(0) >= cap in
+          let capped_now =
+            st.capped.(r) || (wave_value ~wave:"fragment sizes" sizes r).(0) >= cap
+          in
           [| (if capped_now then 1 else 0); (if coin.(r) then 1 else 0) |])
         ~derive:(fun _ ~parent_value -> parent_value)
     in
     for v = 0 to n - 1 do
-      st.capped.(v) <- flags.(v).(0) = 1;
-      coin.(v) <- flags.(v).(1) = 1
+      let f = wave_value ~wave:"capped and coin flags" flags v in
+      st.capped.(v) <- f.(0) = 1;
+      coin.(v) <- f.(1) = 1
     done;
     (* neighbours exchange (fragment id, head bit, capped bit); each
        vertex keeps its minimum outgoing candidate as it reads them *)
@@ -150,7 +162,7 @@ let part1 ledger rng g ~cap ~bfs_forest =
     List.iter
       (fun r ->
         if (not st.capped.(r)) && not coin.(r) then begin
-          let moe = moes.(r) in
+          let moe = wave_value ~wave:"fragment MOEs" moes r in
           if moe.(0) <> none_w && moe.(2) = 1 then
             merges := (r, moe) :: !merges
         end)
@@ -198,7 +210,11 @@ let part1 ledger rng g ~cap ~bfs_forest =
           let own = if st.capped.(v) then 0 else 1 in
           [| List.fold_left (fun acc k -> max acc k.(0)) own kids |])
     in
-    let stop = small_left.(List.hd bfs_forest.Forest.roots).(0) = 0 in
+    let stop =
+      (wave_value ~wave:"termination test" small_left
+         (List.hd bfs_forest.Forest.roots)).(0)
+      = 0
+    in
     ignore
       (Prim.wave_down ledger bfs_forest
          ~root_value:(fun _ -> [| (if stop then 1 else 0) |])

@@ -32,6 +32,13 @@ type result = {
   global_edges : int list;  (** MST edges joining different fragments, sorted *)
 }
 
+exception Missing_wave_value of { vertex : int; wave : string }
+(** Raised by part 1 when a convergecast or broadcast wave quiesced
+    without a value at [vertex] that the next step reads — which only a
+    crash fault causes. [wave] names the wave: ["fragment sizes"],
+    ["capped and coin flags"], ["fragment MOEs"] or ["termination
+    test"]. *)
+
 val run : ?cap:int -> Rounds.t -> Rng.t -> Graph.t -> result
 (** Builds the MST of a connected graph (on a disconnected one,
     {!Prim.bfs_tree} raises [Invalid_argument] before any round). [cap]

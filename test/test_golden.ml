@@ -267,7 +267,7 @@ let cases =
       "ids=0,1,2,3,5,6,7,9,10,11,13,14,16,18,22,23,24,25,26,29,30,31,32,33,34,35,37,38,39,40,41,42,43,44,47,51,52,57,59,60,63,64,65,67,68,69,71,73,74,76,78,80,81,82,83,84,85,86,88,89,90,94 metrics=cdb9cee60080c9b15c75860d8350504b causal=b7167c6cc2a9167aede4650464460463 flight=9306dd888bd2b9f0e16f92646f1e81d2",
       recorded (ecss2 g2) );
     ( "ecss2 engine telemetry under faults",
-      "Invalid_argument(\"index out of bounds\") stats=82 injected (0 dropped, 56 delayed, 25 duplicated, 1 crashed, 0 cut, 0 restored) metrics=752692cac0bcd9d939f9d99eaa5dfae1 causal=cd37703ea30b2b6b184c036d5693bacf flight=54085f9a1320973925a29a3cb8e0c170",
+      "Kecss_congest.Mst.Missing_wave_value(3, \"capped and coin flags\") stats=82 injected (0 dropped, 56 delayed, 25 duplicated, 1 crashed, 0 cut, 0 restored) metrics=752692cac0bcd9d939f9d99eaa5dfae1 causal=cd37703ea30b2b6b184c036d5693bacf flight=54085f9a1320973925a29a3cb8e0c170",
       recorded ~faults:"crash=v3@r40,delay=0.1:2,dup=0.05,seed=5" (ecss2 g2) );
     ( "ecss3 engine telemetry",
       "ids=0,1,2,3,4,5,6,8,10,12,13,15,17,21,23,24,25,27,29,30,32,33,34,35,37,38,45,46,48,49,51,52,53,54,55,56,58,59,60,61,65,66,67,68,70,75,80,82,84,85,86,87,88,93,95,98,99,102,103,104,106,107,108,109,110,111,112,113 metrics=8a50f6efc784ef0b188242918868680b causal=59d590f115c8a1c60ec9b2e6b22b0353 flight=b27fccad6f0848edc6e33a0a84aa5428",
