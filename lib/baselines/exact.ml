@@ -61,12 +61,3 @@ let tap g tree =
   in
   let feasible mask = Dfs.is_two_edge_connected ~mask g in
   min_subset g ~universe ~base ~feasible
-
-let augmentation g ~h ~k =
-  let universe =
-    Graph.fold_edges
-      (fun e acc -> if Bitset.mem h e.Graph.id then acc else e.Graph.id :: acc)
-      g []
-  in
-  let feasible mask = Edge_connectivity.is_k_edge_connected ~mask g k in
-  min_subset g ~universe ~base:h ~feasible

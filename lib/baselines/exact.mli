@@ -25,6 +25,3 @@ val kecss : Graph.t -> k:int -> Bitset.t option
 
 val tap : Graph.t -> Rooted_tree.t -> Bitset.t option
 (** Exact minimum-weight tree augmentation of the given spanning tree. *)
-
-val augmentation : Graph.t -> h:Bitset.t -> k:int -> Bitset.t option
-(** Exact minimum-weight Aug_k of the subgraph [h]. *)
