@@ -679,9 +679,9 @@ let print_sparsify_tier sx =
     (History.pretty_ns sx.sx_base_ns)
     sx.sx_base_weight;
   Printf.printf
-    "  %-8s kept %6d/%d (%4.1f%%), sparsify %s, end-to-end %s \
+    "  cert     kept %6d/%d (%4.1f%%), sparsify %s, end-to-end %s \
      (%.2fx speedup), weight %d, verified %s\n"
-    "cert" sx.sx_kept sx.sx_m
+    sx.sx_kept sx.sx_m
     (100.0 *. sx.sx_retained)
     (History.pretty_ns sx.sx_sparsify_ns)
     (History.pretty_ns sx.sx_total_ns)
@@ -752,7 +752,7 @@ type scale_row = {
 }
 
 (* one CONGEST primitive run alone on a scale graph: its message count
-   (deterministic) and the median wall-clock of three runs per message *)
+   (deterministic) and the median wall-clock of seven runs per message *)
 and prim_row = { pr_name : string; pr_messages : int; pr_ns_per_msg : float }
 
 (* The primitives that carry an unweighted 2-ECSS solve, each on the
@@ -799,13 +799,19 @@ let scale_primitives g =
         run l;
         (Kecss_obs.Prof.now_ns () -. t0, Rounds.total_messages l)
       in
-      let samples = List.init 3 (fun _ -> once ()) in
+      (* a full major collection before each run keeps one run's garbage
+         out of the next one's timing *)
+      let samples =
+        List.init 7 (fun _ ->
+            Gc.full_major ();
+            once ())
+      in
       let messages = snd (List.hd samples) in
       let ns = List.sort compare (List.map fst samples) in
       {
         pr_name = name;
         pr_messages = messages;
-        pr_ns_per_msg = List.nth ns 1 /. float_of_int (max 1 messages);
+        pr_ns_per_msg = List.nth ns 3 /. float_of_int (max 1 messages);
       })
     runs
 
@@ -899,7 +905,9 @@ let print_scale_tier rows =
       (r.sc_parse_ns /. r.sc_decode_ns)
   | _ -> ());
   print_newline ();
-  print_endline "# each primitive alone on the solve's BFS tree (median of 3)";
+  print_endline
+    "# each primitive alone on the solve's BFS tree (median of 7, each \
+     after a full major GC)";
   Printf.printf "%8s %-14s %10s %10s\n" "n" "primitive" "messages" "ns/msg";
   List.iter
     (fun r ->
