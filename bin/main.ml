@@ -367,8 +367,8 @@ type run = {
 }
 
 (* The eight flags `solve` and `experiment` share, as one term: it applies
-   [--jobs], parses the plan, and builds the run's
-   one probe. [--trace]/[--trace-jsonl] imply metric collection: the
+   [--jobs], parses the plan and builds the run's one probe.
+   [--trace]/[--trace-jsonl] imply metric collection: the
    counter tracks come from the metrics hooks inside the engine.
    [--monitor] needs a recording trace to subscribe to, but not metrics.
    With [~flight], the flight recorder is armed exactly when a post

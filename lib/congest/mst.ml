@@ -123,9 +123,7 @@ let part1 ledger rng g ~cap ~bfs_forest =
     let flags =
       Prim.wave_down ledger wf
         ~root_value:(fun r ->
-          let capped_now =
-            st.capped.(r) || (wave_value ~wave:"fragment sizes" sizes r).(0) >= cap
-          in
+          let capped_now = st.capped.(r) || sizes.(r).(0) >= cap in
           [| (if capped_now then 1 else 0); (if coin.(r) then 1 else 0) |])
         ~derive:(fun _ ~parent_value -> parent_value)
     in

@@ -35,9 +35,8 @@ type result = {
 exception Missing_wave_value of { vertex : int; wave : string }
 (** Raised by part 1 when a convergecast or broadcast wave quiesced
     without a value at [vertex] that the next step reads — which only a
-    crash fault causes. [wave] names the wave: ["fragment sizes"],
-    ["capped and coin flags"], ["fragment MOEs"] or ["termination
-    test"]. *)
+    crash fault causes. [wave] names the wave: ["capped and coin
+    flags"], ["fragment MOEs"] or ["termination test"]. *)
 
 val run : ?cap:int -> Rounds.t -> Rng.t -> Graph.t -> result
 (** Builds the MST of a connected graph (on a disconnected one,

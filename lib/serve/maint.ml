@@ -166,7 +166,7 @@ let rebuild t =
     Array.fill t.fadj.(i) 0 n []
   done;
   Array.iteri (fun e l -> if l > 0 then t.lev.(e) <- 0) t.lev;
-  Bitset.iter (fun e -> Bitset.remove t.sol e) (Bitset.copy t.sol);
+  Bitset.clear t.sol;
   Array.iteri
     (fun e i -> if i > 0 then link t i e)
     (Certificate.levels ~mask:t.live t.g ~k:t.k)
