@@ -437,22 +437,49 @@ let verify_tests =
         check_int "aug weight" 100 r.Verify.weight);
   ]
 
+(* the definition: forest i is the lex-min (weight, id) spanning forest
+   of the masked edges no earlier forest took *)
+let peeled_levels ~mask g ~k =
+  let level = Array.make (Graph.m g) 0 in
+  let order =
+    List.sort
+      (fun a b -> compare (Graph.weight g a, a) (Graph.weight g b, b))
+      (Bitset.elements mask)
+  in
+  for i = 1 to k do
+    let uf = Union_find.create (Graph.n g) in
+    List.iter
+      (fun e ->
+        if level.(e) = 0 && Union_find.union uf (Graph.edge_u g e) (Graph.edge_v g e)
+        then level.(e) <- i)
+      order
+  done;
+  level
+
 let certificate_tests =
   [
-    case "levels are forests off the mask, at most k(n-1) edges" (fun () ->
+    case "levels peel lex-min forests off the mask, at most k(n-1)" (fun () ->
         Alcotest.check_raises "k = 0"
           (Invalid_argument "Certificate.levels: k must be >= 1")
           (fun () -> ignore (Certificate.levels (Gen.cycle 4) ~k:0));
         let rng = Rng.create ~seed:8 in
         for n = 4 to 30 do
           let g = Gen.random_connected (Rng.split rng) n 0.4 in
-          let g = Graph.map_weights (fun _ -> 1 + Rng.int rng 5) g in
+          let weighted = Graph.map_weights (fun _ -> 1 + Rng.int rng 5) g in
           let mask = Graph.all_edges_mask g in
           Graph.iter_edges
             (fun e -> if Rng.int rng 4 = 0 then Bitset.remove mask e.Graph.id)
             g;
           for k = 1 to 3 do
+            (* unit weights take the edges in id order, without a sort *)
+            Alcotest.(check (array int))
+              (Printf.sprintf "unit weights peel, n=%d k=%d" n k)
+              (peeled_levels ~mask g ~k) (Certificate.levels ~mask g ~k);
+            let g = weighted in
             let level = Certificate.levels ~mask g ~k in
+            Alcotest.(check (array int))
+              (Printf.sprintf "weighted peel, n=%d k=%d" n k)
+              (peeled_levels ~mask g ~k) level;
             Array.iteri
               (fun e i -> if not (Bitset.mem mask e) then check_int "off mask" 0 i)
               level;
