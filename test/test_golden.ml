@@ -107,14 +107,14 @@ let recorded ?faults solve () =
     (digest (Json.to_string (Flight.to_json ~reason:"pin" flight)))
 
 (* What programs observe of the engine's delivery and send order, read
-   through the primitives' own results: [exchange]'s inbox lists (edge
-   ids and payload words, in list order), [down_pipeline]'s received
-   lists, [up_pipeline_merge]'s root lists under an order-sensitive
-   combine, and a [wave_up] whose value hashes its children's values in
-   the order it got them. Payload lengths vary from 0 to the cap, so a
-   word lost or reordered anywhere moves a digest. Optionally under a
-   fault plan, where each primitive's outcome (a stall included) is
-   pinned in turn on one injector. *)
+   through the primitives' own results: the in-place exchange's mail as
+   per-vertex lists (edge ids and payload words, in list order),
+   [down_pipeline]'s received lists, [up_pipeline_merge]'s root lists
+   under an order-sensitive combine, and a [wave_up] whose value hashes
+   its children's values in the order it got them. Payload lengths vary
+   from 0 to the cap, so a word lost or reordered anywhere moves a
+   digest. Optionally under a fault plan, where each primitive's outcome
+   (a stall included) is pinned in turn on one injector. *)
 let order ?faults g () =
   let inj =
     Option.map
@@ -137,16 +137,26 @@ let order ?faults g () =
   let parts =
     [
       outcome "exchange" (fun () ->
-          lists
-            (Prim.exchange ledger g (fun v ->
-                 List.init (Graph.degree g v) (fun i ->
-                     let e = Graph.adj_eid_at g v i in
-                     {
-                       Network.edge = e;
-                       payload =
-                         Array.init ((v + i) mod (Network.cap_words + 1)) (fun j ->
-                             (v * 1000) + (e * 10) + j);
-                     }))));
+          (* each pass's mail, in chain order, ahead of the earlier
+             passes' *)
+          let got = Array.make (Graph.n g) [] in
+          Prim.exchange_in_place ledger g
+            ~post:(fun v out ->
+              for i = 0 to Graph.degree g v - 1 do
+                let e = Graph.adj_eid_at g v i in
+                Network.post_port out ~port:i
+                  (Array.init ((v + i) mod (Network.cap_words + 1)) (fun j ->
+                       (v * 1000) + (e * 10) + j))
+              done)
+            ~read:(fun v mail ->
+              let rec chain m =
+                if m < 0 then []
+                else
+                  (Network.Mail.edge mail m, Network.Mail.payload mail m)
+                  :: chain (Network.Mail.next mail m)
+              in
+              got.(v) <- chain (Network.Mail.first mail) @ got.(v));
+          lists got);
       outcome "down_pipeline" (fun () ->
           lists
             (Prim.down_pipeline ~record:true ledger forest ~emit:(fun v ->
