@@ -37,7 +37,7 @@ let leader_election g =
           `Idle);
     }
   in
-  let states, rounds = Network.run g program in
+  let states, rounds, _messages = Network.run_counted g program in
   (states.(0).best, rounds)
 
 (* --- 2. bipartiteness: 2-color the BFS tree, then one exchange  --- *)
@@ -50,18 +50,18 @@ let bipartite ledger g =
       ~root_value:(fun _ -> [| 0 |])
       ~derive:(fun _ ~parent_value -> [| 1 - parent_value.(0) |])
   in
-  let inboxes =
-    Prim.exchange ledger g (fun v ->
-        List.init (Graph.degree g v) (fun i ->
-            { Network.edge = Graph.adj_eid_at g v i; payload = colors.(v) }))
-  in
   let ok = ref true in
-  Array.iteri
-    (fun v inbox ->
-      List.iter
-        (fun (_, msg) -> if msg.(0) = colors.(v).(0) then ok := false)
-        inbox)
-    inboxes;
+  Prim.exchange_in_place ledger g
+    ~post:(fun v out ->
+      for i = 0 to Graph.degree g v - 1 do
+        Network.post_port out ~port:i colors.(v)
+      done)
+    ~read:(fun v mail ->
+      let m = ref (Network.Mail.first mail) in
+      while !m >= 0 do
+        if Network.Mail.word mail !m 0 = colors.(v).(0) then ok := false;
+        m := Network.Mail.next mail !m
+      done);
   !ok
 
 let () =

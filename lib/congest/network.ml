@@ -36,7 +36,6 @@ let stamp_scratch m =
 let par_threshold () = max_int
 
 type send = { edge : int; payload : int array }
-type 'a inbox = (int * 'a) list
 
 type fate = Deliver | Drop | Replicate of int | Postpone of int
 
@@ -138,7 +137,6 @@ let[@inline] reserve a ~src ~edge ~dst ~len =
    and [eid]. A program's step gets it twice, as its [mail] and as its
    [outbox]. *)
 type io = {
-  g : Graph.t;
   nbr : int array;
   eid : int array;
   mutable inbox : arena;
@@ -202,24 +200,12 @@ module Mail = struct
     copy a (get a.off s + pos) l
 
   let payload m s = sub m s ~pos:0
-
-  (* Not tail-recursive: an inbox holds at most a few messages per
-     incident edge, and building each cell after the recursive call
-     spares the write barrier a tail-modulo-cons list would pay. *)
-  let rec chain a s =
-    if s < 0 then []
-    else
-      let rest = chain a (get a.next s) in
-      (get a.edge s, copy a (get a.off s) (get a.len s)) :: rest
-
-  let to_inbox m = chain m.inbox m.head
 end
 
-(* Two ways to fill a slot. A port post reads the edge and the far end
-   from the sender's own adjacency row, checked against its degree, and
-   makes no call outside this module; an edge post resolves the far end
-   with [Graph.other_end]. Either way the destination is stored in the
-   slot, so the delivery pass never looks an edge up. *)
+(* A post fills its slot from the sender's own adjacency row, checked
+   against its degree: the row gives the edge and the far end, so the
+   destination is stored in the slot and the delivery pass never looks
+   an edge up. *)
 
 let bad_port o port =
   invalid_arg
@@ -232,17 +218,6 @@ let[@inline] port_slot o ~port ~len =
   reserve o.outbox ~src:o.v ~edge:(Array.unsafe_get o.eid i)
     ~dst:(Array.unsafe_get o.nbr i) ~len
 
-let edge_slot o ~edge ~len =
-  let dst =
-    match Graph.other_end o.g edge o.v with
-    | d -> d
-    | exception Invalid_argument _ ->
-      invalid_arg
-        (Printf.sprintf "Network: edge %d is not incident to vertex %d" edge
-           o.v)
-  in
-  reserve o.outbox ~src:o.v ~edge ~dst ~len
-
 (* Each post takes its slot first, since reserving may grow the words
    array. [at] has room for [len] words unless the message is oversized,
    which delivery refuses before anything reads it. *)
@@ -251,15 +226,6 @@ let[@inline] copy_in a ~at src ~pos ~len =
     for i = 0 to len - 1 do
       set a.words (at + i) (Array.unsafe_get src (pos + i))
     done
-
-let post o ~edge payload =
-  let len = Array.length payload in
-  let at = edge_slot o ~edge ~len in
-  copy_in o.outbox ~at payload ~pos:0 ~len
-
-let post1 o ~edge w =
-  let at = edge_slot o ~edge ~len:1 in
-  set o.outbox.words at w
 
 let post_sub_port o ~port src ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length src then
@@ -317,7 +283,7 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
   in
   let states = Array.init n p.init in
   let adj_off, nbr, eid = Graph.adjacency g in
-  let io = { g; nbr; eid; inbox; outbox; v = -1; head = -1; lo = 0; deg = 0 } in
+  let io = { nbr; eid; inbox; outbox; v = -1; head = -1; lo = 0; deg = 0 } in
   (* no handle names a message before the first delivery, not even a
      slot an earlier run left in this arena *)
   inbox.slots <- 0;
@@ -547,7 +513,3 @@ let run_counted ?(probe = Probe.noop) ?hook ?max_rounds g p =
       ~finally:(fun () -> plane.busy <- false)
       (fun () -> run_on ~probe ?hook ?max_rounds g p plane.a plane.b)
   end
-
-let run ?max_rounds g p =
-  let states, rounds, _ = run_counted ?max_rounds g p in
-  (states, rounds)

@@ -7,7 +7,10 @@
     may send one message per incident edge per round, of at most
     {!val-cap_words} machine words — the model's O(log n)-bit budget (an
     identifier, a weight and a couple of flags all fit in O(log n) bits for
-    polynomial weights, so a handful of words is one CONGEST message).
+    polynomial weights, so a handful of words is one CONGEST message).  It
+    names a link it sends on by its {e port}, its own index into its
+    adjacency row, and learns the edge a message arrived on from the
+    message.
 
     Execution stops at {e quiescence}: no messages in flight and every
     vertex's step returned [`Idle].  The returned round count matches the
@@ -48,16 +51,11 @@ type send = { edge : int; payload : int array }
     sends to their {!outbox}; this record is how [Prim.exchange]'s
     callers describe theirs. *)
 
-type 'a inbox = (int * 'a) list
-(** Received messages as [(edge_id, payload)] pairs, in {!mail} order
-    (most recent delivery first): the list form {!Mail.to_inbox} builds
-    and [Prim.exchange] returns. *)
-
 type fate = Deliver | Drop | Replicate of int | Postpone of int
 (** What the network does with one sent message: deliver it normally, lose
-    it, deliver [Replicate n] copies ([n >= 1]; the inbox sees [n]
-    entries), or deliver it [Postpone d] rounds late ([d <= 0] delivers
-    normally). *)
+    it, deliver [Replicate n] copies ([n >= 1]; the receiver's {!mail}
+    holds [n] entries), or deliver it [Postpone d] rounds late ([d <= 0]
+    delivers normally). *)
 
 type hook = {
   round_begin : round:int -> unit;
@@ -157,9 +155,6 @@ module Mail : sig
   val sub : mail -> int -> pos:int -> int array
   (** A fresh copy of payload words [pos ..].
       @raise Invalid_argument unless [0 <= pos <= length m msg]. *)
-
-  val to_inbox : mail -> int array inbox
-  (** Every message as an [(edge, payload copy)] list, in chain order. *)
 end
 
 type outbox
@@ -170,24 +165,15 @@ type outbox
     send and receive events see the senders in ascending order and each
     sender's messages in the order it posted them.
 
-    A send names its link in one of two ways, which fill the same slot
-    and are delivered alike:
-    - by {e port}, the vertex's own index [i] into its adjacency row
-      ([0 <= i < Graph.degree g v], the [i]-th entry of
-      {!Kecss_graph.Graph.adjacency}, in ascending edge-id order): the
-      way a CONGEST vertex knows its links. The engine reads the edge
-      and the neighbour from that row, with no call outside the engine.
-      A port outside [[0, degree)] raises
-      [Invalid_argument "Network: port P outside [0, D) at vertex V"]
-      at the post;
-    - by edge id ({!post}, {!post1}), resolving the neighbour with
-      {!Kecss_graph.Graph.other_end} at the post: the way
-      [Prim.exchange]'s [send] lists name their links. An edge not
-      incident to the sender (or no edge at all) raises
-      [Invalid_argument "Network: edge E is not incident to vertex V"]
-      at the post.
-
-    The size and duplicate-send checks stay with the delivery pass. *)
+    A send names its link by {e port}: the vertex's own index [i] into
+    its adjacency row ([0 <= i < Graph.degree g v], the [i]-th entry of
+    {!Kecss_graph.Graph.adjacency}, in ascending edge-id order), the way
+    a CONGEST vertex knows its links. The engine reads the edge and the
+    neighbour from that row, with no call outside the engine, and
+    stores both in the slot. A port outside [[0, degree)] raises
+    [Invalid_argument "Network: port P outside [0, D) at vertex V"] at
+    the post. The size and duplicate-send checks stay with the delivery
+    pass. *)
 
 val post_port : outbox -> port:int -> int array -> unit
 (** [post_port o ~port payload] sends [payload] on the stepping vertex's
@@ -205,12 +191,6 @@ val forward_port : outbox -> port:int -> mail -> int -> unit
 (** [forward_port o ~port m msg] posts a received message's payload as
     is, copying it from arena to arena. *)
 
-val post : outbox -> edge:int -> int array -> unit
-(** {!post_port} on edge [edge]. *)
-
-val post1 : outbox -> edge:int -> int -> unit
-(** {!post1_port} on edge [edge]. *)
-
 type 's program = {
   init : int -> 's;
   (** [init v] builds vertex [v]'s initial state. It may inspect the graph
@@ -224,13 +204,6 @@ type 's program = {
       has mail. An idle vertex without mail is not stepped, so a program
       must not rely on idle steps to send or to change state. *)
 }
-
-val run :
-  ?max_rounds:int ->
-  Graph.t ->
-  's program ->
-  's array * int
-(** [run g p] is [run_counted g p] without the message count. *)
 
 val run_counted :
   ?probe:Probe.t ->

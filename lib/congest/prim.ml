@@ -19,9 +19,8 @@ module Mail = Network.Mail
 
 (* Steps walk their mail with a loop over [Mail.first]/[Mail.next] and
    post through the helpers below, so a step allocates no closure. Every
-   program but the exchange's list view posts by port: to a forest
-   parent or child through the ports the forest holds, and across graph
-   edges by its own adjacency row. *)
+   program posts by port: to a forest parent or child through the ports
+   the forest holds, and across graph edges by its own adjacency row. *)
 
 (* words [pos .. pos + len - 1] of [buf] to each child of [v], in child
    order *)
@@ -35,13 +34,6 @@ let forward_children out (f : Forest.t) v inbox m =
   for j = f.child_off.(v) to f.child_off.(v + 1) - 1 do
     Network.forward_port out ~port:f.child_port.(j) inbox m
   done
-
-(* each of [sends], in list order *)
-let rec post_sends out = function
-  | [] -> ()
-  | { Network.edge; payload } :: rest ->
-    Network.post out ~edge payload;
-    post_sends out rest
 
 (* ---------- BFS tree ---------- *)
 
@@ -104,13 +96,31 @@ let exchange_in_place ?read ledger g ~post =
   in
   ignore (engine ledger ~category:"exchange" g program)
 
-(* the list view: each pass's inbox goes in front of the earlier ones *)
+(* the position of edge [e] in the ascending ids [eid.(lo .. hi - 1)],
+   or -1 *)
+let rec row_search eid e lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let x = eid.(mid) in
+    if x = e then mid
+    else if x < e then row_search eid e (mid + 1) hi
+    else row_search eid e lo mid
+
+(* each send on the port of its edge, found in the sender's row *)
 let exchange ledger g sends =
-  let got = Array.make (Graph.n g) [] in
-  exchange_in_place ledger g
-    ~post:(fun v out -> post_sends out (sends v))
-    ~read:(fun v mail -> got.(v) <- Mail.to_inbox mail @ got.(v));
-  got
+  let off, _, eid = Graph.adjacency g in
+  exchange_in_place ledger g ~post:(fun v out ->
+      let lo = off.(v) in
+      List.iter
+        (fun { Network.edge; payload } ->
+          let k = row_search eid edge lo off.(v + 1) in
+          if k < 0 then
+            invalid_arg
+              (Printf.sprintf "Prim.exchange: edge %d is not incident to vertex %d"
+                 edge v);
+          Network.post_port out ~port:(k - lo) payload)
+        (sends v))
 
 (* ---------- convergecast wave ---------- *)
 

@@ -20,16 +20,12 @@
     Every program here posts by port ({!Network.post_port}): the tree
     primitives through the parent and child ports their {!Forest.t}
     computed once, [bfs_tree] and [edge_stream] along each vertex's own
-    adjacency row. Children are posted to in ascending vertex order, so
-    the order of sends, and with it every inbox, ledger and export, is
-    the one an edge-addressed program gets. Only {!exchange}'s list view
-    posts by edge id, since its callers name their sends that way.
+    adjacency row. Children are posted to in ascending vertex order.
 
     There is one exchange program, {!exchange_in_place}: its callers
     post through the outbox and read their mail in place. {!exchange}
-    is a list view over it, posting [send list]s and returning inbox
-    lists, kept for callers that want values (the benchmark's
-    per-primitive probe, tests, examples); no library module calls it. *)
+    posts [send list]s that name their links by edge id, for the
+    benchmark's per-primitive probe; no library module calls it. *)
 
 open Kecss_graph
 
@@ -52,11 +48,14 @@ val exchange_in_place :
     later passes, each pass's mail in its own call). Without [read] the
     mail is delivered and charged but not read. 1 round. *)
 
-val exchange :
-  Rounds.t -> Graph.t -> (int -> Network.send list) -> int array Network.inbox array
+val exchange : Rounds.t -> Graph.t -> (int -> Network.send list) -> unit
 (** [exchange ledger g sends] is {!exchange_in_place} with each vertex
-    posting [sends v] in list order; returns each vertex's inbox, each
-    pass's messages in mail order ahead of those of earlier passes. *)
+    [v] posting [sends v] in list order, each on the port of its edge,
+    found by binary search in [v]'s adjacency row; the mail is delivered
+    and charged but not read. A lookup allocates nothing.
+    @raise Invalid_argument
+      ["Prim.exchange: edge E is not incident to vertex V"] at the post
+      of a send whose edge [v] does not touch. *)
 
 val wave_up :
   Rounds.t ->

@@ -246,7 +246,7 @@ let flight_unit_tests =
 
 (* a token relayed down a path; every vertex past the crash site starves
    Active forever, so the run ends in Did_not_quiesce *)
-let relay_program edges n =
+let relay_program ports n =
   {
     Network.init = (fun _ -> ref false);
     step =
@@ -254,11 +254,12 @@ let relay_program edges n =
         let mail = not (Network.Mail.is_empty inbox) in
         if mail then got := true;
         if v = 0 then begin
-          if round = 0 then Network.post1 out ~edge:edges.(0) 1;
+          if round = 0 then Network.post1_port out ~port:ports.(0) 1;
           `Idle
         end
         else begin
-          if mail && v < n - 1 then Network.post1 out ~edge:edges.(v) 1;
+          if mail && v < n - 1 then
+            Network.post1_port out ~port:ports.(v) 1;
           if !got then `Idle else `Active
         end);
   }
@@ -266,10 +267,15 @@ let relay_program edges n =
 let stall_dump () =
   let n = 6 in
   let g = Gen.path n in
-  let edges =
+  (* [ports.(v)]: v's port towards v + 1 *)
+  let ports =
     Array.init (n - 1) (fun v ->
-        match Graph.find_edge g v (v + 1) with
-        | Some e -> e
+        match
+          List.find_opt
+            (fun i -> Graph.adj_nbr_at g v i = v + 1)
+            (List.init (Graph.degree g v) Fun.id)
+        with
+        | Some i -> i
         | None -> Alcotest.fail "path edge missing")
   in
   let plan =
@@ -283,7 +289,7 @@ let stall_dump () =
     Network.run_counted
       ~probe:(Obs.Probe.create ~flight ())
       ~hook:(Kecss_faults.Net.hook inj)
-      ~max_rounds:12 g (relay_program edges n)
+      ~max_rounds:12 g (relay_program ports n)
   with
   | _ -> Alcotest.fail "expected a stall"
   | exception Network.Did_not_quiesce { rounds; active; in_flight } ->

@@ -4,6 +4,14 @@ open Common
 
 let ledger () = Rounds.create ()
 
+(* word 0 of every message in [mail], in chain order *)
+let first_words mail =
+  let rec go m =
+    if m < 0 then []
+    else Network.Mail.word mail m 0 :: go (Network.Mail.next mail m)
+  in
+  go (Network.Mail.first mail)
+
 (* ---------- engine semantics ---------- *)
 
 let engine_tests =
@@ -13,7 +21,7 @@ let engine_tests =
         let p =
           { Network.init = (fun _ -> ()); step = (fun ~round:_ _ () _ _ -> `Idle) }
         in
-        let _, rounds = Network.run g p in
+        let _, rounds, _ = Network.run_counted g p in
         check_int "no rounds" 0 rounds);
     case "one ping counts one round" (fun () ->
         let g = Gen.path 2 in
@@ -22,11 +30,11 @@ let engine_tests =
             Network.init = (fun _ -> ());
             step =
               (fun ~round v () _ out ->
-                if round = 0 && v = 0 then Network.post1 out ~edge:0 42;
+                if round = 0 && v = 0 then Network.post1_port out ~port:0 42;
                 `Idle);
           }
         in
-        let _, rounds = Network.run g p in
+        let _, rounds, _ = Network.run_counted g p in
         check_int "one round" 1 rounds);
     case "oversized message rejected" (fun () ->
         let g = Gen.path 2 in
@@ -36,11 +44,12 @@ let engine_tests =
             step =
               (fun ~round v () _ out ->
                 if round = 0 && v = 0 then
-                  Network.post out ~edge:0 (Array.make (Network.cap_words + 1) 0);
+                  Network.post_port out ~port:0
+                    (Array.make (Network.cap_words + 1) 0);
                 `Idle);
           }
         in
-        (match Network.run g p with
+        (match Network.run_counted g p with
         | exception Network.Message_too_large { vertex; words } ->
           check_int "offending vertex" 0 vertex;
           check_int "reported size" (Network.cap_words + 1) words
@@ -53,13 +62,13 @@ let engine_tests =
             step =
               (fun ~round v () _ out ->
                 if round = 0 && v = 0 then begin
-                  Network.post1 out ~edge:0 1;
-                  Network.post1 out ~edge:0 2
+                  Network.post1_port out ~port:0 1;
+                  Network.post1_port out ~port:0 2
                 end;
                 `Idle);
           }
         in
-        (match Network.run g p with
+        (match Network.run_counted g p with
         | exception Network.Duplicate_send { vertex; edge } ->
           check_int "offending vertex" 0 vertex;
           check_int "contested edge" 0 edge
@@ -69,7 +78,7 @@ let engine_tests =
         let p =
           { Network.init = (fun _ -> ()); step = (fun ~round:_ _ () _ _ -> `Active) }
         in
-        (match Network.run ~max_rounds:50 g p with
+        (match Network.run_counted ~max_rounds:50 g p with
         | exception Network.Did_not_quiesce { rounds; active; in_flight } ->
           check_int "gave up at max_rounds" 50 rounds;
           check_int "both vertices still active" 2 active;
@@ -85,11 +94,11 @@ let engine_tests =
             step =
               (fun ~round v has inbox out ->
                 if (round = 0 && has) || not (Network.Mail.is_empty inbox) then
-                  Network.post1 out ~edge:0 v;
+                  Network.post1_port out ~port:0 v;
                 `Idle);
           }
         in
-        (match Network.run ~max_rounds:30 g p with
+        (match Network.run_counted ~max_rounds:30 g p with
         | exception Network.Did_not_quiesce { rounds; active; in_flight } ->
           check_int "gave up at max_rounds" 30 rounds;
           check_int "all idle" 0 active;
@@ -106,14 +115,14 @@ let engine_tests =
               (fun ~round v () _ out ->
                 if round < 3 then
                   for i = 0 to Graph.degree g v - 1 do
-                    Network.post1 out ~edge:(Graph.adj_eid_at g v i) v
+                    Network.post1_port out ~port:i v
                   done;
                 if round < 2 then `Active else `Idle);
           }
         in
         (* the warm-up run grows this domain's message arenas from empty *)
         Network.release_arenas ();
-        ignore (Network.run g p);
+        ignore (Network.run_counted g p);
         Gc.full_major ();
         let a0 = Kecss_obs.Prof.allocated_words () in
         let _, rounds, messages = Network.run_counted g p in
@@ -158,7 +167,7 @@ let engine_tests =
                         `Idle);
                   }
                 in
-                match Network.run g p with
+                match Network.run_counted g p with
                 | exception Invalid_argument msg ->
                   Alcotest.(check string)
                     (Printf.sprintf "%s on port %d" name port)
@@ -181,7 +190,7 @@ let engine_tests =
                 `Idle);
           }
         in
-        match Network.run g p with
+        match Network.run_counted g p with
         | exception Invalid_argument msg ->
           Alcotest.(check string)
             "forward_port" "Network: port 2 outside [0, 2) at vertex 1" msg
@@ -192,132 +201,18 @@ let engine_tests =
         let g = Gen.path 4 in
         List.iter
           (fun edge ->
-            let p =
-              {
-                Network.init = (fun _ -> ());
-                step =
-                  (fun ~round v () _ out ->
-                    if round = 0 && v = 0 then Network.post1 out ~edge 7;
-                    `Idle);
-              }
-            in
-            match Network.run g p with
+            match
+              Prim.exchange (ledger ()) g (fun v ->
+                  if v = 0 then [ { Network.edge; payload = [| 7 |] } ] else [])
+            with
             | exception Invalid_argument msg ->
               Alcotest.(check string)
                 (Printf.sprintf "edge %d" edge)
-                (Printf.sprintf "Network: edge %d is not incident to vertex 0"
-                   edge)
+                (Printf.sprintf
+                   "Prim.exchange: edge %d is not incident to vertex 0" edge)
                 msg
-            | _ -> Alcotest.fail "expected Invalid_argument")
+            | () -> Alcotest.fail "expected Invalid_argument")
           [ 2; 7; -1 ]);
-    case "posting by port and by edge is one message plane" (fun () ->
-        (* three rounds in which every vertex posts 0 to cap words on
-           every other port and forwards its latest mail on its port 0;
-           one run names links by port, the other by edge id. Reads, the
-           ledger and every probe export must agree, plainly and under a
-           dup and delay plan *)
-        let g = Gen.random_k_connected (Rng.create ~seed:9) 48 2 ~extra:48 in
-        let program ~by_port reads : unit Network.program =
-          {
-            init = (fun _ -> ());
-            step =
-              (fun ~round v () inbox out ->
-                let m = ref (Network.Mail.first inbox) in
-                while !m >= 0 do
-                  reads :=
-                    ( round,
-                      v,
-                      Network.Mail.edge inbox !m,
-                      Network.Mail.payload inbox !m )
-                    :: !reads;
-                  m := Network.Mail.next inbox !m
-                done;
-                if round < 3 then begin
-                  for i = 0 to Graph.degree g v - 1 do
-                    let e = Graph.adj_eid_at g v i in
-                    if (i + round) mod 2 = 0 && i > 0 then begin
-                      let words =
-                        Array.init
-                          ((v + i + round) mod (Network.cap_words + 1))
-                          (fun j -> (v * 1000) + (e * 10) + j)
-                      in
-                      if by_port then Network.post_port out ~port:i words
-                      else Network.post out ~edge:e words
-                    end
-                    else if i > 0 && round = 1 then
-                      if by_port then Network.post1_port out ~port:i v
-                      else Network.post1 out ~edge:e v
-                    else if i > 0 && round = 2 then
-                      if by_port then
-                        Network.post_sub_port out ~port:i [| 1; 2; 3 |] ~pos:1
-                          ~len:2
-                      else Network.post out ~edge:e [| 2; 3 |]
-                  done;
-                  let first = Network.Mail.first inbox in
-                  if first >= 0 then
-                    if by_port then Network.forward_port out ~port:0 inbox first
-                    else
-                      Network.post out ~edge:(Graph.adj_eid_at g v 0)
-                        (Network.Mail.payload inbox first)
-                end;
-                if round < 2 then `Active else `Idle);
-          }
-        in
-        let run ~by_port faults =
-          let open Kecss_obs in
-          let trace = Trace.create () in
-          let metrics = Metrics.create ~trace () in
-          let causal = Causal.create () in
-          let flight = Flight.create () in
-          let hook =
-            Option.map
-              (fun spec ->
-                Kecss_faults.Net.hook
-                  (Kecss_faults.Net.injector ~trace
-                     (Result.get_ok (Kecss_faults.Plan.of_spec spec))))
-              faults
-          in
-          let ledger = Rounds.create ~trace ~metrics ~causal ~flight ?hook () in
-          let probe = Rounds.probe ledger in
-          let reads = ref [] in
-          let _, rounds, messages =
-            Probe.phase probe (Run "ports") (fun () ->
-                Network.run_counted ~probe ?hook g (program ~by_port reads))
-          in
-          Rounds.charge ledger ~category:"ports" rounds;
-          Rounds.charge_messages ledger ~category:"ports" messages;
-          let causal_json =
-            Json.to_string
-              (Export.causal_to_json ~total_rounds:(Rounds.total ledger)
-                 ~total_messages:(Rounds.total_messages ledger)
-                 ~rounds_by_category:(Rounds.by_category ledger)
-                 ~messages_by_category:(Rounds.messages_by_category ledger)
-                 (Causal.analyze causal))
-          in
-          ( List.rev !reads,
-            [
-              Rounds.to_json ledger;
-              Json.to_string (Metrics.to_json metrics);
-              causal_json;
-              Json.to_string (Flight.to_json ~reason:"ports" flight);
-              Export.jsonl trace;
-            ] )
-        in
-        List.iter
-          (fun faults ->
-            let port_reads, port_exports = run ~by_port:true faults in
-            let edge_reads, edge_exports = run ~by_port:false faults in
-            check_is
-              (Printf.sprintf "%d messages read" (List.length port_reads))
-              (List.length port_reads > 200);
-            Alcotest.(check (list (pair (pair int int) (pair int (array int)))))
-              "mail order"
-              (List.map (fun (r, v, e, p) -> ((r, v), (e, p))) edge_reads)
-              (List.map (fun (r, v, e, p) -> ((r, v), (e, p))) port_reads);
-            Alcotest.(check (list string))
-              "ledger, metrics, causal, flight and trace" edge_exports
-              port_exports)
-          [ None; Some "dup=0.2,delay=0.1:2,seed=4" ]);
     case "a run inside a step leaves the outer run's mail alone" (fun () ->
         (* vertex 0 sends 7 to vertex 1; before reading it, vertex 1 runs
            an engine run of its own that sends on every edge *)
@@ -329,7 +224,7 @@ let engine_tests =
               (fun ~round v () _ out ->
                 if round = 0 then
                   for i = 0 to Graph.degree inner_g v - 1 do
-                    Network.post1 out ~edge:(Graph.adj_eid_at inner_g v i) 99
+                    Network.post1_port out ~port:i 99
                   done;
                 `Idle);
           }
@@ -339,16 +234,16 @@ let engine_tests =
             Network.init = (fun _ -> ref []);
             step =
               (fun ~round v got inbox out ->
-                if round = 0 && v = 0 then Network.post1 out ~edge:0 7;
+                if round = 0 && v = 0 then Network.post1_port out ~port:0 7;
                 if not (Network.Mail.is_empty inbox) then begin
-                  let _, inner_rounds = Network.run inner_g inner in
+                  let _, inner_rounds, _ = Network.run_counted inner_g inner in
                   check_int "inner rounds" 1 inner_rounds;
-                  got := List.map (fun (_, p) -> p.(0)) (Network.Mail.to_inbox inbox)
+                  got := first_words inbox
                 end;
                 `Idle);
           }
         in
-        let states, _ = Network.run g outer in
+        let states, _, _ = Network.run_counted g outer in
         Alcotest.(check (list int)) "outer mail" [ 7 ] !(states.(1)));
     case "a recording profiler times both engine passes" (fun () ->
         let g = Gen.path 3 in
@@ -361,7 +256,7 @@ let engine_tests =
                   (* a collection inside a pass, which a span reading
                      Gc.quick_stat would count *)
                   Gc.minor ();
-                  Network.post1 out ~edge:0 1
+                  Network.post1_port out ~port:0 1
                 end;
                 `Idle);
           }
@@ -417,91 +312,92 @@ let prim_tests =
     case "exchange delivers to both endpoints in one round" (fun () ->
         let g = Gen.cycle 5 in
         let l = ledger () in
-        let inboxes =
-          Prim.exchange l g (fun v ->
-              List.init (Graph.degree g v) (fun i ->
-                  { Network.edge = Graph.adj_eid_at g v i; payload = [| v |] }))
-        in
+        let inboxes = Array.make (Graph.n g) [] in
+        Prim.exchange_in_place l g
+          ~post:(fun v out ->
+            for i = 0 to Graph.degree g v - 1 do
+              Network.post_port out ~port:i [| v |]
+            done)
+          ~read:(fun v mail ->
+            let m = ref (Network.Mail.first mail) in
+            while !m >= 0 do
+              inboxes.(v) <-
+                (Network.Mail.edge mail !m, Network.Mail.word mail !m 0)
+                :: inboxes.(v);
+              m := Network.Mail.next mail !m
+            done);
         check_int "one round" 1 (Rounds.total l);
         Array.iteri
           (fun v inbox ->
             check_int "degree messages" (Graph.degree g v) (List.length inbox);
             List.iter
-              (fun (eid, payload) ->
+              (fun (eid, sender) ->
                 check_int "sender is the other end" (Graph.other_end g eid v)
-                  payload.(0))
+                  sender)
               inbox)
           inboxes);
-    case "the in-place exchange reads what exchange's lists return" (fun () ->
-        (* payloads of 0 to cap words on every edge; under the fault plan
-           copies come twice and late, each pass's mail in its own read *)
+    case "exchange posts each send on the port of its edge" (fun () ->
+        (* every vertex lists its sends in descending edge order; the
+           flight rings, which record each send and delivery with its
+           vertex and edge, must match a run that posts the same sends
+           by port *)
         let g = Gen.random_k_connected (Rng.create ~seed:9) 48 2 ~extra:48 in
-        let sends v =
-          List.init (Graph.degree g v) (fun i ->
-              let e = Graph.adj_eid_at g v i in
-              {
-                Network.edge = e;
-                payload =
-                  Array.init ((v + i) mod (Network.cap_words + 1)) (fun j ->
-                      (v * 1000) + (e * 10) + j);
-              })
+        let flown run =
+          let flight = Kecss_obs.Flight.create () in
+          let l = Rounds.create ~flight () in
+          run l;
+          check_int "2m messages" (2 * Graph.m g) (Rounds.total_messages l);
+          Kecss_obs.Json.to_string
+            (Kecss_obs.Flight.to_json ~reason:"exchange" flight)
         in
-        let on faults =
-          Rounds.create
-            ?hook:
-              (Option.map
-                 (fun spec ->
-                   Kecss_faults.Net.hook
-                     (Kecss_faults.Net.injector
-                        (Result.get_ok (Kecss_faults.Plan.of_spec spec))))
-                 faults)
-            ()
+        let by_edge =
+          flown (fun l ->
+              Prim.exchange l g (fun v ->
+                  Graph.fold_adj g v
+                    (fun acc _ e -> { Network.edge = e; payload = [| v; e |] } :: acc)
+                    []))
         in
-        List.iter
-          (fun faults ->
-            let lists = Prim.exchange (on faults) g sends in
-            (* every read, message by message in chain order, as
-               (vertex, pass, edge, payload) *)
-            let reads = ref [] and pass = Array.make (Graph.n g) 0 in
-            Prim.exchange_in_place (on faults) g
-              ~post:(fun v out ->
-                List.iter
-                  (fun { Network.edge; payload } -> Network.post out ~edge payload)
-                  (sends v))
-              ~read:(fun v mail ->
-                pass.(v) <- pass.(v) + 1;
-                let m = ref (Network.Mail.first mail) in
-                while !m >= 0 do
-                  reads :=
-                    ( v,
-                      pass.(v),
-                      Network.Mail.edge mail !m,
-                      Array.init (Network.Mail.length mail !m)
-                        (Network.Mail.word mail !m) )
-                    :: !reads;
-                  m := Network.Mail.next mail !m
-                done);
-            let reads = List.rev !reads in
-            Array.iteri
-              (fun v inbox ->
-                (* the list puts each pass's mail ahead of the earlier
-                   passes' *)
-                let mine =
-                  List.filter (fun (u, _, _, _) -> u = v) reads
-                  |> List.stable_sort (fun (_, p, _, _) (_, q, _, _) -> compare q p)
-                  |> List.map (fun (_, _, e, w) -> (e, w))
-                in
-                Alcotest.(check (list (pair int (array int))))
-                  (Printf.sprintf "vertex %d" v)
-                  inbox mine)
-              lists;
-            check_int "every message read once or more"
-              (List.length reads)
-              (Array.fold_left (fun acc l -> acc + List.length l) 0 lists);
-            if faults <> None then
-              check_is "some vertex read more than one pass"
-                (Array.exists (fun p -> p > 1) pass))
-          [ None; Some "dup=0.2,delay=0.1:2,seed=4" ]);
+        let by_port =
+          flown (fun l ->
+              Prim.exchange_in_place l g
+                ~post:(fun v out ->
+                  for i = Graph.degree g v - 1 downto 0 do
+                    Network.post_port out ~port:i [| v; Graph.adj_eid_at g v i |]
+                  done)
+                ~read:(fun v mail ->
+                  let m = ref (Network.Mail.first mail) in
+                  while !m >= 0 do
+                    let e = Network.Mail.edge mail !m in
+                    check_int "sender" (Graph.other_end g e v)
+                      (Network.Mail.word mail !m 0);
+                    check_int "edge" e (Network.Mail.word mail !m 1);
+                    m := Network.Mail.next mail !m
+                  done))
+        in
+        Alcotest.(check string) "flight rings" by_port by_edge);
+    case "exchange allocates nothing per send" (fun () ->
+        (* the same n at degree 4 and at degree 12, with the sends built
+           before the count: three times the sends, the same words *)
+        let n = 2048 in
+        let words offsets =
+          let g = Gen.circulant n offsets in
+          let sends =
+            Array.init n (fun v ->
+                List.init (Graph.degree g v) (fun i ->
+                    { Network.edge = Graph.adj_eid_at g v i; payload = [| v |] }))
+          in
+          let run () = Prim.exchange (ledger ()) g (Array.get sends) in
+          (* grows the arenas and the duplicate-send scratch *)
+          run ();
+          Gc.full_major ();
+          let a0 = Kecss_obs.Prof.allocated_words () in
+          run ();
+          Kecss_obs.Prof.allocated_words () -. a0
+        in
+        let low = words [ 1; 2 ] and high = words [ 1; 2; 3; 4; 5; 6 ] in
+        check_is
+          (Printf.sprintf "%.0f words at degree 4, %.0f at degree 12" low high)
+          (high -. low < float_of_int n));
     case "wave_up computes subtree sizes in height rounds" (fun () ->
         let g = Gen.caterpillar 6 2 in
         let t = Rooted_tree.bfs_tree g ~root:0 in

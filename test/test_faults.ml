@@ -10,15 +10,15 @@ let contains hay needle =
 
 (* ---------- rigged programs ---------- *)
 
-(* vertex [sender] sends one token on edge 0 at round 0; every vertex
-   counts its receipts *)
+(* vertex 0 sends one token on its port 0 (edge 0) at round 0; every
+   vertex counts its receipts *)
 let ping_program =
   {
     Network.init = (fun _ -> ref 0);
     step =
       (fun ~round v received inbox out ->
         received := !received + Network.Mail.count inbox;
-        if round = 0 && v = 0 then Network.post1 out ~edge:0 7;
+        if round = 0 && v = 0 then Network.post1_port out ~port:0 7;
         `Idle);
   }
 
@@ -29,9 +29,9 @@ let echo_program =
     step =
       (fun ~round v received inbox out ->
         received := !received + Network.Mail.count inbox;
-        if round = 0 && v = 0 then Network.post1 out ~edge:0 1
+        if round = 0 && v = 0 then Network.post1_port out ~port:0 1
         else if v = 1 && not (Network.Mail.is_empty inbox) then
-          Network.post1 out ~edge:0 2;
+          Network.post1_port out ~port:0 2;
         `Idle);
   }
 
@@ -44,7 +44,7 @@ let waiter_program =
       (fun ~round v received inbox out ->
         received := !received + Network.Mail.count inbox;
         if round = 0 && v = 0 then begin
-          Network.post1 out ~edge:0 7;
+          Network.post1_port out ~port:0 7;
           `Idle
         end
         else if v = 1 then if !received > 0 then `Idle else `Active
@@ -60,7 +60,7 @@ let flood_program g ~rounds =
         received := !received + Network.Mail.count inbox;
         if round < rounds then
           for i = 0 to Graph.degree g v - 1 do
-            Network.post1 out ~edge:(Graph.adj_eid_at g v i) v
+            Network.post1_port out ~port:i v
           done;
         `Idle);
   }
@@ -276,7 +276,7 @@ let net_tests =
               (fun ~round v received inbox out ->
                 received := !received + Network.Mail.count inbox;
                 if v = 0 && List.mem round sends then
-                  Network.post1 out ~edge:0 round;
+                  Network.post1_port out ~port:0 round;
                 if v = 0 && round < until then `Active else `Idle);
           }
         in

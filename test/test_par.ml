@@ -341,8 +341,8 @@ let test_duplicate_detection_across_runs () =
       step =
         (fun ~round v () _inbox out ->
           if round = 0 && v = 0 then begin
-            Network.post1 out ~edge:0 1;
-            Network.post1 out ~edge:0 2
+            Network.post1_port out ~port:0 1;
+            Network.post1_port out ~port:0 2
           end;
           `Idle);
     }
@@ -354,21 +354,21 @@ let test_duplicate_detection_across_runs () =
       step =
         (fun ~round v got inbox out ->
           got := !got + Network.Mail.count inbox;
-          if round = 0 && v = 0 then Network.post1 out ~edge:0 1;
+          if round = 0 && v = 0 then Network.post1_port out ~port:0 1;
           `Idle);
     }
   in
   for _ = 1 to 50 do
-    ignore (Network.run g honest)
+    ignore (Network.run_counted g honest)
   done;
-  (match Network.run g dup with
+  (match Network.run_counted g dup with
   | _ -> Alcotest.fail "expected Duplicate_send"
   | exception Network.Duplicate_send { vertex; edge } ->
     Alcotest.(check int) "vertex" 0 vertex;
     Alcotest.(check int) "edge" 0 edge);
   (* an aborted run must not poison later ones: the honest run sees
      exactly one delivery, at vertex 1 *)
-  let states, _ = Network.run g honest in
+  let states, _, _ = Network.run_counted g honest in
   Alcotest.(check (list int))
     "deliveries" [ 0; 1; 0; 0 ]
     (Array.to_list (Array.map ( ! ) states))
