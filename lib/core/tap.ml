@@ -85,8 +85,11 @@ let problem tree =
   let g = Rooted_tree.graph tree in
   let n = Graph.n g and m = Graph.m g in
   let root = Rooted_tree.root tree in
+  let depth = Rooted_tree.depths tree and parent = Rooted_tree.parents tree in
   (* flatten every fundamental path once into a CSR non-tree edge ->
-     elements: one LCA per non-tree edge ever *)
+     elements. The counting pass climbs from both ends, the deeper one
+     first, until they meet at the LCA; the filling pass then walks each
+     end up to the LCA's depth in turn *)
   let non_tree e = not (Rooted_tree.is_tree_edge tree e) in
   let lca_depth = Array.make m 0 in
   let walk e visit =
@@ -102,14 +105,19 @@ let problem tree =
   in
   let path_off = Array.make (m + 1) 0 in
   let coverable = Array.make n false in
+  (* the tree edge above [x] is on [e]'s path: count it, step up *)
+  let count e x =
+    coverable.(x) <- true;
+    path_off.(e + 1) <- path_off.(e + 1) + 1;
+    parent.(x)
+  in
   for e = 0 to m - 1 do
     if non_tree e then begin
-      lca_depth.(e) <-
-        Rooted_tree.depth tree
-          (Rooted_tree.lca tree (Graph.edge_u g e) (Graph.edge_v g e));
-      walk e (fun x ->
-          coverable.(x) <- true;
-          path_off.(e + 1) <- path_off.(e + 1) + 1)
+      let u = ref (Graph.edge_u g e) and v = ref (Graph.edge_v g e) in
+      while !u <> !v do
+        if depth.(!u) >= depth.(!v) then u := count e !u else v := count e !v
+      done;
+      lca_depth.(e) <- depth.(!u)
     end
   done;
   for x = 0 to n - 1 do

@@ -8,7 +8,6 @@ type t = {
   preorder : int array;
   tin : int array;
   tout : int array;
-  up : int array array; (* up.(j).(v): 2^j-th ancestor of v, -1 past root *)
 }
 
 let build graph root parent parent_edge =
@@ -46,19 +45,7 @@ let build graph root parent parent_edge =
       incr clock
   done;
   if !count <> n then invalid_arg "Rooted_tree: not spanning (cycle or forest)";
-  let levels =
-    let rec go acc v = if 1 lsl acc >= v then acc + 1 else go (acc + 1) v in
-    go 0 (max 1 n)
-  in
-  let up = Array.make levels [||] in
-  up.(0) <- Array.copy parent;
-  for j = 1 to levels - 1 do
-    up.(j) <-
-      Array.init n (fun v ->
-          let half = up.(j - 1).(v) in
-          if half < 0 then -1 else up.(j - 1).(half))
-  done;
-  { graph; root; parent; parent_edge; depth; children; preorder; tin; tout; up }
+  { graph; root; parent; parent_edge; depth; children; preorder; tin; tout }
 
 let of_parent_edges graph ~root pe =
   let n = Graph.n graph in
@@ -120,27 +107,20 @@ let is_ancestor t a v = t.tin.(a) <= t.tin.(v) && t.tout.(v) <= t.tout.(a)
 
 let ancestor_at_depth t v d =
   if d > t.depth.(v) || d < 0 then invalid_arg "Rooted_tree.ancestor_at_depth";
-  let v = ref v and delta = ref (t.depth.(v) - d) in
-  let j = ref 0 in
-  while !delta > 0 do
-    if !delta land 1 = 1 then v := t.up.(!j).(!v);
-    delta := !delta lsr 1;
-    incr j
+  let v = ref v in
+  while t.depth.(!v) > d do
+    v := t.parent.(!v)
   done;
   !v
 
+(* the deeper end steps to its parent until the two ends meet *)
 let lca t u v =
-  if is_ancestor t u v then u
-  else if is_ancestor t v u then v
-  else begin
-    let u = ref (ancestor_at_depth t u (min t.depth.(u) t.depth.(v))) in
-    (* walk u up until just below a common ancestor *)
-    for j = Array.length t.up - 1 downto 0 do
-      let cand = t.up.(j).(!u) in
-      if cand >= 0 && not (is_ancestor t cand v) then u := cand
-    done;
-    t.parent.(!u)
-  end
+  let u = ref u and v = ref v in
+  while !u <> !v do
+    if t.depth.(!u) >= t.depth.(!v) then u := t.parent.(!u)
+    else v := t.parent.(!v)
+  done;
+  !u
 
 let covers t e tree_e =
   let x = lower_endpoint t tree_e in
@@ -199,20 +179,27 @@ let rec find w x =
     r
   end
 
-(* top-level, so a call builds no closure *)
-let rec climb w e lca_depth x =
-  let x = find w x in
-  if w.tree.depth.(x) > lca_depth then begin
-    let p = w.tree.parent.(x) in
-    w.by.(x) <- e;
-    w.jump.(x) <- p;
-    climb w e lca_depth p
-  end
+(* [x] and [y] are the uncovered ends of what is left of [e]'s path:
+   until they meet, at the nearest uncovered vertex at or above the LCA,
+   the deeper one covers its tree edge and moves on to the next
+   uncovered vertex above it. Top-level, so a call builds no closure. *)
+let rec cover_between w e x y =
+  if x <> y then
+    if w.tree.depth.(x) >= w.tree.depth.(y) then begin
+      let p = w.tree.parent.(x) in
+      w.by.(x) <- e;
+      w.jump.(x) <- p;
+      cover_between w e (find w p) y
+    end
+    else begin
+      let p = w.tree.parent.(y) in
+      w.by.(y) <- e;
+      w.jump.(y) <- p;
+      cover_between w e x (find w p)
+    end
 
 let cover_path w e =
   let u = Graph.edge_u w.tree.graph e and v = Graph.edge_v w.tree.graph e in
-  let d = w.tree.depth.(lca w.tree u v) in
-  climb w e d u;
-  climb w e d v
+  cover_between w e (find w u) (find w v)
 
 let covered_by w x = w.by.(x)

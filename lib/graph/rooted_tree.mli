@@ -67,7 +67,9 @@ val is_ancestor : t -> int -> int -> bool
 (** [is_ancestor t a v]: is [a] an ancestor of [v] (reflexively)? O(1). *)
 
 val lca : t -> int -> int -> int
-(** Lowest common ancestor, O(log n) by binary lifting. *)
+(** Lowest common ancestor: the deeper end steps to its parent until the
+    two ends meet, so a call costs the length of the tree path between
+    them. Allocates nothing. *)
 
 val covers : t -> int -> int -> bool
 (** [covers t e tree_e]: does non-tree edge [e]'s fundamental cycle contain
@@ -90,8 +92,8 @@ val cover_counts : t -> int list -> int array
     {!covers} via subtree-sum differencing. *)
 
 val ancestor_at_depth : t -> int -> int -> int
-(** [ancestor_at_depth t v d] is the ancestor of [v] at depth [d <= depth v].
-    O(log n). *)
+(** [ancestor_at_depth t v d] is the ancestor of [v] at depth [d <= depth v],
+    reached by climbing parent pointers: O(depth v - d). *)
 
 (** {1 Path-covering walker} *)
 

@@ -713,6 +713,24 @@ let naive_lca tree u v =
   in
   common (List.hd au) (List.tl au, List.tl av)
 
+(* the path 0-1-..-(n-1), its edges first, plus random chords, with the
+   path as its tree, rooted at a random vertex *)
+let path_shaped (seed, n, p) =
+  let rng = Rng.create ~seed in
+  let chords =
+    List.init
+      (1 + int_of_float (p *. float_of_int (2 * n)))
+      (fun _ ->
+        let u = Rng.int rng n in
+        (u, (u + 1 + Rng.int rng (n - 1)) mod n, 1))
+  in
+  let g = Graph.make ~n (List.init (n - 1) (fun i -> (i, i + 1, 1)) @ chords) in
+  let mask = Graph.no_edges_mask g in
+  for e = 0 to n - 2 do
+    Bitset.add mask e
+  done;
+  Rooted_tree.of_mask g ~root:(Rng.int rng n) mask
+
 let tree_tests =
   [
     case "bfs tree of a path" (fun () ->
@@ -800,6 +818,44 @@ let tree_tests =
              end
            done;
            !ok));
+    qcheck
+      (QCheck.Test.make ~name:"the walker covers like a naive sweep, in any order"
+         ~count:80
+         (QCheck.pair (arb_connected ~max_n:40 ()) QCheck.bool)
+         (fun (((seed, _, _) as params), path) ->
+           let t =
+             if path then path_shaped params
+             else Rooted_tree.bfs_tree (graph_of_params params) ~root:0
+           in
+           let g = Rooted_tree.graph t in
+           (* a random prefix of a random order of the non-tree edges *)
+           let order =
+             Array.of_list
+               (List.filter
+                  (fun e -> not (Rooted_tree.is_tree_edge t e))
+                  (List.init (Graph.m g) Fun.id))
+           in
+           let rng = Rng.create ~seed:(seed + 1) in
+           Rng.shuffle rng order;
+           let order =
+             Array.to_list
+               (Array.sub order 0 (Rng.int rng (Array.length order + 1)))
+           in
+           (* the naive sweep: each edge of each path in turn keeps the
+              first edge to reach it *)
+           let naive = Array.make (Graph.n g) (-1) in
+           List.iter
+             (fun e ->
+               List.iter
+                 (fun te ->
+                   let x = Rooted_tree.lower_endpoint t te in
+                   if naive.(x) < 0 then naive.(x) <- e)
+                 (Rooted_tree.fundamental_path t e))
+             order;
+           let w = Rooted_tree.walker t in
+           List.iter (Rooted_tree.cover_path w) order;
+           Array.for_all Fun.id
+             (Array.mapi (fun x e -> Rooted_tree.covered_by w x = e) naive)));
     qcheck
       (QCheck.Test.make ~name:"ancestor_at_depth inverts depth" ~count:40
          (arb_connected ~max_n:20 ()) (fun params ->
