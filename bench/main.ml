@@ -751,9 +751,9 @@ type scale_row = {
   sc_prims : prim_row list; (* each primitive run alone on the graph *)
 }
 
-(* one CONGEST primitive run alone on a scale graph: its message count
-   (deterministic) and the median wall-clock of seven runs per message *)
-and prim_row = { pr_name : string; pr_messages : int; pr_ns_per_msg : float }
+(* one CONGEST primitive run alone on a scale graph: its message count,
+   which is deterministic *)
+and prim_row = { pr_name : string; pr_messages : int }
 
 (* The primitives that carry an unweighted 2-ECSS solve, each on the
    solve's own BFS tree and with the solve's own payloads: the BFS flood,
@@ -793,26 +793,9 @@ let scale_primitives g =
   in
   List.map
     (fun (name, run) ->
-      let once () =
-        let l = Rounds.create () in
-        let t0 = Kecss_obs.Prof.now_ns () in
-        run l;
-        (Kecss_obs.Prof.now_ns () -. t0, Rounds.total_messages l)
-      in
-      (* a full major collection before each run keeps one run's garbage
-         out of the next one's timing *)
-      let samples =
-        List.init 7 (fun _ ->
-            Gc.full_major ();
-            once ())
-      in
-      let messages = snd (List.hd samples) in
-      let ns = List.sort compare (List.map fst samples) in
-      {
-        pr_name = name;
-        pr_messages = messages;
-        pr_ns_per_msg = List.nth ns 3 /. float_of_int (max 1 messages);
-      })
+      let l = Rounds.create () in
+      run l;
+      { pr_name = name; pr_messages = Rounds.total_messages l })
     runs
 
 (* Each sweep size runs the whole million-vertex pipeline once:
@@ -905,16 +888,13 @@ let print_scale_tier rows =
       (r.sc_parse_ns /. r.sc_decode_ns)
   | _ -> ());
   print_newline ();
-  print_endline
-    "# each primitive alone on the solve's BFS tree (median of 7, each \
-     after a full major GC)";
-  Printf.printf "%8s %-14s %10s %10s\n" "n" "primitive" "messages" "ns/msg";
+  print_endline "# each primitive alone on the solve's BFS tree";
+  Printf.printf "%8s %-14s %10s\n" "n" "primitive" "messages";
   List.iter
     (fun r ->
       List.iter
         (fun p ->
-          Printf.printf "%8d %-14s %10d %10.1f\n" r.sc_n p.pr_name
-            p.pr_messages p.pr_ns_per_msg)
+          Printf.printf "%8d %-14s %10d\n" r.sc_n p.pr_name p.pr_messages)
         r.sc_prims)
     rows;
   flush stdout
@@ -946,7 +926,6 @@ let scale_json rows =
                         [
                           ("name", Obs.Json.Str p.pr_name);
                           ("messages", Obs.Json.Int p.pr_messages);
-                          ("ns_per_msg", Obs.Json.Float p.pr_ns_per_msg);
                         ])
                     r.sc_prims) );
            ])
@@ -955,10 +934,9 @@ let scale_json rows =
 (* growth-is-bad rows, so History.compare's REGRESSION judgement applies
    directly; rounds/messages/alloc-words/arena-words and each primitive's
    messages are deterministic at jobs = 1 and gate CI (the arenas are off
-   the heap, so only their own row sees them grow), the ns rows (the
-   primitives' ns per message too) are wall-clock and only tracked
-   locally like the micros (CI runs --no-micro, which drops them here
-   too) *)
+   the heap, so only their own row sees them grow), the ns rows are
+   wall-clock and only tracked locally like the micros (CI runs
+   --no-micro, which drops them here too) *)
 let scale_history_rows ~wallclock rows =
   List.concat_map
     (fun r ->
@@ -980,18 +958,10 @@ let scale_history_rows ~wallclock rows =
           ( Printf.sprintf "scale/solve-n%d-messages" r.sc_n,
             float_of_int r.sc_messages );
         ]
-      @ List.concat_map
+      @ List.map
           (fun p ->
-            (if wallclock then
-               [
-                 ( Printf.sprintf "scale/%s-n%d-ns-per-msg" p.pr_name r.sc_n,
-                   p.pr_ns_per_msg );
-               ]
-             else [])
-            @ [
-                ( Printf.sprintf "scale/%s-n%d-messages" p.pr_name r.sc_n,
-                  float_of_int p.pr_messages );
-              ])
+            ( Printf.sprintf "scale/%s-n%d-messages" p.pr_name r.sc_n,
+              float_of_int p.pr_messages ))
           r.sc_prims)
     rows
 
