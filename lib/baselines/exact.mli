@@ -9,17 +9,6 @@
 
 open Kecss_graph
 
-val min_subset :
-  Graph.t ->
-  universe:int list ->
-  base:Bitset.t ->
-  feasible:(Bitset.t -> bool) ->
-  Bitset.t option
-(** [min_subset g ~universe ~base ~feasible] finds a minimum-weight
-    [s ⊆ universe] with [feasible (base ∪ s)], or [None]. [feasible] must
-    be monotone. Exponential in [List.length universe]; intended for
-    ≤ ~30 candidates. *)
-
 val kecss : Graph.t -> k:int -> Bitset.t option
 (** Exact minimum-weight k-ECSS. [None] if [g] is not k-edge-connected. *)
 

@@ -41,9 +41,6 @@ let of_graph ?mask ?(cap = fun _ -> 1) g =
     g;
   { n; arcs; last_source = -1 }
 
-let reset net =
-  Array.iter (fun row -> Array.iter (fun a -> a.cap <- a.init_cap) row) net.arcs
-
 let bfs_levels net s =
   let level = Array.make net.n (-1) in
   level.(s) <- 0;
@@ -62,7 +59,7 @@ let bfs_levels net s =
   level
 
 let max_flow ?limit net ~s ~t =
-  reset net;
+  Array.iter (fun row -> Array.iter (fun a -> a.cap <- a.init_cap) row) net.arcs;
   net.last_source <- s;
   let flow = ref 0 in
   let continue = ref true in

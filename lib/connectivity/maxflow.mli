@@ -13,13 +13,10 @@ val of_graph : ?mask:Bitset.t -> ?cap:(Graph.edge -> int) -> Graph.t -> network
 (** Builds a reusable flow network over the (sub)graph. [cap] defaults to
     [fun _ -> 1], the right capacity for edge-connectivity queries. *)
 
-val reset : network -> unit
-(** Restores all residual capacities; networks are reusable across
-    source/sink pairs. *)
-
 val max_flow : ?limit:int -> network -> s:int -> t:int -> int
-(** [max_flow net ~s ~t] runs Dinic from scratch (implicitly {!reset}s) and
-    returns the flow value. With [~limit] the search stops early once the
+(** [max_flow net ~s ~t] runs Dinic from scratch, restoring every
+    residual capacity first, so a network is reusable across source/sink
+    pairs, and returns the flow value. With [~limit] the search stops early once the
     flow reaches [limit] (used for "is connectivity >= k" queries); the
     returned value is then [min flow limit]. *)
 

@@ -20,7 +20,6 @@ let level ~covered ~weight =
 
 let is_candidate_level l = l <> useless
 let max_level = List.fold_left max useless
-let rho_upper l = Float.pow 2.0 (float_of_int l)
 
 (* Broadcastable encoding: finite exponents are biased into [0, 2·bias],
    the two distinguished values sit just above.  With polynomial weights
@@ -46,8 +45,3 @@ let of_payload p =
   else if p < 0 || p > 2 * payload_bias then
     invalid_arg "Cost.of_payload: not an encoded level"
   else p - payload_bias
-
-let pp ppf l =
-  if l = infinite then Format.pp_print_string ppf "inf"
-  else if l = useless then Format.pp_print_string ppf "none"
-  else Format.fprintf ppf "2^%d" l

@@ -32,9 +32,6 @@ val is_candidate_level : level -> bool
 val max_level : level list -> level
 (** Maximum of a list, {!useless} for the empty list. *)
 
-val rho_upper : level -> float
-(** The numeric value 2^z of a finite level, for reporting. *)
-
 val payload_bias : int
 (** Bias of the broadcast encoding: finite exponents live in
     [[-payload_bias, payload_bias]]. *)
@@ -50,5 +47,3 @@ val to_payload : level -> int
 val of_payload : int -> level
 (** Inverse of {!to_payload}.
     @raise Invalid_argument on a word that is not an encoded level. *)
-
-val pp : Format.formatter -> level -> unit

@@ -13,9 +13,6 @@ type result = {
   iterations : int;
 }
 
-val problem : Graph.t -> Cover.problem
-(** The covering instance of a graph (vertex weights all 1). *)
-
 val solve : ?strategy:Cover.strategy -> ?seed:int -> Graph.t -> result
 (** Default strategy: [Voting {divisor = 8}], the paper's choice. *)
 

@@ -226,7 +226,6 @@ let build ledger ~bfs_forest (mst : Mst.result) =
 
 let tree t = t.tree
 let count t = Array.length t.segs
-let seg t i = t.segs.(i)
 let iter f t = Array.iter f t.segs
 let is_marked t v = t.marked.(v)
 
@@ -256,9 +255,6 @@ let segments_at t v = t.membership.(v)
 
 let in_same_segment t u v =
   List.exists (fun s -> List.mem s t.membership.(v)) t.membership.(u)
-
-let max_segment_size t =
-  Array.fold_left (fun acc s -> max acc (List.length s.members)) 0 t.segs
 
 let max_segment_height t =
   Array.fold_left

@@ -47,7 +47,6 @@ val tree : t -> Rooted_tree.t
 (** The underlying spanning tree (the MST, rooted at vertex 0). *)
 
 val count : t -> int
-val seg : t -> int -> seg
 val iter : (seg -> unit) -> t -> unit
 
 val marked_count : t -> int
@@ -84,7 +83,6 @@ val in_same_segment : t -> int -> int -> bool
 val segments_at : t -> int -> int list
 (** All segments a vertex belongs to (one for unmarked vertices). *)
 
-val max_segment_size : t -> int
 val max_segment_height : t -> int
 (** Largest vertex depth measured within a segment from its r. *)
 

@@ -16,6 +16,3 @@ val note : t -> string -> unit
 
 val render : t -> string
 val print : t -> unit
-
-val rows : t -> cell list list
-(** The accumulated rows (for assertions in tests). *)

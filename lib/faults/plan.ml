@@ -207,5 +207,3 @@ let to_spec t =
   sep ();
   Buffer.add_string b (Printf.sprintf "seed=%d" t.seed);
   Buffer.contents b
-
-let pp ppf t = Format.pp_print_string ppf (to_spec t)

@@ -91,6 +91,3 @@ val of_spec : string -> (t, string) result
 val to_spec : t -> string
 (** Canonical spec string; [of_spec (to_spec p)] is [Ok p] up to the
     order of crash/cut/ins entries. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints {!to_spec}. *)

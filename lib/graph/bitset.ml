@@ -8,7 +8,6 @@ type t = { words : int array; n : int }
 let bits = 63
 let word_count n = (n + bits - 1) / bits
 let create n = { words = Array.make (word_count n) 0; n }
-let universe t = t.n
 let copy t = { words = Array.copy t.words; n = t.n }
 
 let check t i =

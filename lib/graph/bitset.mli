@@ -5,9 +5,6 @@ type t
 val create : int -> t
 (** [create n] is the empty subset of universe [{0, ..., n-1}]. *)
 
-val universe : t -> int
-(** The universe size given at creation. *)
-
 val copy : t -> t
 val add : t -> int -> unit
 val remove : t -> int -> unit

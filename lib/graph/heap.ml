@@ -5,7 +5,6 @@ type 'a t = {
 }
 
 let create () = { prio = Array.make 16 0; data = Array.make 16 None; len = 0 }
-let is_empty h = h.len = 0
 let size h = h.len
 
 let grow h =

@@ -5,7 +5,6 @@ type 'a t
 val create : unit -> 'a t
 (** An empty heap. *)
 
-val is_empty : 'a t -> bool
 val size : 'a t -> int
 
 val push : 'a t -> prio:int -> 'a -> unit

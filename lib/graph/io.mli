@@ -15,7 +15,6 @@ val of_string : string -> Graph.t
     the header. *)
 
 val to_channel : out_channel -> Graph.t -> unit
-val of_channel : in_channel -> Graph.t
 
 (** {1 Compact binary codec — [kecss-bin/1]}
 
@@ -31,11 +30,6 @@ val of_channel : in_channel -> Graph.t
     endpoint ranges, self-loops, negative weights) with byte-offset
     errors, but unlike {!of_string} it does not reject duplicate
     edges: it is a fast trusted-producer path. *)
-
-val binary_magic : string
-(** ["kecssbin"], the 8-byte file prefix. *)
-
-val binary_version : int
 
 val to_binary_string : Graph.t -> string
 
@@ -54,7 +48,8 @@ val load_binary : string -> Graph.t
     Same errors as {!of_binary_string}. *)
 
 val is_binary_magic : string -> bool
-(** Does this string (or file prefix) start with {!binary_magic}? *)
+(** Does this string (or file prefix) start with the magic
+    ["kecssbin"]? *)
 
 val load : string -> Graph.t
 (** [load path] sniffs the first bytes and dispatches to

@@ -20,9 +20,6 @@ val to_string : t -> string
 (** Compact rendering (no insignificant whitespace). Non-finite floats
     render as [null] — JSON has no representation for them. *)
 
-val escape : string -> string
-(** The JSON string escape of [s], without the surrounding quotes. *)
-
 val parse : string -> (t, string) result
 (** [parse s] parses one JSON value (recursive-descent, stdlib-only).
     Numbers without a fraction or exponent part become [Int] (falling

@@ -55,12 +55,9 @@ val attach : t -> Trace.t -> unit
     ({!Trace.subscribe}). The trace must be a recording trace; attaching
     to {!Trace.noop} observes nothing. *)
 
-val observe : t -> Trace.event -> unit
-(** Feed one event by hand (what {!attach} wires up). Exposed for
-    checking pre-recorded streams. *)
-
 val check_all : t -> Trace.event list -> unit
-(** [observe] each event in order — audit a completed trace. *)
+(** Feed each event in order, as {!attach} would — audit a completed
+    trace. *)
 
 val violations : t -> violation list
 (** All recorded violations, in detection order. *)

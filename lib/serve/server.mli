@@ -57,10 +57,6 @@ val latencies : t -> (string * Prof.Hist.t) list
 (** Per-request-kind wall-clock latency histograms (nanoseconds), for
     the bench tier and end-of-run reporting. *)
 
-val handle : t -> Json.t -> Json.t * [ `Continue | `Shutdown ]
-(** [handle t request] dispatches one decoded request. Pure protocol
-    core — transports below and the tests drive it directly. *)
-
 val run_session :
   ?max_frame:int ->
   t ->
@@ -75,8 +71,6 @@ type address = Unix_socket of string | Tcp of string * int
 
 val address_of_string : string -> (address, string) result
 (** [unix:PATH] (or a bare path) and [tcp:HOST:PORT]. *)
-
-val pp_address : Format.formatter -> address -> unit
 
 val listen : ?log:(string -> unit) -> t -> address -> unit
 (** Bind, then serve connections sequentially until a session handles a
