@@ -185,17 +185,12 @@ let rec find w x =
    uncovered vertex above it. Top-level, so a call builds no closure. *)
 let rec cover_between w e x y =
   if x <> y then
-    if w.tree.depth.(x) >= w.tree.depth.(y) then begin
+    if w.tree.depth.(x) < w.tree.depth.(y) then cover_between w e y x
+    else begin
       let p = w.tree.parent.(x) in
       w.by.(x) <- e;
       w.jump.(x) <- p;
       cover_between w e (find w p) y
-    end
-    else begin
-      let p = w.tree.parent.(y) in
-      w.by.(y) <- e;
-      w.jump.(y) <- p;
-      cover_between w e x (find w p)
     end
 
 let cover_path w e =

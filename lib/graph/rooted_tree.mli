@@ -88,8 +88,9 @@ val path_between : t -> int -> int -> int list
 val cover_counts : t -> int list -> int array
 (** [cover_counts t es] returns, for every vertex [x], how many of the given
     non-tree edges cover the tree edge [{x, parent x}] (index by deeper
-    endpoint; entry for the root is 0). Linear-time batch version of
-    {!covers} via subtree-sum differencing. *)
+    endpoint; entry for the root is 0). Batch version of {!covers} via
+    subtree-sum differencing: one {!lca} per edge, then one pass over
+    the tree. *)
 
 val ancestor_at_depth : t -> int -> int -> int
 (** [ancestor_at_depth t v d] is the ancestor of [v] at depth [d <= depth v],
