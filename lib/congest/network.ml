@@ -10,28 +10,6 @@ exception
 
 let cap_words = 6
 
-(* Scratch for duplicate-send detection, persistent across runs in
-   domain-local storage: an edge is a duplicate iff its cell carries the
-   current sender's stamp. The stamp counter strictly increases across
-   runs (a nested run advances it too, since every sender reads and
-   bumps [last] itself), so stale cells from earlier runs (or the zeroed
-   cells of a grown buffer) can never match, and a run costs no O(m)
-   allocation. *)
-type stamp_scratch = { mutable buf : int array; mutable last : int }
-
-let stamp_key = Domain.DLS.new_key (fun () -> { buf = [||]; last = 0 })
-
-let stamp_scratch m =
-  let s = Domain.DLS.get stamp_key in
-  if Array.length s.buf < m then s.buf <- Array.make m 0;
-  (* rollover guard: re-zero long before the counter could wrap (a run
-     bumps the stamp at most once per vertex per pass) *)
-  if s.last > max_int / 2 then begin
-    Array.fill s.buf 0 (Array.length s.buf) 0;
-    s.last <- 0
-  end;
-  s
-
 (* Every pass steps inline on the calling domain; no pass shards. *)
 let par_threshold () = max_int
 
@@ -109,10 +87,10 @@ let grow_slots a =
 let[@inline] get (a : ints) i = Bigarray.Array1.unsafe_get a i
 let[@inline] set (a : ints) i x = Bigarray.Array1.unsafe_set a i x
 
-(* a new slot for a [len]-word message; returns the offset its payload
-   words go to, which has room for them. An oversized payload is refused
-   at delivery, before anything reads it, so its words are never stored.
-   The engine's own accesses below a checked capacity are unchecked. *)
+(* a new slot for a [len]-word message, which the post has checked
+   against [cap_words]; returns the offset its payload words go to,
+   which has room for them. The engine's own accesses below a checked
+   capacity are unchecked. *)
 let[@inline] reserve a ~src ~edge ~dst ~len =
   if a.slots = Bigarray.Array1.dim a.edge then grow_slots a;
   let s = a.slots in
@@ -123,22 +101,24 @@ let[@inline] reserve a ~src ~edge ~dst ~len =
   set a.len s len;
   let o = a.used in
   set a.off s o;
-  if len <= cap_words then begin
-    if o + len > Bigarray.Array1.dim a.words then
-      a.words <- extend a.words ~keep:o (max 1024 (2 * (o + len)));
-    a.used <- o + len
-  end;
+  if o + len > Bigarray.Array1.dim a.words then
+    a.words <- extend a.words ~keep:o (max 1024 (2 * (o + len)));
+  a.used <- o + len;
   o
 
 (* The run's view of the plane: the arena being read (mail delivered
    last pass) and the one being written (this pass's sends), the
    stepping vertex, the first message of its chain, and its adjacency
    row: [deg] ports from position [lo] of the graph's CSR arrays [nbr]
-   and [eid]. A program's step gets it twice, as its [mail] and as its
-   [outbox]. *)
+   and [eid]. [stamps] holds one cell per row position, and [stamp] is
+   the stepping vertex's: a post on a cell that already carries it is
+   the vertex's second post on that port. A program's step gets the
+   record twice, as its [mail] and as its [outbox]. *)
 type io = {
   nbr : int array;
   eid : int array;
+  stamps : int array;
+  mutable stamp : int;
   mutable inbox : arena;
   mutable outbox : arena;
   mutable v : int;
@@ -205,7 +185,9 @@ end
 (* A post fills its slot from the sender's own adjacency row, checked
    against its degree: the row gives the edge and the far end, so the
    destination is stored in the slot and the delivery pass never looks
-   an edge up. *)
+   an edge up. The size and duplicate checks run here too, and the
+   duplicate check reads and writes only the sender's row of
+   [stamps]. *)
 
 let bad_port o port =
   invalid_arg
@@ -214,18 +196,21 @@ let bad_port o port =
 
 let[@inline] port_slot o ~port ~len =
   if port < 0 || port >= o.deg then bad_port o port;
+  if len > cap_words then
+    raise (Message_too_large { vertex = o.v; words = len });
   let i = o.lo + port in
+  if Array.unsafe_get o.stamps i = o.stamp then
+    raise (Duplicate_send { vertex = o.v; edge = Array.unsafe_get o.eid i });
+  Array.unsafe_set o.stamps i o.stamp;
   reserve o.outbox ~src:o.v ~edge:(Array.unsafe_get o.eid i)
     ~dst:(Array.unsafe_get o.nbr i) ~len
 
 (* Each post takes its slot first, since reserving may grow the words
-   array. [at] has room for [len] words unless the message is oversized,
-   which delivery refuses before anything reads it. *)
+   array. *)
 let[@inline] copy_in a ~at src ~pos ~len =
-  if len <= cap_words then
-    for i = 0 to len - 1 do
-      set a.words (at + i) (Array.unsafe_get src (pos + i))
-    done
+  for i = 0 to len - 1 do
+    set a.words (at + i) (Array.unsafe_get src (pos + i))
+  done
 
 let post_sub_port o ~port src ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length src then
@@ -250,13 +235,74 @@ let forward_port o ~port m s =
     set a.words (at + i) (get b.words (from + i))
   done
 
-(* Each domain keeps one pair of arenas across runs. A run that starts
-   while another holds the pair (a step that runs the engine) gets a
-   fresh pair, so the two never share slots. *)
-type plane = { mutable a : arena; mutable b : arena; mutable busy : bool }
+(* Each domain keeps one plane across runs: the pair of arenas and the
+   run scratch, grown to the largest graph it has run. A run that starts
+   while another holds the plane (a step that runs the engine) gets a
+   fresh one, so the two never share slots, chain heads or stamps. *)
+type plane = {
+  mutable a : arena;
+  mutable b : arena;
+  mutable busy : bool;
+  (* one cell per adjacency row position (2m): the stamp of the last
+     post on it. [last] is the latest stamp handed out, one per stepped
+     vertex; it only grows, so cells written by earlier runs (or the
+     zeroed cells of a grown array) never match, and no run clears
+     them. *)
+  mutable stamps : int array;
+  mutable last : int;
+  (* [heads.(v)]: the slot of the latest message delivered to [v], in
+     the inbox arena; the chain runs from it through [next], most recent
+     delivery first. A run that quiesces leaves every cell at -1; one
+     that raises leaves [dirty] set, and the next run clears them all. *)
+  mutable heads : int array;
+  mutable dirty : bool;
+  (* '\001' for a vertex whose last step returned [`Active] or [`Wait] *)
+  mutable active : Bytes.t;
+  (* the frontier, [frontier_bits] vertices per word *)
+  mutable frontier : int array;
+}
 
-let plane_key =
-  Domain.DLS.new_key (fun () -> { a = arena (); b = arena (); busy = false })
+let plane () =
+  {
+    a = arena ();
+    b = arena ();
+    busy = false;
+    stamps = [||];
+    last = 0;
+    heads = [||];
+    dirty = false;
+    active = Bytes.empty;
+    frontier = [||];
+  }
+
+let plane_key = Domain.DLS.new_key plane
+
+(* 62 bits a word keeps every bit a positive power of two, and as 2 is a
+   primitive root of the prime 67, [b mod 67] tells the 62 apart *)
+let frontier_bits = 62
+
+let bit_of =
+  let t = Array.make 67 0 in
+  for k = 0 to frontier_bits - 1 do
+    t.((1 lsl k) mod 67) <- k
+  done;
+  t
+
+(* sizes [pl]'s scratch for a run on [n] vertices and [rows] adjacency
+   row positions *)
+let prepare pl ~n ~rows =
+  if Array.length pl.stamps < rows then pl.stamps <- Array.make rows 0;
+  (* rollover guard: re-zero long before the counter could wrap (a run
+     bumps it at most once per vertex per pass) *)
+  if pl.last > max_int / 2 then begin
+    Array.fill pl.stamps 0 (Array.length pl.stamps) 0;
+    pl.last <- 0
+  end;
+  if Array.length pl.heads < n then pl.heads <- Array.make n (-1)
+  else if pl.dirty then Array.fill pl.heads 0 (Array.length pl.heads) (-1);
+  if Bytes.length pl.active < n then pl.active <- Bytes.create n;
+  let words = (n + frontier_bits - 1) / frontier_bits in
+  if Array.length pl.frontier < words then pl.frontier <- Array.make words 0
 
 (* seven slot arrays and the payload words *)
 let capacity a = (7 * Bigarray.Array1.dim a.edge) + Bigarray.Array1.dim a.words
@@ -265,44 +311,46 @@ let arena_words () =
   let plane = Domain.DLS.get plane_key in
   capacity plane.a + capacity plane.b
 
-(* a run in progress keeps the pair it started with *)
-let release_arenas () =
-  let plane = Domain.DLS.get plane_key in
-  plane.a <- arena ();
-  plane.b <- arena ()
+(* a run in progress keeps the plane it started with *)
+let release_arenas () = Domain.DLS.set plane_key (plane ())
 
 type 's program = {
   init : int -> 's;
-  step : round:int -> int -> 's -> mail -> outbox -> [ `Active | `Idle ];
+  step : round:int -> int -> 's -> mail -> outbox -> [ `Active | `Wait | `Idle ];
 }
 
-let run_on ~probe ?hook ?max_rounds g p inbox outbox =
+let run_on ~probe ?hook ?max_rounds pl g p =
   let n = Graph.n g in
   let max_rounds =
     match max_rounds with Some r -> r | None -> (16 * n) + 10_000
   in
   let states = Array.init n p.init in
   let adj_off, nbr, eid = Graph.adjacency g in
-  let io = { nbr; eid; inbox; outbox; v = -1; head = -1; lo = 0; deg = 0 } in
+  prepare pl ~n ~rows:(Array.length nbr);
+  pl.dirty <- true;
+  let heads = pl.heads and active = pl.active and fr = pl.frontier in
+  let io =
+    {
+      nbr;
+      eid;
+      stamps = pl.stamps;
+      stamp = 0;
+      inbox = pl.a;
+      outbox = pl.b;
+      v = -1;
+      head = -1;
+      lo = 0;
+      deg = 0;
+    }
+  in
   (* no handle names a message before the first delivery, not even a
      slot an earlier run left in this arena *)
-  inbox.slots <- 0;
-  (* [heads.(v)]: the slot of the latest message delivered to [v], in
-     [io.inbox]; the chain runs from it through [next], most recent
-     delivery first *)
-  let heads = Array.make n (-1) in
-  let active = Array.make n true in
-  (* [active_count] tracks the number of [true] cells in [active] so the
+  io.inbox.slots <- 0;
+  Bytes.fill active 0 n '\001';
+  (* [active_count] tracks the number of set flags in [active] so the
      quiescence test is O(1) instead of an O(n) scan per pass *)
   let active_count = ref n in
-  let set_active v b =
-    if active.(v) <> b then begin
-      active.(v) <- b;
-      active_count := !active_count + (if b then 1 else -1)
-    end
-  in
-  let scratch = stamp_scratch (max 1 (Graph.m g)) in
-  let used_stamp = scratch.buf in
+  let hooked = Option.is_some hook in
   let in_flight = ref 0 in
   let round = ref 0 in
   let counted = ref 0 in
@@ -321,17 +369,19 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
   let[@tail_mod_cons] rec chain_ids a s =
     if s < 0 then [] else a.id.{s} :: chain_ids a a.next.{s}
   in
-  (* The frontier: the vertices the next pass must step, i.e. those that
-     are active or hold delivered mail.  A vertex enters it by stepping
-     to [`Active] or by receiving a message.  Each pass reads it in
-     ascending order into [work] and clears it, so both passes walk [work]
-     and a pass costs O(n/63 + frontier), not O(n). *)
-  let frontier = Bitset.full n in
-  let work = Array.make n 0 in
-  let wl = ref 0 in
-  let push v =
-    work.(!wl) <- v;
-    incr wl
+  (* The frontier: the vertices the next pass steps, i.e. those whose
+     last step returned [`Active] (or [`Wait], under a hook) and those
+     that hold delivered mail. Each pass walks its words in ascending
+     order and clears them as it goes, so a pass costs O(n/62 +
+     frontier), not O(n). Every vertex steps in round 0. *)
+  let words = (n + frontier_bits - 1) / frontier_bits in
+  Array.fill fr 0 words ((1 lsl frontier_bits) - 1);
+  if n mod frontier_bits <> 0 then
+    fr.(words - 1) <- (1 lsl (n mod frontier_bits)) - 1;
+  let[@inline] enter v =
+    let w = v / frontier_bits in
+    Array.unsafe_set fr w
+      (Array.unsafe_get fr w lor (1 lsl (v - (w * frontier_bits))))
   in
   let first_word a s =
     if get a.len s > 0 then get a.words (get a.off s) else -1
@@ -346,7 +396,7 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
     if obs then
       Probe.on_recv probe ~vertex:dst ~edge:(get a.edge s) ~word:(first_word a s);
     incr in_flight;
-    Bitset.add frontier dst
+    enter dst
   in
   (* a further copy of slot [s] for [Replicate]: same payload words *)
   let copy a s =
@@ -360,84 +410,99 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
     set a.len c (get a.len s);
     c
   in
-  (* step pass, ascending over [work]: gate each vertex on the hook,
-     step it, and settle whether it still wants rounds.  Its sends land
-     in [io.outbox] for the delivery pass, so no vertex sees mail sent
-     in the pass it steps in.  Every chain in [work] is consumed
-     (crash-stopped vertices lose their deliveries); vertices outside it
-     hold nothing. *)
+  (* one vertex of the step pass: gate it on the hook, step it under a
+     fresh stamp, and settle whether it still wants rounds. Its sends
+     land in [io.outbox] for the delivery pass, so no vertex sees mail
+     sent in the pass it steps in. Its chain is consumed either way
+     (a crash-stopped vertex loses its deliveries). *)
+  let step v =
+    let r =
+      if match hook with Some h -> h.alive ~round:!round v | None -> true
+      then begin
+        (* the messages delivered to [v] last pass are the parents of
+           everything it sends this pass *)
+        if cobs then parent_ids.(v) <- chain_ids io.inbox heads.(v);
+        let stamp = pl.last + 1 in
+        pl.last <- stamp;
+        io.stamp <- stamp;
+        io.v <- v;
+        io.head <- heads.(v);
+        io.lo <- adj_off.(v);
+        io.deg <- adj_off.(v + 1) - io.lo;
+        p.step ~round:!round v states.(v) io io
+      end
+      else begin
+        (* crash-stop: the vertex neither steps nor sends, no longer
+           wants rounds, and its delivered messages are lost *)
+        if obs then Probe.on_crash probe ~vertex:v;
+        `Idle
+      end
+    in
+    heads.(v) <- -1;
+    let b = r <> `Idle in
+    if Bytes.unsafe_get active v = '\001' <> b then begin
+      if obs then Probe.on_active probe ~vertex:v ~active:b;
+      Bytes.unsafe_set active v (if b then '\001' else '\000');
+      active_count := !active_count + if b then 1 else -1
+    end;
+    (* a waiting vertex steps again when mail arrives, or in every pass
+       when a hook must rule on it *)
+    match r with
+    | `Active -> enter v
+    | `Wait -> if hooked then enter v
+    | `Idle -> ()
+  in
+  (* step pass: the frontier in ascending order; a word is cleared
+     before its vertices step, so the ones that stay active land in the
+     next pass's frontier *)
   let step_pass () =
-    wl := 0;
-    Bitset.iter push frontier;
-    Bitset.clear frontier;
     io.outbox.slots <- 0;
     io.outbox.used <- 0;
-    for i = 0 to !wl - 1 do
-      let v = work.(i) in
-      let b =
-        if match hook with Some h -> h.alive ~round:!round v | None -> true
-        then begin
-          (* the messages delivered to [v] last pass are the parents of
-             everything it sends this pass *)
-          if cobs then parent_ids.(v) <- chain_ids io.inbox heads.(v);
-          io.v <- v;
-          io.head <- heads.(v);
-          io.lo <- adj_off.(v);
-          io.deg <- adj_off.(v + 1) - io.lo;
-          p.step ~round:!round v states.(v) io io = `Active
-        end
-        else begin
-          (* crash-stop: the vertex neither steps nor sends, no longer
-             wants rounds, and its delivered messages are lost *)
-          if obs then Probe.on_crash probe ~vertex:v;
-          false
-        end
-      in
-      if obs && active.(v) <> b then Probe.on_active probe ~vertex:v ~active:b;
-      set_active v b;
-      if b then Bitset.add frontier v;
-      heads.(v) <- -1
+    for w = 0 to words - 1 do
+      let bits = Array.unsafe_get fr w in
+      if bits <> 0 then begin
+        Array.unsafe_set fr w 0;
+        let rest = ref bits in
+        while !rest <> 0 do
+          let b = !rest land - !rest in
+          rest := !rest lxor b;
+          step ((w * frontier_bits) + Array.unsafe_get bit_of (b mod 67))
+        done
+      end
     done
   in
   (* delivery pass: the slots in send order, i.e. ascending sender and
-     each sender's sends in the order it posted them *)
+     each sender's sends in the order it posted them; every post was
+     checked when it was made *)
   let deliver_pass () =
     in_flight := 0;
     let a = io.outbox in
     let sent = a.slots in
-    (* slots below [sent] keep their sender, edge, destination and
-       length even if a replica grows the arena's arrays *)
-    let srcs = a.src and edges = a.edge and dsts = a.dst and lens = a.len in
-    let sender = ref (-1) and stamp = ref 0 and group = ref 0 in
+    (* slots below [sent] keep their sender, edge and destination even if
+       a replica grows the arena's arrays *)
+    let srcs = a.src and edges = a.edge and dsts = a.dst in
+    let sender = ref (-1) and group = ref 0 in
     for s = 0 to sent - 1 do
-      let v = get srcs s in
-      if v <> !sender then begin
-        sender := v;
-        (* persisted at once so a run aborted by an engine exception
-           cannot leave stale cells above the next run's stamps *)
-        stamp := scratch.last + 1;
-        scratch.last <- !stamp;
-        (* every message [v] sends this round was enabled by the same
-           inbox, so its parent set is interned once *)
-        if cobs then group := Probe.group probe ~parents:parent_ids.(v)
-      end;
-      let edge = get edges s and words = get lens s in
-      if words > cap_words then
-        raise (Message_too_large { vertex = v; words });
-      if used_stamp.(edge) = !stamp then
-        raise (Duplicate_send { vertex = v; edge });
-      used_stamp.(edge) <- !stamp;
       let dst = get dsts s in
       let id =
-        if obs then
-          Probe.on_send probe ~src:v ~dst ~edge ~word:(first_word a s)
-            ~group:!group
+        if obs then begin
+          let v = get srcs s in
+          (* every message [v] sends this round was enabled by the same
+             inbox, so its parent set is interned once *)
+          if cobs && v <> !sender then begin
+            sender := v;
+            group := Probe.group probe ~parents:parent_ids.(v)
+          end;
+          Probe.on_send probe ~src:v ~dst ~edge:(get edges s)
+            ~word:(first_word a s) ~group:!group
+        end
         else -1
       in
       match hook with
       | None -> deliver dst s id
       | Some h -> (
-        match h.fate ~round:!round ~src:v ~edge with
+        let edge = get edges s in
+        match h.fate ~round:!round ~src:(get srcs s) ~edge with
         | Drop -> ()
         | Deliver -> deliver dst s id
         | Replicate copies ->
@@ -448,7 +513,7 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
         | Postpone extra when extra <= 0 -> deliver dst s id
         | Postpone extra ->
           let o = a.off.{s} in
-          let payload = Array.init words (fun i -> a.words.{o + i}) in
+          let payload = Array.init a.len.{s} (fun i -> a.words.{o + i}) in
           delayed := (!round + 1 + extra, dst, edge, payload, id) :: !delayed)
     done;
     (* the senders spent their message budget whatever the network then
@@ -501,15 +566,17 @@ let run_on ~probe ?hook ?max_rounds g p inbox outbox =
       (Did_not_quiesce
          { rounds = !round; active = !active_count; in_flight = !in_flight })
   end;
+  (* nothing in flight: every chain has been consumed *)
+  pl.dirty <- false;
   if obs then Probe.run_end probe ~quiesced:true ~rounds:!counted;
   (states, !counted, !messages)
 
 let run_counted ?(probe = Probe.noop) ?hook ?max_rounds g p =
-  let plane = Domain.DLS.get plane_key in
-  if plane.busy then run_on ~probe ?hook ?max_rounds g p (arena ()) (arena ())
+  let shared = Domain.DLS.get plane_key in
+  if shared.busy then run_on ~probe ?hook ?max_rounds (plane ()) g p
   else begin
-    plane.busy <- true;
+    shared.busy <- true;
     Fun.protect
-      ~finally:(fun () -> plane.busy <- false)
-      (fun () -> run_on ~probe ?hook ?max_rounds g p plane.a plane.b)
+      ~finally:(fun () -> shared.busy <- false)
+      (fun () -> run_on ~probe ?hook ?max_rounds shared g p)
   end

@@ -2,8 +2,9 @@
 
     A {e program} gives each vertex local state and a step function.  In
     every round the engine delivers the messages sent in the previous round,
-    calls the step of each vertex that is active or has mail exactly once,
-    and collects its sends.  A vertex
+    calls the step of each vertex that is active or has mail exactly once
+    (a vertex that waits for mail is stepped only when mail comes), and
+    collects its sends.  A vertex
     may send one message per incident edge per round, of at most
     {!val-cap_words} machine words — the model's O(log n)-bit budget (an
     identifier, a weight and a couple of flags all fit in O(log n) bits for
@@ -13,7 +14,7 @@
     message.
 
     Execution stops at {e quiescence}: no messages in flight and every
-    vertex's step returned [`Idle].  The returned round count matches the
+    vertex's last step returned [`Idle].  The returned round count matches the
     standard synchronous accounting (a vertex receives at the end of round
     [r] the messages sent during round [r]): an engine pass counts as a
     round iff something was sent in it or some vertex is still waiting.
@@ -35,8 +36,8 @@ exception Duplicate_send of { vertex : int; edge : int }
 exception
   Did_not_quiesce of { rounds : int; active : int; in_flight : int }
 (** Raised after [max_rounds] engine passes without quiescence, with the
-    stuck state attached: how many vertices still returned [`Active] and
-    how many messages were in flight — enough to tell a livelocked wave
+    stuck state attached: how many vertices' last step returned [`Active]
+    or [`Wait] and how many messages were in flight — enough to tell a livelocked wave
     from a vertex that never went idle. *)
 
 val cap_words : int
@@ -66,11 +67,14 @@ type hook = {
       (** [alive ~round v]: may vertex [v] still participate? A dead
           vertex is crash-stopped: its step is skipped, it sends nothing,
           counts as idle, and its delivered messages are lost. Called for
-          every vertex the pass would step, in ascending order. *)
+          every vertex the pass would step, in ascending order. Under a
+          hook a vertex that waits for mail is stepped in every pass, as
+          if it had returned [`Active], so this sees it, and a crash
+          stops it, in the pass it would without the wait. *)
   fate : round:int -> src:int -> edge:int -> fate;
-      (** Rules on each message the instant it is sent. The send has
-          already passed the size and duplicate checks and is counted in
-          the message total whatever the fate. *)
+      (** Rules on each message in the delivery pass. The send passed
+          the size and duplicate checks when it was posted, and is
+          counted in the message total whatever the fate. *)
 }
 (** An interposition point between senders and the network fabric, used by
     the fault-injection layer ([Kecss_faults.Net]) to model adversarial
@@ -94,17 +98,24 @@ type hook = {
     collector never scans them, and their memory shows in the process's
     resident size, not in [Gc] heap or allocation counters.
 
-    Delivery order: the sends of a pass are checked and delivered after
-    the whole step pass, in ascending sender order and each sender's
-    sends in posting order, and each delivery goes to the front of its
-    receiver's chain. So a vertex reads its mail most recent delivery
-    first; replicated and delayed copies join the chain at the point of
-    their delivery.
+    With its arenas each domain keeps the run scratch, on the heap and
+    grown to the largest graph it has run: a duplicate-send stamp per
+    adjacency row position (2m words), the chain heads (n words), the
+    active flags (n bytes) and the frontier's words. So a run allocates
+    nothing of size n but its programs' states. The stamps only grow and
+    a run that quiesces leaves the heads clear; after a run that raised,
+    the next run clears every head, so no mail is left behind for it.
+
+    Delivery order: the sends of a pass are delivered after the whole
+    step pass, in ascending sender order and each sender's sends in
+    posting order, and each delivery goes to the front of its receiver's
+    chain. So a vertex reads its mail most recent delivery first;
+    replicated and delayed copies join the chain at the point of their
+    delivery.
 
     A run that starts while another is live on the same domain (a step
-    that itself runs the engine) gets a fresh pair of arenas. Chain heads
-    belong to the run, so a run that raises leaves no mail behind for the
-    next one. *)
+    that itself runs the engine) gets a fresh pair of arenas and fresh
+    scratch, so neither run's stamps can hide the other's posts. *)
 
 val arena_words : unit -> int
 (** The capacity of the calling domain's two arenas, in words: seven
@@ -114,10 +125,10 @@ val arena_words : unit -> int
     growth, and no [Gc] counter sees it. *)
 
 val release_arenas : unit -> unit
-(** Drops the calling domain's arenas, so its next run starts from empty
-    ones and grows them again: frees what a large run left behind, and
-    lets a caller read one run's {!arena_words} alone. A run in progress
-    keeps the arenas it started with. *)
+(** Drops the calling domain's arenas and run scratch, so its next run
+    starts from empty ones and grows them again: frees what a large run
+    left behind, and lets a caller read one run's {!arena_words} alone.
+    A run in progress keeps the arenas it started with. *)
 
 type mail
 (** The messages delivered to the stepping vertex in the previous pass,
@@ -160,10 +171,10 @@ end
 type outbox
 (** Where the stepping vertex posts this pass's sends. Posting copies
     the payload words into the arena, so the caller may reuse its array.
-    Sends are checked and delivered after the whole step pass: the size
-    and duplicate checks, the counts, the hook's [fate] and the probe's
-    send and receive events see the senders in ascending order and each
-    sender's messages in the order it posted them.
+    Sends are delivered after the whole step pass: the counts, the
+    hook's [fate] and the probe's send and receive events see the
+    senders in ascending order and each sender's messages in the order
+    it posted them.
 
     A send names its link by {e port}: the vertex's own index [i] into
     its adjacency row ([0 <= i < Graph.degree g v], the [i]-th entry of
@@ -172,8 +183,16 @@ type outbox
     neighbour from that row, with no call outside the engine, and
     stores both in the slot. A port outside [[0, degree)] raises
     [Invalid_argument "Network: port P outside [0, D) at vertex V"] at
-    the post. The size and duplicate-send checks stay with the delivery
-    pass. *)
+    the post.
+
+    The post also refuses a payload of more than {!val-cap_words} words
+    with {!Message_too_large} and a second post on one port in one step
+    with {!Duplicate_send}, checking a stamp per position of the
+    sender's own row. Steps run in ascending vertex order and posts in
+    posting order, so the first offending post raises, with the fields
+    a check in the delivery pass would give. It raises out of the step
+    pass: no later vertex steps in that pass, and none of the pass's
+    sends is delivered or reaches the probe. *)
 
 val post_port : outbox -> port:int -> int array -> unit
 (** [post_port o ~port payload] sends [payload] on the stepping vertex's
@@ -195,14 +214,24 @@ type 's program = {
   init : int -> 's;
   (** [init v] builds vertex [v]'s initial state. It may inspect the graph
       locally (own adjacency) — vertices know their incident edges. *)
-  step : round:int -> int -> 's -> mail -> outbox -> [ `Active | `Idle ];
+  step : round:int -> int -> 's -> mail -> outbox -> [ `Active | `Wait | `Idle ];
   (** [step ~round v state mail out] reads the messages delivered to [v]
       last pass, posts this pass's sends to [out], and says whether the
       vertex still wants rounds; state is updated by mutation. Every
       vertex steps in round 0 (no mail); after that a vertex steps only
-      in rounds where it is active (its last step returned [`Active]) or
-      has mail. An idle vertex without mail is not stepped, so a program
-      must not rely on idle steps to send or to change state. *)
+      in rounds where its last step returned [`Active] or where it has
+      mail. An idle vertex without mail is not stepped, so a program
+      must not rely on idle steps to send or to change state.
+
+      [`Wait] says the vertex is blocked on mail: it still wants rounds
+      and counts as active everywhere the engine counts active vertices
+      (quiescence, {!Did_not_quiesce}'s [active], the metrics' active
+      series, the probe's active flips), but it is not stepped again
+      until mail is delivered to it. A step may return [`Wait] only
+      when a step with no mail would change nothing and send nothing,
+      so that skipping those steps changes no output. Under a {!hook}
+      a waiting vertex is stepped in every pass, as an [`Active] one
+      is. *)
 }
 
 val run_counted :
@@ -232,18 +261,19 @@ val run_counted :
     only) as the spans ["engine/step"] and ["engine/deliver"]; without
     one this costs one boolean test per pass.
 
-    The engine keeps a frontier — a bitset of the vertices that are
-    active or hold a delivered message.  A vertex enters it by stepping
-    to [`Active] or by receiving a message; each pass reads it in
-    ascending order into a worklist and clears it, and both the step and
-    the delivery pass walk that worklist instead of all [n] vertices, so
-    an engine pass costs O(n/63 + frontier), not O(n).
+    The engine keeps a frontier — a bitset of the vertices the next pass
+    steps.  A vertex enters it by stepping to [`Active] or by receiving a
+    message; each pass walks it in ascending order and clears it, so an
+    engine pass costs O(n/62 + frontier), not O(n), and a vertex that
+    waits for mail costs nothing until its mail comes.
 
     When [?hook] is given, every vertex step is gated by [hook.alive] and
-    every sent message by [hook.fate]; postponed messages stay in flight
-    (keeping the engine from quiescing) until their delay elapses. The
-    message total always counts sends, not deliveries, so it is
-    unaffected by drops and duplications.
-    @raise Message_too_large on an oversized payload
-    @raise Duplicate_send if a vertex sends twice on one edge in a round
+    every sent message by [hook.fate], and a waiting vertex is stepped in
+    every pass; postponed messages stay in flight (keeping the engine
+    from quiescing) until their delay elapses. The message total always
+    counts sends, not deliveries, so it is unaffected by drops and
+    duplications.
+    @raise Message_too_large at the post of an oversized payload
+    @raise Duplicate_send at a vertex's second post on one port in a
+      step
     @raise Did_not_quiesce after [max_rounds] (default [16 * n + 10_000]). *)

@@ -40,7 +40,7 @@ let forward_children out (f : Forest.t) v inbox m =
 type bfs_state = { mutable parent_edge : int; mutable joined : bool }
 
 let bfs_tree ledger g ~root =
-  (* unreached vertices would stay [`Active] until the pass limit, so a
+  (* unreached vertices would wait until the pass limit, so a
      disconnected graph is refused before any engine pass *)
   if not (Graph.is_connected g) then
     invalid_arg "Prim.bfs_tree: disconnected graph";
@@ -74,7 +74,7 @@ let bfs_tree ledger g ~root =
             `Idle
           end
           else if st.joined then `Idle
-          else `Active);
+          else `Wait);
     }
   in
   let states = engine ledger ~category:"bfs" g program in
@@ -168,7 +168,7 @@ let wave_up ledger (f : Forest.t) ~value =
             `Idle
           end
           else if st.fired then `Idle
-          else `Active);
+          else `Wait);
     }
   in
   let states = engine ledger ~category:"wave_up" f.Forest.graph program in
@@ -201,7 +201,7 @@ let wave_down ledger (f : Forest.t) ~root_value ~derive =
               `Idle
             end
             else if st.have then `Idle
-            else `Active);
+            else `Wait);
     }
   in
   let states = engine ledger ~category:"wave_down" f.Forest.graph program in
@@ -504,7 +504,7 @@ let up_pipeline_merge ledger (f : Forest.t) ~emit ~combine =
                 | None -> continue := false
               else continue := false
             done;
-            if all_drained st then `Idle else `Active
+            if all_drained st then `Idle else `Wait
           end
           else if st.sent_done then `Idle
           else if ready st then
@@ -521,7 +521,7 @@ let up_pipeline_merge ledger (f : Forest.t) ~emit ~combine =
                 `Idle
               end
               else `Active
-          else `Active);
+          else `Wait);
     }
   in
   let states = engine ledger ~category:"up_pipeline" f.Forest.graph program in

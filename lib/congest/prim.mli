@@ -22,6 +22,13 @@
     computed once, [bfs_tree] and [edge_stream] along each vertex's own
     adjacency row. Children are posted to in ascending vertex order.
 
+    A vertex that is blocked on mail returns [`Wait], so the engine steps
+    it only when mail comes ({!Network.program}): in [bfs_tree] until it
+    joins, in [wave_up] while children are pending, in [wave_down] until
+    it has its value, and in [up_pipeline_merge] while it is not ready
+    (a root also while it is not drained). [down_pipeline], [edge_stream]
+    and [walk_up] return [`Active] only when they send in the next pass.
+
     There is one exchange program, {!exchange_in_place}: its callers
     post through the outbox and read their mail in place. {!exchange}
     posts [send list]s that name their links by edge id, for the

@@ -4,10 +4,9 @@ let pair ?mask g u v =
   let net = Maxflow.of_graph ?mask g in
   Maxflow.max_flow net ~s:u ~t:v
 
-let lambda ?mask ?upper g =
+let connected_lambda ?mask ?upper g =
   let n = Graph.n g in
   if n <= 1 then max_int
-  else if not (Graph.is_connected ?mask g) then 0
   else if Dfs.bridges ?mask g <> [] then 1
   else
     (* bridgeless and connected: λ ≥ 2, settled without any max-flow when
@@ -30,6 +29,10 @@ let lambda ?mask ?upper g =
     done;
     match upper with None -> !best | Some u -> min !best u
   end
+
+let lambda ?mask ?upper g =
+  if Graph.n g > 1 && not (Graph.is_connected ?mask g) then 0
+  else connected_lambda ?mask ?upper g
 
 let is_k_edge_connected ?mask g k =
   if k <= 0 then true

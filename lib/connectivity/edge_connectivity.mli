@@ -14,6 +14,10 @@ val lambda : ?mask:Bitset.t -> ?upper:int -> Graph.t -> int
     [~upper] each flow stops at [upper], so the result is
     [min λ upper] — much faster for "is λ ≥ k" queries. *)
 
+val connected_lambda : ?mask:Bitset.t -> ?upper:int -> Graph.t -> int
+(** {!lambda} of a (sub)graph the caller already knows to be connected,
+    without the components search that establishes it. *)
+
 val is_k_edge_connected : ?mask:Bitset.t -> Graph.t -> int -> bool
 (** [is_k_edge_connected g k]: does the (sub)graph span all vertices with
     λ ≥ k? [k = 0] only requires the vertex set, [k = 1] connectivity. *)

@@ -14,7 +14,7 @@ let connected_lambda ~mask g ~upper =
   if upper >= 3 && upper <= 4 && Graph.n g >= 2 then
     (* the census is exact whatever the labels draw, so any seed does *)
     Min_cut_enum.lambda_upto ~mask ~rng:(Rng.create ~seed:1) g ~upper
-  else Edge_connectivity.lambda ~mask ~upper g
+  else Edge_connectivity.connected_lambda ~mask ~upper g
 
 let lambda_upto ~mask g ~upper =
   if Graph.is_connected ~mask g then connected_lambda ~mask g ~upper else 0

@@ -64,13 +64,12 @@ let solve_with ledger g =
   let walker = Rooted_tree.walker tree in
   let aug = Graph.no_edges_mask g in
   let by_depth = Array.copy order in
-  Array.sort
-    (fun a b -> compare (Rooted_tree.depth tree b) (Rooted_tree.depth tree a))
-    by_depth;
+  let depth = Rooted_tree.depths tree in
+  Array.sort (fun a b -> compare depth.(b) depth.(a)) by_depth;
   Array.iter
     (fun x ->
       if x <> 0 && Rooted_tree.covered_by walker x < 0 then begin
-        if low_edge.(x) < 0 || low_depth.(x) >= Rooted_tree.depth tree x then
+        if low_edge.(x) < 0 || low_depth.(x) >= depth.(x) then
           failwith "Ecss2_unweighted: graph is not 2-edge-connected";
         Bitset.add aug low_edge.(x);
         Rooted_tree.cover_path walker low_edge.(x)

@@ -6,8 +6,6 @@ type t = {
   depth : int array;
   children : int list array;
   preorder : int array;
-  tin : int array;
-  tout : int array;
 }
 
 let build graph root parent parent_edge =
@@ -20,32 +18,28 @@ let build graph root parent parent_edge =
     end
   done;
   let depth = Array.make n (-1) in
-  let tin = Array.make n 0 and tout = Array.make n 0 in
   let preorder = Array.make n root in
-  (* Iterative DFS to avoid stack overflow on path-shaped trees. *)
-  let clock = ref 0 and count = ref 0 in
-  let stack = Stack.create () in
-  Stack.push (`Enter root) stack;
+  (* Iterative DFS to avoid stack overflow on path-shaped trees. A vertex
+     is pushed once, when its parent is visited, so the stack, like the
+     preorder, holds at most n vertices, and a cycle leaves the count
+     short. *)
+  let stack = Array.make n root in
+  let top = ref 1 and count = ref 0 in
   depth.(root) <- 0;
-  while not (Stack.is_empty stack) do
-    match Stack.pop stack with
-    | `Enter v ->
-      tin.(v) <- !clock;
-      incr clock;
-      preorder.(!count) <- v;
-      incr count;
-      Stack.push (`Exit v) stack;
-      List.iter
-        (fun c ->
-          depth.(c) <- depth.(v) + 1;
-          Stack.push (`Enter c) stack)
-        children.(v)
-    | `Exit v ->
-      tout.(v) <- !clock;
-      incr clock
+  while !top > 0 do
+    decr top;
+    let v = stack.(!top) in
+    preorder.(!count) <- v;
+    incr count;
+    List.iter
+      (fun c ->
+        depth.(c) <- depth.(v) + 1;
+        stack.(!top) <- c;
+        incr top)
+      children.(v)
   done;
   if !count <> n then invalid_arg "Rooted_tree: not spanning (cycle or forest)";
-  { graph; root; parent; parent_edge; depth; children; preorder; tin; tout }
+  { graph; root; parent; parent_edge; depth; children; preorder }
 
 let of_parent_edges graph ~root pe =
   let n = Graph.n graph in
@@ -103,7 +97,13 @@ let lower_endpoint t id =
     if t.parent_edge.(v) = id then v
     else invalid_arg "Rooted_tree.lower_endpoint: not a tree edge"
 
-let is_ancestor t a v = t.tin.(a) <= t.tin.(v) && t.tout.(v) <= t.tout.(a)
+(* [v] climbs to [a]'s depth *)
+let is_ancestor t a v =
+  let v = ref v in
+  while t.depth.(!v) > t.depth.(a) do
+    v := t.parent.(!v)
+  done;
+  !v = a
 
 let ancestor_at_depth t v d =
   if d > t.depth.(v) || d < 0 then invalid_arg "Rooted_tree.ancestor_at_depth";

@@ -64,7 +64,8 @@ val lower_endpoint : t -> int -> int
 (** [lower_endpoint t id] is the deeper endpoint of tree edge [id]. *)
 
 val is_ancestor : t -> int -> int -> bool
-(** [is_ancestor t a v]: is [a] an ancestor of [v] (reflexively)? O(1). *)
+(** [is_ancestor t a v]: is [a] an ancestor of [v] (reflexively)? [v]
+    climbs parent pointers to [a]'s depth: O(depth v - depth a). *)
 
 val lca : t -> int -> int -> int
 (** Lowest common ancestor: the deeper end steps to its parent until the
@@ -74,7 +75,8 @@ val lca : t -> int -> int -> int
 val covers : t -> int -> int -> bool
 (** [covers t e tree_e]: does non-tree edge [e]'s fundamental cycle contain
     tree edge [tree_e]? (Definition 2.1 specialised to trees: [e] covers the
-    size-1 cut [tree_e].) O(1). *)
+    size-1 cut [tree_e].) Two {!is_ancestor} climbs, one from each end
+    of [e]. *)
 
 val fundamental_path : t -> int -> int list
 (** [fundamental_path t e] lists the tree edge ids on the tree path between

@@ -282,6 +282,241 @@ let engine_tests =
           (Kecss_obs.Prof.stats prof));
   ]
 
+(* ---------- waiting for mail ---------- *)
+
+let empty_hook () =
+  Kecss_faults.Net.hook (Kecss_faults.Net.injector Kecss_faults.Plan.empty)
+
+type waiter = { mutable steps : int; mutable got : int list }
+
+(* on the path 0 - 1, vertex 0 stays [`Active] for three passes and
+   sends 7 in the fourth; vertex 1 waits for it, counting its steps *)
+let late_ping =
+  {
+    Network.init = (fun _ -> { steps = 0; got = [] });
+    step =
+      (fun ~round v st inbox out ->
+        st.steps <- st.steps + 1;
+        if v = 0 then
+          if round < 3 then `Active
+          else begin
+            if round = 3 then Network.post1_port out ~port:0 7;
+            `Idle
+          end
+        else begin
+          st.got <- st.got @ first_words inbox;
+          if st.got = [] then `Wait else `Idle
+        end);
+  }
+
+let wait_tests =
+  [
+    case "a waiting vertex steps in round 0, then only when mail comes"
+      (fun () ->
+        let g = Gen.path 2 in
+        let states, rounds, messages = Network.run_counted g late_ping in
+        check_int "four rounds" 4 rounds;
+        check_int "one message" 1 messages;
+        check_int "vertex 1 stepped twice" 2 states.(1).steps;
+        Alcotest.(check (list int)) "its mail" [ 7 ] states.(1).got;
+        (* under a hook the same program is stepped in every pass, and
+           ends the same *)
+        let hooked, hooked_rounds, hooked_messages =
+          Network.run_counted ~hook:(empty_hook ()) g late_ping
+        in
+        check_int "rounds under a hook" rounds hooked_rounds;
+        check_int "messages under a hook" messages hooked_messages;
+        check_int "vertex 1 stepped in every pass" 5 hooked.(1).steps;
+        Array.iteri
+          (fun v st ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "vertex %d's mail under a hook" v)
+              st.got hooked.(v).got)
+          states;
+        check_int "vertex 0's steps" states.(0).steps hooked.(0).steps);
+    case "a vertex that waits for mail that never comes is reported" (fun () ->
+        let g = Gen.path 2 in
+        let p =
+          {
+            Network.init = (fun _ -> ());
+            step = (fun ~round:_ v () _ _ -> if v = 1 then `Wait else `Idle);
+          }
+        in
+        List.iter
+          (fun (name, hook) ->
+            match Network.run_counted ?hook ~max_rounds:20 g p with
+            | exception Network.Did_not_quiesce { rounds; active; in_flight } ->
+              check_int (name ^ ": gave up at max_rounds") 20 rounds;
+              check_int (name ^ ": the waiting vertex counts as active") 1
+                active;
+              check_int (name ^ ": nothing in flight") 0 in_flight
+            | _ -> Alcotest.fail (name ^ ": expected Did_not_quiesce"))
+          [ ("bare", None); ("hooked", Some (empty_hook ())) ]);
+  ]
+
+(* ---------- checks at the post ---------- *)
+
+let post_check_tests =
+  [
+    case "a bad post raises at the post, before later vertices step"
+      (fun () ->
+        let g = Gen.path 2 in
+        let stepped = ref false in
+        let bad post =
+          {
+            Network.init = (fun _ -> ());
+            step =
+              (fun ~round v () _ out ->
+                if round = 0 && v = 0 then post out;
+                if v = 1 then stepped := true;
+                `Idle);
+          }
+        in
+        stepped := false;
+        (match
+           Network.run_counted g
+             (bad (fun out ->
+                  Network.post_port out ~port:0
+                    (Array.make (Network.cap_words + 1) 0)))
+         with
+        | exception Network.Message_too_large { vertex; words } ->
+          check_int "offending vertex" 0 vertex;
+          check_int "reported size" (Network.cap_words + 1) words
+        | _ -> Alcotest.fail "expected Message_too_large");
+        check_is "vertex 1 did not step after the oversized post"
+          (not !stepped);
+        (match
+           Network.run_counted g
+             (bad (fun out ->
+                  Network.post1_port out ~port:0 1;
+                  Network.post1_port out ~port:0 2))
+         with
+        | exception Network.Duplicate_send { vertex; edge } ->
+          check_int "offending vertex" 0 vertex;
+          check_int "contested edge" 0 edge
+        | _ -> Alcotest.fail "expected Duplicate_send");
+        check_is "vertex 1 did not step after the duplicate post"
+          (not !stepped));
+  ]
+
+(* ---------- the per-domain scratch ---------- *)
+
+(* every vertex posts its id on every port for [passes] passes and sums
+   the words it receives *)
+let flood g ~passes =
+  {
+    Network.init = (fun _ -> ref 0);
+    step =
+      (fun ~round v sum inbox out ->
+        let m = ref (Network.Mail.first inbox) in
+        while !m >= 0 do
+          sum := !sum + Network.Mail.word inbox !m 0;
+          m := Network.Mail.next inbox !m
+        done;
+        if round < passes then
+          for i = 0 to Graph.degree g v - 1 do
+            Network.post1_port out ~port:i v
+          done;
+        if round + 1 < passes then `Active else `Idle);
+  }
+
+let sums (states, rounds, messages) =
+  (Array.to_list (Array.map ( ! ) states), rounds, messages)
+
+(* what a domain that has never run the engine returns *)
+let fresh f = Domain.join (Domain.spawn f)
+
+let scratch_tests =
+  [
+    case "a run after one that raised returns what a fresh domain returns"
+      (fun () ->
+        let large = Gen.circulant 600 [ 1; 5 ] and small = Gen.cycle 9 in
+        let run_large () = sums (Network.run_counted large (flood large ~passes:3))
+        and run_small () = sums (Network.run_counted small (flood small ~passes:2)) in
+        let want_large = fresh run_large and want_small = fresh run_small in
+        (* flooding past the pass limit leaves mail in every chain *)
+        (match Network.run_counted ~max_rounds:2 large (flood large ~passes:5) with
+        | exception Network.Did_not_quiesce { in_flight; _ } ->
+          check_int "mail left in flight" (2 * Graph.m large) in_flight
+        | _ -> Alcotest.fail "expected Did_not_quiesce");
+        let result = Alcotest.(triple (list int) int int) in
+        Alcotest.check result "small graph after the raise" want_small
+          (run_small ());
+        Alcotest.check result "large graph after that" want_large
+          (run_large ());
+        Alcotest.check result "large graph once more" want_large
+          (run_large ()));
+    case "a nested run refuses its own duplicates and spares the outer run's"
+      (fun () ->
+        let g = Gen.path 3 and inner_g = Gen.cycle 8 in
+        let dup =
+          {
+            Network.init = (fun _ -> ());
+            step =
+              (fun ~round v () _ out ->
+                if round = 0 then begin
+                  Network.post1_port out ~port:0 1;
+                  if v = 5 then Network.post1_port out ~port:0 2
+                end;
+                `Idle);
+          }
+        in
+        let outer =
+          {
+            Network.init = (fun _ -> ref []);
+            step =
+              (fun ~round v got inbox out ->
+                if round = 0 && v = 0 then Network.post1_port out ~port:0 7;
+                if not (Network.Mail.is_empty inbox) then begin
+                  (match Network.run_counted inner_g dup with
+                  | exception Network.Duplicate_send { vertex; edge } ->
+                    check_int "inner offender" 5 vertex;
+                    check_int "inner edge" (Graph.adj_eid_at inner_g 5 0) edge
+                  | _ -> Alcotest.fail "expected the inner Duplicate_send");
+                  got := first_words inbox
+                end;
+                `Idle);
+          }
+        in
+        let states, rounds, messages = Network.run_counted g outer in
+        Alcotest.(check (list int)) "outer mail" [ 7 ] !(states.(1));
+        check_int "outer rounds" 1 rounds;
+        check_int "outer messages" 1 messages;
+        (* vertex 1 posts on port 0, runs an honest inner run that posts
+           on every port, then posts on port 0 again: the inner run's
+           stamps must not hide the outer duplicate *)
+        let honest =
+          {
+            Network.init = (fun _ -> ());
+            step =
+              (fun ~round v () _ out ->
+                if round = 0 then
+                  for i = 0 to Graph.degree inner_g v - 1 do
+                    Network.post1_port out ~port:i 99
+                  done;
+                `Idle);
+          }
+        in
+        let outer_dup =
+          {
+            Network.init = (fun _ -> ());
+            step =
+              (fun ~round v () _ out ->
+                if round = 0 && v = 1 then begin
+                  Network.post1_port out ~port:0 1;
+                  ignore (Network.run_counted inner_g honest);
+                  Network.post1_port out ~port:0 2
+                end;
+                `Idle);
+          }
+        in
+        match Network.run_counted g outer_dup with
+        | exception Network.Duplicate_send { vertex; edge } ->
+          check_int "outer offender" 1 vertex;
+          check_int "outer edge" (Graph.adj_eid_at g 1 0) edge
+        | _ -> Alcotest.fail "expected the outer Duplicate_send");
+  ]
+
 (* ---------- primitives ---------- *)
 
 let prim_tests =
@@ -556,6 +791,117 @@ let prim_tests =
            List.map (fun (k, p) -> (k, p.(0))) res.(0) = expected));
   ]
 
+(* ---------- every primitive, bare and under an empty plan ---------- *)
+
+(* Runs every primitive once on [l] and prints what each returns. A
+   hooked engine steps the vertices that wait for mail in every pass and
+   a bare one skips them, so the two ledgers must agree on all of it. *)
+let all_primitives l g ~root =
+  let n = Graph.n g in
+  let b = Buffer.create 1024 in
+  let add fmt = Printf.bprintf b fmt in
+  let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
+  let lists a =
+    String.concat ";"
+      (Array.to_list
+         (Array.map
+            (fun l ->
+              String.concat " "
+                (List.map (fun (o, p) -> Printf.sprintf "%d:%s" o (ints p)) l))
+            a))
+  in
+  let t = Prim.bfs_tree l g ~root in
+  add "bfs %s\n" (ints (Rooted_tree.parent_edges t));
+  let f = Forest.of_rooted_tree t in
+  let heard = Array.make n 0 in
+  Prim.exchange_in_place l g
+    ~post:(fun v out ->
+      for i = 0 to Graph.degree g v - 1 do
+        Network.post1_port out ~port:i (v + 1)
+      done)
+    ~read:(fun v mail ->
+      heard.(v) <- (31 * heard.(v)) + Network.Mail.word mail (Network.Mail.first mail) 0);
+  add "exchange_in_place %s\n" (ints heard);
+  Prim.exchange l g (fun v ->
+      Graph.fold_adj g v
+        (fun acc _ e -> { Network.edge = e; payload = [| v; e |] } :: acc)
+        []);
+  let sizes =
+    Prim.wave_up l f ~value:(fun _ kids ->
+        [| List.fold_left (fun acc k -> acc + k.(0)) 1 kids |])
+  in
+  add "wave_up %s\n" (ints (Array.map (fun a -> a.(0)) sizes));
+  let depths =
+    Prim.wave_down l f
+      ~root_value:(fun _ -> [| 0 |])
+      ~derive:(fun _ ~parent_value -> [| parent_value.(0) + 1 |])
+  in
+  add "wave_down %s\n" (ints (Array.map (fun a -> a.(0)) depths));
+  add "down_pipeline %s\n"
+    (lists
+       (Prim.down_pipeline l f ~emit:(fun v ->
+            if v mod 3 = 0 then [ [| v |]; [| v; 1 |] ] else [])));
+  ignore (Prim.down_pipeline ~record:false l f ~emit:(fun v -> [ [| v |] ]));
+  add "broadcast_list %s\n"
+    (lists (Prim.broadcast_list l f ~items:(fun v -> [ [| v |]; [| 2 * v |] ])));
+  Prim.edge_stream l g ~lengths:(fun e -> e mod 4);
+  Prim.walk_up l f ~sources:(List.filter (fun v -> v mod 2 = 1) (List.init n Fun.id));
+  add "up_pipeline_merge %s\n"
+    (lists
+       (Prim.up_pipeline_merge l f
+          ~emit:(fun v -> [ (v mod 3, [| v |]); (3 + (v mod 5), [| v |]) ])
+          ~combine:(fun a b -> [| min a.(0) b.(0) |])));
+  Buffer.contents b
+
+(* a path with [chords] random chords *)
+let path_shaped (seed, n, chords) =
+  let rng = Rng.create ~seed in
+  let edges = Hashtbl.create 16 in
+  for v = 0 to n - 2 do
+    Hashtbl.replace edges (v, v + 1) ()
+  done;
+  for _ = 1 to chords do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v then Hashtbl.replace edges (min u v, max u v) ()
+  done;
+  Graph.make ~n
+    (List.sort compare (Hashtbl.fold (fun (u, v) () acc -> (u, v, 1) :: acc) edges []))
+
+let bare_equals_hooked g ~root =
+  let ledger hook =
+    let metrics = Kecss_obs.Metrics.create () in
+    (Rounds.create ~metrics ?hook (), metrics)
+  in
+  let run hook =
+    let l, metrics = ledger hook in
+    let outputs = all_primitives l g ~root in
+    ( outputs,
+      Rounds.by_category l,
+      Rounds.messages_by_category l,
+      Kecss_obs.Json.to_string (Kecss_obs.Metrics.to_json metrics) )
+  in
+  run None = run (Some (empty_hook ()))
+
+let hooked_tests =
+  [
+    qcheck
+      (QCheck.Test.make
+         ~name:"every primitive runs the same bare and under an empty plan"
+         ~count:40 (arb_connected ~max_n:40 ()) (fun params ->
+           let g = graph_of_params params in
+           let seed, n, _ = params in
+           bare_equals_hooked g ~root:(seed mod n)));
+    qcheck
+      (QCheck.Test.make
+         ~name:"every primitive runs the same bare and under an empty plan, \
+                on paths with chords"
+         ~count:40
+         QCheck.(
+           triple (int_bound 1_000_000) (int_range 2 60) (int_bound 4))
+         (fun ((seed, n, _) as params) ->
+           bare_equals_hooked (path_shaped params) ~root:(seed mod n)));
+  ]
+
 (* ---------- forests ---------- *)
 
 let forest_tests =
@@ -664,7 +1010,11 @@ let () =
   Alcotest.run "congest"
     [
       ("engine", engine_tests);
+      ("wait", wait_tests);
+      ("post checks", post_check_tests);
+      ("scratch", scratch_tests);
       ("primitives", prim_tests);
+      ("bare and hooked", hooked_tests);
       ("forest", forest_tests);
       ("mst", mst_tests);
     ]
