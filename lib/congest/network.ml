@@ -439,8 +439,9 @@ let run_on ~probe ?hook ?max_rounds pl g p =
       end
     in
     heads.(v) <- -1;
-    let b = r <> `Idle in
-    if Bytes.unsafe_get active v = '\001' <> b then begin
+    let b = match r with `Idle -> false | `Active | `Wait -> true in
+    let was = Bytes.unsafe_get active v = '\001' in
+    if was <> b then begin
       if obs then Probe.on_active probe ~vertex:v ~active:b;
       Bytes.unsafe_set active v (if b then '\001' else '\000');
       active_count := !active_count + if b then 1 else -1

@@ -886,15 +886,16 @@ let hooked_tests =
   [
     qcheck
       (QCheck.Test.make
-         ~name:"every primitive runs the same bare and under an empty plan"
+         ~name:"on random graphs, every primitive runs the same bare and \
+                under an empty plan"
          ~count:40 (arb_connected ~max_n:40 ()) (fun params ->
            let g = graph_of_params params in
            let seed, n, _ = params in
            bare_equals_hooked g ~root:(seed mod n)));
     qcheck
       (QCheck.Test.make
-         ~name:"every primitive runs the same bare and under an empty plan, \
-                on paths with chords"
+         ~name:"on paths with chords, every primitive runs the same bare \
+                and under an empty plan"
          ~count:40
          QCheck.(
            triple (int_bound 1_000_000) (int_range 2 60) (int_bound 4))
@@ -1011,10 +1012,10 @@ let () =
     [
       ("engine", engine_tests);
       ("wait", wait_tests);
-      ("post checks", post_check_tests);
+      ("post", post_check_tests);
       ("scratch", scratch_tests);
       ("primitives", prim_tests);
-      ("bare and hooked", hooked_tests);
+      ("hooked", hooked_tests);
       ("forest", forest_tests);
       ("mst", mst_tests);
     ]
