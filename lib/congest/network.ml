@@ -15,12 +15,12 @@ let par_threshold () = max_int
 
 type send = { edge : int; payload : int array }
 
-type fate = Deliver | Drop | Replicate of int | Postpone of int
+type fate = Deliver | Drop | Duplicate | Postpone of int
 
 type hook = {
-  round_begin : round:int -> unit;
-  alive : round:int -> int -> bool;
-  fate : round:int -> src:int -> edge:int -> fate;
+  round_begin : unit -> int list;
+  alive : int -> bool;
+  fate : edge:int -> fate;
 }
 
 (* ---------- the message plane ---------- *)
@@ -350,7 +350,6 @@ let run_on ~probe ?hook ?max_rounds pl g p =
   (* [active_count] tracks the number of set flags in [active] so the
      quiescence test is O(1) instead of an O(n) scan per pass *)
   let active_count = ref n in
-  let hooked = Option.is_some hook in
   let in_flight = ref 0 in
   let round = ref 0 in
   let counted = ref 0 in
@@ -370,10 +369,11 @@ let run_on ~probe ?hook ?max_rounds pl g p =
     if s < 0 then [] else a.id.{s} :: chain_ids a a.next.{s}
   in
   (* The frontier: the vertices the next pass steps, i.e. those whose
-     last step returned [`Active] (or [`Wait], under a hook) and those
-     that hold delivered mail. Each pass walks its words in ascending
-     order and clears them as it goes, so a pass costs O(n/62 +
-     frontier), not O(n). Every vertex steps in round 0. *)
+     last step returned [`Active], those that hold delivered mail, and
+     the ones still wanting rounds that the hook crash-stops this pass.
+     Each pass walks its words in ascending order and clears them as it
+     goes, so a pass costs O(n/62 + frontier), not O(n). Every vertex
+     steps in round 0. *)
   let words = (n + frontier_bits - 1) / frontier_bits in
   Array.fill fr 0 words ((1 lsl frontier_bits) - 1);
   if n mod frontier_bits <> 0 then
@@ -386,7 +386,7 @@ let run_on ~probe ?hook ?max_rounds pl g p =
   let first_word a s =
     if get a.len s > 0 then get a.words (get a.off s) else -1
   in
-  (* the one delivery path: normal, replicated and delayed copies alike
+  (* the one delivery path: normal, duplicated and delayed copies alike
      join the receiver's chain in [io.outbox] *)
   let deliver dst s id =
     let a = io.outbox in
@@ -398,7 +398,7 @@ let run_on ~probe ?hook ?max_rounds pl g p =
     incr in_flight;
     enter dst
   in
-  (* a further copy of slot [s] for [Replicate]: same payload words *)
+  (* a second copy of slot [s] for [Duplicate]: same payload words *)
   let copy a s =
     if a.slots = Bigarray.Array1.dim a.edge then grow_slots a;
     let c = a.slots in
@@ -417,7 +417,7 @@ let run_on ~probe ?hook ?max_rounds pl g p =
      (a crash-stopped vertex loses its deliveries). *)
   let step v =
     let r =
-      if match hook with Some h -> h.alive ~round:!round v | None -> true
+      if match hook with Some h -> h.alive v | None -> true
       then begin
         (* the messages delivered to [v] last pass are the parents of
            everything it sends this pass *)
@@ -446,12 +446,8 @@ let run_on ~probe ?hook ?max_rounds pl g p =
       Bytes.unsafe_set active v (if b then '\001' else '\000');
       active_count := !active_count + if b then 1 else -1
     end;
-    (* a waiting vertex steps again when mail arrives, or in every pass
-       when a hook must rule on it *)
-    match r with
-    | `Active -> enter v
-    | `Wait -> if hooked then enter v
-    | `Idle -> ()
+    (* a waiting vertex steps again when mail arrives *)
+    match r with `Active -> enter v | `Wait | `Idle -> ()
   in
   (* step pass: the frontier in ascending order; a word is cleared
      before its vertices step, so the ones that stay active land in the
@@ -480,7 +476,7 @@ let run_on ~probe ?hook ?max_rounds pl g p =
     let a = io.outbox in
     let sent = a.slots in
     (* slots below [sent] keep their sender, edge and destination even if
-       a replica grows the arena's arrays *)
+       a duplicate grows the arena's arrays *)
     let srcs = a.src and edges = a.edge and dsts = a.dst in
     let sender = ref (-1) and group = ref 0 in
     for s = 0 to sent - 1 do
@@ -503,15 +499,12 @@ let run_on ~probe ?hook ?max_rounds pl g p =
       | None -> deliver dst s id
       | Some h -> (
         let edge = get edges s in
-        match h.fate ~round:!round ~src:(get srcs s) ~edge with
+        match h.fate ~edge with
         | Drop -> ()
         | Deliver -> deliver dst s id
-        | Replicate copies ->
+        | Duplicate ->
           deliver dst s id;
-          for _ = 2 to copies do
-            deliver dst (copy a s) id
-          done
-        | Postpone extra when extra <= 0 -> deliver dst s id
+          deliver dst (copy a s) id
         | Postpone extra ->
           let o = a.off.{s} in
           let payload = Array.init a.len.{s} (fun i -> a.words.{o + i}) in
@@ -542,7 +535,14 @@ let run_on ~probe ?hook ?max_rounds pl g p =
   in
   if obs then Probe.run_begin probe ~n;
   while (!in_flight > 0 || !active_count > 0) && !round < max_rounds do
-    (match hook with Some h -> h.round_begin ~round:!round | None -> ());
+    (* a crash-stop reaches a vertex that still wants rounds in the pass
+       it activates, even one waiting for mail *)
+    (match hook with
+    | Some h ->
+      List.iter
+        (fun v -> if v >= 0 && v < n && Bytes.get active v = '\001' then enter v)
+        (h.round_begin ())
+    | None -> ());
     if obs then Probe.round_begin probe;
     if timed then Prof.time prof "engine/step" step_pass else step_pass ();
     if timed then Prof.time prof "engine/deliver" deliver_pass

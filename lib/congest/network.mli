@@ -52,29 +52,32 @@ type send = { edge : int; payload : int array }
     sends to their {!outbox}; this record is how [Prim.exchange]'s
     callers describe theirs. *)
 
-type fate = Deliver | Drop | Replicate of int | Postpone of int
-(** What the network does with one sent message: deliver it normally, lose
-    it, deliver [Replicate n] copies ([n >= 1]; the receiver's {!mail}
-    holds [n] entries), or deliver it [Postpone d] rounds late ([d <= 0]
-    delivers normally). *)
+type fate = Deliver | Drop | Duplicate | Postpone of int
+(** What the network does with one sent message: deliver it normally,
+    lose it, deliver two copies (the receiver's {!mail} holds both), or
+    deliver it [Postpone d] rounds late, [d >= 1]. *)
 
 type hook = {
-  round_begin : round:int -> unit;
+  round_begin : unit -> int list;
       (** Called once at the top of every engine pass, before any vertex
           steps — lets an interposer keep a global round clock across the
-          many engine runs of one solve. *)
-  alive : round:int -> int -> bool;
-      (** [alive ~round v]: may vertex [v] still participate? A dead
-          vertex is crash-stopped: its step is skipped, it sends nothing,
-          counts as idle, and its delivered messages are lost. Called for
-          every vertex the pass would step, in ascending order. Under a
-          hook a vertex that waits for mail is stepped in every pass, as
-          if it had returned [`Active], so this sees it, and a crash
-          stops it, in the pass it would without the wait. *)
-  fate : round:int -> src:int -> edge:int -> fate;
-      (** Rules on each message in the delivery pass. The send passed
-          the size and duplicate checks when it was posted, and is
-          counted in the message total whatever the fate. *)
+          many engine runs of one solve. Returns the vertices it
+          crash-stops from this pass on. Those whose last step returned
+          [`Active] or [`Wait] step in this pass, so [alive] stops a
+          vertex that waits for mail in the pass its crash activates, not
+          when its mail comes; ids outside [[0, n)] are ignored. The
+          activation goes to the run whose pass makes it: no library
+          code runs the engine inside a step under a hook. *)
+  alive : int -> bool;
+      (** [alive v]: may vertex [v] still participate? A dead vertex is
+          crash-stopped: its step is skipped, it sends nothing, counts as
+          idle, and its delivered messages are lost. Called for every
+          vertex the pass steps, in ascending order. *)
+  fate : edge:int -> fate;
+      (** Rules on each message sent on [edge], in the delivery pass.
+          The send passed the size and duplicate checks when it was
+          posted, and is counted in the message total whatever the
+          fate. *)
 }
 (** An interposition point between senders and the network fabric, used by
     the fault-injection layer ([Kecss_faults.Net]) to model adversarial
@@ -110,7 +113,7 @@ type hook = {
     step pass, in ascending sender order and each sender's sends in
     posting order, and each delivery goes to the front of its receiver's
     chain. So a vertex reads its mail most recent delivery first;
-    replicated and delayed copies join the chain at the point of their
+    duplicated and delayed copies join the chain at the point of their
     delivery.
 
     A run that starts while another is live on the same domain (a step
@@ -229,9 +232,7 @@ type 's program = {
       series, the probe's active flips), but it is not stepped again
       until mail is delivered to it. A step may return [`Wait] only
       when a step with no mail would change nothing and send nothing,
-      so that skipping those steps changes no output. Under a {!hook}
-      a waiting vertex is stepped in every pass, as an [`Active] one
-      is. *)
+      so that skipping those steps changes no output. *)
 }
 
 val run_counted :
@@ -268,9 +269,8 @@ val run_counted :
     waits for mail costs nothing until its mail comes.
 
     When [?hook] is given, every vertex step is gated by [hook.alive] and
-    every sent message by [hook.fate], and a waiting vertex is stepped in
-    every pass; postponed messages stay in flight (keeping the engine
-    from quiescing) until their delay elapses. The message total always
+    every sent message by [hook.fate]; postponed messages stay in flight
+    (keeping the engine from quiescing) until their delay elapses. The message total always
     counts sends, not deliveries, so it is unaffected by drops and
     duplications.
     @raise Message_too_large at the post of an oversized payload

@@ -30,10 +30,6 @@ let pp_stats ppf s =
      cut, %d restored)@]"
     (total s) s.dropped s.delayed s.duplicated s.crashed s.cut s.restored
 
-(* one scheduled entry; activation is per entry, not per id, so a
-   cut -> ins -> cut sequence on the same edge fires each step once *)
-type sched = Crash of int | Cut of int | Restore of int
-
 type injector = {
   plan : Plan.t;
   rng : Rng.t;
@@ -44,26 +40,15 @@ type injector = {
   mutable duplicated : int;
   mutable cut_count : int;
   mutable restored_count : int;
-  schedule : (int * sched) array; (* sorted by round, cuts before restores *)
+  (* [Plan.schedule]; activation is per entry, not per id, so a
+     cut -> ins -> cut sequence on the same edge fires each step once *)
+  schedule : (int * Plan.event) array;
   mutable next_sched : int; (* activated prefix of [schedule] *)
   crashed : (int, unit) Hashtbl.t; (* activated crash-stops *)
   severed : (int, unit) Hashtbl.t; (* currently severed edges *)
 }
 
 let injector ?(trace = Trace.noop) plan =
-  let entries =
-    List.map (fun (v, r) -> (r, 0, Crash v)) plan.Plan.crashes
-    @ List.map (fun (e, r) -> (r, 1, Cut e)) plan.Plan.cuts
-    @ List.map (fun (e, r) -> (r, 2, Restore e)) plan.Plan.ins
-  in
-  (* stable by spec position within equal (round, tie) keys; at the same
-     round cuts activate before restores, so cut+ins@r leaves the edge
-     live *)
-  let entries =
-    List.stable_sort
-      (fun (r1, t1, _) (r2, t2, _) -> compare (r1, t1) (r2, t2))
-      entries
-  in
   {
     plan;
     rng = Rng.create ~seed:plan.Plan.seed;
@@ -74,7 +59,7 @@ let injector ?(trace = Trace.noop) plan =
     duplicated = 0;
     cut_count = 0;
     restored_count = 0;
-    schedule = Array.of_list (List.map (fun (r, _, s) -> (r, s)) entries);
+    schedule = Array.of_list (Plan.schedule plan);
     next_sched = 0;
     crashed = Hashtbl.create 4;
     severed = Hashtbl.create 4;
@@ -98,38 +83,43 @@ let emit t ~kind ?(vertex = -1) ?(edge = -1) ?(amount = 0) () =
   Events.fault_injected t.trace ~kind ~round:(now t) ~vertex ~edge ~amount
 
 (* activate due scheduled faults exactly once per schedule entry, in
-   (round, cut-before-restore, spec position) order; redundant entries
-   (crashing a crashed vertex, cutting a severed edge, restoring a live
-   one) are silent no-ops that neither count nor emit *)
-let round_begin t ~round:_ =
+   [Plan.schedule]'s order, and return the vertices crash-stopped now;
+   redundant entries (crashing a crashed vertex, cutting a severed edge,
+   restoring a live one) are silent no-ops that neither count nor emit.
+   At one round cuts activate before restores, so cut+ins@r leaves the
+   edge live *)
+let round_begin t =
   t.passes <- t.passes + 1;
   let g = now t in
   let n = Array.length t.schedule in
+  let crashed = ref [] in
   while t.next_sched < n && fst t.schedule.(t.next_sched) <= g do
     (match snd t.schedule.(t.next_sched) with
-    | Crash vertex ->
+    | Plan.Crash vertex ->
       if not (Hashtbl.mem t.crashed vertex) then begin
         Hashtbl.replace t.crashed vertex ();
-        emit t ~kind:"crash" ~vertex ()
+        emit t ~kind:"crash" ~vertex ();
+        crashed := vertex :: !crashed
       end
-    | Cut edge ->
+    | Plan.Cut edge ->
       if not (Hashtbl.mem t.severed edge) then begin
         Hashtbl.replace t.severed edge ();
         t.cut_count <- t.cut_count + 1;
         emit t ~kind:"edge-cut" ~edge ()
       end
-    | Restore edge ->
+    | Plan.Insert edge ->
       if Hashtbl.mem t.severed edge then begin
         Hashtbl.remove t.severed edge;
         t.restored_count <- t.restored_count + 1;
         emit t ~kind:"edge-restore" ~edge ()
       end);
     t.next_sched <- t.next_sched + 1
-  done
+  done;
+  !crashed
 
-let alive t ~round:_ v = not (Hashtbl.mem t.crashed v)
+let alive t v = not (Hashtbl.mem t.crashed v)
 
-let fate t ~round:_ ~src:_ ~edge =
+let fate t ~edge =
   if Hashtbl.mem t.severed edge then begin
     t.dropped <- t.dropped + 1;
     emit t ~kind:"drop" ~edge ();
@@ -146,7 +136,7 @@ let fate t ~round:_ ~src:_ ~edge =
   then begin
     t.duplicated <- t.duplicated + 1;
     emit t ~kind:"duplicate" ~edge ~amount:2 ();
-    Network.Replicate 2
+    Network.Duplicate
   end
   else if t.plan.Plan.delay_p > 0.0 && Rng.bernoulli t.rng t.plan.Plan.delay_p
   then begin
@@ -159,9 +149,9 @@ let fate t ~round:_ ~src:_ ~edge =
 
 let hook t =
   {
-    Network.round_begin = (fun ~round -> round_begin t ~round);
-    alive = (fun ~round v -> alive t ~round v);
-    fate = (fun ~round ~src ~edge -> fate t ~round ~src ~edge);
+    Network.round_begin = (fun () -> round_begin t);
+    alive = alive t;
+    fate = fate t;
   }
 
 type 's outcome =

@@ -58,6 +58,18 @@ let insert ~edge ~round =
 
 let with_seed seed t = { t with seed }
 
+type event = Crash of int | Cut of int | Insert of int
+
+(* a stable sort by round keeps crashes, cuts and inserts in that order
+   at one round, and spec order within a kind *)
+let schedule t =
+  let at kind = List.map (fun (id, r) -> (r, kind id)) in
+  List.stable_sort
+    (fun (r1, _) (r2, _) -> compare r1 r2)
+    (at (fun v -> Crash v) t.crashes
+    @ at (fun e -> Cut e) t.cuts
+    @ at (fun e -> Insert e) t.ins)
+
 (* independent union: a message survives both loss processes; the zero
    cases short-circuit so composing with [empty] is exact, not a float
    rounding of [1 - (1 - p)] *)

@@ -73,6 +73,16 @@ val insert : edge:int -> round:int -> t
 
 val with_seed : int -> t -> t
 
+type event = Crash of int | Cut of int | Insert of int
+(** A scheduled entry: a vertex crash-stop, an edge cut, an edge
+    insert. *)
+
+val schedule : t -> (int * event) list
+(** The scheduled entries as [(round, event)], in activation order: by
+    round; at one round crashes, then cuts, then inserts; within a kind,
+    in spec order. {!Net}'s injector activates them in this order, and
+    [kecss serve]'s churn stream applies the cuts and inserts in it. *)
+
 val compose : t -> t -> t
 (** Independent union of the two plans' faults. The seed of the left
     operand wins unless it is the default and the right's is not. *)

@@ -320,9 +320,9 @@ let handle_update t req =
     | Ok (Some o) -> ok_fields ~req:"update" ~id:None (outcome_fields o))
 
 (* a fault plan reinterpreted as an update stream: cut=eE@rR deletes the
-   edge at step R, ins=eE@rR inserts it (cuts before inserts at equal
-   rounds, as in the injector), then [updates] extra seeded random
-   updates flip random universe edges *)
+   edge at step R, ins=eE@rR inserts it, in [Plan.schedule]'s order
+   (crashes are skipped), then [updates] extra seeded random updates flip
+   random universe edges *)
 let handle_churn t req =
   let spec = str_param req "plan" ~default:"" in
   let extra = int_param req "updates" ~default:0 in
@@ -334,10 +334,12 @@ let handle_churn t req =
   | Error msg -> error_response ~req:"churn" ("bad plan: " ^ msg)
   | Ok plan ->
     let sched =
-      List.stable_sort
-        (fun (r1, t1, _, _) (r2, t2, _, _) -> compare (r1, t1) (r2, t2))
-        (List.map (fun (e, r) -> (r, 0, "delete", e)) plan.Plan.cuts
-        @ List.map (fun (e, r) -> (r, 1, "insert", e)) plan.Plan.ins)
+      List.filter_map
+        (function
+          | _, Plan.Crash _ -> None
+          | _, Plan.Cut e -> Some ("delete", e)
+          | _, Plan.Insert e -> Some ("insert", e))
+        (Plan.schedule plan)
     in
     let rng = Rng.create ~seed:plan.Plan.seed in
     let m = Graph.m (Maint.graph t.maint) in
@@ -355,7 +357,7 @@ let handle_churn t req =
         if o.Maint.degraded then incr degraded_steps
     in
     List.iter
-      (fun (_, _, op, edge) ->
+      (fun (op, edge) ->
         match apply_update t ~op ~edge with
         | Error _ -> incr skipped (* e.g. cutting an already-dead edge *)
         | Ok o -> note o)

@@ -295,6 +295,15 @@ let engine_tests =
 let empty_hook () =
   Kecss_faults.Net.hook (Kecss_faults.Net.injector Kecss_faults.Plan.empty)
 
+let plan spec = Result.get_ok (Kecss_faults.Plan.of_spec spec)
+
+(* [p] on [g] under [spec]: the final states, rounds and messages *)
+let under ?probe spec g p =
+  match Kecss_faults.Net.run_counted ?probe ~plan:(plan spec) g p with
+  | Kecss_faults.Net.Quiesced { states; rounds; messages; _ } ->
+    (states, rounds, messages)
+  | Kecss_faults.Net.Stalled _ -> Alcotest.fail (spec ^ ": stalled")
+
 type waiter = { mutable steps : int; mutable got : int list }
 
 (* on the path 0 - 1, vertex 0 stays [`Active] for three passes and
@@ -327,14 +336,13 @@ let wait_tests =
         check_int "one message" 1 messages;
         check_int "vertex 1 stepped twice" 2 states.(1).steps;
         Alcotest.(check (list int)) "its mail" [ 7 ] states.(1).got;
-        (* under a hook the same program is stepped in every pass, and
-           ends the same *)
+        (* a hook changes nothing in that schedule *)
         let hooked, hooked_rounds, hooked_messages =
           Network.run_counted ~hook:(empty_hook ()) g late_ping
         in
         check_int "rounds under a hook" rounds hooked_rounds;
         check_int "messages under a hook" messages hooked_messages;
-        check_int "vertex 1 stepped in every pass" 5 hooked.(1).steps;
+        check_int "stepped twice under a hook too" 2 hooked.(1).steps;
         Array.iteri
           (fun v st ->
             Alcotest.(check (list int))
@@ -360,6 +368,58 @@ let wait_tests =
               check_int (name ^ ": nothing in flight") 0 in_flight
             | _ -> Alcotest.fail (name ^ ": expected Did_not_quiesce"))
           [ ("bare", None); ("hooked", Some (empty_hook ())) ]);
+    case "a waiting vertex stops in the pass its crash activates" (fun () ->
+        let flight = Kecss_obs.Flight.create () in
+        let _, rounds, messages =
+          under
+            ~probe:(Kecss_obs.Probe.create ~flight ())
+            "crash=v1@r2,seed=1" (Gen.path 2) late_ping
+        in
+        check_int "rounds" 4 rounds;
+        check_int "messages" 1 messages;
+        (* vertex 1 waits from pass 0 and is crash-stopped in pass 2, the
+           pass its crash activates, not in pass 4, when vertex 0's
+           message would first step it; it goes idle then, and the
+           message is lost to it in pass 4 *)
+        Alcotest.(check string)
+          "flight dump"
+          ({|{"schema":"kecss-flight/1","reason":"crash","engine_passes":5,|}
+         ^ {|"window":32,"capacity":48,"stall":null,"vertices":[{"vertex":0,|}
+         ^ {|"recorded":2,"entries":[{"round":3,"kind":"idle","edge":-1,|}
+         ^ {|"word":0},{"round":3,"kind":"send","edge":0,"word":7}]},|}
+         ^ {|{"vertex":1,"recorded":4,"entries":[{"round":2,"kind":"crash",|}
+         ^ {|"edge":-1,"word":0},{"round":2,"kind":"idle","edge":-1,|}
+         ^ {|"word":0},{"round":3,"kind":"recv","edge":0,"word":7},|}
+         ^ {|{"round":4,"kind":"crash","edge":-1,"word":0}]}]}|})
+          (Kecss_obs.Json.to_string
+             (Kecss_obs.Flight.to_json ~reason:"crash" flight)));
+    case "a crash of a vertex the graph lacks changes nothing" (fun () ->
+        let g = Gen.path 2 in
+        let outcome spec =
+          let states, rounds, messages = under spec g late_ping in
+          (Array.to_list (Array.map (fun st -> (st.steps, st.got)) states),
+           rounds, messages)
+        in
+        let want = outcome "seed=1" in
+        let result =
+          Alcotest.(triple (list (pair int (list int))) int int)
+        in
+        Alcotest.check result "no effect" want (outcome "crash=v5@r1,seed=1");
+        (* a larger run that raises leaves vertex 5 waiting, its active
+           flag set in the domain's scratch; the crash must not read
+           it *)
+        let stuck =
+          {
+            Network.init = (fun _ -> ());
+            step = (fun ~round:_ v () _ _ -> if v = 5 then `Wait else `Idle);
+          }
+        in
+        (match Network.run_counted ~max_rounds:3 (Gen.path 8) stuck with
+        | exception Network.Did_not_quiesce { active; _ } ->
+          check_int "vertex 5 still waits" 1 active
+        | _ -> Alcotest.fail "expected Did_not_quiesce");
+        Alcotest.check result "after a raise" want
+          (outcome "crash=v5@r1,seed=1"));
   ]
 
 (* ---------- the per-domain scratch ---------- *)
@@ -756,9 +816,9 @@ let prim_tests =
 
 (* ---------- every primitive, bare and under an empty plan ---------- *)
 
-(* Runs every primitive once on [l] and prints what each returns. A
-   hooked engine steps the vertices that wait for mail in every pass and
-   a bare one skips them, so the two ledgers must agree on all of it. *)
+(* Runs every primitive once on [l] and prints what each returns. An
+   empty plan's hook delivers every message and crashes no vertex, so
+   the bare and the hooked ledgers must agree on all of it. *)
 let all_primitives l g ~root =
   let n = Graph.n g in
   let b = Buffer.create 1024 in
