@@ -11,6 +11,7 @@ type result = {
 let none_w = max_int
 
 exception Missing_wave_value of { vertex : int; wave : string }
+exception Not_a_tree of { edges : int; n : int }
 
 (* A wave that quiesces leaves a value at every vertex; only a
    crash-stopped vertex keeps the empty one. *)
@@ -298,7 +299,8 @@ let run ?cap ledger rng g =
   let st = part1 ledger rng g ~cap ~bfs_forest in
   let fragment_id = Array.copy st.fid in
   part2 ledger g ~bfs_forest st;
-  assert (Bitset.cardinal st.mst = n - 1);
+  let edges = Bitset.cardinal st.mst in
+  if edges <> n - 1 then raise (Not_a_tree { edges; n });
   let tree = Rooted_tree.of_mask g ~root:0 st.mst in
   let global_edges =
     Bitset.fold

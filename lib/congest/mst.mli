@@ -38,6 +38,12 @@ exception Missing_wave_value of { vertex : int; wave : string }
     crash fault causes. [wave] names the wave: ["capped and coin
     flags"], ["fragment MOEs"] or ["termination test"]. *)
 
+exception Not_a_tree of { edges : int; n : int }
+(** Raised when part 2 ends with [edges] tree edges on [n] vertices, not
+    [n - 1] — which only faults cause: part 2's pipelines assume that a
+    link delivers its messages in the order they were sent, and delays
+    reorder them. *)
+
 val run : ?cap:int -> Rounds.t -> Rng.t -> Graph.t -> result
 (** Builds the MST of a connected graph (on a disconnected one,
     {!Prim.bfs_tree} raises [Invalid_argument] before any round). [cap]

@@ -183,6 +183,25 @@ let plan_tests =
            match Plan.of_spec (Plan.to_spec p) with
            | Ok q -> p = q
            | Error _ -> false));
+    case "schedule orders crashes, cuts, then inserts at one round" (fun () ->
+        match
+          Plan.of_spec
+            "ins=e4@r2,cut=e1@r2,crash=v3@r5,ins=e2@r0,crash=v7@r2,cut=e6@r2,\
+             crash=v0@r2"
+        with
+        | Error e -> Alcotest.fail e
+        | Ok p ->
+          check_is "by round, then kind, then spec order"
+            (Plan.schedule p
+            = [
+                (0, Plan.Insert 2);
+                (2, Plan.Crash 7);
+                (2, Plan.Crash 0);
+                (2, Plan.Cut 1);
+                (2, Plan.Cut 6);
+                (2, Plan.Insert 4);
+                (5, Plan.Crash 3);
+              ]));
     case "combinators validate their ranges" (fun () ->
         let raises f =
           match f () with
@@ -350,6 +369,21 @@ let net_tests =
         check_is "identical outcome" (outcome1 = outcome2);
         check_is "events recorded" (events1 <> []);
         check_is "identical fault event stream" (events1 = events2));
+    case "delays that reorder a link's messages break the MST by name"
+      (fun () ->
+        (* the graph of [generate --family random -n 48 -k 2 --extra 40
+           --wmax 8]; part 2's pipelines assume FIFO links *)
+        let rng = Rng.create ~seed:1 in
+        let g =
+          Weights.uniform rng ~lo:1 ~hi:8 (Gen.random_k_connected rng 48 2 ~extra:40)
+        in
+        let plan = Result.get_ok (Plan.of_spec "delay=0.1:3,seed=1") in
+        let ledger = Rounds.create ~hook:(Net.hook (Net.injector plan)) () in
+        match Mst.run ledger (Rng.create ~seed:1) g with
+        | exception Mst.Not_a_tree { edges; n } ->
+          check_int "n" 48 n;
+          check_is "not n - 1 edges" (edges <> n - 1)
+        | _ -> Alcotest.fail "expected Mst.Not_a_tree");
     case "different seeds draw different fault sequences" (fun () ->
         let g = Gen.circulant 8 [ 1; 2 ] in
         let run seed =
