@@ -3,11 +3,10 @@ open Kecss_congest
 open Kecss_obs
 module Labels = Kecss_cycle_space.Labels
 
-type config = { m_phase : int; max_iterations : int; bits : int }
-
-let default_config n =
+(* the iteration cap: 20 log³ n + 500, as [Augk.default_config]'s *)
+let max_iterations n =
   let l = max 1 (Cover.log2_ceil (n + 1)) in
-  { m_phase = 1; max_iterations = (20 * l * l * l) + 500; bits = Labels.default_bits }
+  (20 * l * l * l) + 500
 
 type result = {
   solution : Bitset.t;
@@ -31,11 +30,10 @@ let charge_level_agreement ledger forest =
 
 (* the common §5 augmentation loop, shared by the unweighted (BFS-tree)
    algorithm of Theorem 1.3 and the weighted (MST) variant of §5.4 *)
-let augment_core ?config ledger rng g ~tree ~h ~weight =
+let augment_core ?(bits = Labels.default_bits) ledger rng g ~tree ~h ~weight =
   let tr = Rounds.trace ledger in
   let n = Graph.n g in
   let m = Graph.m g in
-  let config = match config with Some c -> c | None -> default_config n in
   let forest = Forest.of_rooted_tree tree in
   let a = Graph.no_edges_mask g in
   let h_and_a () =
@@ -60,18 +58,18 @@ let augment_core ?config ledger rng g ~tree ~h ~weight =
   let level_cap = ref max_int in
   let sched =
     Cover.schedule ~trace:tr ~algo:"ecss3" ~candidates:m
-      ~phase_len:(config.m_phase * Cover.log2_ceil (n + 1))
+      ~phase_len:(Cover.log2_ceil (n + 1))
   in
   Events.instance_size tr ~algo:"ecss3" ~n;
   let finished = ref false in
   while not !finished do
     (* fresh circulation of H ∪ A — the distributed O(D) wave of §5.1 *)
     let labels =
-      Labels.compute_distributed ~bits:config.bits ledger (Rng.split rng)
+      Labels.compute_distributed ~bits ledger (Rng.split rng)
         ~forest tree ~h_mask:(h_and_a ())
     in
     if Labels.is_three_edge_connected labels then finished := true
-    else if !iterations >= config.max_iterations then finished := true
+    else if !iterations >= max_iterations n then finished := true
     else begin
       incr iterations;
       Events.iteration_begin tr ~algo:"ecss3" ~index:!iterations;
@@ -154,24 +152,24 @@ let augment_core ?config ledger rng g ~tree ~h ~weight =
     edge_count = Bitset.cardinal solution;
   }
 
-let solve_with ?config ledger rng g =
+let solve_with ?bits ledger rng g =
   Rounds.scoped ledger "ecss3" @@ fun () ->
   let start = Ecss2_unweighted.solve_with ledger g in
-  augment_core ?config ledger rng g ~tree:start.Ecss2_unweighted.tree
+  augment_core ?bits ledger rng g ~tree:start.Ecss2_unweighted.tree
     ~h:start.Ecss2_unweighted.h
     ~weight:(fun _ -> 1)
 
-let solve ?config ?(seed = 1) g =
-  solve_with ?config (Rounds.create ()) (Rng.create ~seed) g
+let solve ?bits ?(seed = 1) g =
+  solve_with ?bits (Rounds.create ()) (Rng.create ~seed) g
 
-let solve_weighted_with ?config ?tap_config ledger rng g =
+let solve_weighted_with ?bits ?tap_config ledger rng g =
   Rounds.scoped ledger "ecss3w" @@ fun () ->
   (* §5.4: start from a weighted 2-ECSS built on the MST; iterations then
      cost O(h_MST) instead of O(D) *)
   let start = Ecss2.solve_with ?tap_config ledger (Rng.split rng) g in
   let tree = Segments.tree start.Ecss2.segments in
-  augment_core ?config ledger rng g ~tree ~h:start.Ecss2.solution
+  augment_core ?bits ledger rng g ~tree ~h:start.Ecss2.solution
     ~weight:(Graph.weight g)
 
-let solve_weighted ?config ?(seed = 1) g =
-  solve_weighted_with ?config (Rounds.create ()) (Rng.create ~seed) g
+let solve_weighted ?bits ?(seed = 1) g =
+  solve_weighted_with ?bits (Rounds.create ()) (Rng.create ~seed) g

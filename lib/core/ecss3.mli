@@ -18,14 +18,6 @@
 open Kecss_graph
 open Kecss_congest
 
-type config = {
-  m_phase : int;          (** phase length factor, as in {!Augk.config} *)
-  max_iterations : int;
-  bits : int;             (** circulation label width (§5's b) *)
-}
-
-val default_config : int -> config
-
 type result = {
   solution : Bitset.t;    (** H ∪ A: spanning, 3-edge-connected *)
   h : Bitset.t;           (** the unweighted 2-ECSS the run started from *)
@@ -36,13 +28,17 @@ type result = {
   edge_count : int;
 }
 
-val solve_with : ?config:config -> Rounds.t -> Rng.t -> Graph.t -> result
-(** Requires an unweighted (weights are ignored) 3-edge-connected graph. *)
+val solve_with : ?bits:int -> Rounds.t -> Rng.t -> Graph.t -> result
+(** Requires an unweighted (weights are ignored) 3-edge-connected graph.
+    [bits] is the circulation label width (§5's b; default
+    {!Kecss_cycle_space.Labels.default_bits}). The activation
+    probability doubles every ⌈log₂(n+1)⌉ iterations at a level, and the
+    loop stops after 20 ⌈log₂(n+1)⌉³ + 500 iterations. *)
 
-val solve : ?config:config -> ?seed:int -> Graph.t -> result
+val solve : ?bits:int -> ?seed:int -> Graph.t -> result
 
 val solve_weighted_with :
-  ?config:config ->
+  ?bits:int ->
   ?tap_config:Tap.config ->
   Rounds.t ->
   Rng.t ->
@@ -55,4 +51,4 @@ val solve_weighted_with :
     O(h_MST·log³ n) — worse than §4 in the worst case, as the paper
     notes, but much better on shallow MSTs. *)
 
-val solve_weighted : ?config:config -> ?seed:int -> Graph.t -> result
+val solve_weighted : ?bits:int -> ?seed:int -> Graph.t -> result

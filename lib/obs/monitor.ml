@@ -87,8 +87,8 @@ let log2_ceil n =
   go 0 1
 
 (* the explicit-constant finite-size iteration bounds: the solver defaults
-   (Tap.default_config / Augk.default_config / Ecss3.default_config) plus
-   the +n unconditional-termination slack *)
+   (Tap.default_config, Augk.default_config and Ecss3's iteration cap)
+   plus the +n unconditional-termination slack *)
 let iteration_bound ~algo ~n =
   let l = max 1 (log2_ceil (n + 1)) in
   match algo with

@@ -79,8 +79,7 @@ let ecss3_tests =
     case "small label width still yields a correct (if larger) solution"
       (fun () ->
         let g = Gen.circulant 16 [ 1; 2 ] in
-        let config = { (Ecss3.default_config 16) with bits = 2 } in
-        let r = Ecss3.solve ~config ~seed:3 g in
+        let r = Ecss3.solve ~bits:2 ~seed:3 g in
         check_is "3EC despite collisions"
           (Verify.check_kecss g r.Ecss3.solution ~k:3).Verify.ok);
     case "deterministic given the seed" (fun () ->
