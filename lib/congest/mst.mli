@@ -40,9 +40,7 @@ exception Missing_wave_value of { vertex : int; wave : string }
 
 exception Not_a_tree of { edges : int; n : int }
 (** Raised when part 2 ends with [edges] tree edges on [n] vertices, not
-    [n - 1] — which only faults cause: part 2's pipelines assume that a
-    link delivers its messages in the order they were sent, and delays
-    reorder them. *)
+    [n - 1], which only faults cause: its pipelines assume FIFO links. *)
 
 val run : ?cap:int -> Rounds.t -> Rng.t -> Graph.t -> result
 (** Builds the MST of a connected graph (on a disconnected one,

@@ -369,11 +369,10 @@ let run_on ~probe ?hook ?max_rounds pl g p =
     if s < 0 then [] else a.id.{s} :: chain_ids a a.next.{s}
   in
   (* The frontier: the vertices the next pass steps, i.e. those whose
-     last step returned [`Active], those that hold delivered mail, and
-     the ones still wanting rounds that the hook crash-stops this pass.
-     Each pass walks its words in ascending order and clears them as it
-     goes, so a pass costs O(n/62 + frontier), not O(n). Every vertex
-     steps in round 0. *)
+     last step returned [`Active], those that hold delivered mail and
+     those the hook crash-stops. Each pass walks its words in ascending
+     order and clears them as it goes, so a pass costs O(n/62 +
+     frontier), not O(n). Every vertex steps in round 0. *)
   let words = (n + frontier_bits - 1) / frontier_bits in
   Array.fill fr 0 words ((1 lsl frontier_bits) - 1);
   if n mod frontier_bits <> 0 then

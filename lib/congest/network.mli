@@ -60,14 +60,12 @@ type fate = Deliver | Drop | Duplicate | Postpone of int
 type hook = {
   round_begin : unit -> int list;
       (** Called once at the top of every engine pass, before any vertex
-          steps — lets an interposer keep a global round clock across the
-          many engine runs of one solve. Returns the vertices it
-          crash-stops from this pass on. Those whose last step returned
-          [`Active] or [`Wait] step in this pass, so [alive] stops a
-          vertex that waits for mail in the pass its crash activates, not
-          when its mail comes; ids outside [[0, n)] are ignored. The
-          activation goes to the run whose pass makes it: no library
-          code runs the engine inside a step under a hook. *)
+          steps, to keep a global round clock across the engine runs of
+          one solve. Returns the vertices crash-stopped from this pass
+          on; those in [[0, n)] that still want rounds step in this pass,
+          so [alive] stops one that waits for mail when its crash
+          activates. Only the run whose pass activates a crash sees it
+          then: no library code runs the engine inside a hooked step. *)
   alive : int -> bool;
       (** [alive v]: may vertex [v] still participate? A dead vertex is
           crash-stopped: its step is skipped, it sends nothing, counts as
@@ -270,9 +268,9 @@ val run_counted :
 
     When [?hook] is given, every vertex step is gated by [hook.alive] and
     every sent message by [hook.fate]; postponed messages stay in flight
-    (keeping the engine from quiescing) until their delay elapses. The message total always
-    counts sends, not deliveries, so it is unaffected by drops and
-    duplications.
+    (keeping the engine from quiescing) until their delay elapses. The
+    message total always counts sends, not deliveries, so it is
+    unaffected by drops and duplications.
     @raise Message_too_large at the post of an oversized payload
     @raise Duplicate_send at a vertex's second post on one port in a
       step

@@ -105,9 +105,7 @@ let compute_distributed ?(bits = default_bits) ledger rng ~forest tree ~h_mask
   done;
   finish tree ~h_mask ~bits label
 
-let bits t = t.bits
 let tree t = t.tree
-let h_mask t = t.h_mask
 
 let label t e =
   if not (Bitset.mem t.h_mask e) then invalid_arg "Labels.label: edge not in H";

@@ -55,9 +55,7 @@ val compute_distributed :
     circulates many times makes it once (raises [Invalid_argument]
     otherwise). *)
 
-val bits : t -> int
 val tree : t -> Rooted_tree.t
-val h_mask : t -> Bitset.t
 
 val label : t -> int -> int
 (** [label t e] is φ(e); [e] must belong to the labelled subgraph. *)

@@ -85,9 +85,7 @@ let emit t ~kind ?(vertex = -1) ?(edge = -1) ?(amount = 0) () =
 (* activate due scheduled faults exactly once per schedule entry, in
    [Plan.schedule]'s order, and return the vertices crash-stopped now;
    redundant entries (crashing a crashed vertex, cutting a severed edge,
-   restoring a live one) are silent no-ops that neither count nor emit.
-   At one round cuts activate before restores, so cut+ins@r leaves the
-   edge live *)
+   restoring a live one) are silent no-ops that neither count nor emit *)
 let round_begin t =
   t.passes <- t.passes + 1;
   let g = now t in
@@ -119,13 +117,11 @@ let round_begin t =
 
 let alive t v = not (Hashtbl.mem t.crashed v)
 
+(* a severed edge draws nothing from the stream *)
 let fate t ~edge =
-  if Hashtbl.mem t.severed edge then begin
-    t.dropped <- t.dropped + 1;
-    emit t ~kind:"drop" ~edge ();
-    Network.Drop
-  end
-  else if t.plan.Plan.drop > 0.0 && Rng.bernoulli t.rng t.plan.Plan.drop
+  if
+    Hashtbl.mem t.severed edge
+    || (t.plan.Plan.drop > 0.0 && Rng.bernoulli t.rng t.plan.Plan.drop)
   then begin
     t.dropped <- t.dropped + 1;
     emit t ~kind:"drop" ~edge ();

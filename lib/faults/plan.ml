@@ -60,8 +60,7 @@ let with_seed seed t = { t with seed }
 
 type event = Crash of int | Cut of int | Insert of int
 
-(* a stable sort by round keeps crashes, cuts and inserts in that order
-   at one round, and spec order within a kind *)
+(* a stable sort by round keeps the kinds' order, and spec order *)
 let schedule t =
   let at kind = List.map (fun (id, r) -> (r, kind id)) in
   List.stable_sort

@@ -74,14 +74,13 @@ val insert : edge:int -> round:int -> t
 val with_seed : int -> t -> t
 
 type event = Crash of int | Cut of int | Insert of int
-(** A scheduled entry: a vertex crash-stop, an edge cut, an edge
-    insert. *)
 
 val schedule : t -> (int * event) list
-(** The scheduled entries as [(round, event)], in activation order: by
-    round; at one round crashes, then cuts, then inserts; within a kind,
-    in spec order. {!Net}'s injector activates them in this order, and
-    [kecss serve]'s churn stream applies the cuts and inserts in it. *)
+(** The crashes, cuts and inserts as [(round, event)] in the order
+    {!Net} activates them and [kecss serve]'s churn applies them: by
+    round, at one round crashes, cuts, then inserts (so a cut and an
+    insert of one edge at one round leave it live), each in spec
+    order. *)
 
 val compose : t -> t -> t
 (** Independent union of the two plans' faults. The seed of the left

@@ -333,14 +333,6 @@ let handle_churn t req =
   match if spec = "" then Ok Plan.empty else Plan.of_spec spec with
   | Error msg -> error_response ~req:"churn" ("bad plan: " ^ msg)
   | Ok plan ->
-    let sched =
-      List.filter_map
-        (function
-          | _, Plan.Crash _ -> None
-          | _, Plan.Cut e -> Some ("delete", e)
-          | _, Plan.Insert e -> Some ("insert", e))
-        (Plan.schedule plan)
-    in
     let rng = Rng.create ~seed:plan.Plan.seed in
     let m = Graph.m (Maint.graph t.maint) in
     let applied = ref 0 and skipped = ref 0 in
@@ -356,12 +348,17 @@ let handle_churn t req =
         | Maint.Rebuilt -> incr reb_p);
         if o.Maint.degraded then incr degraded_steps
     in
+    let update op edge =
+      match apply_update t ~op ~edge with
+      | Error _ -> incr skipped (* e.g. cutting an already-dead edge *)
+      | Ok o -> note o
+    in
     List.iter
-      (fun (op, edge) ->
-        match apply_update t ~op ~edge with
-        | Error _ -> incr skipped (* e.g. cutting an already-dead edge *)
-        | Ok o -> note o)
-      sched;
+      (function
+        | _, Plan.Crash _ -> ()
+        | _, Plan.Cut edge -> update "delete" edge
+        | _, Plan.Insert edge -> update "insert" edge)
+      (Plan.schedule plan);
     for _ = 1 to extra do
       let e = Rng.int rng (max 1 m) in
       let r =
