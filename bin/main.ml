@@ -803,9 +803,9 @@ let explain path algo k seed jobs top phase json_out =
 let explain_cmd =
   let algo =
     let doc =
-      "Algorithm to explain: 2ecss, kecss, 3ecss-unweighted, 3ecss-weighted, \
-       ftmst, thurimella (the sequential baselines run no engine and have \
-       nothing to attribute)."
+      "Algorithm to explain: 2ecss, 2ecss-unweighted, kecss, \
+       3ecss-unweighted, 3ecss-weighted, ftmst, thurimella (the sequential \
+       baselines run no engine and have nothing to attribute)."
     in
     Arg.(value & opt string "2ecss" & info [ "algorithm"; "a" ] ~doc)
   in
@@ -955,8 +955,8 @@ let audit path algo k seed json_out trace_path =
 let audit_cmd =
   let algo =
     let doc =
-      "Algorithm to audit: 2ecss, kecss, 3ecss-unweighted, 3ecss-weighted, \
-       ftmst, thurimella, greedy, exact."
+      "Algorithm to audit: 2ecss, 2ecss-unweighted, kecss, 3ecss-unweighted, \
+       3ecss-weighted, ftmst, thurimella, greedy, exact."
     in
     Arg.(value & opt string "2ecss" & info [ "algorithm"; "a" ] ~doc)
   in
@@ -1162,9 +1162,9 @@ let resilience path algo sol_path k seed jobs trials json_out strict =
 let resilience_cmd =
   let algo =
     let doc =
-      "Algorithm whose output to attack: 2ecss, kecss, 3ecss-unweighted, \
-       3ecss-weighted, ftmst, thurimella, greedy, exact. Ignored when \
-       $(b,--solution) is given."
+      "Algorithm whose output to attack: 2ecss, 2ecss-unweighted, kecss, \
+       3ecss-unweighted, 3ecss-weighted, ftmst, thurimella, greedy, exact. \
+       Ignored when $(b,--solution) is given."
     in
     Arg.(value & opt string "2ecss" & info [ "algorithm"; "a" ] ~doc)
   in
