@@ -295,11 +295,10 @@ let engine_tests =
 let empty_hook () =
   Kecss_faults.Net.hook (Kecss_faults.Net.injector Kecss_faults.Plan.empty)
 
-let plan spec = Result.get_ok (Kecss_faults.Plan.of_spec spec)
-
 (* [p] on [g] under [spec]: the final states, rounds and messages *)
 let under ?probe spec g p =
-  match Kecss_faults.Net.run_counted ?probe ~plan:(plan spec) g p with
+  let plan = Result.get_ok (Kecss_faults.Plan.of_spec spec) in
+  match Kecss_faults.Net.run_counted ?probe ~plan g p with
   | Kecss_faults.Net.Quiesced { states; rounds; messages; _ } ->
     (states, rounds, messages)
   | Kecss_faults.Net.Stalled _ -> Alcotest.fail (spec ^ ": stalled")
