@@ -437,6 +437,152 @@ let verify_tests =
         check_int "aug weight" 100 r.Verify.weight);
   ]
 
+(* ----- the verification gate against independent oracles ----- *)
+
+(* A seeded multigraph on 1 ≤ [n] ≤ 10 vertices: the cycle 0 → 1 → … → 0
+   laid [layers] times (at n = 2 each layer is two parallel edges), up
+   to 2n random edges that may repeat a pair, and a mask that drops
+   about one edge in [drop] (none at 0). More layers raise the minimum
+   degree past every cap the gate is run at. *)
+let gate_instance (seed, n, layers, drop) =
+  let rng = Rng.create ~seed in
+  let edges = ref [] in
+  if n >= 2 then begin
+    for _ = 1 to layers do
+      for v = 0 to n - 1 do
+        edges := (v, (v + 1) mod n, 1 + Rng.int rng 9) :: !edges
+      done
+    done;
+    for _ = 1 to Rng.int rng (2 * n + 1) do
+      let u = Rng.int rng n and v = Rng.int rng n in
+      if u <> v then edges := (u, v, 1 + Rng.int rng 9) :: !edges
+    done
+  end;
+  let g = Graph.make ~n (List.rev !edges) in
+  let mask = Graph.all_edges_mask g in
+  if drop > 0 then
+    Graph.iter_edges
+      (fun e -> if Rng.int rng drop = 0 then Bitset.remove mask e.Graph.id)
+      g;
+  (g, mask)
+
+let arb_gate =
+  QCheck.make
+    ~print:(fun ((seed, n, layers, drop), k) ->
+      Printf.sprintf "seed=%d n=%d layers=%d drop=%d k=%d" seed n layers drop k)
+    QCheck.Gen.(
+      pair
+        (quad (int_bound 1_000_000) (int_range 1 10) (int_range 0 4) (int_range 0 4))
+        (int_range 1 4))
+
+(* the fewest masked edges at a vertex, counted edge by edge *)
+let masked_min_degree g mask =
+  let deg = Array.make (Graph.n g) 0 in
+  Graph.iter_edges
+    (fun e ->
+      if Bitset.mem mask e.Graph.id then begin
+        deg.(e.Graph.u) <- deg.(e.Graph.u) + 1;
+        deg.(e.Graph.v) <- deg.(e.Graph.v) + 1
+      end)
+    g;
+  Array.fold_left min max_int deg
+
+(* min(λ, upper) by Stoer–Wagner, with the gate's verdict at n = 1: one
+   vertex has no cut at all (max_int) *)
+let oracle_lambda g mask ~upper =
+  if Graph.n g = 1 then max_int
+  else min upper (fst (Stoer_wagner.min_cut ~mask g))
+
+(* the caps the gate runs at: its default (k + 1), k … k + 2, unbounded *)
+let gate_caps k = [ None; Some k; Some (k + 1); Some (k + 2); Some max_int ]
+
+let gate_tests =
+  [
+    qcheck
+      (QCheck.Test.make ~name:"Verify's report agrees with independent oracles"
+         ~count:300 arb_gate (fun (params, k) ->
+           let g, mask = gate_instance params in
+           let spanning = Graph.is_connected ~mask g in
+           let weight, edges =
+             Graph.fold_edges
+               (fun e (w, c) ->
+                 if Bitset.mem mask e.Graph.id then (w + e.Graph.w, c + 1) else (w, c))
+               g (0, 0)
+           in
+           List.for_all
+             (fun cap ->
+               let r = Verify.check_kecss ?cap g mask ~k in
+               let upper = match cap with None -> k + 1 | Some c -> max c k in
+               let lambda = oracle_lambda g mask ~upper in
+               r.Verify.spanning = spanning
+               && r.Verify.connectivity = lambda
+               && r.Verify.required = k
+               && r.Verify.weight = weight
+               && r.Verify.edge_count = edges
+               && r.Verify.ok = (spanning && lambda >= k)
+               && Verify.lambda_upto ~mask g ~upper = lambda)
+             (gate_caps k)));
+    qcheck
+      (QCheck.Test.make ~name:"masked lambda agrees with Stoer-Wagner" ~count:150
+         arb_gate (fun ((seed, n, layers, drop), k) ->
+           let g, mask = gate_instance (seed, max 2 n, layers, drop) in
+           let sw, _ = Stoer_wagner.min_cut ~mask g in
+           Edge_connectivity.lambda ~mask g = sw
+           && Edge_connectivity.lambda ~mask ~upper:(k + 1) g = min sw (k + 1)
+           && Edge_connectivity.is_k_edge_connected ~mask g k = (sw >= k)));
+    case "the gate's instances put the minimum degree below, at and above the cap"
+      (fun () ->
+        (* what the qcheck above draws from, swept over fixed seeds *)
+        let below = ref 0 and at = ref 0 and above = ref 0 in
+        for seed = 0 to 199 do
+          let k = 1 + (seed mod 4) in
+          let g, mask =
+            gate_instance (seed, 2 + (seed mod 9), seed mod 5, seed mod 3)
+          in
+          let delta = masked_min_degree g mask in
+          List.iter
+            (fun cap ->
+              let upper = match cap with None -> k + 1 | Some c -> max c k in
+              if delta < upper then incr below
+              else if delta = upper then incr at
+              else incr above)
+            (gate_caps k)
+        done;
+        check_is "below" (!below > 0);
+        check_is "at" (!at > 0);
+        check_is "above" (!above > 0));
+    case "the gate's verdicts at n = 0, 1 and 2" (fun () ->
+        (* no graph has 0 vertices, so the gate never sees one *)
+        check_is "n = 0 is refused"
+          (match Graph.make ~n:0 [] with
+           | _ -> false
+           | exception Invalid_argument _ -> true);
+        let one = Graph.make ~n:1 [] in
+        List.iter
+          (fun k ->
+            let r = Verify.check_kecss one (Graph.all_edges_mask one) ~k in
+            check_is "n = 1 spans" r.Verify.spanning;
+            check_int "n = 1 has no cut" max_int r.Verify.connectivity;
+            check_is "n = 1 passes" r.Verify.ok)
+          [ 1; 2; 5 ];
+        check_int "Edge_connectivity at n = 1" max_int (Edge_connectivity.lambda one);
+        for j = 0 to 5 do
+          let g = Graph.make ~n:2 (List.init j (fun _ -> (0, 1, 1))) in
+          let mask = Graph.all_edges_mask g in
+          List.iter
+            (fun cap ->
+              let r = Verify.check_kecss ?cap g mask ~k:2 in
+              let upper = match cap with None -> 3 | Some c -> max c 2 in
+              check_is (Printf.sprintf "%d parallel edges span" j)
+                (r.Verify.spanning = (j > 0));
+              check_int (Printf.sprintf "%d parallel edges" j) (min j upper)
+                r.Verify.connectivity)
+            (gate_caps 2);
+          check_int "Dfs.bridges" (if j = 1 then 1 else 0)
+            (List.length (Dfs.bridges g))
+        done);
+  ]
+
 (* the definition: forest i is the lex-min (weight, id) spanning forest
    of the masked edges no earlier forest took *)
 let peeled_levels ~mask g ~k =
@@ -510,5 +656,6 @@ let () =
       ("min_cut_enum", enum_tests);
       ("census", census_tests);
       ("verify", verify_tests);
+      ("gate", gate_tests);
       ("certificate", certificate_tests);
     ]

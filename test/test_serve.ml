@@ -377,6 +377,58 @@ let test_transcript_jobs_invariant () =
   Pool.set_default_jobs 1;
   Alcotest.(check string) "transcripts byte-identical at jobs 1 vs 4" t1 t4
 
+(* A seeded flap stream in the shape the serve benchmark sends: each
+   cycle is six updates (delete a random live edge, or revive the oldest
+   down one, at most six down at once), a verify at the default cap, a
+   verify at a cap no λ here reaches, and an audit. *)
+let flap_script ~seed g ~cycles =
+  let rng = Rng.create ~seed in
+  let m = Graph.m g in
+  let down = Queue.create () and is_down = Bitset.create m in
+  let update () =
+    if Queue.length down >= 6 || ((not (Queue.is_empty down)) && Rng.bool rng)
+    then begin
+      let e = Queue.pop down in
+      Bitset.remove is_down e;
+      Printf.sprintf {|{"req":"update","op":"insert","edge":%d}|} e
+    end
+    else begin
+      let rec pick () =
+        let e = Rng.int rng m in
+        if Bitset.mem is_down e then pick () else e
+      in
+      let e = pick () in
+      Queue.push e down;
+      Bitset.add is_down e;
+      Printf.sprintf {|{"req":"update","op":"delete","edge":%d}|} e
+    end
+  in
+  List.concat
+    (List.init cycles (fun _ ->
+         List.init 6 (fun _ -> update ())
+         @ [ {|{"req":"verify"}|}; {|{"req":"verify","cap":1000}|}; {|{"req":"audit"}|} ]))
+  @ [ {|{"req":"shutdown"}|} ]
+
+let test_transcript_pinned () =
+  (* every response of a gated churn session — the λ of each update's
+     gate, verify at two caps, audit — pinned by the digest of the whole
+     transcript, at k = 2 and at k = 3 *)
+  let rng = Rng.create ~seed:4242 in
+  let g3 =
+    Weights.uniform rng ~lo:1 ~hi:60 (Gen.random_k_connected rng 40 4 ~extra:60)
+  in
+  List.iter
+    (fun (k, g, digest) ->
+      let srv = Server.create ~seed:5 g ~k in
+      let out =
+        run_session_string srv (frames_of_requests (flap_script ~seed:k g ~cycles:40))
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "transcript digest at k = %d" k)
+        digest
+        (Digest.to_hex (Digest.string out)))
+    [ (2, serve_graph (), "c59a824923eaeec1d854b1509b70a8d8"); (3, g3, "138b372a2c4106500d80ad2465fc5fad") ]
+
 let test_churn_request_canonical () =
   (* after a served churn stream the resident solution equals the
      from-scratch certificate of the final live set, and verification
@@ -474,6 +526,8 @@ let server_tests =
       test_session_bad_prefix;
     case "session transcripts are byte-identical at jobs 1 and 4"
       test_transcript_jobs_invariant;
+    case "gated churn transcripts are pinned at k = 2 and 3"
+      test_transcript_pinned;
     case "served churn stream ends canonical and verified"
       test_churn_request_canonical;
     case "latency is reported only on request" test_stats_latency_optin;
