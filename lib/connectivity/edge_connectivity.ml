@@ -4,35 +4,34 @@ let pair ?mask g u v =
   let net = Maxflow.of_graph ?mask g in
   Maxflow.max_flow net ~s:u ~t:v
 
-let connected_lambda ?mask ?upper g =
+(* λ ≤ δ, so no search goes past min(upper, δ): a bridge settles λ = 1,
+   a bound of 2 needs nothing more once the pass found no bridge — what
+   keeps k ≤ 2 verification O(n + m) on million-vertex instances — and
+   the max-flows start their limit there *)
+let connected_lambda ?mask ?upper g (s : Dfs.summary) =
   let n = Graph.n g in
   if n <= 1 then max_int
-  else if Dfs.bridges ?mask g <> [] then 1
-  else
-    (* bridgeless and connected: λ ≥ 2, settled without any max-flow when
-       the caller only cares about λ up to 2 — this is what keeps k ≤ 2
-       verification O(n + m) on million-vertex instances *)
-    match upper with
-    | Some u when u <= 2 -> min 2 u
-    | _ ->
-    begin
-    let net = Maxflow.of_graph ?mask g in
-    let best = ref max_int in
-    for t = 1 to n - 1 do
-      let limit =
-        match upper with
-        | None -> Some !best
-        | Some u -> Some (min u !best)
-      in
-      let f = Maxflow.max_flow ?limit net ~s:0 ~t in
-      if f < !best then best := f
-    done;
-    match upper with None -> !best | Some u -> min !best u
+  else if s.Dfs.bridges > 0 then 1
+  else begin
+    let upper =
+      match upper with None -> s.Dfs.min_degree | Some u -> min u s.Dfs.min_degree
+    in
+    if upper <= 2 then min 2 upper
+    else begin
+      let net = Maxflow.of_graph ?mask g in
+      let best = ref upper in
+      for t = 1 to n - 1 do
+        let f = Maxflow.max_flow ~limit:!best net ~s:0 ~t in
+        if f < !best then best := f
+      done;
+      !best
+    end
   end
 
 let lambda ?mask ?upper g =
-  if Graph.n g > 1 && not (Graph.is_connected ?mask g) then 0
-  else connected_lambda ?mask ?upper g
+  let s = Dfs.summary ?mask g in
+  if Graph.n g > 1 && not s.Dfs.spanning then 0
+  else connected_lambda ?mask ?upper g s
 
 let is_k_edge_connected ?mask g k =
   if k <= 0 then true
@@ -42,7 +41,8 @@ let is_k_edge_connected ?mask g k =
 let global_min_cut ?mask g =
   let n = Graph.n g in
   if n < 2 then invalid_arg "Edge_connectivity.global_min_cut: n < 2";
-  if not (Graph.is_connected ?mask g) then begin
+  let s = Dfs.summary ?mask g in
+  if not s.Dfs.spanning then begin
     let comp = Graph.components ?mask g in
     let side = Bitset.create n in
     Array.iteri (fun v c -> if c = comp.(0) then Bitset.add side v) comp;
@@ -50,7 +50,8 @@ let global_min_cut ?mask g =
   end
   else begin
     let net = Maxflow.of_graph ?mask g in
-    let best = ref max_int and best_t = ref 1 in
+    (* λ ≤ δ < δ + 1: the first sink that reaches λ still wins *)
+    let best = ref (s.Dfs.min_degree + 1) and best_t = ref 1 in
     for t = 1 to n - 1 do
       let f = Maxflow.max_flow ~limit:!best net ~s:0 ~t in
       if f < !best then begin

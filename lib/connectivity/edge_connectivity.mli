@@ -11,12 +11,17 @@ val pair : ?mask:Bitset.t -> Graph.t -> int -> int -> int
 
 val lambda : ?mask:Bitset.t -> ?upper:int -> Graph.t -> int
 (** Global edge connectivity of the (sub)graph; 0 if disconnected. With
-    [~upper] each flow stops at [upper], so the result is
-    [min λ upper] — much faster for "is λ ≥ k" queries. *)
+    [~upper] the result is [min λ upper] — much faster for "is λ ≥ k"
+    queries. One {!Dfs.summary} pass decides connectivity and bridges and
+    gives the minimum degree δ; since λ ≤ δ, no max-flow is asked past
+    min([upper], δ), and none runs at all while that is at most 2. *)
 
-val connected_lambda : ?mask:Bitset.t -> ?upper:int -> Graph.t -> int
-(** {!lambda} of a (sub)graph the caller already knows to be connected,
-    without the components search that establishes it. *)
+val connected_lambda :
+  ?mask:Bitset.t -> ?upper:int -> Graph.t -> Dfs.summary -> int
+(** {!lambda} of a (sub)graph whose {!Dfs.summary} the caller already
+    holds and found spanning: [max_int] at n = 1, 1 when the pass found
+    a bridge, otherwise min(λ, [upper], δ) from max-flows whose limit
+    starts at min([upper], δ). *)
 
 val is_k_edge_connected : ?mask:Bitset.t -> Graph.t -> int -> bool
 (** [is_k_edge_connected g k]: does the (sub)graph span all vertices with
@@ -25,4 +30,5 @@ val is_k_edge_connected : ?mask:Bitset.t -> Graph.t -> int -> bool
 val global_min_cut : ?mask:Bitset.t -> Graph.t -> int * Bitset.t * int list
 (** [global_min_cut g] is [(λ, side, cut)] for a minimum cardinality cut:
     the vertex set [side] (containing vertex 0) and the ids of the λ
-    crossing edges. Requires a connected (sub)graph with n ≥ 2. *)
+    crossing edges. Requires n ≥ 2; a disconnected (sub)graph gives
+    λ = 0 and vertex 0's component. The max-flows stop at δ + 1. *)

@@ -279,15 +279,18 @@ let label_sweep ~bits rng tree ~h_mask =
 (* H with a BFS tree rooted at vertex 0 and one label sweep over it *)
 type labelled = { h : Bitset.t; is_tree : bool array; label : int array }
 
-let label_h ?(bits = 60) ?mask ~rng g =
-  let h = match mask with Some s -> s | None -> Graph.all_edges_mask g in
-  if not (Graph.is_connected ~mask:h g) then
-    invalid_arg "Min_cut_enum.census: the subgraph is not connected";
+let label_connected ?(bits = 60) ~rng g h =
   let _, pe = Graph.bfs_tree ~mask:h g 0 in
   let tree = Rooted_tree.of_parent_edges g ~root:0 pe in
   let is_tree = Array.make (Graph.m g) false in
   Array.iter (fun e -> if e >= 0 then is_tree.(e) <- true) pe;
   { h; is_tree; label = label_sweep ~bits rng tree ~h_mask:h }
+
+let label_h ?bits ?mask ~rng g =
+  let h = match mask with Some s -> s | None -> Graph.all_edges_mask g in
+  if not (Graph.is_connected ~mask:h g) then
+    invalid_arg "Min_cut_enum.census: the subgraph is not connected";
+  label_connected ?bits ~rng g h
 
 (* Calls [f] on every set of [size] ∈ {2, 3} edges of H whose labels XOR
    to zero, as an increasing id list: every cut of that size (its edges
@@ -394,20 +397,20 @@ let collisions ?bits ?mask ~rng g ~size =
 let lambda_upto ?mask ~rng g ~upper =
   if upper < 3 || upper > 4 then
     invalid_arg "Min_cut_enum.lambda_upto: upper must be 3 or 4";
-  if Dfs.bridges ?mask g <> [] then 1
-  else begin
-    let lab = label_h ?mask ~rng g in
-    let scratch = Bitset.copy lab.h in
-    let has_cut size =
-      match
-        iter_collisions lab ~size (fun ids ->
-            if confirm g scratch ids <> None then raise_notrace Exit)
-      with
-      | () -> false
-      | exception Exit -> true
-    in
-    if has_cut 2 then 2 else if upper = 3 || not (has_cut 3) then upper else 3
-  end
+  let lab =
+    label_connected ~rng g
+      (match mask with Some s -> s | None -> Graph.all_edges_mask g)
+  in
+  let scratch = Bitset.copy lab.h in
+  let has_cut size =
+    match
+      iter_collisions lab ~size (fun ids ->
+          if confirm g scratch ids <> None then raise_notrace Exit)
+    with
+    | () -> false
+    | exception Exit -> true
+  in
+  if has_cut 2 then 2 else if upper = 3 || not (has_cut 3) then upper else 3
 
 let min_cuts ?mask ~rng g =
   let lam = Edge_connectivity.lambda ?mask g in

@@ -9,7 +9,7 @@
       sets of 2 or 3 edges whose §5 cycle-space labels XOR to zero, each
       confirmed by deletion: one O(m) label sweep, O(n·m) lookups more
       for size 3, and one O(n + m) search per collision. {!min_cuts},
-      Aug_k (k ≤ 4) and [Verify] (caps 3–4) use it;
+      Aug_k (k ≤ 4) and [Verify] (bounds 3–4, after its δ cap) use it;
     - {!enumerate_exhaustive}: exact, by scanning all 2^(n-1) vertex sides —
       for small n and for cross-validating the other enumerators;
     - {!enumerate}: seeded Karger contraction — finds every minimum cut with
@@ -82,10 +82,12 @@ val collisions :
     {!census} given the same [rng] state. *)
 
 val lambda_upto : ?mask:Bitset.t -> rng:Rng.t -> Graph.t -> upper:int -> int
-(** [min λ upper] for [upper] 3 or 4 on a connected (sub)graph with n ≥ 2,
-    from the bridges and then the {!census}'s confirmed collisions of
-    size 2 and 3, stopping at the first — exact, like the capped
-    max-flow [Edge_connectivity.lambda ~upper]. *)
+(** [min λ upper] for [upper] 3 or 4 on a connected, bridgeless
+    (sub)graph — what [Verify] learns from its {!Dfs.summary} pass before
+    it asks — from the {!census}'s confirmed collisions of size 2 and
+    then 3, stopping at the first: exact, like the capped max-flow
+    [Edge_connectivity.lambda ~upper]. Neither the connectivity nor the
+    bridges are searched again. *)
 
 val min_cuts : ?mask:Bitset.t -> rng:Rng.t -> Graph.t -> int * cut list
 (** [(λ, cuts)]: the edge connectivity (max-flow) and all minimum cuts,

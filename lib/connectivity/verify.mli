@@ -27,11 +27,15 @@ val check_kecss : ?cap:int -> Graph.t -> Bitset.t -> k:int -> report
     raise the early-exit ceiling and read the true λ — what the
     resilience report does to expose the failure margin λ − (k−1).
 
-    min(λ, cap) comes from the bridges alone while the cap is at most 2,
-    from {!Min_cut_enum.lambda_upto} (bridges, then the exact label
-    census of 2- and 3-cuts) while it is 3 or 4, and from capped
-    max-flows ({!Edge_connectivity.lambda}) beyond. All three give the
-    same number. *)
+    One O(n + m) {!Dfs.summary} pass over the subgraph decides
+    [spanning], finds whether it has a bridge and gives its minimum
+    degree δ. Since λ ≤ δ, min(λ, cap) = min(λ, cap, δ), and every
+    oracle is asked for that bound only: the bridge verdict answers it
+    while it is at most 2, {!Min_cut_enum.lambda_upto} (the exact label
+    census of 2-cuts, then of 3-cuts) while it is 3 or 4, and capped
+    max-flows ({!Edge_connectivity.connected_lambda}) beyond. All give
+    the same number; a solution with a vertex of degree k — Mader: every
+    minimally k-edge-connected graph has one — needs the pass alone. *)
 
 val check_augmentation :
   ?cap:int -> Graph.t -> h:Bitset.t -> aug:Bitset.t -> k:int -> report
