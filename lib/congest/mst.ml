@@ -170,10 +170,11 @@ let part1 ledger rng g ~cap ~bfs_forest =
     let walk_sources = ref [] in
     let old_parent = Array.copy wf.Forest.parent in
     let old_pe = Array.copy wf.Forest.parent_edge in
-    let new_fid = Array.copy st.fid and new_capped = Array.copy st.capped in
+    (* the merging fragments' targets, by wave-forest root *)
+    let target_fid = Array.make n (-1) and target_capped = Array.make n false in
     List.iter
       (fun (r, moe) ->
-        let eid = moe.(1) and target_fid = moe.(4) and target_capped = moe.(3) in
+        let eid = moe.(1) in
         let a = Graph.edge_u g eid and b = Graph.edge_v g eid in
         let u = if st.fid.(a) = r then a else b in
         assert (st.fid.(u) = r && st.fid.(Graph.other_end g eid u) <> r);
@@ -189,14 +190,19 @@ let part1 ledger rng g ~cap ~bfs_forest =
         in
         flip u;
         st.frag_pe.(u) <- eid;
-        List.iter
-          (fun v ->
-            new_fid.(v) <- target_fid;
-            new_capped.(v) <- target_capped = 1)
-          (Forest.tree_members wf r))
+        target_fid.(r) <- moe.(4);
+        target_capped.(r) <- moe.(3) = 1)
       !merges;
-    Array.blit new_fid 0 st.fid 0 n;
-    Array.blit new_capped 0 st.capped 0 n;
+    (* then one pass hands every member of a merging fragment its
+       target's id and capped bit: the loop above read the old ids, and
+       fragments are disjoint, so the order is free *)
+    for v = 0 to n - 1 do
+      let r = wf.Forest.root_of.(v) in
+      if target_fid.(r) >= 0 then begin
+        st.fid.(v) <- target_fid.(r);
+        st.capped.(v) <- target_capped.(r)
+      end
+    done;
     if !walk_sources <> [] then Prim.walk_up ledger wf ~sources:!walk_sources;
     (* members of merged fragments learn their new fragment id *)
     ignore
