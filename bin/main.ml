@@ -684,7 +684,6 @@ let solve path algo k seed quiet sparsify flight_path run =
   in
   let target = match sp with Some sp -> sp.Sparsify.sub | None -> g in
   match run_algo ledger ~algo ~k ~seed target with
-  | exception Failure msg -> `Error (false, msg)
   | exception Kecss_congest.Network.Did_not_quiesce { rounds; active; in_flight }
     ->
     abort
@@ -707,8 +706,8 @@ let solve path algo k seed quiet sparsify flight_path run =
     abort ~stall:None ~reason:"solver failed under the fault plan"
       ("solver failed under the fault plan: " ^ Printexc.to_string e)
   (* without a fault plan, a solver's refusal (k out of range, a
-     disconnected graph) is a named error *)
-  | exception Invalid_argument msg -> `Error (false, msg)
+     disconnected graph, too little connectivity) is a named error *)
+  | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
   | k, sol, rounds ->
   (* lift a sparsified solution back to original edge ids: verification
      and the printed subgraph are always against the input graph *)
