@@ -39,6 +39,8 @@ let forward_children out (f : Forest.t) v inbox m =
 
 type bfs_state = { mutable parent_edge : int; mutable joined : bool }
 
+exception Bfs_unreached of { vertex : int }
+
 let bfs_tree ledger g ~root =
   (* unreached vertices would wait until the pass limit, so a
      disconnected graph is refused before any engine pass *)
@@ -79,6 +81,9 @@ let bfs_tree ledger g ~root =
   in
   let states = engine ledger ~category:"bfs" g program in
   let pe = Array.map (fun st -> st.parent_edge) states in
+  Array.iteri
+    (fun v e -> if e < 0 && v <> root then raise (Bfs_unreached { vertex = v }))
+    pe;
   Rooted_tree.of_parent_edges g ~root pe
 
 (* ---------- single-round exchange ---------- *)

@@ -36,11 +36,17 @@
 
 open Kecss_graph
 
+exception Bfs_unreached of { vertex : int }
+(** Raised by {!bfs_tree} when the flood quiesced without reaching
+    [vertex], the smallest such id — which only a fault causes: a
+    crash-stopped vertex never passes the join token on. *)
+
 val bfs_tree : Rounds.t -> Graph.t -> root:int -> Rooted_tree.t
 (** Builds a BFS spanning tree by flooding; ecc(root) rounds. Ties between
     simultaneous joins break towards the smallest edge id, so the result is
     deterministic. Raises [Invalid_argument] on a disconnected graph,
-    before any engine pass and without charging a round. *)
+    before any engine pass and without charging a round, and
+    {!Bfs_unreached} when faults keep the flood from some vertex. *)
 
 val exchange_in_place :
   ?read:(int -> Network.mail -> unit) ->

@@ -384,6 +384,20 @@ let net_tests =
           check_int "n" 48 n;
           check_is "not n - 1 edges" (edges <> n - 1)
         | _ -> Alcotest.fail "expected Mst.Not_a_tree");
+    case "a crash that starves the BFS flood is named" (fun () ->
+        (* the graph of [generate --family random -n 96 -k 3 --extra 192
+           --seed 7 --wmax 100]; vertex 3 stops before the join token
+           reaches it, so the 2-ECSS solve's first BFS cannot finish *)
+        let rng = Rng.create ~seed:7 in
+        let g =
+          Weights.uniform rng ~lo:1 ~hi:100 (Gen.random_k_connected rng 96 3 ~extra:192)
+        in
+        let plan = Result.get_ok (Plan.of_spec "crash=v3@r5") in
+        let ledger = Rounds.create ~hook:(Net.hook (Net.injector plan)) () in
+        match Kecss_core.Ecss2.solve_with ledger (Rng.create ~seed:1) g with
+        | exception Prim.Bfs_unreached { vertex } ->
+          check_int "the first unreached vertex" 3 vertex
+        | _ -> Alcotest.fail "expected Prim.Bfs_unreached");
     case "different seeds draw different fault sequences" (fun () ->
         let g = Gen.circulant 8 [ 1; 2 ] in
         let run seed =
