@@ -1268,7 +1268,7 @@ let info_run path =
          @ (if n <= 2048 then
               [
                 [ Kecss_obs.Export.S "edge connectivity λ";
-                  Kecss_obs.Export.I (Edge_connectivity.lambda ~upper:min_deg g) ];
+                  Kecss_obs.Export.I (Edge_connectivity.lambda g) ];
               ]
             else []))
   in
