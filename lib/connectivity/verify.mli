@@ -34,8 +34,9 @@ val check_kecss : ?cap:int -> Graph.t -> Bitset.t -> k:int -> report
     while it is at most 2, {!Min_cut_enum.lambda_upto} (the exact label
     census of 2-cuts, then of 3-cuts) while it is 3 or 4, and capped
     max-flows ({!Edge_connectivity.connected_lambda}) beyond. All give
-    the same number; a solution with a vertex of degree k — Mader: every
-    minimally k-edge-connected graph has one — needs the pass alone. *)
+    the same number. Every minimally k-edge-connected graph has a vertex
+    of degree k (Mader), so at the default cap a near-minimal 2-ECSS
+    needs the pass alone, and a 3-ECSS the 2-cut census at most. *)
 
 val check_augmentation :
   ?cap:int -> Graph.t -> h:Bitset.t -> aug:Bitset.t -> k:int -> report
