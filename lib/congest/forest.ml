@@ -126,10 +126,3 @@ let of_rooted_tree t =
 let singleton graph = make graph ~parent_edge:(Array.make (Graph.n graph) (-1))
 
 let max_depth t = Array.fold_left max 0 t.depth
-
-let tree_members t r =
-  let acc = ref [] in
-  for v = Graph.n t.graph - 1 downto 0 do
-    if t.root_of.(v) = r then acc := v :: !acc
-  done;
-  !acc

@@ -49,6 +49,3 @@ val singleton : Graph.t -> t
 
 val max_depth : t -> int
 (** Maximum vertex depth over all trees — the wave cost. *)
-
-val tree_members : t -> int -> int list
-(** [tree_members f r] lists the vertices whose root is [r]. *)
