@@ -396,6 +396,24 @@ let census_tests =
           "3-cuts of H at n=48"
           (sorted_keys (Min_cut_enum.enumerate ~mask:h ~rng:(rng ()) g ~size:3))
           (cut_keys census));
+    case "CI's census-smoke instance: Verify and the oracle equal Stoer-Wagner"
+      (fun () ->
+        (* generate --family random -n 512 -k 3 --extra 1024 --wmax 100
+           --seed 7, solved by Kecss at seed 1 *)
+        let rng = Rng.create ~seed:7 in
+        let g =
+          Weights.uniform rng ~lo:1 ~hi:100
+            (Gen.random_k_connected rng 512 3 ~extra:1024)
+        in
+        let sol = (Kecss_core.Kecss.solve ~seed:1 g ~k:3).Kecss_core.Kecss.solution in
+        let sw = fst (Stoer_wagner.min_cut ~mask:sol g) in
+        check_is "3-edge-connected" (sw >= 3);
+        List.iter
+          (fun cap ->
+            check_int (Printf.sprintf "Verify at cap %d" cap) (min sw cap)
+              (Verify.check_kecss ~cap g sol ~k:3).Verify.connectivity)
+          [ 3; 4; 5 ];
+        check_int "uncapped lambda" sw (Edge_connectivity.lambda ~mask:sol g));
     case "census refuses a disconnected subgraph and sizes past 3" (fun () ->
         let g = Gen.cycle 6 in
         let rng = Rng.create ~seed:1 in
@@ -532,25 +550,40 @@ let gate_tests =
            && Edge_connectivity.is_k_edge_connected ~mask g k = (sw >= k)));
     case "the gate's instances put the minimum degree below, at and above the cap"
       (fun () ->
-        (* what the qcheck above draws from, swept over fixed seeds *)
+        (* what the qcheck above draws from, swept over fixed seeds; a
+           bridgeless spanning mask whose bound min(upper, δ) lands on 3
+           or 4 is one the exact census answers, for the uppers both
+           qchecks ask: the gate's caps, k and δ itself *)
         let below = ref 0 and at = ref 0 and above = ref 0 in
+        let census_bound = Array.make 5 0 in
         for seed = 0 to 199 do
           let k = 1 + (seed mod 4) in
           let g, mask =
             gate_instance (seed, 2 + (seed mod 9), seed mod 5, seed mod 3)
           in
           let delta = masked_min_degree g mask in
+          let uppers =
+            List.map (function None -> k + 1 | Some c -> max c k) (gate_caps k)
+          in
           List.iter
-            (fun cap ->
-              let upper = match cap with None -> k + 1 | Some c -> max c k in
+            (fun upper ->
               if delta < upper then incr below
               else if delta = upper then incr at
               else incr above)
-            (gate_caps k)
+            uppers;
+          if Graph.is_connected ~mask g && Dfs.bridges ~mask g = [] then
+            List.iter
+              (fun upper ->
+                let bound = min upper delta in
+                if bound = 3 || bound = 4 then
+                  census_bound.(bound) <- census_bound.(bound) + 1)
+              (k :: delta :: uppers)
         done;
         check_is "below" (!below > 0);
         check_is "at" (!at > 0);
-        check_is "above" (!above > 0));
+        check_is "above" (!above > 0);
+        check_is "bridgeless bound 3" (census_bound.(3) > 0);
+        check_is "bridgeless bound 4" (census_bound.(4) > 0));
     case "the gate's verdicts at n = 0, 1 and 2" (fun () ->
         (* no graph has 0 vertices, so the gate never sees one *)
         check_is "n = 0 is refused"

@@ -102,6 +102,24 @@ let ecss3_tests =
            let g = Gen.random_k_connected rng n 3 ~extra:n in
            let r = Ecss3.solve ~seed g in
            (Verify.check_kecss g r.Ecss3.solution ~k:3).Verify.ok));
+    case "both solvers' outputs are 3-edge-connected by Stoer-Wagner" (fun () ->
+        (* an oracle independent of the census and max-flow the repair
+           net and Verify ask *)
+        for seed = 1 to 10 do
+          let n = 16 + (16 * ((seed - 1) mod 4)) in
+          let g = Gen.random_k_connected (Rng.create ~seed) n 3 ~extra:n in
+          let weighted = Weights.uniform (Rng.create ~seed) ~lo:1 ~hi:(n * n) g in
+          List.iter
+            (fun (name, g, solve) ->
+              let r = solve (Rounds.create ()) (Rng.create ~seed) g in
+              check_is
+                (Printf.sprintf "%s seed %d n %d" name seed n)
+                (fst (Stoer_wagner.min_cut ~mask:r.Ecss3.solution g) >= 3))
+            [
+              ("solve_with", g, fun l r g -> Ecss3.solve_with l r g);
+              ("solve_weighted_with", weighted, fun l r g -> Ecss3.solve_weighted_with l r g);
+            ]
+        done);
   ]
 
 let weighted_tests =

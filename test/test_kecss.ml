@@ -168,6 +168,24 @@ let driver_tests =
            in
            let r = Kecss.solve ~seed g ~k:3 in
            (Verify.check_kecss g r.Kecss.solution ~k:3).Verify.ok));
+    case "k=3 and k=4 outputs are k-edge-connected by Stoer-Wagner" (fun () ->
+        (* an oracle independent of the census and max-flow the solvers'
+           repair nets and Verify ask *)
+        for seed = 1 to 10 do
+          let n = 16 + (16 * ((seed - 1) mod 4)) in
+          List.iter
+            (fun k ->
+              let rng = Rng.create ~seed in
+              let g =
+                Weights.uniform rng ~lo:1 ~hi:(n * n)
+                  (Gen.random_k_connected rng n k ~extra:(2 * n))
+              in
+              let r = Kecss.solve_with (Rounds.create ()) (Rng.create ~seed) g ~k in
+              check_is
+                (Printf.sprintf "seed %d n %d k %d" seed n k)
+                (fst (Stoer_wagner.min_cut ~mask:r.Kecss.solution g) >= k))
+            [ 3; 4 ]
+        done);
   ]
 
 (* ---------- fault-tolerant MST (§1.2) ---------- *)
