@@ -8,11 +8,12 @@ let tap _g tree =
   | exception Failure _ -> failwith "Greedy.tap: graph is not 2-edge-connected"
 
 let augmentation g ~h ~k =
-  if Edge_connectivity.is_k_edge_connected ~mask:h g k then Graph.no_edges_mask g
+  let lam = Edge_connectivity.lambda ~mask:h ~upper:k g in
+  if lam >= k then Graph.no_edges_mask g
   else begin
-    let rng = Rng.create ~seed:0x9e3779b9 in
-    let lam, cuts = Min_cut_enum.min_cuts ~mask:h ~rng g in
     if lam <> k - 1 then invalid_arg "Greedy.augmentation: H is not (k-1)-EC";
+    let rng = Rng.create ~seed:0x9e3779b9 in
+    let _, cuts = Min_cut_enum.min_cuts ~mask:h ~rng g ~size:lam in
     let a =
       match Cover.greedy (Augk.cut_problem g ~h (Array.of_list cuts)) with
       | a -> a

@@ -6,8 +6,8 @@
     factor of greedy).
 
     Both are {!Kecss_core.Cover.greedy} on the distributed algorithms' own
-    covering problems: {!tap} on {!Kecss_core.Tap.problem}, and
-    {!augmentation} on {!Kecss_core.Augk.cut_problem} followed by
+    covering problems: {!tap} on {!Kecss_core.Tap.problem}, and each
+    level of {!kecss} on {!Kecss_core.Augk.cut_problem} followed by
     {!Kecss_core.Augk.repair}. Each step adds the exact maximiser of
     |uncovered elements| / w(e), counting zero weight as infinite and
     breaking ties toward the smaller edge id. *)
@@ -20,16 +20,15 @@ val tap : Graph.t -> Rooted_tree.t -> Bitset.t
     tree edge is covered. Returns the augmentation A. Raises [Failure] if
     the graph is not 2-edge-connected. *)
 
-val augmentation : Graph.t -> h:Bitset.t -> k:int -> Bitset.t
-(** Greedy Aug_k over the minimum cuts of H
-    ({!Kecss_connectivity.Min_cut_enum.min_cuts}: the exact label census
-    for k ≤ 4; beyond, exhaustive for n ≤ 16 and seeded Karger otherwise,
-    which keeps k ≥ 5 to small instances, n ≤ 24): repeatedly add
-    the edge maximizing uncovered-cuts/weight, then repair exactly.
-    Exact-coverage greedy, so its ratio is the classical H_n bound.
-    Raises [Invalid_argument] unless λ(H) = k−1, and [Failure] if G is
-    not k-edge-connected. *)
-
 val kecss : Graph.t -> k:int -> Bitset.t
-(** Greedy k-ECSS: MST, then {!augmentation} level by level. Small
-    instances only. *)
+(** Greedy k-ECSS: the MST, then greedy Aug_i for i = 2 … k. Each level
+    asks [Edge_connectivity.lambda] for min(λ(H), i) once, then covers
+    the minimum cuts of H
+    ({!Kecss_connectivity.Min_cut_enum.min_cuts}: the exact label census
+    for i ≤ 4; beyond, exhaustive for n ≤ 16 and seeded Karger otherwise,
+    which keeps k ≥ 5 to small instances, n ≤ 24): it repeatedly adds
+    the edge maximizing uncovered-cuts/weight, then repairs exactly.
+    Exact-coverage greedy, so its ratio is the classical H_n bound.
+    Small instances only. Raises [Invalid_argument] if [k < 1] or, at
+    [k ≥ 2], G is disconnected, and [Failure] if G is connected but not
+    k-edge-connected. *)

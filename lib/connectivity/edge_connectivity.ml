@@ -4,10 +4,24 @@ let pair ?mask g u v =
   let net = Maxflow.of_graph ?mask g in
   Maxflow.max_flow net ~s:u ~t:v
 
+(* min(λ, limit) and the sink that first reached it: vertex 0 lies on
+   one side of every cut, and each max-flow stops at the best so far *)
+let sweep net ~n ~limit =
+  let best = ref limit and best_t = ref 1 in
+  for t = 1 to n - 1 do
+    let f = Maxflow.max_flow ~limit:!best net ~s:0 ~t in
+    if f < !best then begin
+      best := f;
+      best_t := t
+    end
+  done;
+  (!best, !best_t)
+
 (* λ ≤ δ, so no search goes past min(upper, δ): a bridge settles λ = 1,
    a bound of 2 needs nothing more once the pass found no bridge — what
-   keeps k ≤ 2 verification O(n + m) on million-vertex instances — and
-   the max-flows start their limit there *)
+   keeps k ≤ 2 verification O(n + m) on million-vertex instances — the
+   exact label census answers 3 and 4, and the max-flows start their
+   limit at any larger bound *)
 let connected_lambda ?mask ?upper g (s : Dfs.summary) =
   let n = Graph.n g in
   if n <= 1 then max_int
@@ -17,15 +31,10 @@ let connected_lambda ?mask ?upper g (s : Dfs.summary) =
       match upper with None -> s.Dfs.min_degree | Some u -> min u s.Dfs.min_degree
     in
     if upper <= 2 then min 2 upper
-    else begin
-      let net = Maxflow.of_graph ?mask g in
-      let best = ref upper in
-      for t = 1 to n - 1 do
-        let f = Maxflow.max_flow ~limit:!best net ~s:0 ~t in
-        if f < !best then best := f
-      done;
-      !best
-    end
+    else if upper <= 4 then
+      (* the census is exact whatever the labels draw, so any seed does *)
+      Min_cut_enum.lambda_upto ?mask ~rng:(Rng.create ~seed:1) g ~upper
+    else fst (sweep (Maxflow.of_graph ?mask g) ~n ~limit:upper)
   end
 
 let lambda ?mask ?upper g =
@@ -51,16 +60,9 @@ let global_min_cut ?mask g =
   else begin
     let net = Maxflow.of_graph ?mask g in
     (* λ ≤ δ < δ + 1: the first sink that reaches λ still wins *)
-    let best = ref (s.Dfs.min_degree + 1) and best_t = ref 1 in
-    for t = 1 to n - 1 do
-      let f = Maxflow.max_flow ~limit:!best net ~s:0 ~t in
-      if f < !best then begin
-        best := f;
-        best_t := t
-      end
-    done;
+    let _, t = sweep net ~n ~limit:(s.Dfs.min_degree + 1) in
     (* re-run without limit for the winning sink to get a genuine min cut *)
-    let lam = Maxflow.max_flow net ~s:0 ~t:!best_t in
+    let lam = Maxflow.max_flow net ~s:0 ~t in
     let side = Maxflow.min_cut_side net in
     (lam, side, Maxflow.cut_edges ?mask g side)
   end

@@ -412,10 +412,9 @@ let lambda_upto ?mask ~rng g ~upper =
   in
   if has_cut 2 then 2 else if upper = 3 || not (has_cut 3) then upper else 3
 
-let min_cuts ?mask ~rng g =
-  let lam = Edge_connectivity.lambda ?mask g in
-  if lam = 0 then (0, [])
-  else if lam = 1 then (1, enumerate_bridges ?mask g)
-  else if lam <= 3 then (lam, census ?mask ~rng g ~size:lam)
-  else if Graph.n g <= 16 then (lam, enumerate_exhaustive ?mask g ~size:lam)
-  else (lam, enumerate ?mask ~rng g ~size:lam)
+let min_cuts ?mask ~rng g ~size =
+  if size <= 0 then ("none", [])
+  else if size = 1 then ("bridges", enumerate_bridges ?mask g)
+  else if size <= 3 then ("labels", census ?mask ~rng g ~size)
+  else if Graph.n g <= 16 then ("exhaustive", enumerate_exhaustive ?mask g ~size)
+  else ("karger", enumerate ?mask ~rng g ~size)

@@ -9,7 +9,9 @@
       sets of 2 or 3 edges whose §5 cycle-space labels XOR to zero, each
       confirmed by deletion: one O(m) label sweep, O(n·m) lookups more
       for size 3, and one O(n + m) search per collision. {!min_cuts},
-      Aug_k (k ≤ 4) and [Verify] (bounds 3–4, after its δ cap) use it;
+      Aug_k (k ≤ 4) and, through {!lambda_upto}, the edge-connectivity
+      oracle [Edge_connectivity.connected_lambda] (bounds 3–4, after its
+      δ cap) use it;
     - {!enumerate_exhaustive}: exact, by scanning all 2^(n-1) vertex sides —
       for small n and for cross-validating the other enumerators;
     - {!enumerate}: seeded Karger contraction — finds every minimum cut with
@@ -83,13 +85,18 @@ val collisions :
 
 val lambda_upto : ?mask:Bitset.t -> rng:Rng.t -> Graph.t -> upper:int -> int
 (** [min λ upper] for [upper] 3 or 4 on a connected, bridgeless
-    (sub)graph — what [Verify] learns from its {!Dfs.summary} pass before
-    it asks — from the {!census}'s confirmed collisions of size 2 and
-    then 3, stopping at the first: exact, like the capped max-flow
-    [Edge_connectivity.lambda ~upper]. Neither the connectivity nor the
-    bridges are searched again. *)
+    (sub)graph — what [Edge_connectivity.connected_lambda], its one
+    caller, learns from its {!Dfs.summary} pass before it asks — from
+    the {!census}'s confirmed collisions of size 2 and then 3, stopping
+    at the first: exact, like a capped max-flow sweep. Neither the
+    connectivity nor the bridges are searched again. *)
 
-val min_cuts : ?mask:Bitset.t -> rng:Rng.t -> Graph.t -> int * cut list
-(** [(λ, cuts)]: the edge connectivity (max-flow) and all minimum cuts,
-    using the bridges at λ = 1, {!census} at λ ∈ {2, 3},
-    {!enumerate_exhaustive} for n ≤ 16 and {!enumerate} (w.h.p.) beyond. *)
+val min_cuts :
+  ?mask:Bitset.t -> rng:Rng.t -> Graph.t -> size:int -> string * cut list
+(** [min_cuts g ~size] is every minimum cut of the connected (sub)graph
+    whose edge connectivity λ the caller already knows to be [size],
+    with the name of the enumerator that ran: ["bridges"] at λ = 1,
+    ["labels"] ({!census}) at λ ∈ {2, 3}, ["exhaustive"]
+    ({!enumerate_exhaustive}) for n ≤ 16 and ["karger"] ({!enumerate},
+    complete w.h.p.) beyond — the [search] names of the resilience
+    report. [size ≤ 0] gives ["none"] and no cut. *)

@@ -12,12 +12,6 @@ type report = {
   ok : bool;             (** spanning ∧ connectivity ≥ required *)
 }
 
-val lambda_upto : mask:Bitset.t -> Graph.t -> upper:int -> int
-(** [lambda_upto ~mask g ~upper] is min(λ, [upper]) of the subgraph
-    [mask] of [g], 0 when it is disconnected — the [connectivity] of
-    {!check_kecss}'s report, by the oracles described there. The census
-    draws its labels from a fixed seed, so no caller's rng moves. *)
-
 val check_kecss : ?cap:int -> Graph.t -> Bitset.t -> k:int -> report
 (** [check_kecss g sol ~k] verifies that the edge set [sol] is a spanning
     k-edge-connected subgraph of [g] and reports its cost. By default λ
@@ -29,14 +23,11 @@ val check_kecss : ?cap:int -> Graph.t -> Bitset.t -> k:int -> report
 
     One O(n + m) {!Dfs.summary} pass over the subgraph decides
     [spanning], finds whether it has a bridge and gives its minimum
-    degree δ. Since λ ≤ δ, min(λ, cap) = min(λ, cap, δ), and every
-    oracle is asked for that bound only: the bridge verdict answers it
-    while it is at most 2, {!Min_cut_enum.lambda_upto} (the exact label
-    census of 2-cuts, then of 3-cuts) while it is 3 or 4, and capped
-    max-flows ({!Edge_connectivity.connected_lambda}) beyond. All give
-    the same number. Every minimally k-edge-connected graph has a vertex
-    of degree k (Mader), so at the default cap a near-minimal 2-ECSS
-    needs the pass alone, and a 3-ECSS the 2-cut census at most. *)
+    degree δ; {!Edge_connectivity.connected_lambda} reads that pass for
+    the connectivity, asking its oracles for min(λ, cap, δ) only. Every
+    minimally k-edge-connected graph has a vertex of degree k (Mader),
+    so at the default cap a near-minimal 2-ECSS needs the pass alone,
+    and a 3-ECSS the 2-cut census at most. *)
 
 val check_augmentation :
   ?cap:int -> Graph.t -> h:Bitset.t -> aug:Bitset.t -> k:int -> report

@@ -93,9 +93,9 @@ let augment ?config ledger rng ~bfs_forest g ~h ~k =
   let n = Graph.n g in
   let m = Graph.m g in
   let config = match config with Some c -> c | None -> default_config n in
-  (* min(λ(H), k), once, by Verify's oracles (the census at k = 3 and 4,
-     on its own fixed seed, so the solver's rng does not move) *)
-  let lam = Verify.lambda_upto ~mask:h g ~upper:k in
+  (* min(λ(H), k), once (the census at k = 3 and 4, on its own fixed
+     seed, so the solver's rng does not move) *)
+  let lam = Edge_connectivity.lambda ~mask:h ~upper:k g in
   if lam >= k then
     {
       augmentation = Graph.no_edges_mask g;

@@ -17,8 +17,9 @@
     The size-(k−1) cuts of H are its minimum cuts; they are enumerated with
     {!Kecss_connectivity.Min_cut_enum}: exactly by the label census for
     k ≤ 4, by Karger contraction (complete w.h.p.) beyond. An exact
-    connectivity re-check with greedy repair backs the termination
-    condition, so the output is unconditionally k-edge-connected.
+    connectivity re-check with greedy repair ({!repair}) backs the
+    termination condition, so the output is unconditionally
+    k-edge-connected.
 
     The iteration loop is {!Cover.solve} with {!Cover.Guessing}: the
     elements are the cuts, the MST filter is its [?filter], and the round
@@ -80,4 +81,8 @@ val repair : Kecss_obs.Trace.t -> algo:string -> fail:string ->
 (** The exact safety net of Aug_k and 3-ECSS: while [h ∪ a] is not
     k-edge-connected, adds to [a] the lightest edge (by [weight], then
     id) crossing a global minimum cut, with a ["repair"] event. Returns
-    the edges added (0 w.h.p.); raises [Failure fail] if none crosses. *)
+    the edges added (0 w.h.p.); raises [Failure fail] if none crosses.
+    The re-check is [Edge_connectivity.is_k_edge_connected], the oracle
+    [Verify] reads: the exact label census at k = 3 and 4, max-flow
+    beyond; the cut to repair comes from max-flow
+    ([Edge_connectivity.global_min_cut]). *)

@@ -27,25 +27,19 @@ let schema_version = "kecss-resilience/1"
 let find_witness ~rng g ~h ~spanning ~lambda ~budget =
   if not spanning then (Some [], "none")
   else if lambda > budget then (None, "none")
-  else begin
-    let search =
-      if lambda <= 1 then "bridges"
-      else if lambda <= 3 then "labels"
-      else if Graph.n g <= 16 then "exhaustive"
-      else "karger"
-    in
-    match Min_cut_enum.min_cuts ~mask:h ~rng g with
-    | _, cut :: _ -> (Some cut.Min_cut_enum.edge_ids, search)
-    | _, [] ->
+  else
+    match Min_cut_enum.min_cuts ~mask:h ~rng g ~size:lambda with
+    | search, cut :: _ -> (Some cut.Min_cut_enum.edge_ids, search)
+    | search, [] ->
       (* the randomized enumerator is only complete w.h.p.; the maxflow
          min cut is a deterministic fallback witness *)
       let _, _, cut = Edge_connectivity.global_min_cut ~mask:h g in
       (Some cut, search)
-  end
 
 (* One block of random failure-set trials with its own rng: the unit of
-   parallel fan-out. Every trial builds a fresh mask and a fresh maxflow
-   net, so blocks share only the immutable graph and [ids]. Returns
+   parallel fan-out. Every trial builds a fresh mask and asks the
+   connectivity oracle afresh, so blocks share only the immutable graph
+   and [ids]. Returns
    (survived, worst residual λ, first disconnecting set in trial order). *)
 let attack_block ~rng ~trials g ~h ~ids ~sample_size ~lambda =
   let survived = ref 0 in

@@ -5,11 +5,12 @@
     takes a solver's output and {e tries to kill it} from two directions:
 
     - {b cut-guided search}: if λ(H) ≤ k−1 then every minimum cut of H is
-      a disconnecting failure set within the budget; the search enumerates
-      them with [Min_cut_enum.min_cuts] (bridges for λ = 1, the exact
-      label census for λ ∈ {2, 3}, exhaustively for small n and seeded
-      Karger contraction otherwise) and reports the first as a witness —
-      for the bridges and the census, the first in edge-id order;
+      a disconnecting failure set within the budget; the search hands
+      the λ it already holds to [Min_cut_enum.min_cuts] (bridges for
+      λ = 1, the exact label census for λ ∈ {2, 3}, exhaustively for
+      small n and seeded Karger contraction otherwise), reports the first
+      cut as a witness — for the bridges and the census, the first in
+      edge-id order — and the enumerator's name as [search];
     - {b random failure sampling}: seeded uniform (k−1)-subsets of H's
       edges are removed and connectivity re-checked, measuring the
       survival rate and the worst residual connectivity λ(H \ F) — the
