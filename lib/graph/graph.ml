@@ -146,7 +146,10 @@ let total_weight g =
   done;
   !acc
 
-let mask_weight g s = Bitset.fold (fun id acc -> acc + g.ew.(id)) s 0
+let mask_weight g s =
+  let acc = ref 0 in
+  Bitset.iter (fun id -> acc := !acc + g.ew.(id)) s;
+  !acc
 let all_edges_mask g = Bitset.full (m g)
 let no_edges_mask g = Bitset.create (m g)
 
