@@ -129,18 +129,7 @@ let to_json t =
       ("quality", quality_to_json t.quality);
       ("cost", cost_to_json t.cost);
       ("coverage", coverage_to_json t.coverage);
-      ( "violations",
-        Json.List
-          (List.map
-             (fun (v : Monitor.violation) ->
-               Json.Obj
-                 [
-                   ("invariant", Json.Str v.invariant);
-                   ("detail", Json.Str v.detail);
-                   ("event", Json.Str v.event.Trace.name);
-                   ("ts", Json.Float v.event.Trace.ts);
-                 ])
-             t.violations) );
+      ("violations", Monitor.violations_to_json t.violations);
     ]
 
 let pp ppf t =

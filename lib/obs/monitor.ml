@@ -272,7 +272,7 @@ let pp_report ppf t =
     Format.fprintf ppf "@]"
   end
 
-let to_json t =
+let violations_to_json vs =
   Json.List
     (List.map
        (fun v ->
@@ -283,4 +283,6 @@ let to_json t =
              ("event", Json.Str v.event.Trace.name);
              ("ts", Json.Float v.event.Trace.ts);
            ])
-       (violations t))
+       vs)
+
+let to_json t = violations_to_json (violations t)

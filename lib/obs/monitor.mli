@@ -85,5 +85,10 @@ val pp_report : Format.formatter -> t -> unit
 (** One line per violation plus a summary tail; prints a clean
     "all invariants hold" line when {!ok}. *)
 
+val violations_to_json : violation list -> Json.t
+(** A list of violations as JSON objects with [invariant], [detail],
+    [event] and [ts] fields: the one encoding, which audit records
+    embed. *)
+
 val to_json : t -> Json.t
-(** The violation list, for embedding in audit records. *)
+(** {!violations_to_json} of {!violations}. *)
