@@ -221,8 +221,10 @@ let kernel_tests =
          (let g = W.weighted_random ~n:64 ~k:2 in
           let mst = Kecss_baselines.Greedy.kecss g ~k:1 in
           fun () ->
+            (* as the callers do: ask λ once, then enumerate *)
+            let size = Kecss_connectivity.Edge_connectivity.lambda ~mask:mst g in
             Kecss_connectivity.Min_cut_enum.min_cuts ~mask:mst
-              ~rng:(Rng.create ~seed:1) g));
+              ~rng:(Rng.create ~seed:1) g ~size));
     Test.make ~name:"kernel/lca-queries-n256"
       (stage (fun () ->
            let acc = ref 0 in
