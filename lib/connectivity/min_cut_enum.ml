@@ -413,8 +413,7 @@ let lambda_upto ?mask ~rng g ~upper =
   if has_cut 2 then 2 else if upper = 3 || not (has_cut 3) then upper else 3
 
 let min_cuts ?mask ~rng g ~size =
-  if size <= 0 then ("none", [])
-  else if size = 1 then ("bridges", enumerate_bridges ?mask g)
+  if size = 1 then ("bridges", enumerate_bridges ?mask g)
   else if size <= 3 then ("labels", census ?mask ~rng g ~size)
   else if Graph.n g <= 16 then ("exhaustive", enumerate_exhaustive ?mask g ~size)
   else ("karger", enumerate ?mask ~rng g ~size)

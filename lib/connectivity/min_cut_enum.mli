@@ -99,4 +99,5 @@ val min_cuts :
     ["labels"] ({!census}) at λ ∈ {2, 3}, ["exhaustive"]
     ({!enumerate_exhaustive}) for n ≤ 16 and ["karger"] ({!enumerate},
     complete w.h.p.) beyond — the [search] names of the resilience
-    report. [size ≤ 0] gives ["none"] and no cut. *)
+    report. Raises [Invalid_argument] at [size ≤ 0], as the census
+    does. *)
