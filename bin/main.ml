@@ -593,9 +593,11 @@ let print_solution g mask =
       Printf.printf "e %d %d %d\n" u v (Graph.weight g e))
     mask
 
-(* The exhaustive search is exponential in m: at 24 edges a k = 2 search
-   takes 0.05 s, while 34 edges at k = 3 take half a minute. Beyond this
-   budget `exact` refuses before it searches. *)
+(* The exhaustive search is exponential in m. On a 2-vCPU machine, a
+   k = 2 search at 24 edges takes 0.03 s, while k = 3 at 34 edges
+   (`generate --family random -n 12 -k 3 --extra 10`) takes 2-19 s with
+   weights up to 9 and four minutes at unit weights. Beyond this budget
+   `exact` refuses before it searches. *)
 let exact_max_edges = 24
 
 (* one dispatch shared by `solve`, `explain`, `audit` and `resilience`:

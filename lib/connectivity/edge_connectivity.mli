@@ -18,7 +18,7 @@ val pair : ?mask:Bitset.t -> Graph.t -> int -> int -> int
 val lambda : ?mask:Bitset.t -> ?upper:int -> Graph.t -> int
 (** Global edge connectivity of the (sub)graph; 0 if disconnected. With
     [~upper] the result is [min λ upper] — much faster for "is λ ≥ k"
-    queries. {!connected_lambda} after the pass. *)
+    queries. The {!Dfs.summary} pass, then {!connected_lambda}. *)
 
 val connected_lambda :
   ?mask:Bitset.t -> ?upper:int -> Graph.t -> Dfs.summary -> int
