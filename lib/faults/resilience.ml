@@ -39,8 +39,8 @@ let find_witness ~rng g ~h ~spanning ~lambda ~budget =
 (* One block of random failure-set trials with its own rng: the unit of
    parallel fan-out. Every trial builds a fresh mask and asks the
    connectivity oracle afresh, so blocks share only the immutable graph
-   and [ids]. Returns
-   (survived, worst residual λ, first disconnecting set in trial order). *)
+   and [ids]. Returns (survived, worst residual λ, first disconnecting
+   set in trial order). *)
 let attack_block ~rng ~trials g ~h ~ids ~sample_size ~lambda =
   let survived = ref 0 in
   let worst = ref lambda in
