@@ -42,10 +42,7 @@ let lambda ?mask ?upper g =
   if Graph.n g > 1 && not s.Dfs.spanning then 0
   else connected_lambda ?mask ?upper g s
 
-let is_k_edge_connected ?mask g k =
-  if k <= 0 then true
-  else if k = 1 then Graph.is_connected ?mask g
-  else lambda ?mask ~upper:k g >= k
+let is_k_edge_connected ?mask g k = lambda ?mask ~upper:k g >= k
 
 let global_min_cut ?mask g =
   let n = Graph.n g in

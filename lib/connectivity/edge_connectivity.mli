@@ -31,7 +31,8 @@ val connected_lambda :
 
 val is_k_edge_connected : ?mask:Bitset.t -> Graph.t -> int -> bool
 (** [is_k_edge_connected g k]: does the (sub)graph span all vertices with
-    λ ≥ k? [k = 0] only requires the vertex set, [k = 1] connectivity. *)
+    λ ≥ k, i.e. [lambda ~upper:k g >= k]? Every (sub)graph passes at
+    [k ≤ 0], and [k = 1] asks connectivity alone. *)
 
 val global_min_cut : ?mask:Bitset.t -> Graph.t -> int * Bitset.t * int list
 (** [global_min_cut g] is [(λ, side, cut)] for a minimum cardinality cut:
